@@ -87,10 +87,6 @@ pub const PER_LAYER: [(&str, &str); 49] = [
     ("trace.untraced.latency_p99_ms", "ms"),
 ];
 
-/// How many times each run sets its workload up; `setup_s` is the
-/// median, so one slow set-up does not move it.
-pub const SETUP_REPEATS: usize = 5;
-
 /// What one run measured and checked.
 #[derive(Debug, Default)]
 pub struct Outcome {
@@ -107,8 +103,9 @@ pub struct Figures {
     pub setup_s: f64,
     pub throughput_per_s: f64,
     pub latency_p50_ms: f64,
-    /// Placement only: a sweep run makes too few passes for a p99 with
-    /// ten samples beyond it, so the sweeps leave this at 0.
+    /// Placement only, over single round trips: a sweep run makes too
+    /// few passes for a p99 with ten samples beyond it, so the sweeps
+    /// leave this at 0.
     pub latency_p99_ms: f64,
     pub peak_rss_mb: f64,
 }
@@ -161,44 +158,85 @@ impl Figures {
 
 /// Set-ups and timed operations of one half of a run.
 ///
-/// A traced run interleaves its two halves, untraced and traced, one
-/// set-up and one operation at a time, so that both see the same
-/// process state and the same phases of the host; each half's
-/// throughput is then taken over the time its own operations took.
+/// A traced run splits its segments (a set-up and the operations after
+/// it) between two halves, untraced and traced, alternately, so that
+/// both see the same process state and the same phases of the host.
 #[derive(Debug, Default)]
 pub struct Half {
     pub setups: Vec<f64>,
-    /// Seconds per timed operation.
+    /// Seconds per timed operation, as its latency is defined by the
+    /// workload.
     pub latencies: Vec<f64>,
+    /// Seconds the timed operations took in all.
+    pub busy_s: f64,
     /// Units of work the timed operations completed (jobs).
     pub units: u64,
+    /// Placement only: seconds per single round trip, for the p99.
+    pub round_trips: Vec<f64>,
+    /// Peak resident set of the process at the end of the half's first
+    /// segment, MiB; see [`Half::end_segment`].
+    pub peak_rss_mb: Option<f64>,
 }
 
 impl Half {
-    /// The half's figures; throughput is taken over `wall_s`, or over
-    /// the sum of its operation times when `wall_s` is `None`.
-    pub fn figures(&self, wall_s: Option<f64>, with_p99: bool) -> Figures {
-        let wall_s = wall_s.unwrap_or_else(|| self.latencies.iter().sum());
+    /// The half's figures; throughput is taken over the time its timed
+    /// operations took, which leaves out the set-ups between them.
+    pub fn figures(&self) -> Figures {
         Figures {
             setup_s: stats::median(&self.setups),
-            throughput_per_s: self.units as f64 / wall_s,
+            throughput_per_s: self.units as f64 / self.busy_s,
             latency_p50_ms: stats::median(&self.latencies) * 1e3,
-            latency_p99_ms: if with_p99 {
-                stats::percentile(&self.latencies, 99.0) * 1e3
-            } else {
-                0.0
-            },
-            peak_rss_mb: stats::peak_rss_mb(),
+            latency_p99_ms: stats::percentile(&self.round_trips, 99.0) * 1e3,
+            peak_rss_mb: self.peak_rss_mb.unwrap_or_else(stats::peak_rss_mb),
         }
+    }
+
+    /// Closes a segment. The first one fixes the half's peak resident
+    /// set: every later set-up reloads its data into a heap fragmented
+    /// by the copies before it, which a process that loads once never
+    /// sees. (On `sweep-5min` the peak after the first set-up read
+    /// 792.6–792.8 MiB in four runs, after the fifth 892–1051 MiB.)
+    pub fn end_segment(&mut self) {
+        self.peak_rss_mb.get_or_insert_with(stats::peak_rss_mb);
     }
 }
 
-/// Which half operation `i` of a run belongs to (0 untraced, 1 traced)
-/// when the run has `halves` of them; pauses the tracer accordingly.
-pub fn enter_half(tr: &mut Tracer, i: usize, halves: usize) -> usize {
-    let half = i % halves;
-    tr.pause(halves == 2 && half == 0);
-    half
+/// The segments of a run, each a set-up followed by timed operations on
+/// what it set up, with deadlines evenly spread over `seconds` from the
+/// run's start. `setup_s` is the median over the set-ups; spread over
+/// the run, they sample as many phases of the host as the operations do
+/// rather than one.
+pub struct Segments {
+    /// Segments in the run.
+    pub count: usize,
+    /// 2 in a traced run, else 1.
+    pub halves: usize,
+    seconds: f64,
+}
+
+impl Segments {
+    /// `setups` segments per half; `halves` is 2 in a traced run.
+    pub fn new(halves: usize, setups: usize, seconds: f64) -> Self {
+        Segments {
+            count: setups * halves,
+            halves,
+            seconds,
+        }
+    }
+
+    /// Seconds from the run's start at which segment `k` stops starting
+    /// operations.
+    pub fn deadline(&self, k: usize) -> f64 {
+        self.seconds * (k + 1) as f64 / self.count as f64
+    }
+
+    /// The half segment `k` belongs to (0 untraced, 1 traced); pauses
+    /// the tracer accordingly.
+    pub fn enter(&self, tr: &mut Tracer, k: usize) -> usize {
+        let half = k % self.halves;
+        tr.pause(self.halves == 2 && half == 0);
+        half
+    }
 }
 
 /// Run settings shared by every workload.
@@ -398,33 +436,28 @@ fn pack(minutes: &str, path: &str) -> Result<(), String> {
 }
 
 extern "C" {
-    fn mallopt(param: i32, value: i32) -> i32;
+    fn gettid() -> i32;
     fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
     fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
 }
 
-/// Pins the calling thread, and every thread it starts from then on, to
-/// the first CPU it is allowed to run on.
-pub fn pin_to_one_cpu() -> Result<(), String> {
-    let mut mask = [0u64; 16];
-    let size = std::mem::size_of_val(&mask);
-    // SAFETY: `mask` is a writable CPU set of `size` bytes, and pid 0
-    // names the calling thread.
-    if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
-        return Err(format!(
-            "sched_getaffinity: {}",
-            std::io::Error::last_os_error()
-        ));
-    }
-    let (word, bits) = mask
-        .iter()
-        .enumerate()
-        .find(|(_, bits)| **bits != 0)
-        .ok_or("no CPU in the affinity mask")?;
-    let mut one = [0u64; 16];
-    one[word] = bits & bits.wrapping_neg();
-    // SAFETY: as above; `one` is a readable CPU set of `size` bytes.
-    if unsafe { sched_setaffinity(0, size, one.as_ptr()) } != 0 {
+/// A CPU set as `sched_getaffinity` and `sched_setaffinity` take it.
+type CpuSet = [u64; 16];
+
+/// The id of the calling thread, for [`CpuRotation::advance`].
+pub fn thread_id() -> i32 {
+    // SAFETY: `gettid` takes no arguments and cannot fail.
+    unsafe { gettid() }
+}
+
+/// Pins thread `tid` (0 for the calling thread) to `cpu`; threads it
+/// starts from then on inherit the pin.
+fn pin_thread(tid: i32, cpu: usize) -> Result<(), String> {
+    let mut one: CpuSet = [0; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable CPU set of the size passed, and `tid`
+    // names a thread of this process.
+    if unsafe { sched_setaffinity(tid, std::mem::size_of_val(&one), one.as_ptr()) } != 0 {
         return Err(format!(
             "sched_setaffinity: {}",
             std::io::Error::last_os_error()
@@ -433,17 +466,87 @@ pub fn pin_to_one_cpu() -> Result<(), String> {
     Ok(())
 }
 
-/// glibc's `M_MMAP_THRESHOLD` parameter.
-const M_MMAP_THRESHOLD: i32 = -3;
+/// Moves a workload's busy threads together from CPU to CPU, one step
+/// at a time, over the first two CPUs the process may use. The virtual
+/// CPUs of the host were at times a quarter apart in speed, so a thread
+/// left on one of them measured that CPU; stepping every part of an
+/// operation to the other CPU gives each operation both.
+pub struct CpuRotation {
+    cpus: Vec<usize>,
+    step: usize,
+    /// The calling thread's affinity before the first step.
+    allowed: CpuSet,
+}
+
+impl CpuRotation {
+    /// A rotation that never moves anything.
+    pub fn none() -> Self {
+        CpuRotation {
+            cpus: Vec::new(),
+            step: 0,
+            allowed: [0; 16],
+        }
+    }
+
+    /// A rotation over the first two CPUs in the process's affinity mask.
+    pub fn over_allowed_cpus() -> Result<Self, String> {
+        let mut mask: CpuSet = [0; 16];
+        // SAFETY: `mask` is a writable CPU set of the size passed, and
+        // pid 0 names the calling thread.
+        if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
+            return Err(format!(
+                "sched_getaffinity: {}",
+                std::io::Error::last_os_error()
+            ));
+        }
+        let cpus: Vec<usize> = (0..mask.len() * 64)
+            .filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1)
+            .take(2)
+            .collect();
+        if cpus.is_empty() {
+            return Err("no CPU in the affinity mask".into());
+        }
+        Ok(CpuRotation {
+            cpus,
+            step: 0,
+            allowed: mask,
+        })
+    }
+
+    /// Lets the calling thread, and the threads it starts from then on,
+    /// run on every CPU it was allowed before the first step again.
+    pub fn release(&self) -> Result<(), String> {
+        if self.cpus.is_empty() {
+            return Ok(());
+        }
+        // SAFETY: `allowed` is a readable CPU set of the size passed,
+        // and pid 0 names the calling thread.
+        let size = std::mem::size_of_val(&self.allowed);
+        if unsafe { sched_setaffinity(0, size, self.allowed.as_ptr()) } != 0 {
+            return Err(format!(
+                "sched_setaffinity: {}",
+                std::io::Error::last_os_error()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Pins the calling thread and the threads `others` to the next CPU.
+    pub fn advance(&mut self, others: &[i32]) -> Result<(), String> {
+        if self.cpus.is_empty() {
+            return Ok(());
+        }
+        let cpu = self.cpus[self.step % self.cpus.len()];
+        self.step += 1;
+        pin_thread(0, cpu)?;
+        for &tid in others {
+            pin_thread(tid, cpu)?;
+        }
+        Ok(())
+    }
+}
 
 fn main() -> ExitCode {
-    // Pin the allocator's mmap threshold at 1 MiB. glibc otherwise raises
-    // it after the first large free, so whether later multi-megabyte
-    // buffers land on the heap depends on thread timing, and the peak
-    // RSS of identical 5-minute sweep runs differed by 12%.
-    // SAFETY: `mallopt` takes two ints and is called before any other
-    // thread exists.
-    unsafe { mallopt(M_MMAP_THRESHOLD, 1 << 20) };
     let argv: Vec<String> = std::env::args().collect();
     if let [_, flag, minutes, path] = argv.as_slice() {
         if flag == "--pack" {

@@ -30,7 +30,7 @@ use decarb_traces::{builtin_catalog, container, Hour};
 
 use crate::stats::{median, within};
 use crate::trace::Tracer;
-use crate::{enter_half, Config, Figures, Half, Outcome, Rng, SETUP_REPEATS};
+use crate::{Config, CpuRotation, Figures, Half, Outcome, Rng, Segments};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
@@ -44,6 +44,9 @@ pub const BATCH_JOBS: usize = 200;
 /// one per pooled request at most. The stride is odd and the pools are
 /// powers of two, so the kept answers cover every pooled request.
 const SAMPLE_EVERY: u64 = 17;
+/// Set-ups per run (per half in a traced run). One takes about 0.1 s,
+/// less than one phase of the host, so a run takes many.
+const SETUPS: usize = 15;
 /// Jobs checked in each kept batch answer.
 const BATCH_CHECK_STRIDE: usize = 25;
 
@@ -78,6 +81,19 @@ impl Mode {
         match self {
             Mode::Single => 4096,
             Mode::Batch => 64,
+        }
+    }
+
+    /// Round trips in one timed operation: whole cycles of the pool,
+    /// half a second to a second. The median of single round trips is
+    /// that of a mixture of the host's fast and slow phases (0.5–1.5 s),
+    /// so it jumped between the two modes from run to run (22 against
+    /// 30–42 µs on `place`); an operation's mean round trip moves with
+    /// the share of slow time in it instead.
+    fn requests_per_op(self) -> usize {
+        match self {
+            Mode::Single => 4 * self.pool_requests(),
+            Mode::Batch => self.pool_requests(),
         }
     }
 
@@ -248,6 +264,7 @@ struct Live {
     service: Arc<PlacementService>,
     client: Client,
     server: JoinHandle<std::io::Result<()>>,
+    server_tid: i32,
     /// `/v1/place` requests sent on this connection.
     sent: u64,
 }
@@ -291,7 +308,15 @@ fn set_up(
         .map_err(|e| format!("bind: {e}"))?
         .with_max_requests_per_connection(u64::MAX);
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    let handle = std::thread::spawn(move || server.serve_one());
+    let (tid_tx, tid_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        // Its id lets the client move it from CPU to CPU.
+        let _ = tid_tx.send(crate::thread_id());
+        server.serve_one()
+    });
+    let server_tid = tid_rx
+        .recv()
+        .map_err(|_| "the server thread ended before it started")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let s = tr.begin("serve.golden", 0);
     let status = client
@@ -304,6 +329,7 @@ fn set_up(
         service,
         client,
         server: handle,
+        server_tid,
         sent: 1,
     };
     Ok((live, started.elapsed().as_secs_f64(), golden_ok))
@@ -312,84 +338,102 @@ fn set_up(
 struct Measured {
     /// The untraced half, then the traced one when the tracer is on.
     halves: Vec<Half>,
-    /// Wall-clock of the timed loop.
-    wall_s: f64,
     attempted: u64,
     failed: u64,
+    /// The last segment's endpoint.
     live: Live,
 }
 
-/// Sets up `SETUP_REPEATS` times per half and runs the closed loop for
-/// `cfg.seconds`; with the tracer on, set-ups and requests alternate
-/// between the untraced and the traced half.
+/// Runs the segments of one run: each sets the server up, checks the
+/// golden answer and makes timed operations until its deadline, at
+/// least one. With the tracer on, the segments alternate between the
+/// untraced and the traced half.
 fn measure(
     mode: Mode,
     cfg: &Config,
     pool: &[Entry],
     golden: &[u8],
+    rotation: &mut CpuRotation,
     tr: &mut Tracer,
 ) -> Result<Measured, String> {
-    let count = if tr.is_on() { 2 } else { 1 };
-    let mut halves: Vec<Half> = (0..count).map(|_| Half::default()).collect();
+    let segments = Segments::new(if tr.is_on() { 2 } else { 1 }, SETUPS, cfg.seconds);
+    let mut halves: Vec<Half> = (0..segments.halves).map(|_| Half::default()).collect();
+    for half in &mut halves {
+        half.round_trips.reserve(1 << 20);
+    }
+    let group = mode.requests_per_op();
     let mut failed = 0u64;
+    let mut samples: Vec<(usize, Vec<u8>)> = Vec::with_capacity(pool.len());
     let mut live: Option<Live> = None;
-    for i in 0..SETUP_REPEATS * count {
-        let half = enter_half(tr, i, count);
+    let mut i = 0u64;
+    let started = Instant::now();
+    'run: for k in 0..segments.count {
+        let half = segments.enter(tr, k);
         if let Some(previous) = live.take() {
             previous.stop()?;
         }
-        let (next, setup_s, golden_ok) = set_up(mode, cfg, golden, tr)?;
+        let (mut next, setup_s, golden_ok) = set_up(mode, cfg, golden, tr)?;
         if !golden_ok {
             eprintln!("perfbench: the golden answer did not reproduce");
             failed += 1;
         }
         halves[half].setups.push(setup_s);
-        live = Some(next);
-    }
-    let mut live = live.ok_or("no set-up ran")?;
-    for half in &mut halves {
-        eprintln!("perfbench: set-up seconds {:?}", half.setups);
-        half.latencies.reserve(1 << 18);
-    }
-    let mut samples: Vec<(usize, Vec<u8>)> = Vec::with_capacity(pool.len());
-    let mut i = 0u64;
-    let started = Instant::now();
-    while started.elapsed().as_secs_f64() < cfg.seconds {
-        let half = enter_half(tr, i as usize, count);
-        let index = (i % pool.len() as u64) as usize;
-        let s = tr.begin("client.roundtrip", i + 1);
-        let sent_at = Instant::now();
-        let answer = live.client.roundtrip(&pool[index].bytes);
-        halves[half].latencies.push(sent_at.elapsed().as_secs_f64());
-        tr.end(s);
-        i += 1;
-        let status = match answer {
-            Ok(status) => status,
-            Err(e) => {
-                // The connection is gone: count the failure and stop.
-                eprintln!("perfbench: request {i}: {e}");
-                failed += 1;
+        loop {
+            let op_started = Instant::now();
+            for _ in 0..group {
+                let index = (i % pool.len() as u64) as usize;
+                if index == 0 {
+                    rotation.advance(&[next.server_tid])?;
+                }
+                let s = tr.begin("client.roundtrip", i + 1);
+                let sent_at = Instant::now();
+                let answer = next.client.roundtrip(&pool[index].bytes);
+                halves[half]
+                    .round_trips
+                    .push(sent_at.elapsed().as_secs_f64());
+                tr.end(s);
+                i += 1;
+                next.sent += 1;
+                match answer {
+                    Ok(200) => {
+                        halves[half].units += pool[index].jobs.len() as u64;
+                        if i.is_multiple_of(SAMPLE_EVERY) && samples.len() < pool.len() {
+                            samples.push((index, next.client.body.clone()));
+                        }
+                    }
+                    Ok(_) => failed += 1,
+                    Err(e) => {
+                        // The connection is gone: count the failure and stop.
+                        eprintln!("perfbench: request {i}: {e}");
+                        failed += 1;
+                        live = Some(next);
+                        break 'run;
+                    }
+                }
+            }
+            let op_s = op_started.elapsed().as_secs_f64();
+            halves[half].latencies.push(op_s / group as f64);
+            halves[half].busy_s += op_s;
+            if started.elapsed().as_secs_f64() >= segments.deadline(k) {
                 break;
             }
-        };
-        if status == 200 {
-            halves[half].units += pool[index].jobs.len() as u64;
-            if i.is_multiple_of(SAMPLE_EVERY) && samples.len() < pool.len() {
-                samples.push((index, live.client.body.clone()));
-            }
-        } else {
-            failed += 1;
         }
+        halves[half].end_segment();
+        live = Some(next);
     }
-    let wall_s = started.elapsed().as_secs_f64();
     tr.pause(false);
     for half in &halves {
+        eprintln!("perfbench: set-up seconds {:?}", half.setups);
         eprintln!(
-            "perfbench: round-trip seconds: {}",
+            "perfbench: round-trip seconds (mean per operation): {}",
             crate::stats::spread(&half.latencies)
         );
+        eprintln!(
+            "perfbench: round-trip seconds: {}",
+            crate::stats::spread(&half.round_trips)
+        );
     }
-    live.sent += i;
+    let live = live.ok_or("no set-up ran")?;
     let snap = live.service.snapshot();
     for (index, body) in &samples {
         if let Err(e) = check_answer(mode, &snap, &pool[*index], body) {
@@ -397,10 +441,10 @@ fn measure(
             failed += 1;
         }
     }
+    let setups: usize = halves.iter().map(|h| h.setups.len()).sum();
     Ok(Measured {
         halves,
-        wall_s,
-        attempted: i + (SETUP_REPEATS * count) as u64,
+        attempted: i + setups as u64,
         failed,
         live,
     })
@@ -470,15 +514,20 @@ pub fn run(mode: Mode, cfg: &Config, traced: bool) -> Result<Outcome, String> {
     let golden_path = mode.golden().1;
     let golden = std::fs::read(golden_path).map_err(|e| format!("{golden_path}: {e}"))?;
     let pool = requests(mode, cfg.seed);
-    if mode == Mode::Single {
-        // Client and server take turns, so one CPU serves both. Left to
-        // the scheduler, each round trip woke a thread on the other
-        // virtual CPU or not by chance, and the median read 37–54 µs
-        // over ten runs; on one CPU, 23–34 µs over twenty.
-        crate::pin_to_one_cpu()?;
-    }
+    // Client and server take turns, so one CPU serves both. Left to the
+    // scheduler, each round trip woke a thread on the other virtual CPU
+    // or not by chance, and the median read 37–54 µs over ten runs; on
+    // one CPU, 23–34 µs over twenty. The pair steps to the other CPU
+    // every pool cycle. Batches stay unpinned, as they fan out on two
+    // workers.
+    let mut rotation = match mode {
+        Mode::Single => CpuRotation::over_allowed_cpus()?,
+        Mode::Batch => CpuRotation::none(),
+    };
     let mut tr = if traced { Tracer::on() } else { Tracer::off() };
-    let mut m = measure(mode, cfg, &pool, &golden, &mut tr)?;
+    let mut m = measure(mode, cfg, &pool, &golden, &mut rotation, &mut tr)?;
+    // The replay below fans batches out on two workers.
+    rotation.release()?;
     let mut outcome = Outcome {
         attempted: m.attempted,
         failed: m.failed,
@@ -486,14 +535,12 @@ pub fn run(mode: Mode, cfg: &Config, traced: bool) -> Result<Outcome, String> {
     };
     if !traced {
         m.live.stop()?;
-        m.halves[0]
-            .figures(Some(m.wall_s), true)
-            .record(&mut outcome.metrics);
+        m.halves[0].figures().record(&mut outcome.metrics);
         return Ok(outcome);
     }
     Figures::record_overhead(
-        &m.halves[1].figures(None, true),
-        &m.halves[0].figures(None, true),
+        &m.halves[1].figures(),
+        &m.halves[0].figures(),
         &tr,
         &mut outcome.metrics,
     );
@@ -609,11 +656,6 @@ fn layers(
             }
         }
         tr.end(s);
-        if mode == Mode::Batch {
-            let s = tr.begin("par.sequential", op);
-            std::hint::black_box(queries.iter().map(|q| snap.place(q)).collect::<Vec<_>>());
-            tr.end(s);
-        }
         let s = tr.begin("serve.handle", op);
         let status = service.handle_into(&req, &mut body);
         tr.end(s);
@@ -664,12 +706,27 @@ fn layers(
         "core.best_deferred_us",
         us(median(&tr.op_seconds("core.best_deferred"))),
     );
-    if mode == Mode::Batch {
-        metrics.insert(
-            "par.batch_speedup",
-            median(&tr.op_seconds("par.sequential")) / median(&place),
-        );
+
+    // `decarb-par`: the jobs the run sent, in 200-job batches, placed
+    // through `place_batch` and one by one. Both workloads measure it,
+    // so that `place`, which `BENCHMARK.json` gates, covers the layer.
+    let jobs_sent: Vec<PlaceRequest> = pool[..n]
+        .iter()
+        .flat_map(|entry| entry.jobs.iter().map(|job| job.query(&snap)))
+        .collect::<Result<_, String>>()?;
+    for (b, batch) in jobs_sent.chunks(BATCH_JOBS).enumerate() {
+        let op = b as u64 + 1;
+        let s = tr.begin("par.batch", op);
+        std::hint::black_box(snap.place_batch(batch));
+        tr.end(s);
+        let s = tr.begin("par.sequential", op);
+        std::hint::black_box(batch.iter().map(|q| snap.place(q)).collect::<Vec<_>>());
+        tr.end(s);
     }
+    metrics.insert(
+        "par.batch_speedup",
+        median(&tr.op_seconds("par.sequential")) / median(&tr.op_seconds("par.batch")),
+    );
 
     // The connection loop over an in-memory stream, one request per
     // stream so that its median compares with the median round trip;

@@ -4,7 +4,8 @@
 //! policies × 3 region sets, 352,800 jobs per pass) through plan →
 //! `SweepPlan::execute_with` → JSON render. A timed operation is a
 //! group of passes, about a second of work, and its latency is the mean
-//! pass time within the group.
+//! pass time within the group. Each set-up ends with one such group as
+//! its untimed warm-up.
 //!
 //! - `sweep-hourly` runs on the builtin dataset synthesized in-process:
 //!   the hourly engine loop, with synthesis in set-up.
@@ -12,10 +13,11 @@
 //!   resolution and loaded from a packed container: event-driven
 //!   stepping, the chunked prefix cache and container decode in set-up.
 //!
-//! Both fan the matrix out on two workers.
+//! `sweep-hourly` runs on one worker, `sweep-5min` fans the matrix out
+//! on two.
 //!
 //! The matrix is fixed so that each axis can be checked against its own
-//! recorded reference; the seed shuffles the order the plan runs the
+//! recorded reference; the seed rotates the order the plan runs the
 //! scenarios in.
 
 use std::collections::BTreeMap;
@@ -32,10 +34,10 @@ use decarb_workloads::WorkloadSpec;
 
 use crate::stats::{median, within};
 use crate::trace::Tracer;
-use crate::{enter_half, Config, Figures, Half, Outcome, Rng, SETUP_REPEATS};
+use crate::{Config, CpuRotation, Figures, Half, Outcome, Rng, Segments};
 
-/// Operations a run makes (per half) however short `--seconds` is.
-const MIN_OPS: usize = 3;
+/// Set-ups per run (per half in a traced run), about 1.5 s each.
+const SETUPS: usize = 5;
 /// Largest relative difference from the reference an answer may show.
 const REFERENCE_SHARE: f64 = 0.001;
 
@@ -53,11 +55,11 @@ impl Axis {
         }
     }
 
-    /// Passes in one timed operation. The host runs fast and slow in
-    /// phases of 0.5–1.5 s; single passes (125–240 ms hourly) fell into
-    /// one phase or the other, so their median jumped between the two
-    /// modes from run to run (a 30% IQR over ten runs). An operation of
-    /// about a second spans the phases.
+    /// Passes in one operation, timed or warm-up. The host runs fast and
+    /// slow in phases of 0.5–1.5 s; single passes (125–240 ms hourly)
+    /// fell into one phase or the other, so their median jumped between
+    /// the two modes from run to run (a 30% IQR over ten runs). An
+    /// operation of about a second spans the phases.
     fn passes_per_op(self) -> usize {
         match self {
             Axis::Hourly => 8,
@@ -219,12 +221,15 @@ fn load(axis: Axis, cfg: &Config, tr: &mut Tracer) -> Result<TraceSet, String> {
     })
 }
 
-/// Seeded Fisher–Yates shuffle of the plan order.
-fn shuffled(mut scenarios: Vec<Scenario>, seed: u64) -> Vec<Scenario> {
-    let mut rng = Rng::new(seed);
-    for i in (1..scenarios.len()).rev() {
-        let j = rng.below(i + 1);
-        scenarios.swap(i, j);
+/// The plan order for `seed`: the matrix's own order, rotated to start
+/// at a seeded scenario. Neighbours in the matrix share their workload
+/// and region set, so a rotation keeps the plan's locality, which a
+/// shuffle does not: over full shuffles the mean pass time differed by
+/// up to a tenth between seeds, in the same phase of the host.
+fn rotated(mut scenarios: Vec<Scenario>, seed: u64) -> Vec<Scenario> {
+    if !scenarios.is_empty() {
+        let start = Rng::new(seed).below(scenarios.len());
+        scenarios.rotate_left(start);
     }
     scenarios
 }
@@ -284,18 +289,26 @@ fn pass(data: &TraceSet, scenarios: &[Scenario], tr: &mut Tracer, op: u64) -> Re
     })
 }
 
-/// A loaded dataset, the shuffled matrix and its untimed warm-up pass.
+/// A loaded dataset, the rotated matrix and the first pass of its
+/// untimed warm-up operation.
 struct Ready {
     data: TraceSet,
     scenarios: Vec<Scenario>,
     warm: Pass,
+    /// Every warm-up pass gave the same rows as the first.
+    warm_stable: bool,
 }
 
-fn set_up(axis: Axis, cfg: &Config, tr: &mut Tracer) -> Result<(Ready, f64), String> {
+fn set_up(
+    axis: Axis,
+    cfg: &Config,
+    rotation: &mut CpuRotation,
+    tr: &mut Tracer,
+) -> Result<(Ready, f64), String> {
     let started = Instant::now();
     let s = tr.begin("setup", 0);
     let data = load(axis, cfg, tr)?;
-    let scenarios = shuffled(year_matrix().expand(), cfg.seed);
+    let scenarios = rotated(year_matrix().expand(), cfg.seed);
     if tr.is_on() && axis == Axis::FiveMinute {
         // Traced runs fill the lazy prefix cache up front so its cost is
         // a span of its own; untraced runs leave it to the warm-up pass.
@@ -305,7 +318,13 @@ fn set_up(axis: Axis, cfg: &Config, tr: &mut Tracer) -> Result<(Ready, f64), Str
         }
         tr.end(p);
     }
+    rotation.advance(&[])?;
     let warm = pass(&data, &scenarios, tr, 0)?;
+    let mut warm_stable = true;
+    for _ in 1..axis.passes_per_op() {
+        rotation.advance(&[])?;
+        warm_stable &= pass(&data, &scenarios, tr, 0)?.rows == warm.rows;
+    }
     tr.end(s);
     let setup_s = started.elapsed().as_secs_f64();
     Ok((
@@ -313,6 +332,7 @@ fn set_up(axis: Axis, cfg: &Config, tr: &mut Tracer) -> Result<(Ready, f64), Str
             data,
             scenarios,
             warm,
+            warm_stable,
         },
         setup_s,
     ))
@@ -321,67 +341,70 @@ fn set_up(axis: Axis, cfg: &Config, tr: &mut Tracer) -> Result<(Ready, f64), Str
 struct Measured {
     /// The untraced half, then the traced one when the tracer is on.
     halves: Vec<Half>,
-    /// Wall-clock of the timed loop.
-    wall_s: f64,
     attempted: u64,
     failed: u64,
     ready: Ready,
 }
 
-/// Sets up `SETUP_REPEATS` times per half and makes passes for
-/// `cfg.seconds`; with the tracer on, set-ups and passes alternate
+/// Runs the segments of one run: each sets the workload up, checks its
+/// warm-up against `reference` and makes timed operations until its
+/// deadline, at least one. With the tracer on, the segments alternate
 /// between the untraced and the traced half.
 fn measure(
     axis: Axis,
     cfg: &Config,
     reference: &Rows,
+    rotation: &mut CpuRotation,
     tr: &mut Tracer,
 ) -> Result<Measured, String> {
-    let count = if tr.is_on() { 2 } else { 1 };
-    let mut halves: Vec<Half> = (0..count).map(|_| Half::default()).collect();
+    let segments = Segments::new(if tr.is_on() { 2 } else { 1 }, SETUPS, cfg.seconds);
+    let mut halves: Vec<Half> = (0..segments.halves).map(|_| Half::default()).collect();
+    let group = axis.passes_per_op();
+    let (mut attempted, mut failed, mut n) = (0u64, 0u64, 0u64);
     let mut ready = None;
-    for i in 0..SETUP_REPEATS * count {
-        let half = enter_half(tr, i, count);
+    let started = Instant::now();
+    for k in 0..segments.count {
+        let half = segments.enter(tr, k);
         // Drop the previous copy before loading the next one.
         drop(ready.take());
-        let (next, setup_s) = set_up(axis, cfg, tr)?;
+        let (next, setup_s) = set_up(axis, cfg, rotation, tr)?;
         halves[half].setups.push(setup_s);
+        let ok = next.warm_stable && matches_reference(&next.warm.rows, reference);
+        attempted += 1;
+        if !ok {
+            failed += 1;
+            eprintln!(
+                "perfbench: warm-up drifts {:.4}% from {} (stable across its passes: {})",
+                max_drift_pct(&next.warm.rows, reference, 0..FIELDS.len()),
+                axis.reference_path().display(),
+                next.warm_stable
+            );
+        }
+        loop {
+            n += 1;
+            let mut op_s = 0.0;
+            for _ in 0..group {
+                rotation.advance(&[])?;
+                let p = pass(&next.data, &next.scenarios, tr, n)?;
+                attempted += 1;
+                if !ok || p.rows != next.warm.rows {
+                    failed += 1;
+                }
+                halves[half].units += p.jobs;
+                op_s += p.latency_s;
+            }
+            halves[half].latencies.push(op_s / group as f64);
+            halves[half].busy_s += op_s;
+            if started.elapsed().as_secs_f64() >= segments.deadline(k) {
+                break;
+            }
+        }
+        halves[half].end_segment();
         ready = Some(next);
     }
-    let ready = ready.ok_or("no set-up ran")?;
-    for half in &halves {
-        eprintln!("perfbench: set-up seconds {:?}", half.setups);
-    }
-    let warm_ok = matches_reference(&ready.warm.rows, reference);
-    if !warm_ok {
-        eprintln!(
-            "perfbench: warm-up pass drifts {:.4}% from {}",
-            max_drift_pct(&ready.warm.rows, reference, 0..FIELDS.len()),
-            axis.reference_path().display()
-        );
-    }
-    let (mut attempted, mut failed) = (0u64, 0u64);
-    let started = Instant::now();
-    let mut n = 0;
-    let group = axis.passes_per_op();
-    while n < MIN_OPS * count || started.elapsed().as_secs_f64() < cfg.seconds {
-        let half = enter_half(tr, n, count);
-        let mut op_s = 0.0;
-        for _ in 0..group {
-            let p = pass(&ready.data, &ready.scenarios, tr, n as u64 + 1)?;
-            attempted += 1;
-            if !warm_ok || p.rows != ready.warm.rows {
-                failed += 1;
-            }
-            halves[half].units += p.jobs;
-            op_s += p.latency_s;
-        }
-        halves[half].latencies.push(op_s / group as f64);
-        n += 1;
-    }
-    let wall_s = started.elapsed().as_secs_f64();
     tr.pause(false);
     for half in &halves {
+        eprintln!("perfbench: set-up seconds {:?}", half.setups);
         eprintln!(
             "perfbench: pass seconds (mean per operation): {}",
             crate::stats::spread(&half.latencies)
@@ -389,10 +412,9 @@ fn measure(
     }
     Ok(Measured {
         halves,
-        wall_s,
         attempted,
         failed,
-        ready,
+        ready: ready.ok_or("no set-up ran")?,
     })
 }
 
@@ -402,28 +424,33 @@ pub fn run(axis: Axis, cfg: &Config, traced: bool) -> Result<Outcome, String> {
         crate::ensure_container(&container_path(cfg), 5)?;
     }
     let reference = if cfg.record_reference {
-        let (ready, _) = set_up(axis, cfg, &mut Tracer::off())?;
+        let (ready, _) = set_up(axis, cfg, &mut CpuRotation::none(), &mut Tracer::off())?;
         write_reference(&axis.reference_path(), axis, &ready.warm.rows)?;
         ready.warm.rows
     } else {
         read_reference(&axis.reference_path())?
     };
+    // The hourly sweep's one worker is the calling thread; it steps to
+    // the other CPU every pass. The 5-minute sweep's two workers are
+    // left to the scheduler.
+    let mut rotation = match axis {
+        Axis::Hourly => CpuRotation::over_allowed_cpus()?,
+        Axis::FiveMinute => CpuRotation::none(),
+    };
     let mut tr = if traced { Tracer::on() } else { Tracer::off() };
-    let m = measure(axis, cfg, &reference, &mut tr)?;
+    let m = measure(axis, cfg, &reference, &mut rotation, &mut tr)?;
     let mut outcome = Outcome {
         attempted: m.attempted,
         failed: m.failed,
         ..Outcome::default()
     };
     if !traced {
-        m.halves[0]
-            .figures(Some(m.wall_s), false)
-            .record(&mut outcome.metrics);
+        m.halves[0].figures().record(&mut outcome.metrics);
         return Ok(outcome);
     }
     Figures::record_overhead(
-        &m.halves[1].figures(None, false),
-        &m.halves[0].figures(None, false),
+        &m.halves[1].figures(),
+        &m.halves[0].figures(),
         &tr,
         &mut outcome.metrics,
     );
@@ -572,9 +599,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffling_is_seeded_and_keeps_every_scenario() {
+    fn rotation_is_seeded_and_keeps_every_scenario() {
         let names = |seed| -> Vec<String> {
-            shuffled(year_matrix().expand(), seed)
+            rotated(year_matrix().expand(), seed)
                 .into_iter()
                 .map(|s| s.name)
                 .collect()
