@@ -83,7 +83,7 @@ fn bench_kernel_ksmallest(h: &Harness) {
 fn bench_kernel_prefix(h: &Harness) {
     let values = synthetic_trace(8760);
     let series = TimeSeries::new(Hour(0), values.clone());
-    let prefix = series.prefix_sum();
+    let prefix = series.chunked_prefix();
     h.bench("kernels/prefix/prefix_sum_queries", || {
         let mut acc = 0.0;
         for from in (0..8000).step_by(7) {
@@ -198,16 +198,13 @@ fn bench_region_lookup(h: &Harness) {
     });
 }
 
-/// The sub-hourly tentpole's throughput claim: the same year / five
-/// datacenters / 150 jobs as `kernels/sim/run_year_5dc_150jobs_agnostic`,
-/// but on a 5-minute axis (105,120 slots per trace, 12× denser).
-/// Event-driven stepping must hold the denser axis within ~3× the
-/// hourly row's wall-clock (acceptance bar recorded in BASELINE.md);
-/// the slot-stepped row is the reference semantics it replaced. The
-/// core row measures the planner's deferral query on the chunked
-/// prefix backend at the same 105k-sample scale.
+/// The same year / five datacenters / 150 jobs as
+/// `kernels/sim/run_year_5dc_150jobs_agnostic`, but on a 5-minute axis
+/// (105,120 slots per trace, 12× denser). The event-driven loop must
+/// hold the denser axis within ~3× the hourly row's wall-clock
+/// (acceptance bar recorded in BASELINE.md). The core row measures the
+/// planner's deferral query at the same 105k-sample scale.
 fn bench_subhourly(h: &Harness) {
-    use decarb_sim::Stepping;
     use decarb_traces::time::hours_in_year;
     use decarb_traces::{Resolution, TraceSet};
 
@@ -250,12 +247,7 @@ fn bench_subhourly(h: &Harness) {
         .collect();
     let horizon = hours * 12;
     h.bench("kernels/sim/subhourly_year_event_driven", || {
-        let config = SimConfig::new(fine_start, horizon, 64).with_stepping(Stepping::EventDriven);
-        let mut sim = Simulator::new(&fine, &regions, config);
-        black_box(sim.run(&mut CarbonAgnostic, &jobs))
-    });
-    h.bench("kernels/sim/subhourly_year_slot_stepped", || {
-        let config = SimConfig::new(fine_start, horizon, 64).with_stepping(Stepping::SlotPerSlot);
+        let config = SimConfig::new(fine_start, horizon, 64);
         let mut sim = Simulator::new(&fine, &regions, config);
         black_box(sim.run(&mut CarbonAgnostic, &jobs))
     });

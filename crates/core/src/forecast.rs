@@ -60,14 +60,13 @@ pub fn temporal_increase_pct(
 ) -> f64 {
     let truth_planner = TemporalPlanner::new(truth);
     let err_planner = TemporalPlanner::new(erroneous);
-    let truth_prefix = truth.prefix_sum();
     let mut with_error = 0.0;
     let mut without_error = 0.0;
     let mut a = 0usize;
     while a < count {
         let arrival = sweep_start.plus(a);
         let chosen = err_planner.best_deferred(arrival, slots, slack).start;
-        with_error += truth_prefix.sum(chosen, slots);
+        with_error += truth_planner.baseline_cost(chosen, slots);
         without_error += truth_planner.best_deferred(arrival, slots, slack).cost_g;
         a += stride.max(1);
     }

@@ -68,8 +68,8 @@ pub fn one_migration(
 ) -> SpatialOutcome {
     let dest = one_migration_destination(set, candidates, year);
     // decarb-analyze: allow(no-panic) -- destination was selected from the same dataset two lines up
-    let series = set.series(&dest.code).expect("destination trace exists");
-    let cost = series.prefix_sum().sum(arrival, slots);
+    let id = set.id_of(&dest.code).expect("destination trace exists");
+    let cost = set.chunked_prefix_by_id(id).sum(arrival, slots);
     SpatialOutcome {
         destination: dest.code.clone(),
         cost_g: cost,

@@ -17,7 +17,9 @@
 //! (deferral) and a two-multiset sliding structure (interruptibility) for
 //! O(n) / O(n log n) totals instead of O(n · window).
 
-use decarb_traces::{ChunkedPrefix, Hour, PrefixSum, Resolution, TimeSeries};
+use std::sync::Arc;
+
+use decarb_traces::{ChunkedPrefix, Hour, RegionId, Resolution, TimeSeries, TraceSet};
 
 use crate::ksmallest::SlidingKSmallest;
 
@@ -42,39 +44,20 @@ pub struct Placement {
     pub cost_g: f64,
 }
 
-/// Window-sum backend: hourly planners keep the flat [`PrefixSum`]
-/// (bit-identical to the pre-sub-hourly code paths); sub-hourly
-/// planners use the two-level [`ChunkedPrefix`], whose blocked layout
-/// keeps window queries cache-friendly on 105 k-sample year traces.
-#[derive(Debug, Clone)]
-enum Prefix {
-    Flat(PrefixSum),
-    Chunked(ChunkedPrefix),
-}
-
-impl Prefix {
-    #[inline]
-    fn sum(&self, from: Hour, len: usize) -> f64 {
-        match self {
-            Prefix::Flat(p) => p.sum(from, len),
-            Prefix::Chunked(p) => p.sum(from, len),
-        }
-    }
-}
-
 /// A temporal scheduling planner over one region's carbon trace.
 ///
 /// The planner is resolution-agnostic: `Hour` values are *slot*
 /// indices on whatever axis the series uses, and `slots`/`slack`
 /// arguments are slot counts. Callers with wall-clock inputs convert
 /// once at the edge (see `Job::length_slots_at` and friends) before
-/// querying. [`TemporalPlanner::with_resolution`] records the axis and
-/// picks the window-sum backend accordingly.
+/// querying. Window sums go through a shared [`ChunkedPrefix`] on every
+/// axis; [`TemporalPlanner::for_region`] borrows the dataset's cached
+/// one instead of building a copy.
 #[derive(Debug, Clone)]
 pub struct TemporalPlanner {
     start: Hour,
     values: Vec<f64>,
-    prefix: Prefix,
+    prefix: Arc<ChunkedPrefix>,
     resolution: Resolution,
 }
 
@@ -84,17 +67,27 @@ impl TemporalPlanner {
         Self::with_resolution(series, Resolution::HOURLY)
     }
 
-    /// Builds a planner over `series` sampled at `resolution`.
-    ///
-    /// Hourly planners keep the flat prefix sum so existing results are
-    /// bit-for-bit stable; sub-hourly planners switch to the chunked
-    /// backend.
+    /// Builds a planner over `series` sampled at `resolution`, with a
+    /// prefix of its own.
     pub fn with_resolution(series: &TimeSeries, resolution: Resolution) -> Self {
-        let prefix = if resolution.is_hourly() {
-            Prefix::Flat(series.prefix_sum())
-        } else {
-            Prefix::Chunked(series.chunked_prefix())
-        };
+        Self::with_prefix(series, resolution, Arc::new(series.chunked_prefix()))
+    }
+
+    /// Builds the planner for region `id` of `traces`, sharing the
+    /// dataset's cached prefix (panics on a foreign id).
+    pub fn for_region(traces: &TraceSet, id: RegionId) -> Self {
+        Self::with_prefix(
+            traces.series_by_id(id),
+            traces.resolution(),
+            Arc::clone(traces.chunked_prefix_by_id(id)),
+        )
+    }
+
+    fn with_prefix(
+        series: &TimeSeries,
+        resolution: Resolution,
+        prefix: Arc<ChunkedPrefix>,
+    ) -> Self {
         Self {
             start: series.start(),
             values: series.values().to_vec(),
@@ -468,8 +461,9 @@ mod tests {
 
     #[test]
     fn sub_hourly_planner_matches_hourly_backend() {
-        // Integer-valued pseudorandom trace long enough to cross a
-        // ChunkedPrefix block boundary, so both backends sum exactly.
+        // The resolution only labels the axis: on a trace long enough to
+        // cross a ChunkedPrefix block boundary, hourly and 5-minute
+        // planners over the same samples answer every query alike.
         let mut x = 3u64;
         let values: Vec<f64> = (0..9000)
             .map(|_| {
@@ -502,6 +496,21 @@ mod tests {
         let a = flat.deferral_sweep(Hour(0), 512, 24, 288);
         let b = fine.deferral_sweep(Hour(0), 512, 24, 288);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn region_planner_shares_the_dataset_prefix() {
+        let se = decarb_traces::catalog::region("SE").unwrap().clone();
+        let values: Vec<f64> = (0..200).map(|i| 40.0 + (i % 24) as f64 * 1.5).collect();
+        let data = TraceSet::from_series(vec![(se, TimeSeries::new(Hour(0), values))]);
+        let id = data.id_of("SE").unwrap();
+        let shared = TemporalPlanner::for_region(&data, id);
+        assert!(Arc::ptr_eq(&shared.prefix, data.chunked_prefix_by_id(id)));
+        let own = TemporalPlanner::new(data.series_by_id(id));
+        assert_eq!(
+            shared.best_deferred(Hour(3), 6, 48),
+            own.best_deferred(Hour(3), 6, 48)
+        );
     }
 
     #[test]

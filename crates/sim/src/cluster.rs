@@ -10,22 +10,18 @@ pub struct RunningJob {
     pub job: Job,
     /// Slots of work still to perform (hours on an hourly axis).
     pub remaining_slots: usize,
-    /// Emissions accumulated so far (g·CO2eq). The hourly engine
-    /// accrues here per slot; sub-hourly runs accumulate raw CI into
-    /// [`RunningJob::ci_sum`] instead and convert once at fold time.
-    pub emitted_g: f64,
-    /// Sum of the carbon-intensity samples over every executed slot
-    /// (sub-hourly accounting; see `RunningJob::fold_emissions`-style
-    /// conversion in the engine). Zero on the hourly path.
+    /// Sum of the carbon-intensity samples over every executed slot.
+    /// The engine converts it to emissions once, when the job finishes
+    /// or the run ends.
     pub ci_sum: f64,
     /// Whether the job is currently suspended.
     pub suspended: bool,
     /// Hour of the job's first executed slot, once it has run.
     pub started: Option<Hour>,
-    /// Cached policy verdict for interruptible jobs: sub-hourly runs
-    /// consult `Policy::should_run` only at hour boundaries (the
-    /// policies' decision cadence) and replay this verdict on the
-    /// slots in between. Unused (always `true`) on the hourly path.
+    /// Cached policy verdict for interruptible jobs: the engine
+    /// consults `Policy::should_run` only at hour boundaries (the
+    /// policies' decision cadence) and replays this verdict on the
+    /// slots in between.
     pub cached_decision: bool,
     /// `true` until the policy has been consulted once: a job admitted
     /// mid-hour gets its verdict at admission rather than waiting for
@@ -34,30 +30,18 @@ pub struct RunningJob {
 }
 
 impl RunningJob {
-    /// Creates a freshly admitted (not yet running) instance on the
-    /// hourly axis.
-    pub fn admitted(job: Job) -> Self {
-        let remaining = job.length_slots();
+    /// Creates a freshly admitted (not yet running) instance on a trace
+    /// axis sampled at `resolution`: the remaining work is the job's
+    /// length in *slots* of that axis.
+    pub fn admitted(job: Job, resolution: Resolution) -> Self {
         Self {
+            remaining_slots: job.length_slots_at(resolution),
             job,
-            remaining_slots: remaining,
-            emitted_g: 0.0,
             ci_sum: 0.0,
             suspended: true,
             started: None,
             cached_decision: true,
             decision_pending: true,
-        }
-    }
-
-    /// Creates a freshly admitted instance on a trace axis sampled at
-    /// `resolution`: the remaining work is the job's length in *slots*
-    /// of that axis.
-    pub fn admitted_at(job: Job, resolution: Resolution) -> Self {
-        let remaining = job.length_slots_at(resolution);
-        Self {
-            remaining_slots: remaining,
-            ..Self::admitted(job)
         }
     }
 
@@ -180,27 +164,30 @@ mod tests {
         let se = data.id_of("SE").unwrap();
         let mut dc = Datacenter::new(se, 2);
         assert_eq!(dc.free_slots(), 2);
-        let mut active = RunningJob::admitted(Job::batch(1, se, Hour(0), 4.0, Slack::None));
+        let mut active = RunningJob::admitted(
+            Job::batch(1, se, Hour(0), 4.0, Slack::None),
+            Resolution::HOURLY,
+        );
         active.suspended = false;
         dc.jobs.push(active);
-        dc.jobs.push(RunningJob::admitted(Job::batch(
-            2,
-            se,
-            Hour(0),
-            4.0,
-            Slack::None,
-        )));
+        dc.jobs.push(RunningJob::admitted(
+            Job::batch(2, se, Hour(0), 4.0, Slack::None),
+            Resolution::HOURLY,
+        ));
         assert_eq!(dc.running(), 1);
         assert_eq!(dc.free_slots(), 1);
     }
 
     #[test]
     fn admitted_jobs_have_not_run() {
-        let rj = RunningJob::admitted(Job::batch(1, RegionId(0), Hour(0), 3.0, Slack::None));
+        let job = Job::batch(1, RegionId(0), Hour(0), 3.0, Slack::None);
+        let rj = RunningJob::admitted(job.clone(), Resolution::HOURLY);
         assert!(rj.suspended);
         assert!(!rj.has_run());
         assert_eq!(rj.remaining_slots, 3);
-        assert_eq!(rj.emitted_g, 0.0);
+        assert_eq!(rj.ci_sum, 0.0);
+        let fine = RunningJob::admitted(job, Resolution::from_minutes(5).unwrap());
+        assert_eq!(fine.remaining_slots, 36);
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! The discrete-event simulation engine.
 //!
-//! On hourly datasets, time advances in one-hour steps (the legacy
-//! path, bit-for-bit stable). Each step processes, in order: arrivals →
-//! planned starts → run-set selection (capacity and suspend decisions)
-//! → execution and accounting. Planned starts live in an event calendar
-//! keyed by hour, so deferring policies cost nothing until their chosen
-//! start arrives.
+//! Time runs on the dataset's slot axis ([`TraceSet::resolution`]): one
+//! slot per hour on hourly data, twelve on a 5-minute axis. Every axis
+//! goes through the same event-driven loop. Each step processes, in
+//! order: arrivals → planned starts → run-set selection (capacity and
+//! suspend decisions) → execution and accounting. Planned starts live in
+//! an event calendar keyed by slot, so deferring policies cost nothing
+//! until their chosen start arrives.
 //!
-//! On sub-hourly datasets the axis is *slots* ([`TraceSet::resolution`])
-//! and the engine steps event-driven by default ([`Stepping::Auto`]):
-//! it jumps straight to the next structural boundary — arrival, planned
-//! start, completion, policy decision point (hour boundary), forced
-//! deadline flip, trace-coverage edge, or horizon end — and accrues the
-//! emissions of every skipped slot in one batched prefix-sum query per
-//! running job. Idle or steady spans therefore cost O(1) instead of
-//! O(slots-per-hour), which keeps a 5-minute year (105 k slots) within
-//! a small factor of the hourly run instead of 12×.
+//! Between steps the engine jumps straight to the next structural
+//! boundary — arrival, planned start, completion, policy decision point
+//! (hour boundary), forced deadline flip, trace-coverage edge, or
+//! horizon end — and accrues the emissions of every skipped slot in one
+//! prefix-sum query per running job. Idle or steady spans therefore
+//! cost O(1) however many slots they cover.
 //!
 //! All region handling is by interned [`RegionId`]: datacenters live in
 //! a dense slice (ordered lexicographically by zone code so accounting
@@ -26,34 +24,13 @@
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use decarb_traces::{ChunkedPrefix, Hour, RegionId, Resolution, TimeSeries, TraceSet};
+use decarb_traces::{ChunkedPrefix, Hour, RegionId, TimeSeries, TraceSet};
 use decarb_workloads::Job;
 
 use crate::accounting::{CompletedJob, SimReport};
 use crate::cluster::{slot_in, CloudView, Datacenter, RunningJob};
 use crate::overheads::OverheadModel;
 use crate::policy::Policy;
-
-/// How the engine advances time on sub-hourly datasets.
-///
-/// Hourly datasets always use the legacy hour-stepped loop — its float
-/// accumulation order is part of the golden-report contract — so this
-/// knob only affects runs whose [`TraceSet::resolution`] is finer than
-/// one hour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stepping {
-    /// Event-driven on sub-hourly axes, hour-stepped on hourly ones.
-    #[default]
-    Auto,
-    /// Step every slot, even at 5-minute resolution. The reference
-    /// semantics the event-driven mode is tested against, and the
-    /// baseline the `sim/subhourly_year` bench compares with.
-    SlotPerSlot,
-    /// Jump between structural events, accruing skipped spans through
-    /// prefix sums (same results as [`Stepping::SlotPerSlot`] on
-    /// integer-valued traces; within float tolerance otherwise).
-    EventDriven,
-}
 
 /// Simulation parameters.
 ///
@@ -72,8 +49,6 @@ pub struct SimConfig {
     /// Energy overheads for suspend/resume/migration transitions
     /// (defaults to the paper's zero-overhead idealization).
     pub overheads: OverheadModel,
-    /// Time-advance strategy for sub-hourly datasets.
-    pub stepping: Stepping,
 }
 
 impl SimConfig {
@@ -84,19 +59,12 @@ impl SimConfig {
             horizon,
             capacity_per_region,
             overheads: OverheadModel::ZERO,
-            stepping: Stepping::Auto,
         }
     }
 
     /// Replaces the overhead model (builder style).
     pub fn with_overheads(mut self, overheads: OverheadModel) -> Self {
         self.overheads = overheads;
-        self
-    }
-
-    /// Replaces the stepping strategy (builder style).
-    pub fn with_stepping(mut self, stepping: Stepping) -> Self {
-        self.stepping = stepping;
         self
     }
 }
@@ -177,63 +145,102 @@ impl<'a> Simulator<'a> {
     /// Jobs whose arrival lies outside the simulated horizon are counted
     /// as unfinished, as are jobs whose planned start lands at or past
     /// the horizon end (they are never admitted). Jobs arriving before
-    /// the simulated window are treated as arriving at its first hour.
-    ///
-    /// Hourly datasets take the legacy hour-stepped loop; sub-hourly
-    /// datasets step on the slot axis, either slot-per-slot or
-    /// event-driven depending on [`SimConfig::stepping`].
-    // decarb-analyze: hot-path
+    /// the simulated window are treated as arriving at its first slot.
     pub fn run<P: Policy + ?Sized>(&mut self, policy: &mut P, jobs: &[Job]) -> SimReport {
-        let resolution = self.traces.resolution();
-        if resolution.is_hourly() {
-            return self.run_hourly(policy, jobs);
-        }
-        match self.config.stepping {
-            Stepping::SlotPerSlot => self.run_subhourly(policy, jobs, resolution, 1),
-            Stepping::Auto | Stepping::EventDriven => {
-                self.run_subhourly(policy, jobs, resolution, usize::MAX)
-            }
-        }
+        self.simulate(policy, jobs, usize::MAX)
     }
 
-    /// The legacy hour-stepped loop. Accumulation order here is part of
-    /// the golden-report contract: hourly runs must stay bit-for-bit
-    /// stable across releases, so this path is kept byte-identical and
-    /// all sub-hourly arithmetic lives in [`Simulator::run_subhourly`].
-    fn run_hourly<P: Policy + ?Sized>(&mut self, policy: &mut P, jobs: &[Job]) -> SimReport {
-        let mut report = SimReport::default();
-        // Sorted descending so each arrival is *moved* off the tail in
-        // arrival order — no per-job clone on the placement hot path.
+    /// Steps every slot: the reference semantics the event-driven loop
+    /// is tested against.
+    #[cfg(test)]
+    fn run_slot_stepped<P: Policy + ?Sized>(&mut self, policy: &mut P, jobs: &[Job]) -> SimReport {
+        self.simulate(policy, jobs, 1)
+    }
+
+    /// The engine loop. A step covers at most `max_span` slots: unbounded
+    /// for [`Simulator::run`], one for the slot-stepped test oracle.
+    ///
+    /// * **Slot domain** — `config.start`/`horizon`, arrivals, planned
+    ///   starts, and deadlines are slot indices; wall-clock job shapes
+    ///   convert once via `Job::{length,slack,window}_slots_at`.
+    /// * **Hourly decision cadence** — `Policy::should_run` is consulted
+    ///   at hour boundaries (every slot on hourly data) and once at
+    ///   admission, its verdict cached on the [`RunningJob`] and replayed
+    ///   in between; an engine-side forced-deadline check still runs
+    ///   every slot so deadlines keep slot precision.
+    /// * **Exact span accounting** — executed slots accumulate raw CI
+    ///   into `RunningJob::ci_sum` (one [`ChunkedPrefix`] query per
+    ///   span); emissions and energy convert once per job as
+    ///   `(ci_sum · length_hours) / length_slots` and
+    ///   `(slots_run · length_hours) / length_slots`, multiply before
+    ///   divide. On integer-valued traces this is exact, which is what
+    ///   makes a 12×-repeated 5-minute trace reproduce the hourly run
+    ///   bit for bit.
+    /// * **Event-driven spans** — time jumps to the next structural
+    ///   boundary: arrival, planned start, completion, hour boundary
+    ///   (only while interruptible jobs are admitted), forced-deadline
+    ///   flip of a suspended job, trace-coverage edge, or horizon end.
+    ///   Run sets are provably stable between those boundaries, so the
+    ///   skipped slots differ only by accrual, done in O(1) per job.
+    // decarb-analyze: hot-path
+    fn simulate<P: Policy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        jobs: &[Job],
+        max_span: usize,
+    ) -> SimReport {
+        let resolution = self.traces.resolution();
+        let mut report = SimReport {
+            resolution,
+            ..SimReport::default()
+        };
         let mut arrivals: Vec<Job> = jobs.to_vec();
         arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
         let end = self.config.start.plus(self.config.horizon);
         let mut never_admitted = 0usize;
         let dc_count = self.datacenters.len();
+        let sph = resolution.slots_per_hour() as u32;
 
-        // Hoisted trace lookups: one series resolution per datacenter
-        // for the whole run, refreshed into a per-hour CI buffer shared
-        // by the run-set selection and execution phases. Per-region
-        // emissions accumulate into a dense per-datacenter buffer and
-        // fold into the report's map once at the end; only migration
-        // overheads (charged at arbitrary origin regions) touch the map
-        // mid-run.
         let dc_series: Vec<Option<&TimeSeries>> = self
             .datacenters
             .iter()
             .map(|dc| self.traces.try_series_by_id(dc.region))
             .collect();
-        let mut ci_now: Vec<Option<f64>> = vec![None; dc_count];
+        // One blocked prefix sum per covered datacenter: span accrual is
+        // two O(1) lookups however many slots the span covers. The
+        // structures live in the dataset's shared cache, so repeated
+        // runs (a scenario matrix, a bench loop) build each one once.
+        let dc_prefix: Vec<Option<&ChunkedPrefix>> = self
+            .datacenters
+            .iter()
+            .map(|dc| {
+                self.traces
+                    .try_chunked_prefix_by_id(dc.region)
+                    .map(|p| &**p)
+            })
+            .collect();
         let mut dc_emissions: Vec<f64> = vec![0.0; dc_count];
-        let mut decisions: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
+        let mut verdicts: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
         let mut finished: Vec<usize> = Vec::with_capacity(self.config.capacity_per_region * 2);
+        let deadline_of = |job: &Job| -> Hour { job.arrival.plus(job.window_slots_at(resolution)) };
 
-        for step in 0..self.config.horizon {
-            let now = self.config.start.plus(step);
-            for (slot, series) in ci_now.iter_mut().zip(&dc_series) {
-                *slot = series.and_then(|s| s.at(now));
-            }
+        // Trace-coverage edges, ascending; `next_edge` walks past the
+        // ones behind `now`.
+        let mut edges: Vec<u32> = dc_series
+            .iter()
+            .flatten()
+            .flat_map(|s| [s.start().0, s.end().0])
+            .collect();
+        edges.sort_unstable();
+        let mut next_edge = 0usize;
+        // Admitted interruptible jobs: while any are, verdicts refresh
+        // at every hour boundary, so no span may cross one.
+        let mut interruptible = 0usize;
+        let mut now = self.config.start;
+        while now < end {
+            let hour_boundary = now.0.is_multiple_of(sph);
 
-            // 1. Place arrivals for this hour.
+            // 1. Place arrivals due now.
             while let Some(job) = arrivals.pop_if(|j| j.arrival <= now) {
                 let placement = {
                     let view = CloudView {
@@ -251,9 +258,6 @@ impl<'a> Simulator<'a> {
                 };
                 let start = placement.start.max(now);
                 if start >= end {
-                    // A start at or past the horizon end can never run;
-                    // count it unfinished instead of parking it in the
-                    // calendar.
                     never_admitted += 1;
                     continue;
                 }
@@ -302,280 +306,19 @@ impl<'a> Simulator<'a> {
                     never_admitted += 1;
                     continue;
                 };
+                interruptible += usize::from(planned.job.interruptible);
                 self.datacenters[slot]
                     .jobs
-                    .push(RunningJob::admitted(planned.job));
-            }
-
-            // 3. Select the run set for each datacenter.
-            for k in 0..dc_count {
-                decisions.clear();
-                {
-                    let dc = &self.datacenters[k];
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    decisions.extend(dc.jobs.iter().map(|rj| {
-                        if !rj.job.interruptible {
-                            return true;
-                        }
-                        let deadline = rj.job.arrival.plus(rj.job.window_hours());
-                        policy.should_run(&rj.job, rj.remaining_slots, deadline, &view)
-                    }));
-                }
-                let ci_here = ci_now[k].unwrap_or(0.0);
-                let dc = &mut self.datacenters[k];
-                let mut running = 0usize;
-                let mut suspends = 0usize;
-                let mut resumes = 0usize;
-                for (rj, want_run) in dc.jobs.iter_mut().zip(&decisions) {
-                    let was_suspended = rj.suspended;
-                    if *want_run && running < dc.capacity {
-                        if was_suspended && rj.has_run() {
-                            resumes += 1;
-                        }
-                        rj.suspended = false;
-                        running += 1;
-                    } else {
-                        if !was_suspended && rj.remaining_slots > 0 {
-                            suspends += 1;
-                        }
-                        rj.suspended = true;
-                    }
-                }
-                report.suspends += suspends;
-                report.resumes += resumes;
-                // Checkpoint/restore energy is drawn in this region at
-                // this hour.
-                let kwh = suspends as f64 * self.config.overheads.suspend_kwh
-                    + resumes as f64 * self.config.overheads.resume_kwh;
-                if kwh > 0.0 {
-                    report.overhead_kwh += kwh;
-                    report.overhead_g += kwh * ci_here;
-                    report.total_energy_kwh += kwh;
-                    report.total_emissions_g += kwh * ci_here;
-                    dc_emissions[k] += kwh * ci_here;
-                }
-            }
-
-            // 4. Execute and account.
-            for k in 0..dc_count {
-                let dc = &mut self.datacenters[k];
-                let Some(ci) = ci_now[k] else {
-                    // Trace coverage does not reach this hour: jobs
-                    // selected to run can neither execute nor be
-                    // accounted. Record the stall instead of silently
-                    // freezing them.
-                    report.stalled_hours += dc.jobs.iter().filter(|rj| !rj.suspended).count();
-                    continue;
-                };
-                finished.clear();
-                for (i, rj) in dc.jobs.iter_mut().enumerate() {
-                    if rj.suspended {
-                        continue;
-                    }
-                    if rj.started.is_none() {
-                        rj.started = Some(now);
-                    }
-                    // Fractional jobs draw proportionally less energy in
-                    // their single slot.
-                    let energy = rj.job.length_hours / rj.job.length_slots() as f64;
-                    rj.emitted_g += ci * energy;
-                    report.total_energy_kwh += energy;
-                    report.total_emissions_g += ci * energy;
-                    dc_emissions[k] += ci * energy;
-                    rj.remaining_slots -= 1;
-                    if rj.remaining_slots == 0 {
-                        finished.push(i);
-                    }
-                }
-                for &i in finished.iter().rev() {
-                    let rj = dc.jobs.swap_remove(i);
-                    let deadline = rj.job.arrival.plus(rj.job.window_hours());
-                    report.completed.push(CompletedJob {
-                        region: dc.region,
-                        started: rj.started.unwrap_or(now),
-                        finished: now,
-                        emitted_g: rj.emitted_g,
-                        // The window covers hours [arrival, deadline);
-                        // finishing in the last window hour (deadline-1)
-                        // is on time, and zero-slack jobs delayed past
-                        // their own length (e.g. by queueing) miss too.
-                        missed_deadline: now >= deadline,
-                        job: rj.job,
-                    });
-                }
-            }
-        }
-
-        // Fold the dense per-datacenter ledger into the report's map.
-        for (k, &g) in dc_emissions.iter().enumerate() {
-            if g != 0.0 {
-                *report
-                    .per_region_g
-                    .entry(self.datacenters[k].region)
-                    .or_insert(0.0) += g;
-            }
-        }
-
-        // Whatever remains anywhere is unfinished: jobs still holding
-        // work in a datacenter, planned starts not yet due, jobs whose
-        // plan fell past the horizon, and arrivals never reached.
-        report.unfinished = self
-            .datacenters
-            .iter()
-            .map(|dc| dc.jobs.len())
-            .sum::<usize>()
-            + self.calendar.len()
-            + never_admitted
-            + arrivals.len();
-        report
-    }
-
-    /// The sub-hourly slot-axis loop, shared by [`Stepping::SlotPerSlot`]
-    /// (`max_span = 1`) and [`Stepping::EventDriven`] (unbounded spans).
-    ///
-    /// Differences from the hourly path, all activated only here so the
-    /// golden hourly reports stay byte-stable:
-    ///
-    /// * **Slot domain** — `config.start`/`horizon`, arrivals, planned
-    ///   starts, and deadlines are slot indices; wall-clock job shapes
-    ///   convert once via `Job::{length,slack,window}_slots_at`.
-    /// * **Hourly decision cadence** — `Policy::should_run` is consulted
-    ///   at hour boundaries (and once at admission), its verdict cached
-    ///   on the [`RunningJob`] and replayed in between; an engine-side
-    ///   forced-deadline check still runs every slot so deadlines keep
-    ///   slot precision.
-    /// * **Exact span accounting** — executed slots accumulate raw CI
-    ///   into `RunningJob::ci_sum` (per slot, or per span through a
-    ///   [`ChunkedPrefix`] query); emissions and energy convert once per
-    ///   job as `(ci_sum · length_hours) / length_slots` and
-    ///   `(slots_run · length_hours) / length_slots`, multiply before
-    ///   divide. On integer-valued traces this is exact, which is what
-    ///   makes a 12×-repeated 5-minute trace reproduce the hourly run
-    ///   bit for bit.
-    /// * **Event-driven spans** — time jumps to the next structural
-    ///   boundary: arrival, planned start, completion, hour boundary
-    ///   (only while interruptible jobs are admitted), forced-deadline
-    ///   flip of a suspended job, trace-coverage edge, or horizon end.
-    ///   Run sets are provably stable between those boundaries, so the
-    ///   skipped slots differ only by accrual, done in O(1) per job.
-    // decarb-analyze: hot-path
-    fn run_subhourly<P: Policy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        jobs: &[Job],
-        resolution: Resolution,
-        max_span: usize,
-    ) -> SimReport {
-        let mut report = SimReport {
-            resolution,
-            ..SimReport::default()
-        };
-        let mut arrivals: Vec<Job> = jobs.to_vec();
-        arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
-        let end = self.config.start.plus(self.config.horizon);
-        let mut never_admitted = 0usize;
-        let dc_count = self.datacenters.len();
-        let sph = resolution.slots_per_hour() as u32;
-
-        let dc_series: Vec<Option<&TimeSeries>> = self
-            .datacenters
-            .iter()
-            .map(|dc| self.traces.try_series_by_id(dc.region))
-            .collect();
-        // One blocked prefix sum per covered datacenter: span accrual is
-        // two O(1) lookups however many slots the span covers. The
-        // structures live in the dataset's shared cache, so repeated
-        // runs (a scenario matrix, a bench loop) build each one once.
-        let dc_prefix: Vec<Option<&ChunkedPrefix>> = self
-            .datacenters
-            .iter()
-            .map(|dc| self.traces.try_chunked_prefix_by_id(dc.region))
-            .collect();
-        let mut dc_emissions: Vec<f64> = vec![0.0; dc_count];
-        let mut verdicts: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
-        let mut finished: Vec<usize> = Vec::with_capacity(self.config.capacity_per_region * 2);
-        let deadline_of = |job: &Job| -> Hour { job.arrival.plus(job.window_slots_at(resolution)) };
-
-        let mut now = self.config.start;
-        while now < end {
-            let hour_boundary = now.0.is_multiple_of(sph);
-
-            // 1. Place arrivals due now.
-            while let Some(job) = arrivals.pop_if(|j| j.arrival <= now) {
-                let placement = {
-                    let view = CloudView {
-                        datacenters: &self.datacenters,
-                        slot_of: &self.slot_of,
-                        traces: self.traces,
-                        now,
-                    };
-                    policy.place(&job, &view)
-                };
-                let region = if slot_in(&self.slot_of, placement.region).is_some() {
-                    placement.region
-                } else {
-                    job.origin
-                };
-                let start = placement.start.max(now);
-                if start >= end {
-                    never_admitted += 1;
-                    continue;
-                }
-                self.seq += 1;
-                self.calendar.push(PlannedStart {
-                    start,
-                    seq: self.seq,
-                    job,
-                    region,
-                });
-            }
-
-            // 2. Admit planned starts due now (migration overheads as on
-            // the hourly path, charged at the origin's CI this slot).
-            while let Some(top) = self.calendar.peek_mut() {
-                if top.start > now {
-                    break;
-                }
-                let planned = PeekMut::pop(top);
-                if planned.region != planned.job.origin {
-                    report.migrations += 1;
-                    let kwh = self.config.overheads.migration_kwh();
-                    if kwh > 0.0 {
-                        let ci = self
-                            .traces
-                            .try_series_by_id(planned.job.origin)
-                            .and_then(|s| s.at(now))
-                            .or_else(|| {
-                                self.traces
-                                    .try_series_by_id(planned.region)
-                                    .and_then(|s| s.at(now))
-                            })
-                            .unwrap_or(0.0);
-                        report.overhead_kwh += kwh;
-                        report.overhead_g += kwh * ci;
-                        report.total_energy_kwh += kwh;
-                        report.total_emissions_g += kwh * ci;
-                        *report.per_region_g.entry(planned.job.origin).or_insert(0.0) += kwh * ci;
-                    }
-                }
-                let Some(slot) = slot_in(&self.slot_of, planned.region) else {
-                    never_admitted += 1;
-                    continue;
-                };
-                self.datacenters[slot]
-                    .jobs
-                    .push(RunningJob::admitted_at(planned.job, resolution));
+                    .push(RunningJob::admitted(planned.job, resolution));
             }
 
             // 3. Select the run set. Interruptible verdicts refresh at
             // hour boundaries (and at admission), replay otherwise; the
             // forced-deadline check keeps slot precision either way.
             for k in 0..dc_count {
+                if self.datacenters[k].jobs.is_empty() {
+                    continue;
+                }
                 verdicts.clear();
                 {
                     let dc = &self.datacenters[k];
@@ -642,8 +385,12 @@ impl<'a> Simulator<'a> {
             }
 
             // 4. Find the next structural boundary. Every candidate is
-            // strictly past `now`, so spans always advance.
-            let span = if max_span == 1 {
+            // strictly past `now`, so spans always advance. When the next
+            // hour boundary is the next slot (every slot on hourly data)
+            // and interruptible jobs are admitted, the span is one slot
+            // and the scan can be skipped.
+            let next_hour = now.0 - now.0 % sph + sph;
+            let span = if max_span == 1 || (interruptible > 0 && next_hour == now.0 + 1) {
                 1
             } else {
                 let mut next = end.0;
@@ -653,12 +400,14 @@ impl<'a> Simulator<'a> {
                 if let Some(top) = self.calendar.peek() {
                     next = next.min(top.start.0.max(now.0 + 1));
                 }
-                let mut any_interruptible = false;
-                for (k, dc) in self.datacenters.iter().enumerate() {
+                while edges.get(next_edge).is_some_and(|&e| e <= now.0) {
+                    next_edge += 1;
+                }
+                if let Some(&edge) = edges.get(next_edge) {
+                    next = next.min(edge);
+                }
+                for dc in &self.datacenters {
                     for rj in &dc.jobs {
-                        if rj.job.interruptible {
-                            any_interruptible = true;
-                        }
                         if !rj.suspended {
                             next = next.min(now.0 + rj.remaining_slots as u32);
                         } else if rj.job.interruptible && !rj.cached_decision {
@@ -673,20 +422,9 @@ impl<'a> Simulator<'a> {
                             }
                         }
                     }
-                    if let Some(series) = dc_series[k] {
-                        let cover_start = series.start().0;
-                        let cover_end = cover_start + series.values().len() as u32;
-                        if cover_start > now.0 {
-                            next = next.min(cover_start);
-                        }
-                        if cover_end > now.0 {
-                            next = next.min(cover_end);
-                        }
-                    }
                 }
-                if any_interruptible {
-                    // Verdicts refresh each hour, so never skip past one.
-                    next = next.min(now.0 - now.0 % sph + sph);
+                if interruptible > 0 {
+                    next = next.min(next_hour);
                 }
                 (next.max(now.0 + 1) - now.0) as usize
             };
@@ -694,16 +432,25 @@ impl<'a> Simulator<'a> {
             // 5. Execute the span and account completions.
             for k in 0..dc_count {
                 let dc = &mut self.datacenters[k];
-                let covered = dc_series[k].is_some_and(|s| s.at(now).is_some());
-                if !covered {
+                if dc.jobs.is_empty() {
+                    continue;
+                }
+                let Some(ci_now) = dc_series[k].and_then(|s| s.at(now)) else {
                     report.stalled_hours +=
                         span * dc.jobs.iter().filter(|rj| !rj.suspended).count();
                     continue;
-                }
-                // `covered` implies the series — and therefore the
-                // prefix built from it — exists.
-                let Some(prefix) = dc_prefix[k].as_ref() else {
+                };
+                // A covered slot implies the series — and therefore the
+                // prefix built from it — exists. Every running job draws
+                // the same CI over the span; a one-slot span reads it
+                // straight off the trace.
+                let Some(prefix) = dc_prefix[k] else {
                     continue;
+                };
+                let span_ci = if span == 1 {
+                    ci_now
+                } else {
+                    prefix.sum(now, span)
                 };
                 finished.clear();
                 for (i, rj) in dc.jobs.iter_mut().enumerate() {
@@ -713,7 +460,7 @@ impl<'a> Simulator<'a> {
                     if rj.started.is_none() {
                         rj.started = Some(now);
                     }
-                    rj.ci_sum += prefix.sum(now, span);
+                    rj.ci_sum += span_ci;
                     rj.remaining_slots -= span;
                     if rj.remaining_slots == 0 {
                         finished.push(i);
@@ -721,6 +468,7 @@ impl<'a> Simulator<'a> {
                 }
                 for &i in finished.iter().rev() {
                     let rj = dc.jobs.swap_remove(i);
+                    interruptible -= usize::from(rj.job.interruptible);
                     let slots = rj.job.length_slots_at(resolution) as f64;
                     let emitted = (rj.ci_sum * rj.job.length_hours) / slots;
                     let energy = rj.job.length_hours;
@@ -787,14 +535,37 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecast_policy::ForecastDeferral;
     use crate::policy::{CarbonAgnostic, GreenestRouter, PlannedDeferral, ThresholdSuspend};
+    use crate::scenario::{PolicyKind, SPATIOTEMPORAL_SLO_MS};
+    use crate::spatiotemporal::SpatioTemporal;
     use decarb_core::temporal::TemporalPlanner;
-    use decarb_traces::builtin_dataset;
+    use decarb_forecast::SeasonalNaive;
     use decarb_traces::time::year_start;
+    use decarb_traces::{builtin_dataset, Resolution};
     use decarb_workloads::Slack;
 
     /// Named policy constructors for the axis-equivalence tests.
     type PolicyTable = Vec<(&'static str, fn() -> Box<dyn Policy>)>;
+
+    /// The concrete policy behind each [`PolicyKind`], as the scenario
+    /// layer builds it with the seasonal forecaster.
+    fn policy_of(kind: PolicyKind, traces: &TraceSet, regions: &[RegionId]) -> Box<dyn Policy> {
+        let seasonal = SeasonalNaive::daily_at(traces.resolution());
+        match kind {
+            PolicyKind::CarbonAgnostic => Box::new(CarbonAgnostic),
+            PolicyKind::PlannedDeferral => Box::new(PlannedDeferral),
+            PolicyKind::ThresholdSuspend => Box::new(ThresholdSuspend::default()),
+            PolicyKind::GreenestRouter => Box::new(GreenestRouter),
+            PolicyKind::ForecastDeferral => Box::new(ForecastDeferral::new(seasonal)),
+            PolicyKind::SpatioTemporal => Box::new(SpatioTemporal::new(
+                traces,
+                regions,
+                SPATIOTEMPORAL_SLO_MS,
+                seasonal,
+            )),
+        }
+    }
 
     fn config(horizon: usize) -> SimConfig {
         SimConfig::new(year_start(2022), horizon, 4)
@@ -1228,71 +999,82 @@ mod tests {
             .collect()
     }
 
-    fn run_fine<P: Policy + ?Sized>(
-        fine: &TraceSet,
-        regions: &[RegionId],
-        policy: &mut P,
-        jobs: &[Job],
-        horizon_hours: usize,
-        stepping: Stepping,
-    ) -> SimReport {
-        let start = Hour(year_start(2022).0 * 12);
-        let config = SimConfig::new(start, horizon_hours * 12, 4).with_stepping(stepping);
-        let mut sim = Simulator::new(fine, regions, config);
-        sim.run(policy, jobs)
+    fn fine_config(horizon_hours: usize) -> SimConfig {
+        SimConfig::new(Hour(year_start(2022).0 * 12), horizon_hours * 12, 4)
     }
 
-    #[test]
-    fn event_driven_matches_slot_stepped_on_five_minute_axis() {
-        let hourly = integer_dataset(24 * 40);
-        let fine = hourly
-            .resample_to(Resolution::from_minutes(5).unwrap())
-            .unwrap();
-        let rs = ids(&fine, &["DE", "SE"]);
-        let jobs = jobs_at_5min(&equivalence_jobs(&fine));
-        let horizon = 24 * 20;
-        let policies: PolicyTable = vec![
-            ("agnostic", || Box::new(CarbonAgnostic)),
-            ("deferral", || Box::new(PlannedDeferral)),
-            ("threshold", || Box::new(ThresholdSuspend::default())),
-            ("router", || Box::new(GreenestRouter)),
-        ];
-        for (name, make) in policies {
-            let slot = run_fine(
-                &fine,
-                &rs,
-                make().as_mut(),
-                &jobs,
-                horizon,
-                Stepping::SlotPerSlot,
-            );
-            let event = run_fine(
-                &fine,
-                &rs,
-                make().as_mut(),
-                &jobs,
-                horizon,
-                Stepping::EventDriven,
-            );
-            assert_eq!(
-                slot.total_emissions_g, event.total_emissions_g,
-                "{name}: emissions must be bit-identical"
-            );
-            assert_eq!(slot.total_energy_kwh, event.total_energy_kwh, "{name}");
+    /// Runs `jobs` under every [`PolicyKind`] twice — event-driven and
+    /// slot-stepped — and hands each pair of reports to `check`.
+    fn against_oracle(
+        traces: &TraceSet,
+        jobs: &[Job],
+        config: SimConfig,
+        check: impl Fn(&str, &SimReport, &SimReport),
+    ) {
+        let rs = ids(traces, &["DE", "SE"]);
+        for kind in PolicyKind::ALL {
+            let mut sim = Simulator::new(traces, &rs, config.clone());
+            let event = sim.run(policy_of(kind, traces, &rs).as_mut(), jobs);
+            let mut sim = Simulator::new(traces, &rs, config.clone());
+            let slot = sim.run_slot_stepped(policy_of(kind, traces, &rs).as_mut(), jobs);
+            let name = kind.label();
             assert_eq!(slot.completed_count(), event.completed_count(), "{name}");
             assert_eq!(slot.suspends, event.suspends, "{name}");
             assert_eq!(slot.resumes, event.resumes, "{name}");
+            assert_eq!(slot.migrations, event.migrations, "{name}");
             assert_eq!(slot.unfinished, event.unfinished, "{name}");
             for (a, b) in slot.completed.iter().zip(&event.completed) {
                 assert_eq!(a.job.id, b.job.id, "{name}");
                 assert_eq!(a.region, b.region, "{name}: same placement");
                 assert_eq!(a.started, b.started, "{name}: same start slot");
                 assert_eq!(a.finished, b.finished, "{name}: same finish slot");
-                assert_eq!(a.emitted_g, b.emitted_g, "{name}: same emissions");
                 assert_eq!(a.missed_deadline, b.missed_deadline, "{name}");
             }
             assert!(slot.completed_count() >= 5, "{name}: workload must run");
+            check(name, &slot, &event);
         }
+    }
+
+    #[test]
+    fn event_driven_matches_slot_stepped_on_five_minute_axis() {
+        // Integer-valued 5-minute replica: every span sum is exact, so
+        // the event-driven loop must match the oracle bit for bit.
+        let hourly = integer_dataset(24 * 40);
+        let fine = hourly
+            .resample_to(Resolution::from_minutes(5).unwrap())
+            .unwrap();
+        let jobs = jobs_at_5min(&equivalence_jobs(&fine));
+        against_oracle(&fine, &jobs, fine_config(24 * 20), |name, slot, event| {
+            assert_eq!(
+                slot.total_emissions_g, event.total_emissions_g,
+                "{name}: emissions must be bit-identical"
+            );
+            assert_eq!(slot.total_energy_kwh, event.total_energy_kwh, "{name}");
+            for (a, b) in slot.completed.iter().zip(&event.completed) {
+                assert_eq!(a.emitted_g, b.emitted_g, "{name}: same emissions");
+            }
+        });
+        // The builtin hourly dataset is not integer-valued: spans over
+        // idle hours sum in a different order than slot by slot, so the
+        // emissions agree to rounding while every decision stays equal.
+        let builtin = builtin_dataset();
+        let jobs = equivalence_jobs(&builtin);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+        against_oracle(&builtin, &jobs, config(24 * 20), |name, slot, event| {
+            assert!(
+                close(slot.total_emissions_g, event.total_emissions_g),
+                "{name}: {} vs {}",
+                slot.total_emissions_g,
+                event.total_emissions_g
+            );
+            assert!(
+                close(slot.total_energy_kwh, event.total_energy_kwh),
+                "{name}"
+            );
+            for (a, b) in slot.completed.iter().zip(&event.completed) {
+                assert!(close(a.emitted_g, b.emitted_g), "{name}: job {}", a.job.id);
+            }
+        });
     }
 
     #[test]
@@ -1320,14 +1102,8 @@ mod tests {
         for (name, make) in policies {
             let mut hourly_sim = Simulator::new(&hourly, &rs_hourly, config(horizon));
             let coarse = hourly_sim.run(make().as_mut(), &jobs);
-            let fine_report = run_fine(
-                &fine,
-                &rs_fine,
-                make().as_mut(),
-                &fine_jobs,
-                horizon,
-                Stepping::EventDriven,
-            );
+            let mut fine_sim = Simulator::new(&fine, &rs_fine, fine_config(horizon));
+            let fine_report = fine_sim.run(make().as_mut(), &fine_jobs);
             assert_eq!(
                 coarse.total_emissions_g, fine_report.total_emissions_g,
                 "{name}: totals must be bit-identical"

@@ -36,7 +36,7 @@ pub mod sweep;
 
 pub use accounting::SimReport;
 pub use cluster::{CloudView, Datacenter};
-pub use engine::{SimConfig, Simulator, Stepping};
+pub use engine::{SimConfig, Simulator};
 pub use forecast_policy::{ForecastDeferral, ForecastSuspend};
 pub use overheads::OverheadModel;
 pub use planner_cache::{CachedDeferral, PlannerCache};

@@ -1,13 +1,15 @@
 //! A shared, thread-safe cache of [`TemporalPlanner`]s.
 //!
-//! [`crate::policy::PlannedDeferral`] builds a fresh planner — a full
-//! copy of the origin's trace plus its prefix sums — for *every*
-//! placement. For one validation job that is fine; at scenario-matrix
-//! scale (hundreds of scenarios × ~100 jobs each) the rebuild dominates
-//! the whole sweep. A [`PlannerCache`] is created once per
-//! `run_scenarios` call and shared by reference across the worker
-//! threads: each region's planner is built the first time any scenario
-//! needs it and reused by every later placement.
+//! [`crate::policy::PlannedDeferral`] builds a fresh planner — a copy
+//! of the origin's trace — for *every* placement. For one validation
+//! job that is fine; at scenario-matrix scale (hundreds of scenarios ×
+//! ~100 jobs each) the rebuild dominates the whole sweep. A
+//! [`PlannerCache`] is created once per `run_scenarios` call and shared
+//! by reference across the worker threads: each region's planner is
+//! built the first time any scenario needs it and reused by every later
+//! placement. Planners share the dataset's cached prefix sums
+//! ([`TemporalPlanner::for_region`]), so the engine's span accrual and
+//! the planners hold one prefix per region between them.
 //!
 //! A planner spans a region's entire stored trace, so the cache is a
 //! dense [`RegionId`]-indexed slot table — scenario horizons never
@@ -19,7 +21,7 @@
 use std::sync::{Arc, PoisonError, RwLock};
 
 use decarb_core::temporal::TemporalPlanner;
-use decarb_traces::{RegionId, Resolution, TimeSeries};
+use decarb_traces::{RegionId, TraceSet};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
@@ -38,22 +40,9 @@ impl PlannerCache {
         Self::default()
     }
 
-    /// Returns the hourly planner for `id`, building it from `series`
-    /// on the first request.
-    pub fn planner(&self, id: RegionId, series: &TimeSeries) -> Arc<TemporalPlanner> {
-        self.planner_at(id, series, Resolution::HOURLY)
-    }
-
-    /// Returns the planner for `id` on an axis sampled at `resolution`,
-    /// building it from `series` on the first request. A cache is
-    /// scoped to one dataset, so every call sees the same resolution
-    /// and the first build wins.
-    pub fn planner_at(
-        &self,
-        id: RegionId,
-        series: &TimeSeries,
-        resolution: Resolution,
-    ) -> Arc<TemporalPlanner> {
+    /// Returns the planner for region `id` of `traces`, building it on
+    /// the first request (panics on a foreign id).
+    pub fn planner(&self, traces: &TraceSet, id: RegionId) -> Arc<TemporalPlanner> {
         let read = self.planners.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(Some(planner)) = read.get(id.index()) {
             return Arc::clone(planner);
@@ -69,9 +58,8 @@ impl PlannerCache {
         // Another worker may have built it between the read and write
         // lock; the re-check keeps exactly one build either way.
         Arc::clone(
-            planners[id.index()].get_or_insert_with(|| {
-                Arc::new(TemporalPlanner::with_resolution(series, resolution))
-            }),
+            planners[id.index()]
+                .get_or_insert_with(|| Arc::new(TemporalPlanner::for_region(traces, id))),
         )
     }
 
@@ -113,14 +101,14 @@ impl Policy for CachedDeferral<'_> {
         // A job originating in a region with no trace cannot be
         // planned; run it now at the origin instead of panicking the
         // worker thread.
-        let Some(series) = view.traces.try_series_by_id(job.origin) else {
+        if view.traces.try_series_by_id(job.origin).is_none() {
             return Placement {
                 region: job.origin,
                 start: view.now,
             };
-        };
+        }
         let resolution = view.traces.resolution();
-        let planner = self.cache.planner_at(job.origin, series, resolution);
+        let planner = self.cache.planner(view.traces, job.origin);
         let placement = planner.best_deferred(
             view.now,
             job.length_slots_at(resolution),
@@ -149,10 +137,10 @@ mod tests {
         assert!(cache.is_empty());
         let se = data.id_of("SE").unwrap();
         let de = data.id_of("DE").unwrap();
-        let first = cache.planner(se, data.series_by_id(se));
-        let second = cache.planner(se, data.series_by_id(se));
+        let first = cache.planner(&data, se);
+        let second = cache.planner(&data, se);
         assert!(Arc::ptr_eq(&first, &second), "same planner instance");
-        cache.planner(de, data.series_by_id(de));
+        cache.planner(&data, de);
         assert_eq!(cache.len(), 2);
     }
 
@@ -188,7 +176,7 @@ mod tests {
                 scope.spawn(|| {
                     for code in ["SE", "DE", "FR", "GB"] {
                         let id = data.id_of(code).unwrap();
-                        let planner = cache.planner(id, data.series_by_id(id));
+                        let planner = cache.planner(&data, id);
                         assert_eq!(planner.trace_start(), data.series_by_id(id).start());
                     }
                 });

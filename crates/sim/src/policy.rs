@@ -58,14 +58,14 @@ impl Policy for PlannedDeferral {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
         // No trace for the origin means nothing to plan against; run
         // the job immediately rather than panicking the worker.
-        let Some(series) = view.traces.try_series_by_id(job.origin) else {
+        if view.traces.try_series_by_id(job.origin).is_none() {
             return Placement {
                 region: job.origin,
                 start: view.now,
             };
-        };
+        }
         let resolution = view.traces.resolution();
-        let planner = TemporalPlanner::with_resolution(series, resolution);
+        let planner = TemporalPlanner::for_region(view.traces, job.origin);
         let placement = planner.best_deferred(
             view.now,
             job.length_slots_at(resolution),

@@ -126,7 +126,7 @@ impl Snapshot {
         let rtt = RttTable::build(&traces, &deployed);
         let planners = PlannerCache::new();
         for &id in &deployed {
-            planners.planner_at(id, traces.series_by_id(id), traces.resolution());
+            planners.planner(&traces, id);
         }
         let ledger = Mutex::new(HourlyLedger::new(traces.len()));
         Self {
@@ -207,10 +207,7 @@ impl Snapshot {
         let slots = req.duration_hours * sph;
         let slack = req.slack_hours * sph;
         self.fits(req.origin, req.arrival, slots)?;
-        let origin_series = self.traces.series_by_id(req.origin);
-        let origin_planner =
-            self.planners
-                .planner_at(req.origin, origin_series, self.traces.resolution());
+        let origin_planner = self.planners.planner(&self.traces, req.origin);
         let naive_g = origin_planner.baseline_cost(req.arrival, slots) / sph as f64;
 
         let mut admitted = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
@@ -240,11 +237,7 @@ impl Snapshot {
             if self.fits(id, req.arrival, slots).is_err() {
                 continue;
             }
-            let planner = self.planners.planner_at(
-                id,
-                self.traces.series_by_id(id),
-                self.traces.resolution(),
-            );
+            let planner = self.planners.planner(&self.traces, id);
             let candidate = planner.best_deferred(req.arrival, slots, slack);
             if candidate.cost_g < best.cost_g
                 || (candidate.cost_g == best.cost_g && self.rtt.code_before(id, best_region))
@@ -270,8 +263,7 @@ impl Snapshot {
 
     /// The temporal planner for `id` (prewarmed at build time).
     pub fn planner(&self, id: RegionId) -> Arc<TemporalPlanner> {
-        self.planners
-            .planner_at(id, self.traces.series_by_id(id), self.traces.resolution())
+        self.planners.planner(&self.traces, id)
     }
 
     /// The configured same-hour admission limit (`usize::MAX` when

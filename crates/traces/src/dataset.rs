@@ -27,12 +27,13 @@ pub struct TraceSet {
     /// in this dataset are slot indices on this axis.
     resolution: Resolution,
     /// Lazily built [`ChunkedPrefix`] accelerators, one slot per series.
-    /// Building one is O(series length) — noticeable at 105k-sample
-    /// sub-hourly scale — so every consumer that window-sums a trace
-    /// (the simulator's span accrual above all) shares one build per
-    /// dataset instead of paying it per run. `OnceLock` keeps the cache
-    /// race-safe under the scenario engine's thread fan-out.
-    prefix_cache: Vec<OnceLock<ChunkedPrefix>>,
+    /// Building one is O(series length), so every consumer that
+    /// window-sums a trace — the simulator's span accrual and the
+    /// temporal planners built by `TemporalPlanner::for_region` — shares
+    /// one build per region instead of paying for its own copy. The
+    /// `Arc` lets planners outlive a borrow of the set; `OnceLock` keeps
+    /// the cache race-safe under the scenario engine's thread fan-out.
+    prefix_cache: Vec<OnceLock<Arc<ChunkedPrefix>>>,
 }
 
 impl TraceSet {
@@ -210,16 +211,17 @@ impl TraceSet {
     /// built on first use and reused by every subsequent caller
     /// (panics on a foreign id).
     #[inline]
-    pub fn chunked_prefix_by_id(&self, id: RegionId) -> &ChunkedPrefix {
-        self.prefix_cache[id.index()].get_or_init(|| self.series[id.index()].chunked_prefix())
+    pub fn chunked_prefix_by_id(&self, id: RegionId) -> &Arc<ChunkedPrefix> {
+        self.prefix_cache[id.index()]
+            .get_or_init(|| Arc::new(self.series[id.index()].chunked_prefix()))
     }
 
     /// Fallible [`TraceSet::chunked_prefix_by_id`]: `None` for ids that
     /// do not belong to this set.
     #[inline]
-    pub fn try_chunked_prefix_by_id(&self, id: RegionId) -> Option<&ChunkedPrefix> {
-        let cell = self.prefix_cache.get(id.index())?;
-        Some(cell.get_or_init(|| self.series[id.index()].chunked_prefix()))
+    pub fn try_chunked_prefix_by_id(&self, id: RegionId) -> Option<&Arc<ChunkedPrefix>> {
+        self.prefix_cache.get(id.index())?;
+        Some(self.chunked_prefix_by_id(id))
     }
 
     /// The zone code behind `id` (panics on a foreign id).

@@ -54,7 +54,7 @@ pub use dataset::{builtin_dataset, TraceSet};
 pub use error::TraceError;
 pub use mix::{EnergyMix, Source};
 pub use region::{GeoGroup, Providers, Region};
-pub use series::{ChunkedPrefix, PrefixSum, TimeSeries};
+pub use series::{ChunkedPrefix, TimeSeries};
 pub use sidecar::{parse_region_sidecar, parse_sidecar, SidecarDoc};
 pub use synth::{SynthConfig, Synthesizer};
 pub use table::{RegionId, RegionTable};

@@ -1,4 +1,4 @@
-//! Hourly time series and prefix-sum acceleration structures.
+//! Time series and the prefix-sum structure behind every window-sum query.
 
 use crate::error::TraceError;
 use crate::time::Hour;
@@ -130,13 +130,8 @@ impl TimeSeries {
         }
     }
 
-    /// Builds a prefix-sum accelerator over this series.
-    pub fn prefix_sum(&self) -> PrefixSum {
-        PrefixSum::build(self)
-    }
-
-    /// Builds the two-level [`ChunkedPrefix`] accelerator, the
-    /// cache-friendly variant for long sub-hourly series.
+    /// Builds the [`ChunkedPrefix`] window-sum accelerator over this
+    /// series.
     pub fn chunked_prefix(&self) -> ChunkedPrefix {
         ChunkedPrefix::build(self)
     }
@@ -145,90 +140,17 @@ impl TimeSeries {
 /// Prefix sums over a [`TimeSeries`], enabling O(1) window-cost queries.
 ///
 /// `sum(from, len)` returns the total carbon cost (assuming a unit 1 kW
-/// draw) of running for `len` contiguous hours starting at `from`, which is
-/// the primitive every temporal-shifting kernel is built on.
-#[derive(Debug, Clone)]
-pub struct PrefixSum {
-    start: Hour,
-    // `prefix[i]` is the sum of the first `i` samples.
-    prefix: Vec<f64>,
-}
-
-impl PrefixSum {
-    /// Builds prefix sums for `series`.
-    pub fn build(series: &TimeSeries) -> Self {
-        let mut prefix = Vec::with_capacity(series.len() + 1);
-        let mut acc = 0.0;
-        prefix.push(0.0);
-        for &v in series.values() {
-            acc += v;
-            prefix.push(acc);
-        }
-        Self {
-            start: series.start(),
-            prefix,
-        }
-    }
-
-    /// Returns the number of underlying samples.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.prefix.len() - 1
-    }
-
-    /// Returns `true` if there are no underlying samples.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the start hour of the underlying series.
-    #[inline]
-    pub fn start(&self) -> Hour {
-        self.start
-    }
-
-    /// Returns the sum of `len` samples starting at absolute hour `from`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is out of range.
-    #[inline]
-    pub fn sum(&self, from: Hour, len: usize) -> f64 {
-        let i = (from.0 - self.start.0) as usize;
-        self.prefix[i + len] - self.prefix[i]
-    }
-
-    /// Fallible version of [`PrefixSum::sum`].
-    pub fn try_sum(&self, from: Hour, len: usize) -> Result<f64, TraceError> {
-        let i = from
-            .0
-            .checked_sub(self.start.0)
-            .ok_or(TraceError::OutOfRange { hour: from })? as usize;
-        if i + len > self.len() {
-            return Err(TraceError::OutOfRange {
-                hour: from.plus(len.saturating_sub(1)),
-            });
-        }
-        Ok(self.prefix[i + len] - self.prefix[i])
-    }
-}
-
-/// A two-level prefix sum for long (sub-hourly, year-scale) series.
+/// draw) of running for `len` contiguous slots starting at `from`, the
+/// primitive every temporal-shifting kernel and the simulator's span
+/// accrual are built on. It serves every axis, hourly and sub-hourly.
 ///
-/// One flat prefix array over a 105k-sample 5-minute year trace spans
-/// ~840 kB; the planners' sliding-window queries then touch two cache
-/// lines far apart per probe. `ChunkedPrefix` splits the series into
-/// fixed blocks, keeping a small block-level prefix (sum of everything
-/// before each block) plus within-block relative prefixes whose
-/// magnitudes stay near the block sum — so short-window queries resolve
-/// inside one or two blocks, and the relative prefixes lose less
-/// precision than a monotonically growing global accumulator.
-///
-/// `sum(from, len)` returns the same window total as
-/// [`PrefixSum::sum`] up to floating-point association; the hourly
-/// planners keep the flat [`PrefixSum`] (their results are golden-
-/// pinned), while sub-hourly planners build this structure.
+/// The series is split into fixed blocks: a small block-level prefix
+/// (sum of everything before each block) plus within-block relative
+/// prefixes whose magnitudes stay near one block's sum. Short windows
+/// resolve inside one or two blocks, and because the block and relative
+/// differences are taken separately, a window sum carries the rounding
+/// of at most one block total rather than that of a monotonically
+/// growing global accumulator.
 #[derive(Debug, Clone)]
 pub struct ChunkedPrefix {
     start: Hour,
@@ -300,11 +222,12 @@ impl ChunkedPrefix {
         self.start
     }
 
-    /// Absolute prefix at sample offset `i` (sum of the first `i`
-    /// samples).
+    /// Sum of samples `[i, j)`. The block and relative differences are
+    /// taken apart, so neither side of the subtraction ever holds a
+    /// large absolute prefix.
     #[inline]
-    fn prefix_at(&self, i: usize) -> f64 {
-        self.block[i / Self::BLOCK] + self.rel[i]
+    fn span(&self, i: usize, j: usize) -> f64 {
+        (self.block[j / Self::BLOCK] - self.block[i / Self::BLOCK]) + (self.rel[j] - self.rel[i])
     }
 
     /// Returns the sum of `len` samples starting at absolute slot
@@ -316,7 +239,7 @@ impl ChunkedPrefix {
     #[inline]
     pub fn sum(&self, from: Hour, len: usize) -> f64 {
         let i = (from.0 - self.start.0) as usize;
-        self.prefix_at(i + len) - self.prefix_at(i)
+        self.span(i, i + len)
     }
 
     /// Fallible version of [`ChunkedPrefix::sum`].
@@ -330,7 +253,7 @@ impl ChunkedPrefix {
                 hour: from.plus(len.saturating_sub(1)),
             });
         }
-        Ok(self.prefix_at(i + len) - self.prefix_at(i))
+        Ok(self.span(i, i + len))
     }
 }
 
@@ -394,7 +317,9 @@ mod tests {
     #[test]
     fn prefix_sums_match_direct() {
         let s = ts(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let p = s.prefix_sum();
+        let p = s.chunked_prefix();
+        assert_eq!(p.len(), 5);
+        assert_eq!(p.start(), Hour(10));
         for from in 0..5usize {
             for len in 0..=(5 - from) {
                 let direct: f64 = s.values()[from..from + len].iter().sum();
@@ -407,7 +332,7 @@ mod tests {
     #[test]
     fn prefix_try_sum_bounds() {
         let s = ts(&[1.0, 2.0]);
-        let p = s.prefix_sum();
+        let p = s.chunked_prefix();
         assert!(p.try_sum(Hour(10), 2).is_ok());
         assert!(p.try_sum(Hour(10), 3).is_err());
         assert!(p.try_sum(Hour(9), 1).is_err());
@@ -416,17 +341,25 @@ mod tests {
     }
 
     #[test]
-    fn chunked_prefix_matches_direct_sums() {
-        let s = ts(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let c = s.chunked_prefix();
-        assert_eq!(c.len(), 5);
-        assert_eq!(c.start(), Hour(10));
-        for from in 0..5usize {
-            for len in 0..=(5 - from) {
-                let direct: f64 = s.values()[from..from + len].iter().sum();
-                let fast = c.sum(Hour(10 + from as u32), len);
-                assert!((direct - fast).abs() < 1e-12, "from={from} len={len}");
-            }
+    fn one_slot_windows_stay_within_1e9_of_their_sample() {
+        // A four-year hourly trace of non-integer values: a window that
+        // straddles a block boundary subtracts block totals near 1.6e7,
+        // so the block and relative differences must be taken apart to
+        // keep every one-slot sum within 1e-9 of its sample.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let values: Vec<f64> = (0..35_064)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                20.0 + 880.0 * ((x >> 11) as f64 / (1u64 << 53) as f64)
+            })
+            .collect();
+        let series = TimeSeries::new(Hour(0), values.clone());
+        let p = series.chunked_prefix();
+        for (i, &v) in values.iter().enumerate() {
+            let got = p.sum(Hour(i as u32), 1);
+            assert!((got - v).abs() <= 1e-9, "slot {i}: {got} vs {v}");
         }
     }
 
@@ -438,7 +371,6 @@ mod tests {
         let values: Vec<f64> = (0..n).map(|i| (i % 97) as f64).collect();
         let series = TimeSeries::new(Hour(0), values.clone());
         let c = series.chunked_prefix();
-        let flat = series.prefix_sum();
         for (from, len) in [
             (0, n),
             (ChunkedPrefix::BLOCK - 3, 7),
@@ -450,11 +382,6 @@ mod tests {
         ] {
             let direct: f64 = values[from..from + len].iter().sum();
             assert_eq!(c.sum(Hour(from as u32), len), direct, "{from}+{len}");
-            assert_eq!(
-                c.sum(Hour(from as u32), len),
-                flat.sum(Hour(from as u32), len),
-                "{from}+{len} vs flat"
-            );
         }
     }
 

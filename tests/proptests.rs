@@ -127,7 +127,7 @@ fn prefix_sums_match_direct() {
         let mut g = Gen::new("prefix_sums", case);
         let values = trace(&mut g);
         let series = TimeSeries::new(Hour(7), values.clone());
-        let prefix = series.prefix_sum();
+        let prefix = series.chunked_prefix();
         let n = values.len();
         for from in (0..n).step_by(11) {
             for len in [0, 1, n / 3, n - from] {
