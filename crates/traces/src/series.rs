@@ -316,14 +316,30 @@ mod tests {
 
     #[test]
     fn prefix_sums_match_direct() {
+        // Non-integer values, read back through the checked path: every
+        // in-range window's try_sum equals the sum of its window slice.
+        let s = ts(&[0.1, 2.7, 3.3, 4.05, 5.5, 0.35]);
+        let p = ChunkedPrefix::build(&s);
+        for from in 0..6usize {
+            for len in 0..=(6 - from) {
+                let h = Hour(10 + from as u32);
+                let direct: f64 = s.window(h, len).unwrap().iter().sum();
+                let fast = p.try_sum(h, len).unwrap();
+                assert!((direct - fast).abs() < 1e-12, "from={from} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_prefix_matches_direct_sums() {
         let s = ts(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let p = s.chunked_prefix();
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.start(), Hour(10));
+        let c = s.chunked_prefix();
+        assert_eq!(c.len(), 5);
+        assert_eq!(c.start(), Hour(10));
         for from in 0..5usize {
             for len in 0..=(5 - from) {
                 let direct: f64 = s.values()[from..from + len].iter().sum();
-                let fast = p.sum(Hour(10 + from as u32), len);
+                let fast = c.sum(Hour(10 + from as u32), len);
                 assert!((direct - fast).abs() < 1e-12, "from={from} len={len}");
             }
         }
