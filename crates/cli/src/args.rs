@@ -1,7 +1,11 @@
-//! Hand-rolled argument parsing (the allowed dependency set has no CLI
-//! parser, and the grammar is small enough that one is not missed).
+//! Argument parsing driven by one table, [`COMMANDS`]: each row names a
+//! subcommand, its flags and how to build its [`Command`], and the same
+//! rows render the global help and each subcommand's usage line. The
+//! allowed dependency set has no CLI parser crate.
 
 use decarb_traces::time::{EPOCH_YEAR, LAST_YEAR};
+
+use Flag::{Switch, Value};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +170,7 @@ pub enum Command {
         /// `--addr`).
         threads: usize,
     },
-    /// `--help` / no arguments.
+    /// `help`, `-h` or `--help`.
     Help,
 }
 
@@ -281,55 +285,616 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The usage text shown by `--help`.
-pub const USAGE: &str = "\
-usage: decarb-cli <command> [options]
+/// The default bind address of `serve`.
+pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:8980";
 
-commands:
-  regions  [--group G] [--year Y]      list regions (annual mean, daily CV)
-  analyze  <ZONE> [--year Y]           one region's carbon profile
-  analyze  --workspace [PATH] [--json] run the in-tree source lints over a checkout
-  plan     <ZONE> --hours L [--slack H] [--arrive H0] [--year Y]
-                                       schedule one job four ways
-  forecast <ZONE> [--days N] [--year Y] backtest all forecasters
-  rank     [--year Y]                  rank-order stability of all regions
-  export   <ZONE> [--year Y]           hourly trace as CSV on stdout
-  list                                 list registered experiments
-  run      <ID|all> [--json]           run experiments from the registry
-  scenario list                        list the built-in scenario matrix
-  scenario run <NAME|all> [--json]     run scenario-matrix entries in parallel
-  scenario run --file FILE [--json]    run a user-defined scenario file
-  scenario run ... --shards N --shard-index I
-                                       run one disjoint shard of the sweep plan
-  scenario run ... --workers K         fan the sweep out over K child processes
-  scenario run ... --strict            fail (not warn) on static-check findings
-  scenario check <NAME|all> [--json]   statically validate scenarios, no simulation
-  scenario check --file FILE [--json]  statically validate a scenario file
-  scenario merge <REPORT...> [--expect all|FILE]
-                                       recombine shard reports into one document
-  scenario history append --report R --file H [--rev REV]
-                                       record a run in the emissions series
-  scenario history show --file H [--limit N]
-                                       render the emissions series as a trend
-  scenario history check --file H [--window N] [--max-drift-pct X]
-                                       fail on monotonic multi-commit drift
-  scenario diff --report R --golden G [--tolerance-pct P]
-                                       fail when per-scenario emissions drift
-  data pack <CSV|builtin> [--regions FILE] [--resolution MIN] -o FILE
-                                       encode a dataset as a binary container
-                                       (--resolution re-expresses it on a
-                                       finer MIN-minute axis; MIN divides 60)
-  data probe <FILE> [--json]           verify a container, print header facts
-  data append <FILE> --from CSV [--pad]
-                                       append new hours without rewriting history
-  serve    [--data FILE [--regions FILE]] [--addr HOST:PORT] [--threads N]
-           [--capacity-per-hour N]
-                                       run the placement service (HTTP API, docs/API.md)
-  serve bench [--addr HOST:PORT] [--connections N] [--requests M]
-           [--batch K] [--mode keepalive|close] [--pipeline P] [--threads N]
-                                       load-test a placement server (in-process
-                                       ephemeral server when --addr is absent)
+/// How a flag consumes the command line. A name like `o|out` spells one
+/// flag two ways: one-letter names take `-`, longer ones `--`.
+#[derive(Debug, Clone, Copy)]
+pub enum Flag {
+    /// Present or absent: `--json`.
+    Switch(&'static str),
+    /// Takes the next argument as its value: `--year 2021`.
+    Value(&'static str),
+}
 
+impl Flag {
+    fn names(self) -> &'static str {
+        match self {
+            Flag::Switch(names) | Flag::Value(names) => names,
+        }
+    }
+
+    /// The flag's spellings on the command line (`-o`, `--out`).
+    pub fn spellings(self) -> impl Iterator<Item = String> {
+        self.names().split('|').map(|name| {
+            if name.len() == 1 {
+                format!("-{name}")
+            } else {
+                format!("--{name}")
+            }
+        })
+    }
+}
+
+/// One row of [`COMMANDS`]: how a subcommand is selected, documented,
+/// scanned and turned into a [`Command`].
+pub struct CommandSpec {
+    /// The words selecting the row (`scenario run`, `analyze --workspace`).
+    pub path: &'static str,
+    /// The arguments after the path, as the usage line shows them.
+    pub synopsis: &'static str,
+    /// One line of description for the global help.
+    pub help: &'static str,
+    /// Every flag the row accepts.
+    pub flags: &'static [Flag],
+    /// The most positional arguments the row accepts.
+    pub positionals: usize,
+    /// Checks the scanned arguments and builds the command.
+    pub build: fn(&Args<'_>) -> Result<Command, String>,
+}
+
+impl CommandSpec {
+    /// `usage: decarb-cli <path> <synopsis>`: what a parse error of this
+    /// row ends with.
+    pub fn usage(&self) -> String {
+        format!("usage: decarb-cli {} {}", self.path, self.synopsis)
+            .trim_end()
+            .to_string()
+    }
+}
+
+/// One row's scanned arguments: the positionals in order and at most one
+/// occurrence of each flag.
+pub struct Args<'a> {
+    spec: &'static CommandSpec,
+    positionals: Vec<&'a str>,
+    /// One slot per entry of `spec.flags`; a given switch holds `""`.
+    values: Vec<Option<&'a str>>,
+}
+
+impl<'a> Args<'a> {
+    /// Splits `rest` into positionals and flags, rejecting unknown,
+    /// valueless and repeated flags and surplus positionals.
+    fn scan(spec: &'static CommandSpec, rest: &'a [String]) -> Result<Self, String> {
+        let mut args = Args {
+            spec,
+            positionals: Vec::new(),
+            values: vec![None; spec.flags.len()],
+        };
+        let mut tokens = rest.iter();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with('-') || token.len() == 1 {
+                if args.positionals.len() == spec.positionals {
+                    return Err(format!("unexpected argument `{token}` for `{}`", spec.path));
+                }
+                args.positionals.push(token);
+                continue;
+            }
+            let slot = spec
+                .flags
+                .iter()
+                .position(|flag| flag.spellings().any(|s| s == *token))
+                .ok_or_else(|| format!("unknown option `{token}` for `{}`", spec.path))?;
+            let value = match spec.flags[slot] {
+                Flag::Switch(_) => "",
+                Flag::Value(_) => tokens
+                    .next()
+                    .ok_or_else(|| format!("option `{token}` needs a value"))?,
+            };
+            if args.values[slot].replace(value).is_some() {
+                return Err(format!("option `{token}` given twice"));
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of flag `name` (any of its names, without dashes).
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let slot = self
+            .spec
+            .flags
+            .iter()
+            .position(|flag| flag.names().split('|').any(|n| n == name))?;
+        self.values[slot]
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.value(name).map(str::to_string)
+    }
+
+    fn required(&self, name: &str) -> Result<String, String> {
+        self.string(name)
+            .ok_or_else(|| format!("`{}` needs --{name}", self.spec.path))
+    }
+
+    fn positional(&self, index: usize, what: &str) -> Result<String, String> {
+        self.positionals
+            .get(index)
+            .map(|s| s.to_string())
+            .ok_or_else(|| format!("`{}` needs {what}", self.spec.path))
+    }
+
+    fn zone(&self) -> Result<String, String> {
+        Ok(self.positional(0, "a zone code")?.to_uppercase())
+    }
+
+    fn optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value `{raw}` for --{name}"))
+            })
+            .transpose()
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.optional(name)?.unwrap_or(default))
+    }
+
+    /// A count that must be at least 1.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.parsed(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    fn year(&self) -> Result<i32, String> {
+        let year: i32 = self.parsed("year", 2022)?;
+        if !(EPOCH_YEAR..LAST_YEAR).contains(&year) {
+            return Err(format!(
+                "--year must lie in {EPOCH_YEAR}..{}",
+                LAST_YEAR - 1
+            ));
+        }
+        Ok(year)
+    }
+}
+
+/// Every subcommand: the one source of parsing, per-row usage lines and
+/// the global help.
+pub static COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        path: "regions",
+        synopsis: "[--group G] [--year Y]",
+        help: "list regions (annual mean, daily CV)",
+        flags: &[Value("group"), Value("year")],
+        positionals: 0,
+        build: |a| {
+            Ok(Command::Regions {
+                group: a.string("group"),
+                year: a.year()?,
+            })
+        },
+    },
+    CommandSpec {
+        path: "analyze",
+        synopsis: "<ZONE> [--year Y]",
+        help: "one region's carbon profile",
+        flags: &[Value("year")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::Analyze {
+                zone: a.zone()?,
+                year: a.year()?,
+            })
+        },
+    },
+    CommandSpec {
+        path: "analyze --workspace",
+        synopsis: "[PATH] [--json]",
+        help: "run the in-tree source lints over a checkout",
+        flags: &[Switch("json")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::AnalyzeWorkspace {
+                path: a.positionals.first().unwrap_or(&".").to_string(),
+                json: a.switch("json"),
+            })
+        },
+    },
+    CommandSpec {
+        path: "plan",
+        synopsis: "<ZONE> --hours L [--slack H] [--arrive H0] [--year Y]",
+        help: "schedule one job four ways",
+        flags: &[
+            Value("hours"),
+            Value("slack"),
+            Value("arrive"),
+            Value("year"),
+        ],
+        positionals: 1,
+        build: |a| {
+            let zone = a.zone()?;
+            let hours = a.parsed("hours", 0)?;
+            if hours == 0 {
+                return Err("`plan` needs --hours ≥ 1".into());
+            }
+            Ok(Command::Plan {
+                zone,
+                hours,
+                slack: a.parsed("slack", 24)?,
+                arrive: a.parsed("arrive", 0)?,
+                year: a.year()?,
+            })
+        },
+    },
+    CommandSpec {
+        path: "forecast",
+        synopsis: "<ZONE> [--days N] [--year Y]",
+        help: "backtest all forecasters",
+        flags: &[Value("days"), Value("year")],
+        positionals: 1,
+        build: |a| {
+            let zone = a.zone()?;
+            let days = a.parsed("days", 60)?;
+            if days < 5 {
+                return Err("--days must be at least 5".into());
+            }
+            Ok(Command::Forecast {
+                zone,
+                days,
+                year: a.year()?,
+            })
+        },
+    },
+    CommandSpec {
+        path: "rank",
+        synopsis: "[--year Y]",
+        help: "rank-order stability of all regions",
+        flags: &[Value("year")],
+        positionals: 0,
+        build: |a| Ok(Command::Rank { year: a.year()? }),
+    },
+    CommandSpec {
+        path: "export",
+        synopsis: "<ZONE> [--year Y]",
+        help: "hourly trace as CSV on stdout",
+        flags: &[Value("year")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::Export {
+                zone: a.zone()?,
+                year: a.year()?,
+            })
+        },
+    },
+    CommandSpec {
+        path: "list",
+        synopsis: "",
+        help: "list registered experiments",
+        flags: &[],
+        positionals: 0,
+        build: |_| Ok(Command::List),
+    },
+    CommandSpec {
+        path: "run",
+        synopsis: "<ID|all> [--json]",
+        help: "run experiments from the registry",
+        flags: &[Switch("json")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::Run {
+                id: a.positional(0, "an experiment id or `all` (see `list`)")?,
+                json: a.switch("json"),
+            })
+        },
+    },
+    CommandSpec {
+        path: "scenario list",
+        synopsis: "",
+        help: "list the built-in scenario matrix",
+        flags: &[],
+        positionals: 0,
+        build: |_| Ok(Command::ScenarioList),
+    },
+    CommandSpec {
+        path: "scenario run",
+        synopsis: "<NAME|all|--file FILE> [--json] [--shards N --shard-index I] \
+                   [--workers K] [--strict]",
+        help: "run scenario-matrix entries in parallel",
+        flags: &[
+            Switch("json"),
+            Switch("strict"),
+            Value("file"),
+            Value("shards"),
+            Value("shard-index"),
+            Value("workers"),
+        ],
+        positionals: 1,
+        build: build_scenario_run,
+    },
+    CommandSpec {
+        path: "scenario check",
+        synopsis: "<NAME|all|--file FILE> [--json]",
+        help: "statically validate scenarios, no simulation",
+        flags: &[Switch("json"), Value("file")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::ScenarioCheck {
+                target: scenario_target(a)?,
+                json: a.switch("json"),
+            })
+        },
+    },
+    CommandSpec {
+        path: "scenario merge",
+        synopsis: "<REPORT...> [--expect all|FILE]",
+        help: "recombine shard reports into one document",
+        flags: &[Value("expect")],
+        positionals: usize::MAX,
+        build: |a| {
+            if a.positionals.is_empty() {
+                return Err("`scenario merge` needs at least one shard report path".into());
+            }
+            Ok(Command::ScenarioMerge {
+                reports: a.positionals.iter().map(|s| s.to_string()).collect(),
+                expect: a.value("expect").map(|what| match what {
+                    "all" => MergeExpect::All,
+                    file => MergeExpect::File(file.into()),
+                }),
+            })
+        },
+    },
+    CommandSpec {
+        path: "scenario history append",
+        synopsis: "--report R --file H [--rev REV]",
+        help: "record a run in the emissions series",
+        flags: &[Value("report"), Value("file"), Value("rev")],
+        positionals: 0,
+        build: |a| {
+            Ok(Command::ScenarioHistory(HistoryCommand::Append {
+                report: a.required("report")?,
+                file: a.required("file")?,
+                rev: a.string("rev"),
+            }))
+        },
+    },
+    CommandSpec {
+        path: "scenario history show",
+        synopsis: "--file H [--limit N]",
+        help: "render the emissions series as a trend",
+        flags: &[Value("file"), Value("limit")],
+        positionals: 0,
+        build: |a| {
+            Ok(Command::ScenarioHistory(HistoryCommand::Show {
+                file: a.required("file")?,
+                limit: a.parsed("limit", 0)?,
+            }))
+        },
+    },
+    CommandSpec {
+        path: "scenario history check",
+        synopsis: "--file H [--window N] [--max-drift-pct X]",
+        help: "fail on monotonic multi-commit drift",
+        flags: &[Value("file"), Value("window"), Value("max-drift-pct")],
+        positionals: 0,
+        build: |a| {
+            let file = a.required("file")?;
+            let window = a.parsed("window", 5)?;
+            if window < 2 {
+                return Err("--window must be at least 2".into());
+            }
+            let max_drift_pct: f64 = a.parsed("max-drift-pct", 1.0)?;
+            if !max_drift_pct.is_finite() || max_drift_pct < 0.0 {
+                return Err("--max-drift-pct must be non-negative".into());
+            }
+            Ok(Command::ScenarioHistory(HistoryCommand::Check {
+                file,
+                window,
+                max_drift_pct,
+            }))
+        },
+    },
+    CommandSpec {
+        path: "scenario diff",
+        synopsis: "--report R --golden G [--tolerance-pct P]",
+        help: "fail when per-scenario emissions drift",
+        flags: &[Value("report"), Value("golden"), Value("tolerance-pct")],
+        positionals: 0,
+        build: |a| {
+            let report = a.required("report")?;
+            let golden = a.required("golden")?;
+            let tolerance_pct: f64 = a.parsed("tolerance-pct", 0.1)?;
+            if !tolerance_pct.is_finite() || tolerance_pct < 0.0 {
+                return Err("--tolerance-pct must be non-negative".into());
+            }
+            Ok(Command::ScenarioDiff {
+                report,
+                golden,
+                tolerance_pct,
+            })
+        },
+    },
+    CommandSpec {
+        path: "data pack",
+        synopsis: "<CSV|builtin> [--regions FILE] [--resolution MIN] -o FILE",
+        help: "encode a dataset as a binary container (MIN divides 60)",
+        flags: &[Value("regions"), Value("resolution"), Value("o|out")],
+        positionals: 1,
+        build: |a| {
+            let source = a.positional(0, "a source CSV path or `builtin`")?;
+            let resolution = a.optional("resolution")?;
+            if let Some(minutes) = resolution {
+                // Fail on `--resolution 7` before any file is read.
+                decarb_traces::Resolution::from_minutes(minutes)?;
+            }
+            let out = a.required("out")?;
+            let regions = a.string("regions");
+            if source == "builtin" && regions.is_some() {
+                return Err("--regions only applies when packing a CSV".into());
+            }
+            Ok(Command::Data(DataCommand::Pack {
+                source,
+                regions,
+                resolution,
+                out,
+            }))
+        },
+    },
+    CommandSpec {
+        path: "data probe",
+        synopsis: "<FILE> [--json]",
+        help: "verify a container, print header facts",
+        flags: &[Switch("json")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::Data(DataCommand::Probe {
+                file: a.positional(0, "a container path")?,
+                json: a.switch("json"),
+            }))
+        },
+    },
+    CommandSpec {
+        path: "data append",
+        synopsis: "<FILE> --from CSV [--pad]",
+        help: "append new hours without rewriting history",
+        flags: &[Value("from"), Switch("pad")],
+        positionals: 1,
+        build: |a| {
+            Ok(Command::Data(DataCommand::Append {
+                file: a.positional(0, "a container path")?,
+                from: a.required("from")?,
+                pad: a.switch("pad"),
+            }))
+        },
+    },
+    CommandSpec {
+        path: "serve",
+        synopsis: "[--data FILE [--regions FILE]] [--addr HOST:PORT] [--threads N] \
+                   [--capacity-per-hour N]",
+        help: "run the placement service (HTTP API, docs/API.md)",
+        flags: &[
+            Value("data"),
+            Value("regions"),
+            Value("addr"),
+            Value("threads"),
+            Value("capacity-per-hour"),
+        ],
+        positionals: 0,
+        build: |a| {
+            let data = a.string("data");
+            let regions = a.string("regions");
+            if regions.is_some() && data.is_none() {
+                return Err("`serve --regions` needs a `--data` CSV to describe".into());
+            }
+            let capacity_per_hour = a.optional("capacity-per-hour")?;
+            if capacity_per_hour == Some(0) {
+                return Err(
+                    "--capacity-per-hour must be at least 1 (omit it for unlimited)".into(),
+                );
+            }
+            Ok(Command::Serve {
+                data,
+                regions,
+                addr: a.value("addr").unwrap_or(DEFAULT_SERVE_ADDR).into(),
+                threads: a.count("threads", 4)?,
+                capacity_per_hour,
+            })
+        },
+    },
+    CommandSpec {
+        path: "serve bench",
+        synopsis: "[--addr HOST:PORT] [--connections N] [--requests M] [--batch K] \
+                   [--mode keepalive|close] [--pipeline P] [--threads N]",
+        help: "load-test a placement server (in-process without --addr)",
+        flags: &[
+            Value("addr"),
+            Value("connections"),
+            Value("requests"),
+            Value("batch"),
+            Value("mode"),
+            Value("pipeline"),
+            Value("threads"),
+        ],
+        positionals: 0,
+        build: build_serve_bench,
+    },
+];
+
+/// `scenario run`/`scenario check` select a built-in name (or `all`)
+/// or a `--file`, exactly one of the two.
+fn scenario_target(a: &Args<'_>) -> Result<ScenarioTarget, String> {
+    match (a.positionals.first(), a.value("file")) {
+        (Some(_), Some(_)) => Err("pass a scenario name or `--file`, not both".into()),
+        (Some(name), None) => Ok(ScenarioTarget::Name(name.to_string())),
+        (None, Some(path)) => Ok(ScenarioTarget::File(path.into())),
+        (None, None) => Err(format!(
+            "`{}` needs a scenario name, `all`, or `--file FILE` (see `scenario list`)",
+            a.spec.path
+        )),
+    }
+}
+
+fn build_scenario_run(a: &Args<'_>) -> Result<Command, String> {
+    let target = scenario_target(a)?;
+    let shard = match (a.optional("shards")?, a.optional("shard-index")?) {
+        (None, None) => None,
+        (Some(0), Some(_)) => return Err("--shards must be at least 1".into()),
+        (Some(shards), Some(index)) if index >= shards => {
+            return Err(format!("--shard-index must lie in 0..{shards}"))
+        }
+        (Some(shards), Some(index)) => Some(ShardSpec { shards, index }),
+        _ => return Err("--shards and --shard-index must be given together".into()),
+    };
+    let workers = a.optional("workers")?;
+    if workers == Some(0) {
+        return Err("--workers must be at least 1".into());
+    }
+    if workers.is_some() && shard.is_some() {
+        return Err("pass --workers or --shards/--shard-index, not both".into());
+    }
+    Ok(Command::ScenarioRun {
+        target,
+        json: a.switch("json"),
+        shard,
+        workers,
+        strict: a.switch("strict"),
+    })
+}
+
+fn build_serve_bench(a: &Args<'_>) -> Result<Command, String> {
+    let pipeline = a.parsed("pipeline", 1)?;
+    if !(1..=decarb_serve::MAX_PIPELINE).contains(&pipeline) {
+        return Err(format!(
+            "--pipeline must be between 1 and {}",
+            decarb_serve::MAX_PIPELINE
+        ));
+    }
+    let keep_alive = match a.value("mode").unwrap_or("keepalive") {
+        "keepalive" => true,
+        "close" => false,
+        other => {
+            return Err(format!(
+                "invalid value `{other}` for --mode; expected keepalive|close"
+            ))
+        }
+    };
+    if !keep_alive && pipeline > 1 {
+        return Err(
+            "--pipeline needs keep-alive; a close-per-request connection carries \
+                    exactly one request"
+                .into(),
+        );
+    }
+    Ok(Command::ServeBench {
+        addr: a.string("addr"),
+        connections: a.count("connections", 4)?,
+        requests: a.count("requests", 2_000)? as u64,
+        batch: a.count("batch", 1)?,
+        keep_alive,
+        pipeline,
+        threads: a.count("threads", 4)?,
+    })
+}
+
+/// The global help after the command list.
+const HELP_FOOTER: &str = "
 defaults: --year 2022, --slack 24, --arrive 0, --days 60, --tolerance-pct 0.1
 
 global: --data FILE [--regions FILE] (first options) replaces the built-in dataset with a
@@ -338,784 +903,77 @@ global: --data FILE [--regions FILE] (first options) replaces the built-in datas
 metadata, so --regions applies to CSV only). Imported CSV traces are
 validated and repaired; containers load verbatim.
 `scenario run` accepts --data (scenario region sets must exist in the
-imported dataset); `list`, `run`, `scenario list`, and `data` do not";
+imported dataset); `list`, `run`, `scenario list`, `scenario merge`,
+`scenario history`, `scenario diff`, `analyze --workspace`, `data` and
+`serve bench` do not";
 
-/// Simple key-value option scanner: `--key value` pairs after the
-/// positional arguments.
-struct Options<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+/// The global help, generated from [`COMMANDS`].
+pub fn usage() -> String {
+    let mut out = String::from("usage: decarb-cli <command> [options]\n\ncommands:\n");
+    for spec in COMMANDS {
+        let line = format!("{:<8} {}", spec.path, spec.synopsis);
+        let line = line.trim_end();
+        if line.len() <= 36 {
+            out += &format!("  {line:<36} {}\n", spec.help);
+        } else {
+            out += &format!("  {line}\n{:39}{}\n", "", spec.help);
+        }
+    }
+    out + HELP_FOOTER
 }
 
-impl<'a> Options<'a> {
-    fn scan(rest: &'a [String]) -> Result<Self, ParseError> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].as_str();
-            if !key.starts_with("--") {
-                return Err(ParseError(format!("unexpected argument `{key}`")));
-            }
-            let Some(value) = rest.get(i + 1) else {
-                return Err(ParseError(format!("option `{key}` needs a value")));
-            };
-            pairs.push((&key[2..], value.as_str()));
-            i += 2;
-        }
-        Ok(Self { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ParseError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ParseError(format!("invalid value `{raw}` for --{key}"))),
-        }
-    }
-
-    fn year(&self) -> Result<i32, ParseError> {
-        let year: i32 = self.parsed("year", 2022)?;
-        if !(EPOCH_YEAR..LAST_YEAR).contains(&year) {
-            return Err(ParseError(format!(
-                "--year must lie in {EPOCH_YEAR}..{}",
-                LAST_YEAR - 1
-            )));
-        }
-        Ok(year)
-    }
-
-    fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ParseError> {
-        for (k, _) in &self.pairs {
-            if !allowed.contains(k) {
-                return Err(ParseError(format!("unknown option `--{k}`")));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Parses `argv` (without the program name) into a [`Command`].
+/// Parses `argv` (without the program name) into a [`Command`]. A
+/// failure ends with the usage line of the row it selected.
 pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
-    let Some(first) = argv.first() else {
-        return Ok(Command::Help);
-    };
-    if first == "--help" || first == "-h" || first == "help" {
-        return Ok(Command::Help);
+    match argv.first().map(String::as_str) {
+        None => return Err(ParseError(format!("no command given\n\n{}", usage()))),
+        Some("help" | "-h" | "--help") => return Ok(Command::Help),
+        Some(_) => {}
     }
-    match first.as_str() {
-        "regions" => {
-            let opts = Options::scan(&argv[1..])?;
-            opts.reject_unknown(&["group", "year"])?;
-            Ok(Command::Regions {
-                group: opts.get("group").map(str::to_string),
-                year: opts.year()?,
+    let (spec, rest) = route(argv)?;
+    Args::scan(spec, rest)
+        .and_then(|args| (spec.build)(&args))
+        .map_err(|message| ParseError(format!("{message}\n\n{}", spec.usage())))
+}
+
+/// Picks the row whose path is the longest prefix of `argv`; when none
+/// matches, names the deepest command group `argv` reaches and lists
+/// its rows.
+fn route(argv: &[String]) -> Result<(&'static CommandSpec, &[String]), ParseError> {
+    let depth = |spec: &CommandSpec| spec.path.split(' ').count();
+    let selected = COMMANDS
+        .iter()
+        .filter(|spec| {
+            argv.len() >= depth(spec) && spec.path.split(' ').zip(argv).all(|(w, a)| w == a)
+        })
+        .max_by_key(|spec| depth(spec));
+    if let Some(spec) = selected {
+        return Ok((spec, &argv[depth(spec)..]));
+    }
+    for reached in (1..=argv.len()).rev() {
+        let group = argv[..reached].join(" ");
+        let members: Vec<String> = COMMANDS
+            .iter()
+            .filter(|spec| {
+                spec.path
+                    .strip_prefix(group.as_str())
+                    .is_some_and(|tail| tail.starts_with(' '))
             })
+            .map(CommandSpec::usage)
+            .collect();
+        if members.is_empty() {
+            continue;
         }
-        "analyze" if argv.get(1).map(String::as_str) == Some("--workspace") => {
-            parse_analyze_workspace(&argv[2..])
-        }
-        "analyze" | "plan" | "forecast" | "export" => {
-            let Some(zone) = argv.get(1).filter(|z| !z.starts_with("--")) else {
-                return Err(ParseError(format!("`{first}` needs a zone code")));
-            };
-            let opts = Options::scan(&argv[2..])?;
-            let zone = zone.to_uppercase();
-            match first.as_str() {
-                "analyze" => {
-                    opts.reject_unknown(&["year"])?;
-                    Ok(Command::Analyze {
-                        zone,
-                        year: opts.year()?,
-                    })
-                }
-                "plan" => {
-                    opts.reject_unknown(&["hours", "slack", "arrive", "year"])?;
-                    let hours: usize = opts.parsed("hours", 0)?;
-                    if hours == 0 {
-                        return Err(ParseError("`plan` needs --hours ≥ 1".into()));
-                    }
-                    Ok(Command::Plan {
-                        zone,
-                        hours,
-                        slack: opts.parsed("slack", 24)?,
-                        arrive: opts.parsed("arrive", 0)?,
-                        year: opts.year()?,
-                    })
-                }
-                "forecast" => {
-                    opts.reject_unknown(&["days", "year"])?;
-                    let days: usize = opts.parsed("days", 60)?;
-                    if days < 5 {
-                        return Err(ParseError("--days must be at least 5".into()));
-                    }
-                    Ok(Command::Forecast {
-                        zone,
-                        days,
-                        year: opts.year()?,
-                    })
-                }
-                "export" => {
-                    opts.reject_unknown(&["year"])?;
-                    Ok(Command::Export {
-                        zone,
-                        year: opts.year()?,
-                    })
-                }
-                _ => unreachable!("outer match guards the command set"),
-            }
-        }
-        "rank" => {
-            let opts = Options::scan(&argv[1..])?;
-            opts.reject_unknown(&["year"])?;
-            Ok(Command::Rank { year: opts.year()? })
-        }
-        "serve" => parse_serve(&argv[1..]),
-        "list" => {
-            if argv.len() > 1 {
-                return Err(ParseError("`list` takes no arguments".into()));
-            }
-            Ok(Command::List)
-        }
-        "run" => {
-            let (id, json) = parse_run_like(
-                &argv[1..],
-                "run",
-                "`run` needs an experiment id or `all` (see `list`)",
-            )?;
-            Ok(Command::Run { id, json })
-        }
-        "scenario" => match argv.get(1).map(String::as_str) {
-            Some("list") => {
-                if argv.len() > 2 {
-                    return Err(ParseError("`scenario list` takes no arguments".into()));
-                }
-                Ok(Command::ScenarioList)
-            }
-            Some("run") => parse_scenario_run(&argv[2..]),
-            Some("check") => parse_scenario_check(&argv[2..]),
-            Some("merge") => parse_scenario_merge(&argv[2..]),
-            Some("history") => parse_scenario_history(&argv[2..]),
-            Some("diff") => {
-                let opts = Options::scan(&argv[2..])?;
-                opts.reject_unknown(&["report", "golden", "tolerance-pct"])?;
-                let report = opts
-                    .get("report")
-                    .ok_or_else(|| ParseError("`scenario diff` needs --report FILE".into()))?
-                    .to_string();
-                let golden = opts
-                    .get("golden")
-                    .ok_or_else(|| ParseError("`scenario diff` needs --golden FILE".into()))?
-                    .to_string();
-                let tolerance_pct: f64 = opts.parsed("tolerance-pct", 0.1)?;
-                if !tolerance_pct.is_finite() || tolerance_pct < 0.0 {
-                    return Err(ParseError("--tolerance-pct must be non-negative".into()));
-                }
-                Ok(Command::ScenarioDiff {
-                    report,
-                    golden,
-                    tolerance_pct,
-                })
-            }
-            _ => Err(ParseError(
-                "`scenario` needs a subcommand: `list`, `run <NAME|all|--file FILE>`, \
-                 `check`, `merge`, `history`, or `diff`"
-                    .into(),
-            )),
-        },
-        "data" => parse_data(&argv[1..]),
-        other => Err(ParseError(format!(
-            "unknown command `{other}` (try --help)"
-        ))),
-    }
-}
-
-/// Parses the `data pack|probe|append` container subcommands.
-fn parse_data(rest: &[String]) -> Result<Command, ParseError> {
-    match rest.first().map(String::as_str) {
-        Some("pack") => {
-            let Some(source) = rest.get(1).filter(|s| !s.starts_with('-')) else {
-                return Err(ParseError(
-                    "`data pack` needs a source CSV path or `builtin`".into(),
-                ));
-            };
-            let mut regions: Option<String> = None;
-            let mut out: Option<String> = None;
-            let mut resolution: Option<u32> = None;
-            let mut i = 2;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--regions" => {
-                        let Some(path) = rest.get(i + 1) else {
-                            return Err(ParseError("`--regions` needs a path".into()));
-                        };
-                        if regions.replace(path.clone()).is_some() {
-                            return Err(ParseError("`--regions` given twice".into()));
-                        }
-                        i += 2;
-                    }
-                    "--resolution" => {
-                        let Some(raw) = rest.get(i + 1) else {
-                            return Err(ParseError("`--resolution` needs minutes".into()));
-                        };
-                        let minutes: u32 = raw.parse().map_err(|_| {
-                            ParseError(format!("bad `--resolution {raw}` (minutes)"))
-                        })?;
-                        // Validate divisor-of-60 semantics at the edge so
-                        // `--resolution 7` fails before any file is read.
-                        decarb_traces::Resolution::from_minutes(minutes).map_err(ParseError)?;
-                        if resolution.replace(minutes).is_some() {
-                            return Err(ParseError("`--resolution` given twice".into()));
-                        }
-                        i += 2;
-                    }
-                    "-o" | "--out" => {
-                        let Some(path) = rest.get(i + 1) else {
-                            return Err(ParseError("`-o` needs an output path".into()));
-                        };
-                        if out.replace(path.clone()).is_some() {
-                            return Err(ParseError("`-o` given twice".into()));
-                        }
-                        i += 2;
-                    }
-                    other => {
-                        return Err(ParseError(format!(
-                            "unexpected argument `{other}` for `data pack`"
-                        )));
-                    }
-                }
-            }
-            let Some(out) = out else {
-                return Err(ParseError("`data pack` needs `-o FILE`".into()));
-            };
-            if source == "builtin" && regions.is_some() {
-                return Err(ParseError(
-                    "`--regions` only applies when packing a CSV".into(),
-                ));
-            }
-            Ok(Command::Data(DataCommand::Pack {
-                source: source.clone(),
-                regions,
-                resolution,
-                out,
-            }))
-        }
-        Some("probe") => {
-            let Some(file) = rest.get(1).filter(|s| !s.starts_with('-')) else {
-                return Err(ParseError("`data probe` needs a container path".into()));
-            };
-            let mut json = false;
-            for arg in &rest[2..] {
-                match arg.as_str() {
-                    "--json" => json = true,
-                    other => {
-                        return Err(ParseError(format!(
-                            "unexpected argument `{other}` for `data probe`"
-                        )));
-                    }
-                }
-            }
-            Ok(Command::Data(DataCommand::Probe {
-                file: file.clone(),
-                json,
-            }))
-        }
-        Some("append") => {
-            let Some(file) = rest.get(1).filter(|s| !s.starts_with('-')) else {
-                return Err(ParseError("`data append` needs a container path".into()));
-            };
-            let mut from: Option<String> = None;
-            let mut pad = false;
-            let mut i = 2;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--from" => {
-                        let Some(path) = rest.get(i + 1) else {
-                            return Err(ParseError("`--from` needs a CSV path".into()));
-                        };
-                        if from.replace(path.clone()).is_some() {
-                            return Err(ParseError("`--from` given twice".into()));
-                        }
-                        i += 2;
-                    }
-                    "--pad" => {
-                        pad = true;
-                        i += 1;
-                    }
-                    other => {
-                        return Err(ParseError(format!(
-                            "unexpected argument `{other}` for `data append`"
-                        )));
-                    }
-                }
-            }
-            let Some(from) = from else {
-                return Err(ParseError("`data append` needs `--from CSV`".into()));
-            };
-            Ok(Command::Data(DataCommand::Append {
-                file: file.clone(),
-                from,
-                pad,
-            }))
-        }
-        _ => Err(ParseError(
-            "`data` needs a subcommand: `pack`, `probe`, or `append`".into(),
-        )),
-    }
-}
-
-/// Parses `scenario run` arguments: a positional `<NAME|all>` or
-/// `--file PATH` (exactly one of the two), plus `--json`, `--shards N
-/// --shard-index I`, and `--workers K`, in any order.
-fn parse_scenario_run(rest: &[String]) -> Result<Command, ParseError> {
-    let mut json = false;
-    let mut strict = false;
-    let mut name: Option<String> = None;
-    let mut file: Option<String> = None;
-    let mut shards: Option<usize> = None;
-    let mut shard_index: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut i = 0;
-    // `--key VALUE` options with a numeric value, deduplicated.
-    let take_count =
-        |slot: &mut Option<usize>, key: &str, raw: Option<&String>| -> Result<(), ParseError> {
-            let Some(raw) = raw else {
-                return Err(ParseError(format!("`{key}` needs a value")));
-            };
-            let value: usize = raw
-                .parse()
-                .map_err(|_| ParseError(format!("invalid value `{raw}` for `{key}`")))?;
-            if slot.replace(value).is_some() {
-                return Err(ParseError(format!("`{key}` given twice")));
-            }
-            Ok(())
+        let problem = match argv.get(reached) {
+            None => format!("`{group}` needs a subcommand"),
+            Some(word) => format!("unknown subcommand `{word}` for `{group}`"),
         };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--strict" => {
-                strict = true;
-                i += 1;
-            }
-            "--file" => {
-                let Some(path) = rest.get(i + 1) else {
-                    return Err(ParseError("`--file` needs a path".into()));
-                };
-                if file.replace(path.clone()).is_some() {
-                    return Err(ParseError("`--file` given twice".into()));
-                }
-                i += 2;
-            }
-            "--shards" => {
-                take_count(&mut shards, "--shards", rest.get(i + 1))?;
-                i += 2;
-            }
-            "--shard-index" => {
-                take_count(&mut shard_index, "--shard-index", rest.get(i + 1))?;
-                i += 2;
-            }
-            "--workers" => {
-                take_count(&mut workers, "--workers", rest.get(i + 1))?;
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!(
-                    "unknown option `{other}` for `scenario run`"
-                )));
-            }
-            other => {
-                if name.replace(other.to_string()).is_some() {
-                    return Err(ParseError(format!(
-                        "unexpected argument `{other}` (`scenario run` takes one name)"
-                    )));
-                }
-                i += 1;
-            }
-        }
+        return Err(ParseError(format!("{problem}:\n\n{}", members.join("\n"))));
     }
-    let target = match (name, file) {
-        (Some(_), Some(_)) => {
-            return Err(ParseError(
-                "pass a scenario name or `--file`, not both".into(),
-            ))
-        }
-        (Some(name), None) => ScenarioTarget::Name(name),
-        (None, Some(path)) => ScenarioTarget::File(path),
-        (None, None) => {
-            return Err(ParseError(
-                "`scenario run` needs a scenario name, `all`, or `--file FILE` \
-                 (see `scenario list`)"
-                    .into(),
-            ))
-        }
-    };
-    let shard = match (shards, shard_index) {
-        (None, None) => None,
-        (Some(shards), Some(index)) => {
-            if shards == 0 {
-                return Err(ParseError("`--shards` must be at least 1".into()));
-            }
-            if index >= shards {
-                return Err(ParseError(format!(
-                    "`--shard-index` must lie in 0..{shards}"
-                )));
-            }
-            Some(ShardSpec { shards, index })
-        }
-        _ => {
-            return Err(ParseError(
-                "`--shards` and `--shard-index` must be given together".into(),
-            ))
-        }
-    };
-    if let Some(workers) = workers {
-        if workers == 0 {
-            return Err(ParseError("`--workers` must be at least 1".into()));
-        }
-        if shard.is_some() {
-            return Err(ParseError(
-                "pass `--workers` or `--shards`/`--shard-index`, not both".into(),
-            ));
-        }
-    }
-    Ok(Command::ScenarioRun {
-        target,
-        json,
-        shard,
-        workers,
-        strict,
-    })
-}
-
-/// Parses `scenario check`: a positional `<NAME|all>` or `--file PATH`
-/// (exactly one of the two), plus `--json`, in any order.
-fn parse_scenario_check(rest: &[String]) -> Result<Command, ParseError> {
-    let mut json = false;
-    let mut name: Option<String> = None;
-    let mut file: Option<String> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--file" => {
-                let Some(path) = rest.get(i + 1) else {
-                    return Err(ParseError("`--file` needs a path".into()));
-                };
-                if file.replace(path.clone()).is_some() {
-                    return Err(ParseError("`--file` given twice".into()));
-                }
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!(
-                    "unknown option `{other}` for `scenario check`"
-                )));
-            }
-            other => {
-                if name.replace(other.to_string()).is_some() {
-                    return Err(ParseError(format!(
-                        "unexpected argument `{other}` (`scenario check` takes one name)"
-                    )));
-                }
-                i += 1;
-            }
-        }
-    }
-    let target = match (name, file) {
-        (Some(_), Some(_)) => {
-            return Err(ParseError(
-                "pass a scenario name or `--file`, not both".into(),
-            ))
-        }
-        (Some(name), None) => ScenarioTarget::Name(name),
-        (None, Some(path)) => ScenarioTarget::File(path),
-        (None, None) => {
-            return Err(ParseError(
-                "`scenario check` needs a scenario name, `all`, or `--file FILE` \
-                 (see `scenario list`)"
-                    .into(),
-            ))
-        }
-    };
-    Ok(Command::ScenarioCheck { target, json })
-}
-
-/// Parses `analyze --workspace [PATH] [--json]` (the `--workspace`
-/// token is already consumed).
-fn parse_analyze_workspace(rest: &[String]) -> Result<Command, ParseError> {
-    let mut json = false;
-    let mut path: Option<String> = None;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!(
-                    "unknown option `{other}` for `analyze --workspace`"
-                )));
-            }
-            other => {
-                if path.replace(other.to_string()).is_some() {
-                    return Err(ParseError(
-                        "`analyze --workspace` takes at most one path".into(),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(Command::AnalyzeWorkspace {
-        path: path.unwrap_or_else(|| ".".into()),
-        json,
-    })
-}
-
-/// The default bind address of `serve`.
-pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:8980";
-
-/// Parses `serve [--data FILE [--regions FILE]] [--addr HOST:PORT]
-/// [--threads N] [--capacity-per-hour N]` and the `serve bench`
-/// subcommand.
-fn parse_serve(rest: &[String]) -> Result<Command, ParseError> {
-    if rest.first().map(String::as_str) == Some("bench") {
-        return parse_serve_bench(&rest[1..]);
-    }
-    let opts = Options::scan(rest)?;
-    opts.reject_unknown(&["data", "regions", "addr", "threads", "capacity-per-hour"])?;
-    let data = opts.get("data").map(str::to_string);
-    let regions = opts.get("regions").map(str::to_string);
-    if regions.is_some() && data.is_none() {
-        return Err(ParseError(
-            "`serve --regions` needs a `--data` CSV to describe".into(),
-        ));
-    }
-    let threads: usize = opts.parsed("threads", 4)?;
-    if threads == 0 {
-        return Err(ParseError("--threads must be at least 1".into()));
-    }
-    let capacity_per_hour = match opts.get("capacity-per-hour") {
-        None => None,
-        Some(raw) => {
-            let capacity: usize = raw.parse().map_err(|_| {
-                ParseError(format!("invalid value `{raw}` for --capacity-per-hour"))
-            })?;
-            if capacity == 0 {
-                return Err(ParseError(
-                    "--capacity-per-hour must be at least 1 (omit it for unlimited)".into(),
-                ));
-            }
-            Some(capacity)
-        }
-    };
-    Ok(Command::Serve {
-        data,
-        regions,
-        addr: opts.get("addr").unwrap_or(DEFAULT_SERVE_ADDR).to_string(),
-        threads,
-        capacity_per_hour,
-    })
-}
-
-/// Parses `serve bench [--addr HOST:PORT] [--connections N]
-/// [--requests M] [--batch K] [--mode keepalive|close] [--pipeline P]
-/// [--threads N]`.
-fn parse_serve_bench(rest: &[String]) -> Result<Command, ParseError> {
-    let opts = Options::scan(rest)?;
-    opts.reject_unknown(&[
-        "addr",
-        "connections",
-        "requests",
-        "batch",
-        "mode",
-        "pipeline",
-        "threads",
-    ])?;
-    let connections: usize = opts.parsed("connections", 4)?;
-    let requests: u64 = opts.parsed("requests", 2_000)?;
-    let batch: usize = opts.parsed("batch", 1)?;
-    if connections == 0 || requests == 0 || batch == 0 {
-        return Err(ParseError(
-            "--connections, --requests, and --batch must be at least 1".into(),
-        ));
-    }
-    let pipeline: usize = opts.parsed("pipeline", 1)?;
-    if !(1..=decarb_serve::MAX_PIPELINE).contains(&pipeline) {
-        return Err(ParseError(format!(
-            "--pipeline must be between 1 and {}",
-            decarb_serve::MAX_PIPELINE
-        )));
-    }
-    let keep_alive = match opts.get("mode").unwrap_or("keepalive") {
-        "keepalive" => true,
-        "close" => false,
-        other => {
-            return Err(ParseError(format!(
-                "invalid value `{other}` for --mode; expected keepalive|close"
-            )))
-        }
-    };
-    if !keep_alive && pipeline > 1 {
-        return Err(ParseError(
-            "--pipeline needs keep-alive; a close-per-request connection carries \
-             exactly one request"
-                .into(),
-        ));
-    }
-    let threads: usize = opts.parsed("threads", 4)?;
-    if threads == 0 {
-        return Err(ParseError("--threads must be at least 1".into()));
-    }
-    Ok(Command::ServeBench {
-        addr: opts.get("addr").map(str::to_string),
-        connections,
-        requests,
-        batch,
-        keep_alive,
-        pipeline,
-        threads,
-    })
-}
-
-/// Parses `scenario merge`: one or more report paths plus an optional
-/// `--expect all|FILE` completeness check.
-fn parse_scenario_merge(rest: &[String]) -> Result<Command, ParseError> {
-    let mut reports: Vec<String> = Vec::new();
-    let mut expect: Option<MergeExpect> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--expect" => {
-                let Some(what) = rest.get(i + 1) else {
-                    return Err(ParseError(
-                        "`--expect` needs `all` or a scenario file".into(),
-                    ));
-                };
-                let parsed = if what == "all" {
-                    MergeExpect::All
-                } else {
-                    MergeExpect::File(what.clone())
-                };
-                if expect.replace(parsed).is_some() {
-                    return Err(ParseError("`--expect` given twice".into()));
-                }
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!(
-                    "unknown option `{other}` for `scenario merge`"
-                )));
-            }
-            path => {
-                reports.push(path.to_string());
-                i += 1;
-            }
-        }
-    }
-    if reports.is_empty() {
-        return Err(ParseError(
-            "`scenario merge` needs at least one shard report path".into(),
-        ));
-    }
-    Ok(Command::ScenarioMerge { reports, expect })
-}
-
-/// Parses `scenario history append|show`.
-fn parse_scenario_history(rest: &[String]) -> Result<Command, ParseError> {
-    match rest.first().map(String::as_str) {
-        Some("append") => {
-            let opts = Options::scan(&rest[1..])?;
-            opts.reject_unknown(&["report", "file", "rev"])?;
-            let report = opts
-                .get("report")
-                .ok_or_else(|| ParseError("`scenario history append` needs --report FILE".into()))?
-                .to_string();
-            let file = opts
-                .get("file")
-                .ok_or_else(|| ParseError("`scenario history append` needs --file FILE".into()))?
-                .to_string();
-            Ok(Command::ScenarioHistory(HistoryCommand::Append {
-                report,
-                file,
-                rev: opts.get("rev").map(str::to_string),
-            }))
-        }
-        Some("show") => {
-            let opts = Options::scan(&rest[1..])?;
-            opts.reject_unknown(&["file", "limit"])?;
-            let file = opts
-                .get("file")
-                .ok_or_else(|| ParseError("`scenario history show` needs --file FILE".into()))?
-                .to_string();
-            Ok(Command::ScenarioHistory(HistoryCommand::Show {
-                file,
-                limit: opts.parsed("limit", 0)?,
-            }))
-        }
-        Some("check") => {
-            let opts = Options::scan(&rest[1..])?;
-            opts.reject_unknown(&["file", "window", "max-drift-pct"])?;
-            let file = opts
-                .get("file")
-                .ok_or_else(|| ParseError("`scenario history check` needs --file FILE".into()))?
-                .to_string();
-            let window: usize = opts.parsed("window", 5)?;
-            if window < 2 {
-                return Err(ParseError("`--window` must be at least 2".into()));
-            }
-            let max_drift_pct: f64 = opts.parsed("max-drift-pct", 1.0)?;
-            if !max_drift_pct.is_finite() || max_drift_pct < 0.0 {
-                return Err(ParseError("`--max-drift-pct` must be non-negative".into()));
-            }
-            Ok(Command::ScenarioHistory(HistoryCommand::Check {
-                file,
-                window,
-                max_drift_pct,
-            }))
-        }
-        _ => Err(ParseError(
-            "`scenario history` needs a subcommand: `append`, `show`, or `check`".into(),
-        )),
-    }
-}
-
-/// Shared `<NAME|all> [--json]` parsing for `run`;
-/// flags and the positional may come in either order.
-fn parse_run_like(
-    rest: &[String],
-    command: &str,
-    missing: &str,
-) -> Result<(String, bool), ParseError> {
-    let mut json = false;
-    let mut name: Option<&String> = None;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if other.starts_with("--") => {
-                return Err(ParseError(format!(
-                    "unknown option `{other}` for `{command}`"
-                )));
-            }
-            _ => {
-                if name.is_some() {
-                    return Err(ParseError(format!(
-                        "unexpected argument `{arg}` (`{command}` takes one name)"
-                    )));
-                }
-                name = Some(arg);
-            }
-        }
-    }
-    let Some(name) = name else {
-        return Err(ParseError(missing.into()));
-    };
-    Ok((name.clone(), json))
+    Err(ParseError(format!(
+        "unknown command `{}` (try --help)\n\nusage: decarb-cli <command> [options]",
+        argv[0]
+    )))
 }
 
 #[cfg(test)]
@@ -1128,8 +986,11 @@ mod tests {
 
     #[test]
     fn empty_and_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
+        // No command at all is a usage error carrying the global help.
+        let ParseError(message) = parse(&[]).unwrap_err();
+        assert!(message.contains(&usage()), "{message}");
         assert_eq!(parse(&argv(&["--help"])).unwrap(), Command::Help);
+        assert_eq!(parse(&argv(&["-h"])).unwrap(), Command::Help);
         assert_eq!(parse(&argv(&["help"])).unwrap(), Command::Help);
     }
 
@@ -1324,6 +1185,9 @@ mod tests {
         assert!(parse(&argv(&["regions", "stray"])).is_err());
         assert!(parse(&argv(&["regions", "--year", "twenty"])).is_err());
         assert!(parse(&argv(&["frobnicate"])).is_err());
+        // A repeated flag is an error, not a silent first-wins.
+        assert!(parse(&argv(&["regions", "--year", "2021", "--year", "2022"])).is_err());
+        assert!(parse(&argv(&["serve", "--threads", "2", "--threads", "3"])).is_err());
     }
 
     #[test]
@@ -1895,6 +1759,41 @@ mod tests {
         assert!(parse(&argv(&["data", "probe", "d.dct", "extra"])).is_err());
         assert!(parse(&argv(&["data", "append", "d.dct"])).is_err());
         assert!(parse(&argv(&["data", "append", "d.dct", "--from"])).is_err());
+    }
+
+    /// The help cannot drift from the parser: every flag a row's
+    /// synopsis shows is one it accepts and vice versa, every row is in
+    /// the global help, and its bare path routes back to it.
+    #[test]
+    fn command_table_agrees_with_synopses_help_and_routing() {
+        let help = usage();
+        for spec in COMMANDS {
+            let shown: Vec<&str> = spec
+                .synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.len() > 1 && word.starts_with('-'))
+                .collect();
+            for word in &shown {
+                assert!(
+                    spec.flags.iter().any(|f| f.spellings().any(|s| s == *word)),
+                    "`{}` shows {word} but does not accept it",
+                    spec.path
+                );
+            }
+            for flag in spec.flags {
+                assert!(
+                    flag.spellings().any(|s| shown.contains(&s.as_str())),
+                    "`{}` accepts {flag:?} but its synopsis omits it",
+                    spec.path
+                );
+            }
+            let line = format!("{:<8} {}", spec.path, spec.synopsis);
+            assert!(help.contains(line.trim_end()), "help omits `{}`", spec.path);
+            let bare: Vec<String> = spec.path.split(' ').map(String::from).collect();
+            if let Err(ParseError(message)) = parse(&bare) {
+                assert!(message.ends_with(&spec.usage()), "{message}");
+            }
+        }
     }
 
     #[test]

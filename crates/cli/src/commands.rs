@@ -21,9 +21,7 @@ use decarb_traces::{container, csv, TraceError, TraceSet};
 
 use decarb_sim::sweep::SweepPlan;
 
-use crate::args::{
-    Command, DataCommand, MergeExpect, ParseError, ScenarioTarget, ShardSpec, USAGE,
-};
+use crate::args::{DataCommand, MergeExpect, ParseError, ScenarioTarget, ShardSpec};
 
 /// A CLI failure: bad arguments, a data-layer error, an output error,
 /// or a failed check (e.g. `scenario diff` drift).
@@ -42,7 +40,7 @@ pub enum CliError {
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CliError::Parse(e) => write!(f, "{e}\n\n{USAGE}"),
+            CliError::Parse(e) => write!(f, "{e}"),
             CliError::Trace(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Check(message) => write!(f, "{message}"),
@@ -61,78 +59,6 @@ impl From<TraceError> for CliError {
 impl From<io::Error> for CliError {
     fn from(e: io::Error) -> Self {
         CliError::Io(e)
-    }
-}
-
-/// Runs a parsed command against an explicit dataset (the built-in one in
-/// [`crate::run`], an imported one under `--data`).
-///
-/// `list`, `run`, `scenario list`, and `scenario diff` are registry or
-/// file commands with no dataset parameter; they are routed directly by
-/// [`crate::run`] and error here rather than silently ignoring `data`.
-/// `scenario run` *does* take the dataset: user scenario files (and the
-/// built-in matrix) run against `--data` imports as long as every
-/// deployed zone is covered.
-pub fn run_on(command: &Command, data: &TraceSet) -> Result<String, CliError> {
-    match command {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Regions { group, year } => regions(data, group.as_deref(), *year),
-        Command::Analyze { zone, year } => analyze(data, zone, *year),
-        Command::Plan {
-            zone,
-            hours,
-            slack,
-            arrive,
-            year,
-        } => plan(data, zone, *hours, *slack, *arrive, *year),
-        Command::Forecast { zone, days, year } => forecast(data, zone, *days, *year),
-        Command::Rank { year } => rank(data, *year),
-        Command::Export { zone, year } => export(data, zone, *year),
-        Command::ScenarioCheck { target, json } => scenario_check_cmd(target, *json, data),
-        Command::ScenarioRun {
-            target,
-            json,
-            shard,
-            workers,
-            strict,
-        } => {
-            // `run_on` has the loaded dataset but not the `--data` path,
-            // so it cannot tell the child processes what to re-import —
-            // spawning them against the built-in dataset would silently
-            // answer a different question. The dispatch entry points
-            // thread the path through and handle `--workers` themselves.
-            if workers.is_some() {
-                return Err(CliError::Parse(ParseError(
-                    "`--workers` needs the CLI entry point (dispatch) to forward the \
-                     --data path to its child processes; use dispatch, or run the shards \
-                     in-process with --shards/--shard-index"
-                        .into(),
-                )));
-            }
-            run_scenarios_cmd(target, *json, *shard, None, *strict, None, data)
-        }
-        Command::Serve { .. } => Err(CliError::Parse(ParseError(
-            "`serve` is a long-running daemon; it is handled by the CLI entry              point (dispatch_stream), which streams the listening address              before blocking"
-                .into(),
-        ))),
-        Command::ServeBench { .. } => Err(CliError::Parse(ParseError(
-            "`serve bench` drives a server, not a dataset; drop --data (point \
-             --addr at a server that was started with the dataset you want)"
-                .into(),
-        ))),
-        Command::List
-        | Command::Run { .. }
-        | Command::ScenarioList
-        | Command::ScenarioMerge { .. }
-        | Command::ScenarioHistory(_)
-        | Command::ScenarioDiff { .. }
-        | Command::AnalyzeWorkspace { .. }
-        | Command::Data(_) => Err(CliError::Parse(ParseError(
-            "`list`, `run`, `scenario list`, `scenario merge`, `scenario history`, \
-             `scenario diff`, and `analyze --workspace` always use the built-in dataset, \
-             and `data` commands name their files explicitly; drop --data"
-                .into(),
-        ))),
     }
 }
 
@@ -536,32 +462,6 @@ pub(crate) fn run_scenarios_to(
         Some(e) => Err(CliError::Io(e)),
         None => Ok(()),
     }
-}
-
-/// Buffered variant of [`run_scenarios_to`] for the `String`-rendering
-/// dispatch path (and its tests).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scenarios_cmd(
-    target: &ScenarioTarget,
-    json: bool,
-    shard: Option<ShardSpec>,
-    workers: Option<usize>,
-    strict: bool,
-    data_path: Option<DataPaths<'_>>,
-    data: &TraceSet,
-) -> Result<String, CliError> {
-    let mut buffer = Vec::new();
-    run_scenarios_to(
-        &mut buffer,
-        target,
-        json,
-        shard,
-        workers,
-        strict,
-        data_path,
-        data,
-    )?;
-    Ok(String::from_utf8(buffer).expect("scenario output is UTF-8"))
 }
 
 /// Resolves a target to its static-check diagnostics, or `None` when
@@ -1114,7 +1014,7 @@ fn year_values<'a>(data: &'a TraceSet, zone: &str, year: i32) -> Result<&'a [f64
         .window(year_start(year), hours_in_year(year))?)
 }
 
-fn regions(data: &TraceSet, group: Option<&str>, year: i32) -> Result<String, CliError> {
+pub(crate) fn regions(data: &TraceSet, group: Option<&str>, year: i32) -> Result<String, CliError> {
     let needle = group.map(str::to_lowercase);
     let mut rows: Vec<(&str, &str, f64, f64)> = Vec::new();
     for (region, _) in data.iter() {
@@ -1152,7 +1052,7 @@ fn regions(data: &TraceSet, group: Option<&str>, year: i32) -> Result<String, Cl
     Ok(out)
 }
 
-fn analyze(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
+pub(crate) fn analyze(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
     let region = data.region(zone)?;
     let series = data.series(zone)?;
     // Imported datasets (`--data`) may not cover the whole requested
@@ -1214,7 +1114,7 @@ fn analyze(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn plan(
+pub(crate) fn plan(
     data: &TraceSet,
     zone: &str,
     hours: usize,
@@ -1322,7 +1222,12 @@ fn plan(
     Ok(out)
 }
 
-fn forecast(data: &TraceSet, zone: &str, days: usize, year: i32) -> Result<String, CliError> {
+pub(crate) fn forecast(
+    data: &TraceSet,
+    zone: &str,
+    days: usize,
+    year: i32,
+) -> Result<String, CliError> {
     let series = data.series(zone)?;
     let eval_start = year_start(year);
     let eval_hours = (days * 24).min(hours_in_year(year));
@@ -1351,7 +1256,7 @@ fn forecast(data: &TraceSet, zone: &str, days: usize, year: i32) -> Result<Strin
     Ok(out)
 }
 
-fn rank(data: &TraceSet, year: i32) -> Result<String, CliError> {
+pub(crate) fn rank(data: &TraceSet, year: i32) -> Result<String, CliError> {
     let s = rank_stability(data, year, 73, 5);
     let mut out = String::new();
     let _ = writeln!(out, "rank-order stability, {} regions, {year}", data.len());
@@ -1383,7 +1288,7 @@ fn rank(data: &TraceSet, year: i32) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn export(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
+pub(crate) fn export(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
     let series = data
         .series(zone)?
         .slice(year_start(year), hours_in_year(year))?;
@@ -1395,7 +1300,32 @@ fn export(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch;
+    use crate::{dispatch, Command};
+
+    /// Executes `command` against `data` as an imported dataset.
+    fn run_on(command: &Command, data: &TraceSet) -> Result<String, CliError> {
+        let imported = Some(("<memory>".to_string(), None, data.clone()));
+        let mut out = Vec::new();
+        crate::execute(command, &imported, &mut out)?;
+        Ok(String::from_utf8(out).unwrap().trim_end().to_string())
+    }
+
+    /// [`run_scenarios_to`] buffered into a `String`.
+    fn run_scenarios_cmd(
+        target: &ScenarioTarget,
+        json: bool,
+        shard: Option<ShardSpec>,
+        workers: Option<usize>,
+        strict: bool,
+        data_path: Option<DataPaths<'_>>,
+        data: &TraceSet,
+    ) -> Result<String, CliError> {
+        let mut out = Vec::new();
+        run_scenarios_to(
+            &mut out, target, json, shard, workers, strict, data_path, data,
+        )?;
+        Ok(String::from_utf8(out).unwrap())
+    }
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -1403,8 +1333,12 @@ mod tests {
 
     #[test]
     fn help_shows_usage() {
-        let out = dispatch(&[]).unwrap();
+        let out = dispatch(&argv(&["help"])).unwrap();
         assert!(out.contains("usage: decarb-cli"));
+        // No command at all is a usage error, not help.
+        let err = dispatch(&[]).unwrap_err();
+        assert!(matches!(err, CliError::Parse(_)));
+        assert!(format!("{err}").contains("usage: decarb-cli"));
     }
 
     #[test]

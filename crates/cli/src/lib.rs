@@ -1,32 +1,11 @@
 //! `decarb-cli` — a command-line interface to the carbon-aware scheduling
 //! toolkit.
 //!
-//! Every subcommand is a pure function from parsed arguments to a
-//! rendered `String` (so the whole surface is unit-testable); `main` only
-//! parses `argv` and prints. Subcommands:
-//!
-//! | command | what it does |
-//! |---------|--------------|
-//! | `regions [--group G] [--year Y]` | list regions with annual mean and daily CV |
-//! | `analyze <ZONE> [--year Y]` | one region's profile: mean, CV, extremes, periodicity, seasonal strength, drift |
-//! | `plan <ZONE> --hours L [--slack H] [--arrive H0]` | cost of run-now / defer / interrupt / migrate for one job |
-//! | `forecast <ZONE> [--days N] [--year Y]` | backtest all forecasters on the region |
-//! | `rank [--year Y]` | rank-order stability of the global region set |
-//! | `export <ZONE> [--year Y]` | CSV of the region's hourly trace to stdout |
-//! | `list` | enumerate the experiment registry |
-//! | `run <ID\|all> [--json]` | run experiments through the shared registry |
-//! | `scenario list` | enumerate the built-in scenario matrix |
-//! | `scenario run <NAME\|all> [--json]` | run scenario-matrix entries in parallel |
-//! | `scenario run ... --shards N --shard-index I` | run one disjoint shard of the sweep plan |
-//! | `scenario run ... --workers K` | fan the sweep out over K child shard processes |
-//! | `scenario check <NAME\|all\|--file FILE>` | statically validate scenarios without simulating |
-//! | `analyze --workspace [PATH]` | run the in-tree source lints over a checkout |
-//! | `scenario merge <REPORT...> [--expect all\|FILE]` | recombine shard reports into one document |
-//! | `scenario history append\|show` | record / render the per-run emissions series |
-//! | `scenario history check --file H` | fail on monotonic multi-commit emissions drift |
-//! | `scenario diff --report R --golden G` | gate per-scenario emissions drift |
-//! | `serve [--data FILE] [--addr A] [--threads N] [--capacity-per-hour N]` | run the placement service (HTTP API; docs/API.md) |
-//! | `serve bench [--addr A] [--connections N] [--requests M] [--batch K] [--mode keepalive\|close] [--pipeline P]` | load-test a placement server |
+//! [`args::COMMANDS`] is the command table: it parses `argv` into a
+//! [`Command`] and renders the help (`decarb-cli help` lists every
+//! subcommand). [`execute`] runs a parsed command, writing its output to
+//! any `io::Write` sink, so the whole surface is unit-testable; `main`
+//! only splits off `--data`, parses and executes.
 //!
 //! A leading global option `--data FILE [--regions FILE]` replaces the
 //! built-in synthetic dataset with a `zone,hour,value` CSV (e.g. a real
@@ -42,6 +21,9 @@
 //! carry their own region metadata and load verbatim, integrity-checked
 //! by their content hash.
 
+use std::cell::OnceCell;
+use std::io::Write;
+
 use decarb_traces::{
     builtin_dataset, container, csv, repair, validate, TraceSet, ValidationConfig,
 };
@@ -51,77 +33,11 @@ pub mod commands;
 mod fanout;
 
 pub use args::{
-    parse, Command, DataCommand, HistoryCommand, MergeExpect, ParseError, ScenarioTarget, ShardSpec,
+    parse, usage, Command, DataCommand, HistoryCommand, MergeExpect, ParseError, ScenarioTarget,
+    ShardSpec,
 };
-pub use commands::{run_on, CliError};
-
-/// Runs a parsed command against the built-in dataset.
-pub fn run(command: &Command) -> Result<String, CliError> {
-    match command {
-        // Registry and file commands take no dataset; route them
-        // directly.
-        Command::List => Ok(commands::list()),
-        Command::Run { id, json } => commands::run_experiments(id, *json),
-        Command::ScenarioList => Ok(commands::scenario_list()),
-        Command::ScenarioMerge { reports, expect } => {
-            commands::scenario_merge(reports, expect.as_ref())
-        }
-        Command::ScenarioHistory(HistoryCommand::Append { report, file, rev }) => {
-            commands::scenario_history_append(report, file, rev.as_deref())
-        }
-        Command::ScenarioHistory(HistoryCommand::Show { file, limit }) => {
-            commands::scenario_history_show(file, *limit)
-        }
-        Command::ScenarioHistory(HistoryCommand::Check {
-            file,
-            window,
-            max_drift_pct,
-        }) => commands::scenario_history_check(file, *window, *max_drift_pct),
-        Command::ScenarioDiff {
-            report,
-            golden,
-            tolerance_pct,
-        } => commands::scenario_diff(report, golden, *tolerance_pct),
-        Command::Data(cmd) => commands::data_cmd(cmd),
-        Command::AnalyzeWorkspace { path, json } => commands::analyze_workspace_cmd(path, *json),
-        Command::ServeBench {
-            addr,
-            connections,
-            requests,
-            batch,
-            keep_alive,
-            pipeline,
-            threads,
-        } => commands::serve_bench_cmd(
-            addr.as_deref(),
-            *connections,
-            *requests,
-            *batch,
-            *keep_alive,
-            *pipeline,
-            *threads,
-        ),
-        // `run_on` rejects `--workers` because it cannot know what
-        // `--data` path its children should re-import; here the dataset
-        // is the built-in one, which children load by default.
-        Command::ScenarioRun {
-            target,
-            json,
-            shard,
-            workers,
-            strict,
-        } => commands::run_scenarios_cmd(
-            target,
-            *json,
-            *shard,
-            *workers,
-            *strict,
-            None,
-            &builtin_dataset(),
-        ),
-        other => run_on(other, &builtin_dataset()),
-    }
-}
+pub use commands::CliError;
+use commands::DataPaths;
 
 /// Loads a `--data` dataset: a binary trace container (detected by its
 /// magic bytes) or a `zone,hour,value` CSV.
@@ -191,7 +107,7 @@ pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, 
 /// (`--data`, optional `--regions` sidecar) — the paths ride along so
 /// the multi-process fan-out can re-import the same dataset in its
 /// child processes.
-type ImportedData = Option<(String, Option<String>, TraceSet)>;
+pub type ImportedData = Option<(String, Option<String>, TraceSet)>;
 
 /// Splits the global `--data FILE [--regions FILE]` options off `argv`,
 /// loading the dataset (plus the optional metadata sidecar) when
@@ -226,104 +142,173 @@ fn split_data(argv: &[String]) -> Result<(ImportedData, &[String]), CliError> {
     }
 }
 
-/// Binds a `scenario run` to its dataset: the imported `--data` pair
-/// when present (paths forwarded so worker children re-import it), else
-/// the built-in set with no path.
-fn with_scenario_dataset<R>(
+impl Command {
+    /// Whether the command reads a dataset, and so accepts `--data`.
+    fn reads_dataset(&self) -> bool {
+        !matches!(
+            self,
+            Command::List
+                | Command::Run { .. }
+                | Command::ScenarioList
+                | Command::ScenarioMerge { .. }
+                | Command::ScenarioHistory(_)
+                | Command::ScenarioDiff { .. }
+                | Command::AnalyzeWorkspace { .. }
+                | Command::Data(_)
+                | Command::ServeBench { .. }
+        )
+    }
+}
+
+/// Runs a parsed command against the imported `--data` dataset, or the
+/// built-in one, writing its output to `out`. `scenario run` streams
+/// each report as its parallel chunk completes, and `serve` prints its
+/// address and then blocks in the accept loop.
+pub fn execute(
+    command: &Command,
     data: &ImportedData,
-    f: impl FnOnce(Option<commands::DataPaths<'_>>, &TraceSet) -> R,
-) -> R {
-    match data {
-        Some((path, regions, set)) => f(
-            Some(commands::DataPaths {
-                data: path,
-                regions: regions.as_deref(),
-            }),
-            set,
-        ),
-        None => f(None, &builtin_dataset()),
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    if data.is_some() && !command.reads_dataset() {
+        return Err(CliError::Parse(ParseError(
+            "--data replaces the built-in dataset, which this command does not read; drop --data"
+                .into(),
+        )));
     }
-}
-
-/// Entry point shared by `main` and the tests: parse, run, render.
-///
-/// Recognizes the global `--data FILE` option before the command.
-pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let (data, rest) = split_data(argv)?;
-    let command = parse(rest).map_err(CliError::Parse)?;
-    if let Command::ScenarioRun {
-        target,
-        json,
-        shard,
-        workers,
-        strict,
-    } = &command
-    {
-        return with_scenario_dataset(&data, |path, set| {
-            commands::run_scenarios_cmd(target, *json, *shard, *workers, *strict, path, set)
-        });
-    }
-    match data {
-        Some((_, _, set)) => run_on(&command, &set),
-        None => run(&command),
-    }
-}
-
-/// [`dispatch`] writing straight to `out` instead of buffering a
-/// `String`. `scenario run` streams each report as its parallel chunk
-/// completes — a thousand-scenario `--json` sweep starts emitting
-/// after the first chunk instead of after the whole matrix. All other
-/// commands render exactly the bytes [`dispatch`] would print.
-pub fn dispatch_stream(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let (data, rest) = split_data(argv)?;
-    let command = parse(rest).map_err(CliError::Parse)?;
-    if let Command::Serve {
-        data: serve_data,
-        regions,
-        addr,
-        threads,
-        capacity_per_hour,
-    } = &command
-    {
-        // `serve` accepts its dataset both as the global leading
-        // `--data` and as its own option; either spelling reloads from
-        // the same path on `POST /v1/reload`.
-        let paths: Option<commands::DataPaths<'_>> = match (&data, serve_data) {
-            (Some(_), Some(_)) => {
-                return Err(CliError::Parse(ParseError(
-                    "--data given twice (global and `serve --data`); pass it once".into(),
-                )))
-            }
-            (Some((path, regions_path, _)), None) => Some(commands::DataPaths {
-                data: path,
-                regions: regions_path.as_deref(),
-            }),
-            (None, Some(path)) => Some(commands::DataPaths {
-                data: path,
-                regions: regions.as_deref(),
-            }),
-            (None, None) => None,
-        };
-        return commands::serve_cmd(out, paths, addr, *threads, *capacity_per_hour);
-    }
-    if let Command::ScenarioRun {
-        target,
-        json,
-        shard,
-        workers,
-        strict,
-    } = &command
-    {
-        with_scenario_dataset(&data, |path, set| {
-            commands::run_scenarios_to(out, target, *json, *shard, *workers, *strict, path, set)
-        })?;
-        writeln!(out)?;
-        return Ok(());
-    }
-    let text = match data {
-        Some((_, _, set)) => run_on(&command, &set),
-        None => run(&command),
-    }?;
+    // Synthesized on first use, so dataset-free commands never pay for it.
+    let builtin = OnceCell::new();
+    let dataset = || match data {
+        Some((_, _, set)) => set,
+        None => &**builtin.get_or_init(builtin_dataset),
+    };
+    let paths = data.as_ref().map(|(path, regions, _)| DataPaths {
+        data: path,
+        regions: regions.as_deref(),
+    });
+    let text = match command {
+        Command::Help => usage(),
+        Command::Regions { group, year } => commands::regions(dataset(), group.as_deref(), *year)?,
+        Command::Analyze { zone, year } => commands::analyze(dataset(), zone, *year)?,
+        Command::Plan {
+            zone,
+            hours,
+            slack,
+            arrive,
+            year,
+        } => commands::plan(dataset(), zone, *hours, *slack, *arrive, *year)?,
+        Command::Forecast { zone, days, year } => {
+            commands::forecast(dataset(), zone, *days, *year)?
+        }
+        Command::Rank { year } => commands::rank(dataset(), *year)?,
+        Command::Export { zone, year } => commands::export(dataset(), zone, *year)?,
+        Command::List => commands::list(),
+        Command::Run { id, json } => commands::run_experiments(id, *json)?,
+        Command::ScenarioList => commands::scenario_list(),
+        Command::ScenarioRun {
+            target,
+            json,
+            shard,
+            workers,
+            strict,
+        } => {
+            commands::run_scenarios_to(
+                out,
+                target,
+                *json,
+                *shard,
+                *workers,
+                *strict,
+                paths,
+                dataset(),
+            )?;
+            String::new()
+        }
+        Command::ScenarioCheck { target, json } => {
+            commands::scenario_check_cmd(target, *json, dataset())?
+        }
+        Command::ScenarioMerge { reports, expect } => {
+            commands::scenario_merge(reports, expect.as_ref())?
+        }
+        Command::ScenarioHistory(HistoryCommand::Append { report, file, rev }) => {
+            commands::scenario_history_append(report, file, rev.as_deref())?
+        }
+        Command::ScenarioHistory(HistoryCommand::Show { file, limit }) => {
+            commands::scenario_history_show(file, *limit)?
+        }
+        Command::ScenarioHistory(HistoryCommand::Check {
+            file,
+            window,
+            max_drift_pct,
+        }) => commands::scenario_history_check(file, *window, *max_drift_pct)?,
+        Command::ScenarioDiff {
+            report,
+            golden,
+            tolerance_pct,
+        } => commands::scenario_diff(report, golden, *tolerance_pct)?,
+        Command::Data(cmd) => commands::data_cmd(cmd)?,
+        Command::AnalyzeWorkspace { path, json } => commands::analyze_workspace_cmd(path, *json)?,
+        // `serve` takes its dataset as the global leading `--data` or as
+        // its own option; either spelling reloads from that path on
+        // `POST /v1/reload`.
+        Command::Serve {
+            data: serve_data,
+            regions,
+            addr,
+            threads,
+            capacity_per_hour,
+        } => {
+            let paths = match (paths, serve_data) {
+                (Some(_), Some(_)) => {
+                    return Err(CliError::Parse(ParseError(
+                        "--data given twice (global and `serve --data`); pass it once".into(),
+                    )))
+                }
+                (None, Some(path)) => Some(DataPaths {
+                    data: path,
+                    regions: regions.as_deref(),
+                }),
+                (paths, None) => paths,
+            };
+            return commands::serve_cmd(out, paths, addr, *threads, *capacity_per_hour);
+        }
+        Command::ServeBench {
+            addr,
+            connections,
+            requests,
+            batch,
+            keep_alive,
+            pipeline,
+            threads,
+        } => commands::serve_bench_cmd(
+            addr.as_deref(),
+            *connections,
+            *requests,
+            *batch,
+            *keep_alive,
+            *pipeline,
+            *threads,
+        )?,
+    };
     writeln!(out, "{text}")?;
     Ok(())
+}
+
+/// Entry point of `main`: splits off the global `--data FILE`, parses
+/// the rest and executes it, writing to `out`.
+pub fn dispatch_stream(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let (data, rest) = split_data(argv)?;
+    let command = parse(rest).map_err(CliError::Parse)?;
+    execute(&command, &data, out)
+}
+
+/// [`dispatch_stream`] buffered into a `String`, without the final
+/// newline.
+pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
+    let mut buffer = Vec::new();
+    dispatch_stream(argv, &mut buffer)?;
+    let mut text = String::from_utf8_lossy(&buffer).into_owned();
+    if text.ends_with('\n') {
+        text.pop();
+    }
+    Ok(text)
 }

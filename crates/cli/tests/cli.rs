@@ -25,10 +25,14 @@ fn stderr(output: &Output) -> String {
 }
 
 #[test]
-fn no_arguments_prints_usage_and_succeeds() {
+fn no_arguments_prints_usage_to_stderr_and_exits_2() {
     let out = decarb_cli(&[]);
-    assert!(out.status.success());
-    let text = stdout(&out);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stdout(&out).is_empty());
+    assert!(stderr(&out).contains("usage: decarb-cli"));
+    let help = decarb_cli(&["--help"]);
+    assert!(help.status.success());
+    let text = stdout(&help);
     assert!(text.contains("usage: decarb-cli"));
     assert!(text.contains("run      <ID|all> [--json]"));
 }
@@ -50,6 +54,70 @@ fn unknown_command_exits_2_with_usage_on_stderr() {
     assert!(err.contains("unknown command `frobnicate`"));
     assert!(err.contains("usage: decarb-cli"));
     assert!(stdout(&out).is_empty());
+}
+
+/// Every row of the command table, and whether it needs an argument
+/// (so that running it bare is a usage error).
+const SUBCOMMANDS: &[(&str, bool)] = &[
+    ("regions", false),
+    ("analyze", true),
+    ("analyze --workspace", false),
+    ("plan", true),
+    ("forecast", true),
+    ("rank", false),
+    ("export", true),
+    ("list", false),
+    ("run", true),
+    ("scenario list", false),
+    ("scenario run", true),
+    ("scenario check", true),
+    ("scenario merge", true),
+    ("scenario history append", true),
+    ("scenario history show", true),
+    ("scenario history check", true),
+    ("scenario diff", true),
+    ("data pack", true),
+    ("data probe", true),
+    ("data append", true),
+    ("serve", false),
+    ("serve bench", false),
+];
+
+/// Asserts a usage failure: exit 2, nothing on stdout, and stderr ending
+/// in `path`'s usage line (the path, then nothing or its synopsis, which
+/// opens with `[`, `<` or `-`) as its only `usage:` text.
+fn assert_usage_error(out: &Output, path: &str) -> String {
+    let err = stderr(out);
+    assert_eq!(out.status.code(), Some(2), "{path}: {err}");
+    assert!(stdout(out).is_empty(), "{path}");
+    assert_eq!(err.matches("usage:").count(), 1, "{path}: {err}");
+    let last = err.trim_end().lines().last().unwrap_or_default();
+    let synopsis = last
+        .strip_prefix(&format!("usage: decarb-cli {path}"))
+        .unwrap_or_else(|| panic!("{path}: {err}"));
+    assert!(
+        synopsis.is_empty() || [" [", " <", " -"].iter().any(|p| synopsis.starts_with(p)),
+        "{path}: {err}"
+    );
+    err
+}
+
+#[test]
+fn every_subcommand_rejects_an_unknown_flag_with_its_usage_line() {
+    for (path, _) in SUBCOMMANDS {
+        let mut args: Vec<&str> = path.split(' ').collect();
+        args.push("--bogus");
+        let err = assert_usage_error(&decarb_cli(&args), path);
+        assert!(err.contains("unknown option `--bogus`"), "{path}: {err}");
+    }
+}
+
+#[test]
+fn every_subcommand_missing_its_argument_prints_its_usage_line() {
+    for (path, _) in SUBCOMMANDS.iter().filter(|(_, needs)| *needs) {
+        let args: Vec<&str> = path.split(' ').collect();
+        assert_usage_error(&decarb_cli(&args), path);
+    }
 }
 
 #[test]
@@ -1020,6 +1088,7 @@ fn serve_rejects_a_bad_bind_address_with_exit_2() {
     let out = decarb_cli(&["serve", "--addr", "999.999.999.999:0"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("cannot bind"));
+    assert!(!stderr(&out).contains("usage:"), "{}", stderr(&out));
 }
 
 #[test]
