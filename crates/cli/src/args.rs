@@ -80,7 +80,7 @@ pub enum Command {
     /// `scenario run <NAME|all> [--json]` / `scenario run --file PATH
     /// [--json]` — run built-in or user-defined scenarios, optionally
     /// as one shard of a partitioned sweep (`--shards N --shard-index
-    /// I`) or fanned out across `--workers K` child processes.
+    /// I`).
     ScenarioRun {
         /// What to run: a built-in name (or `all`) or a scenario file.
         target: ScenarioTarget,
@@ -88,9 +88,6 @@ pub enum Command {
         json: bool,
         /// Run only one shard of the sweep plan.
         shard: Option<ShardSpec>,
-        /// Spawn this many child shard processes and merge their
-        /// streams.
-        workers: Option<usize>,
         /// Promote pre-run static-check findings from warnings to a
         /// failure.
         strict: bool,
@@ -595,8 +592,7 @@ pub static COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         path: "scenario run",
-        synopsis: "<NAME|all|--file FILE> [--json] [--shards N --shard-index I] \
-                   [--workers K] [--strict]",
+        synopsis: "<NAME|all|--file FILE> [--json] [--shards N --shard-index I] [--strict]",
         help: "run scenario-matrix entries in parallel",
         flags: &[
             Switch("json"),
@@ -604,7 +600,6 @@ pub static COMMANDS: &[CommandSpec] = &[
             Value("file"),
             Value("shards"),
             Value("shard-index"),
-            Value("workers"),
         ],
         positionals: 1,
         build: build_scenario_run,
@@ -842,18 +837,10 @@ fn build_scenario_run(a: &Args<'_>) -> Result<Command, String> {
         (Some(shards), Some(index)) => Some(ShardSpec { shards, index }),
         _ => return Err("--shards and --shard-index must be given together".into()),
     };
-    let workers = a.optional("workers")?;
-    if workers == Some(0) {
-        return Err("--workers must be at least 1".into());
-    }
-    if workers.is_some() && shard.is_some() {
-        return Err("pass --workers or --shards/--shard-index, not both".into());
-    }
     Ok(Command::ScenarioRun {
         target,
         json: a.switch("json"),
         shard,
-        workers,
         strict: a.switch("strict"),
     })
 }
@@ -1223,7 +1210,6 @@ mod tests {
             target: ScenarioTarget::Name("batch-agnostic-europe".into()),
             json: true,
             shard: None,
-            workers: None,
             strict: false,
         };
         assert_eq!(
@@ -1252,7 +1238,6 @@ mod tests {
                 target: ScenarioTarget::Name("all".into()),
                 json: false,
                 shard: None,
-                workers: None,
                 strict: false,
             }
         );
@@ -1273,7 +1258,6 @@ mod tests {
                 target: ScenarioTarget::File("my.scenario".into()),
                 json: true,
                 shard: None,
-                workers: None,
                 strict: false,
             }
         );
@@ -1283,7 +1267,6 @@ mod tests {
                 target: ScenarioTarget::File("my.scenario".into()),
                 json: false,
                 shard: None,
-                workers: None,
                 strict: false,
             }
         );
@@ -1314,22 +1297,10 @@ mod tests {
                     shards: 4,
                     index: 2
                 }),
-                workers: None,
                 strict: false,
             }
         );
-        assert_eq!(
-            parse(&argv(&["scenario", "run", "all", "--workers", "3"])).unwrap(),
-            Command::ScenarioRun {
-                target: ScenarioTarget::Name("all".into()),
-                json: false,
-                shard: None,
-                workers: Some(3),
-                strict: false,
-            }
-        );
-        // Validation: the pair must be complete, in range, and not
-        // combined with --workers.
+        // Validation: the pair must be complete and in range.
         assert!(parse(&argv(&["scenario", "run", "all", "--shards", "4"])).is_err());
         assert!(parse(&argv(&["scenario", "run", "all", "--shard-index", "0"])).is_err());
         assert!(parse(&argv(&[
@@ -1348,19 +1319,6 @@ mod tests {
             "all",
             "--shards",
             "0",
-            "--shard-index",
-            "0"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["scenario", "run", "all", "--workers", "0"])).is_err());
-        assert!(parse(&argv(&[
-            "scenario",
-            "run",
-            "all",
-            "--workers",
-            "2",
-            "--shards",
-            "2",
             "--shard-index",
             "0"
         ]))
@@ -1385,7 +1343,6 @@ mod tests {
                 target: ScenarioTarget::Name("all".into()),
                 json: false,
                 shard: None,
-                workers: None,
                 strict: true,
             }
         );
@@ -1403,7 +1360,6 @@ mod tests {
                 target: ScenarioTarget::File("my.scenario".into()),
                 json: true,
                 shard: None,
-                workers: None,
                 strict: true,
             }
         );

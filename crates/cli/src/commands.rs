@@ -20,21 +20,25 @@ use decarb_traces::time::{hours_in_year, year_start};
 use decarb_traces::{container, csv, TraceError, TraceSet};
 
 use decarb_sim::sweep::SweepPlan;
+use decarb_sim::{Scenario, ScenarioFile, ScenarioFileError, ScenarioReport};
 
 use crate::args::{DataCommand, MergeExpect, ParseError, ScenarioTarget, ShardSpec};
 
-/// A CLI failure: bad arguments, a data-layer error, an output error,
-/// or a failed check (e.g. `scenario diff` drift).
+/// A CLI failure. [`CliError::Parse`] is a usage error (the binary
+/// exits 2); every other variant is a failure raised while doing the
+/// work (exit 1).
 #[derive(Debug)]
 pub enum CliError {
-    /// Argument parsing failed.
+    /// The arguments are wrong: an unknown, missing or invalid flag or
+    /// value, or an unknown scenario or experiment name.
     Parse(ParseError),
     /// The trace layer rejected a request (unknown zone, out of range).
     Trace(TraceError),
     /// Writing the output failed (e.g. a closed pipe mid-stream).
     Io(io::Error),
-    /// A gate ran and failed: the message explains the violations.
-    Check(String),
+    /// The work failed: an unreadable or malformed input, a port that
+    /// cannot be bound, or a gate that found violations.
+    Failed(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -43,7 +47,7 @@ impl std::fmt::Display for CliError {
             CliError::Parse(e) => write!(f, "{e}"),
             CliError::Trace(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
-            CliError::Check(message) => write!(f, "{message}"),
+            CliError::Failed(message) => write!(f, "{message}"),
         }
     }
 }
@@ -62,23 +66,30 @@ impl From<io::Error> for CliError {
     }
 }
 
-/// `serve`: builds the placement service over the named dataset (or
-/// the built-in one), prints the bound address, and blocks in the
-/// accept loop. The daemon re-imports `--data` from its path on every
-/// `POST /v1/reload`, so a repacked container or refreshed CSV is
-/// picked up without a restart.
+/// A [`CliError::Failed`] saying what failed (a path, a subcommand) and
+/// why.
+pub(crate) fn failed(what: impl std::fmt::Display, why: impl std::fmt::Display) -> CliError {
+    CliError::Failed(format!("{what}: {why}"))
+}
+
+/// `serve`: builds the placement service over the dataset at `data`
+/// (its `--data` path and optional `--regions` sidecar path) or the
+/// built-in one, prints the bound address, and blocks in the accept
+/// loop. The daemon re-imports `--data` from its path on every `POST
+/// /v1/reload`, so a repacked container or refreshed CSV is picked up
+/// without a restart.
 pub(crate) fn serve_cmd(
     out: &mut dyn io::Write,
-    data: Option<DataPaths<'_>>,
+    data: Option<(&str, Option<&str>)>,
     addr: &str,
     threads: usize,
     capacity_per_hour: Option<usize>,
 ) -> Result<(), CliError> {
     use std::sync::Arc;
     let (traces, loader): (Arc<TraceSet>, decarb_serve::Loader) = match data {
-        Some(paths) => {
-            let data_path = paths.data.to_string();
-            let regions_path = paths.regions.map(str::to_string);
+        Some((data_path, regions_path)) => {
+            let data_path = data_path.to_string();
+            let regions_path = regions_path.map(str::to_string);
             let set = Arc::new(crate::load_dataset(&data_path, regions_path.as_deref())?);
             (
                 set,
@@ -100,10 +111,8 @@ pub(crate) fn serve_cmd(
         decarb_serve::PlacementService::with_capacity(traces, capacity).with_loader(loader),
     );
     let server = decarb_serve::Server::bind(addr, service)
-        .map_err(|e| CliError::Parse(ParseError(format!("serve: cannot bind {addr}: {e}"))))?;
-    let local = server
-        .local_addr()
-        .map_err(|e| CliError::Parse(ParseError(format!("serve: {e}"))))?;
+        .map_err(|e| failed(format_args!("serve: cannot bind {addr}"), e))?;
+    let local = server.local_addr().map_err(|e| failed("serve", e))?;
     let admission = match capacity_per_hour {
         Some(n) => format!(", capacity {n}/hour"),
         None => String::new(),
@@ -143,10 +152,8 @@ pub(crate) fn serve_bench_cmd(
                 decarb_traces::builtin_dataset(),
             ));
             let server = decarb_serve::Server::bind("127.0.0.1:0", service)
-                .map_err(|e| CliError::Parse(ParseError(format!("serve bench: {e}"))))?;
-            let local = server
-                .local_addr()
-                .map_err(|e| CliError::Parse(ParseError(format!("serve bench: {e}"))))?;
+                .map_err(|e| failed("serve bench", e))?;
+            let local = server.local_addr().map_err(|e| failed("serve bench", e))?;
             // Detached: the server thread dies with the process once
             // the measurement is done.
             std::thread::spawn(move || {
@@ -239,102 +246,120 @@ pub(crate) fn scenario_list() -> String {
     out
 }
 
-/// Resolves a `scenario run`/`scenario merge` target into a validated
-/// [`SweepPlan`]. Unknown built-in names list the valid ones; scenario
-/// files are parsed with line-numbered errors; scenarios that cannot
-/// run against the dataset are *all* collected into one error instead
-/// of panicking mid-sweep.
-pub(crate) fn plan_for_target(
-    target: &ScenarioTarget,
-    data: &TraceSet,
-) -> Result<(SweepPlan, Option<TraceSet>), CliError> {
-    let mut extended: Option<TraceSet> = None;
-    let selected = match target {
-        ScenarioTarget::Name(name) if name == "all" => decarb_sim::builtin_scenarios(),
-        ScenarioTarget::Name(name) => {
-            vec![decarb_sim::find_scenario(name).ok_or_else(|| {
-                let names: Vec<String> = decarb_sim::builtin_scenarios()
-                    .iter()
-                    .map(|s| s.name.clone())
-                    .collect();
-                CliError::Parse(ParseError(format!(
-                    "unknown scenario `{name}`; valid names: {}",
-                    names.join(", ")
-                )))
-            })?]
-        }
-        ScenarioTarget::File(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Parse(ParseError(format!("--file {path}: {e}"))))?;
-            let file = decarb_sim::parse_scenario_file_full(&text)
-                .map_err(|e| CliError::Parse(ParseError(format!("{path}: {e}"))))?;
-            // `[region CODE]` declarations the dataset lacks get their
-            // traces synthesized from the declared calibration targets,
-            // so scenarios can deploy into entirely hypothetical grids.
-            let missing: Vec<decarb_traces::Region> = file
-                .custom_regions
-                .iter()
-                .filter(|r| data.id_of(&r.code).is_err())
-                .cloned()
-                .collect();
-            if !missing.is_empty() {
-                let mut set = data.clone();
-                set.extend_synthesized(missing, decarb_traces::SynthConfig::default());
-                extended = Some(set);
+/// A `scenario run`/`scenario check` target, read once.
+enum Target {
+    /// Built-in scenarios: one by name, or the whole matrix for `all`.
+    Builtin(Vec<Scenario>),
+    /// A scenario file: its path, its text (the static checker takes
+    /// its line spans from the text) and the parse of that text.
+    File {
+        path: String,
+        text: String,
+        parsed: Result<ScenarioFile, ScenarioFileError>,
+    },
+}
+
+impl Target {
+    /// Looks a built-in name up (an unknown one lists the valid names)
+    /// or reads and parses a scenario file.
+    fn read(target: &ScenarioTarget) -> Result<Target, CliError> {
+        match target {
+            ScenarioTarget::Name(name) => {
+                let mut all = decarb_sim::builtin_scenarios();
+                if name == "all" {
+                    return Ok(Target::Builtin(all));
+                }
+                match all.iter().position(|s| s.name == *name) {
+                    Some(i) => Ok(Target::Builtin(vec![all.swap_remove(i)])),
+                    None => {
+                        let names: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
+                        Err(CliError::Parse(ParseError(format!(
+                            "unknown scenario `{name}`; valid names: {}",
+                            names.join(", ")
+                        ))))
+                    }
+                }
             }
-            file.scenarios
+            ScenarioTarget::File(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| failed(format_args!("--file {path}"), e))?;
+                let parsed = decarb_sim::parse_scenario_file_full(&text);
+                Ok(Target::File {
+                    path: path.clone(),
+                    text,
+                    parsed,
+                })
+            }
         }
-    };
-    let plan_data = extended.as_ref().unwrap_or(data);
-    let plan = SweepPlan::plan(plan_data, selected)
-        .map_err(|e| CliError::Parse(ParseError(e.to_string())))?;
-    Ok((plan, extended))
+    }
+
+    /// Statically checks the scenarios against `data`: how many were
+    /// checked (none when a file does not parse) and the diagnostics.
+    fn check(&self, data: &TraceSet) -> (usize, Vec<decarb_analyze::Diagnostic>) {
+        match self {
+            Target::Builtin(scenarios) => (
+                scenarios.len(),
+                decarb_sim::check_scenarios("<builtin>", scenarios, data),
+            ),
+            Target::File { path, text, parsed } => (
+                parsed.as_ref().map_or(0, |file| file.scenarios.len()),
+                decarb_sim::check_file(path, text, data),
+            ),
+        }
+    }
+
+    /// Plans the scenarios against `data` into a validated
+    /// [`SweepPlan`]; scenarios that cannot run against the dataset are
+    /// *all* collected into one error instead of panicking mid-sweep. A
+    /// file's `[region CODE]` declarations that `data` lacks get traces
+    /// synthesized from their calibration targets, so scenarios can
+    /// deploy into entirely hypothetical grids; the dataset extended
+    /// with them is returned alongside the plan.
+    fn plan(self, data: &TraceSet) -> Result<(SweepPlan, Option<TraceSet>), CliError> {
+        let (scenarios, extended) = match self {
+            Target::Builtin(scenarios) => (scenarios, None),
+            Target::File { path, parsed, .. } => {
+                let file = parsed.map_err(|e| failed(path, e))?;
+                let missing: Vec<decarb_traces::Region> = file
+                    .custom_regions
+                    .into_iter()
+                    .filter(|r| data.id_of(&r.code).is_err())
+                    .collect();
+                let extended = (!missing.is_empty()).then(|| {
+                    let mut set = data.clone();
+                    set.extend_synthesized(missing, decarb_traces::SynthConfig::default());
+                    set
+                });
+                (file.scenarios, extended)
+            }
+        };
+        let plan = SweepPlan::plan(extended.as_ref().unwrap_or(data), scenarios)
+            .map_err(|e| CliError::Failed(e.to_string()))?;
+        Ok((plan, extended))
+    }
 }
 
-/// The `--data FILE [--regions FILE]` import paths forwarded to the
-/// multi-process fan-out so every worker child re-imports the same
-/// dataset (and metadata sidecar).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DataPaths<'a> {
-    /// Path of the `zone,hour,value` CSV dataset.
-    pub(crate) data: &'a str,
-    /// Optional path of the `[region CODE]` metadata sidecar.
-    pub(crate) regions: Option<&'a str>,
-}
-
-/// The scenario table header row (text output).
-pub(crate) fn scenario_table_header() -> String {
+/// The header row of the `scenario run` text table.
+fn scenario_table_header() -> String {
     format!(
         "{:<34} {:>5} {:>5} {:>6} {:>6} {:>8} {:>12} {:>11} {:>9}\n",
         "scenario", "jobs", "done", "unfin", "missed", "migrate", "kWh", "avg g/kWh", "slowdown"
     )
 }
 
-/// One scenario table row; counts arrive as `f64` so JSON-sourced rows
-/// (the multi-process merge path) render identically to native ones.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scenario_table_row(
-    name: &str,
-    jobs: f64,
-    completed: f64,
-    unfinished: f64,
-    missed: f64,
-    migrations: f64,
-    energy_kwh: f64,
-    average_ci: f64,
-    mean_slowdown: f64,
-) -> String {
+/// One row of the `scenario run` text table.
+fn scenario_table_row(r: &ScenarioReport) -> String {
     format!(
         "{:<34} {:>5} {:>5} {:>6} {:>6} {:>8} {:>12.1} {:>11.1} {:>9.2}\n",
-        name,
-        jobs as u64,
-        completed as u64,
-        unfinished as u64,
-        missed as u64,
-        migrations as u64,
-        energy_kwh,
-        average_ci,
-        mean_slowdown,
+        r.name,
+        r.jobs,
+        r.completed,
+        r.unfinished,
+        r.missed_deadlines,
+        r.migrations,
+        r.total_energy_kwh,
+        r.average_ci,
+        r.mean_slowdown,
     )
 }
 
@@ -343,46 +368,34 @@ pub(crate) fn scenario_table_row(
 /// its chunk completes — a thousand-scenario sweep never buffers the
 /// full result set.
 ///
-/// `shard` restricts the run to one disjoint shard of the sweep plan
-/// (the multi-process partition unit; sharded JSON output is always an
-/// array, so shard reports merge uniformly). `workers` instead spawns
-/// that many child shard processes and merges their streams (see
-/// [`crate::fanout`]); `data_path` is forwarded to the children.
-#[allow(clippy::too_many_arguments)]
+/// The target is statically checked first: findings print as warnings,
+/// or fail the run under `strict`. `shard` restricts the run to one
+/// disjoint shard of the sweep plan (the multi-host partition unit;
+/// sharded JSON output is always an array, so shard reports merge
+/// uniformly) and skips the check, which the N shards of a sweep would
+/// otherwise repeat N times.
 pub(crate) fn run_scenarios_to(
     out: &mut dyn io::Write,
     target: &ScenarioTarget,
     json: bool,
     shard: Option<ShardSpec>,
-    workers: Option<usize>,
     strict: bool,
-    data_path: Option<DataPaths<'_>>,
     data: &TraceSet,
 ) -> Result<(), CliError> {
-    // Static pre-check: sharded invocations skip it (the parent — or
-    // the fan-out parent below — already checked once, and a warning
-    // per worker child would repeat N times). Target-resolution
-    // failures are deliberately ignored here so the run path reports
-    // its canonical error instead.
+    let target = Target::read(target)?;
     if shard.is_none() {
-        if let Some(diags) = check_for_target(target, data) {
-            if !diags.is_empty() {
-                if strict {
-                    return Err(CliError::Check(format!(
-                        "scenario check failed (rerun without --strict to run anyway):\n{}",
-                        decarb_analyze::render_report(&diags)
-                    )));
-                }
-                for diagnostic in &diags {
-                    eprintln!("warning: {}", diagnostic.render());
-                }
-            }
+        let (_, diags) = target.check(data);
+        if strict && !diags.is_empty() {
+            return Err(CliError::Failed(format!(
+                "scenario check failed (rerun without --strict to run anyway):\n{}",
+                decarb_analyze::render_report(&diags)
+            )));
+        }
+        for diagnostic in &diags {
+            eprintln!("warning: {}", diagnostic.render());
         }
     }
-    if let Some(workers) = workers {
-        return crate::fanout::run_workers(out, target, json, workers, data_path, data);
-    }
-    let (plan, extended) = plan_for_target(target, data)?;
+    let (plan, extended) = target.plan(data)?;
     let data = extended.as_ref().unwrap_or(data);
     let single = plan.len() == 1 && shard.is_none();
     let plan = match shard {
@@ -443,19 +456,7 @@ pub(crate) fn run_scenarios_to(
             }
         } else {
             emit(scenario_table_header());
-            plan.execute_with(data, |r| {
-                emit(scenario_table_row(
-                    &r.name,
-                    r.jobs as f64,
-                    r.completed as f64,
-                    r.unfinished as f64,
-                    r.missed_deadlines as f64,
-                    r.migrations as f64,
-                    r.total_energy_kwh,
-                    r.average_ci,
-                    r.mean_slowdown,
-                ))
-            });
+            plan.execute_with(data, |r| emit(scenario_table_row(&r)));
         }
     }
     match sink_error {
@@ -464,74 +465,28 @@ pub(crate) fn run_scenarios_to(
     }
 }
 
-/// Resolves a target to its static-check diagnostics, or `None` when
-/// resolution fails (unknown name, unreadable file) — those failures
-/// surface through the run path's canonical errors instead.
-fn check_for_target(
-    target: &ScenarioTarget,
-    data: &TraceSet,
-) -> Option<Vec<decarb_analyze::Diagnostic>> {
-    match target {
-        ScenarioTarget::Name(name) if name == "all" => Some(decarb_sim::check_scenarios(
-            "<builtin>",
-            &decarb_sim::builtin_scenarios(),
-            data,
-        )),
-        ScenarioTarget::Name(name) => decarb_sim::find_scenario(name)
-            .map(|scenario| decarb_sim::check_scenarios("<builtin>", &[scenario], data)),
-        ScenarioTarget::File(path) => std::fs::read_to_string(path)
-            .ok()
-            .map(|text| decarb_sim::check_file(path, &text, data)),
-    }
-}
-
 /// `scenario check <NAME|all|--file FILE> [--json]` — static semantic
 /// validation without simulating. Clean targets summarize and exit 0;
 /// any diagnostic renders the shared report format (or a JSON array
-/// under `--json`) and exits non-zero via [`CliError::Check`].
+/// under `--json`) and fails via [`CliError::Failed`].
 pub(crate) fn scenario_check_cmd(
     target: &ScenarioTarget,
     json: bool,
     data: &TraceSet,
 ) -> Result<String, CliError> {
-    let (checked, diags) = match target {
-        ScenarioTarget::Name(name) if name == "all" => {
-            let scenarios = decarb_sim::builtin_scenarios();
-            let diags = decarb_sim::check_scenarios("<builtin>", &scenarios, data);
-            (scenarios.len(), diags)
-        }
-        ScenarioTarget::Name(name) => {
-            let scenario = decarb_sim::find_scenario(name).ok_or_else(|| {
-                CliError::Parse(ParseError(format!(
-                    "unknown scenario `{name}` (see `scenario list`)"
-                )))
-            })?;
-            (
-                1,
-                decarb_sim::check_scenarios("<builtin>", &[scenario], data),
-            )
-        }
-        ScenarioTarget::File(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Parse(ParseError(format!("--file {path}: {e}"))))?;
-            let checked = decarb_sim::parse_scenario_file(&text)
-                .map(|scenarios| scenarios.len())
-                .unwrap_or(0);
-            (checked, decarb_sim::check_file(path, &text, data))
-        }
-    };
+    let (checked, diags) = Target::read(target)?.check(data);
     if json {
         let payload = decarb_analyze::diagnostics_to_json(&diags).pretty();
         return if diags.is_empty() {
             Ok(payload)
         } else {
-            Err(CliError::Check(payload))
+            Err(CliError::Failed(payload))
         };
     }
     if diags.is_empty() {
         Ok(format!("{checked} scenario(s) checked, 0 diagnostics"))
     } else {
-        Err(CliError::Check(decarb_analyze::render_report(&diags)))
+        Err(CliError::Failed(decarb_analyze::render_report(&diags)))
     }
 }
 
@@ -545,13 +500,13 @@ pub(crate) fn analyze_workspace_cmd(path: &str, json: bool) -> Result<String, Cl
         return if outcome.diagnostics.is_empty() {
             Ok(payload)
         } else {
-            Err(CliError::Check(payload))
+            Err(CliError::Failed(payload))
         };
     }
     if outcome.diagnostics.is_empty() {
         Ok(format!("{} files scanned, 0 diagnostics", outcome.files))
     } else {
-        Err(CliError::Check(decarb_analyze::render_report(
+        Err(CliError::Failed(decarb_analyze::render_report(
             &outcome.diagnostics,
         )))
     }
@@ -560,36 +515,18 @@ pub(crate) fn analyze_workspace_cmd(path: &str, json: bool) -> Result<String, Cl
 /// Extracts `(name, emissions_g)` pairs from a `scenario run --json`
 /// report document (a single object or an array of objects).
 fn report_emissions(path: &str) -> Result<Vec<(String, f64)>, CliError> {
-    let value = read_report_doc(path)?;
-    let items: Vec<&Value> = match &value {
-        Value::Array(items) => items.iter().collect(),
-        object @ Value::Object(_) => vec![object],
-        _ => {
-            return Err(CliError::Parse(ParseError(format!(
-                "{path}: expected a scenario report object or array"
-            ))))
-        }
-    };
-    let mut pairs = Vec::with_capacity(items.len());
-    for item in items {
-        let Some(Value::String(name)) = item.get("name") else {
-            return Err(CliError::Parse(ParseError(format!(
-                "{path}: report entry without a `name`"
-            ))));
-        };
-        let Some(Value::Number(emissions)) = item.get("emissions_g") else {
-            return Err(CliError::Parse(ParseError(format!(
-                "{path}: scenario `{name}` has no `emissions_g`"
-            ))));
-        };
-        if pairs.iter().any(|(n, _)| n == name) {
-            return Err(CliError::Parse(ParseError(format!(
-                "{path}: duplicate scenario `{name}`"
-            ))));
-        }
-        pairs.push((name.clone(), *emissions));
-    }
-    Ok(pairs)
+    let doc = read_report_doc(path)?;
+    decarb_json::merge_keyed(&[doc], "name")
+        .map_err(|e| failed(path, e))?
+        .into_iter()
+        .map(|(name, report)| match report.get("emissions_g") {
+            Some(Value::Number(emissions)) => Ok((name, *emissions)),
+            _ => Err(failed(
+                path,
+                format!("scenario `{name}` has no `emissions_g`"),
+            )),
+        })
+        .collect()
 }
 
 /// The CI emissions-regression gate: compares per-scenario emissions of
@@ -632,7 +569,7 @@ pub(crate) fn scenario_diff(
         }
     }
     if !violations.is_empty() {
-        return Err(CliError::Check(format!(
+        return Err(CliError::Failed(format!(
             "scenario emissions drifted beyond ±{tolerance_pct}% ({} violation{}):\n{}",
             violations.len(),
             if violations.len() == 1 { "" } else { "s" },
@@ -647,9 +584,8 @@ pub(crate) fn scenario_diff(
 
 /// Reads and parses one JSON report document.
 fn read_report_doc(path: &str) -> Result<Value, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Parse(ParseError(format!("{path}: {e}"))))?;
-    decarb_json::parse(&text).map_err(|e| CliError::Parse(ParseError(format!("{path}: {e}"))))
+    let text = std::fs::read_to_string(path).map_err(|e| failed(path, e))?;
+    decarb_json::parse(&text).map_err(|e| failed(path, e))
 }
 
 /// Routes the `data pack|probe|append` container subcommands.
@@ -801,14 +737,13 @@ pub(crate) fn scenario_merge(
         ),
         Some(MergeExpect::File(path)) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Parse(ParseError(format!("--expect {path}: {e}"))))?;
-            let scenarios = decarb_sim::parse_scenario_file(&text)
-                .map_err(|e| CliError::Parse(ParseError(format!("{path}: {e}"))))?;
+                .map_err(|e| failed(format_args!("--expect {path}"), e))?;
+            let scenarios = decarb_sim::parse_scenario_file(&text).map_err(|e| failed(path, e))?;
             Some(scenarios.iter().map(|s| s.name.clone()).collect())
         }
     };
     let merged = decarb_sim::merge_reports(expected.as_deref(), &docs)
-        .map_err(|e| CliError::Check(format!("scenario merge: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("scenario merge: {e}")))?;
     Ok(Value::Array(merged).pretty())
 }
 
@@ -868,7 +803,7 @@ pub(crate) fn scenario_history_append(
         .create(true)
         .append(true)
         .open(file)
-        .map_err(|e| CliError::Parse(ParseError(format!("{file}: {e}"))))?;
+        .map_err(|e| failed(file, e))?;
     writeln!(handle, "{entry}")?;
     Ok(format!(
         "recorded {rev}: {} scenarios, {total:.1} g·CO2eq total → {file}\n",
@@ -878,32 +813,23 @@ pub(crate) fn scenario_history_append(
 
 /// Parses a JSONL history file into `(rev, scenarios, total_g)` rows.
 fn read_history(file: &str) -> Result<Vec<(String, usize, f64)>, CliError> {
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| CliError::Parse(ParseError(format!("{file}: {e}"))))?;
+    let text = std::fs::read_to_string(file).map_err(|e| failed(file, e))?;
     let mut rows: Vec<(String, usize, f64)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let entry = decarb_json::parse(line)
-            .map_err(|e| CliError::Parse(ParseError(format!("{file} line {}: {e}", i + 1))))?;
-        let Some(Value::String(rev)) = entry.get("rev") else {
-            return Err(CliError::Parse(ParseError(format!(
-                "{file} line {}: entry without a `rev`",
-                i + 1
-            ))));
-        };
-        let Some(Value::Number(scenarios)) = entry.get("scenarios") else {
-            return Err(CliError::Parse(ParseError(format!(
-                "{file} line {}: entry without `scenarios`",
-                i + 1
-            ))));
-        };
-        let Some(Value::Number(total)) = entry.get("total_emissions_g") else {
-            return Err(CliError::Parse(ParseError(format!(
-                "{file} line {}: entry without `total_emissions_g`",
-                i + 1
-            ))));
+        let at = format!("{file} line {}", i + 1);
+        let entry = decarb_json::parse(line).map_err(|e| failed(&at, e))?;
+        let (Some(Value::String(rev)), Some(Value::Number(scenarios)), Some(Value::Number(total))) = (
+            entry.get("rev"),
+            entry.get("scenarios"),
+            entry.get("total_emissions_g"),
+        ) else {
+            return Err(failed(
+                at,
+                "entry needs a `rev`, `scenarios` and `total_emissions_g`",
+            ));
         };
         rows.push((rev.clone(), *scenarios as usize, *total));
     }
@@ -992,7 +918,7 @@ pub(crate) fn scenario_history_check(
     let span = tail.len();
     if (monotonic_up || monotonic_down) && drift_pct.abs() > max_drift_pct {
         let direction = if monotonic_up { "rising" } else { "falling" };
-        return Err(CliError::Check(format!(
+        return Err(CliError::Failed(format!(
             "emissions history drifts monotonically over the last {span} runs \
              ({direction} {drift_pct:+.3}% cumulative, threshold ±{max_drift_pct}%): \
              {} → {} g·CO2eq — investigate before the trend compounds",
@@ -1315,15 +1241,11 @@ mod tests {
         target: &ScenarioTarget,
         json: bool,
         shard: Option<ShardSpec>,
-        workers: Option<usize>,
         strict: bool,
-        data_path: Option<DataPaths<'_>>,
         data: &TraceSet,
     ) -> Result<String, CliError> {
         let mut out = Vec::new();
-        run_scenarios_to(
-            &mut out, target, json, shard, workers, strict, data_path, data,
-        )?;
+        run_scenarios_to(&mut out, target, json, shard, strict, data)?;
         Ok(String::from_utf8(out).unwrap())
     }
 
@@ -1645,7 +1567,6 @@ mod tests {
             target: crate::args::ScenarioTarget::Name("batch-agnostic-europe".into()),
             json: false,
             shard: None,
-            workers: None,
             strict: false,
         };
         let out = run_on(&command, &data).unwrap();
@@ -1699,13 +1620,13 @@ horizon = 240
         let data = decarb_traces::builtin_dataset();
         let path = temp_file("check-doomed.scenario", UNSATISFIABLE_SCENARIO);
         let target = crate::args::ScenarioTarget::File(path.to_str().unwrap().to_string());
-        let Err(CliError::Check(report)) = scenario_check_cmd(&target, false, &data) else {
+        let Err(CliError::Failed(report)) = scenario_check_cmd(&target, false, &data) else {
             panic!("unsatisfiable file must fail the check");
         };
         assert!(report.contains("[unsatisfiable-job]"), "{report}");
         assert!(report.contains("check-doomed.scenario:8:"), "{report}");
         // The JSON form carries the same spans machine-readably.
-        let Err(CliError::Check(json)) = scenario_check_cmd(&target, true, &data) else {
+        let Err(CliError::Failed(json)) = scenario_check_cmd(&target, true, &data) else {
             panic!("unsatisfiable file must fail the JSON check too");
         };
         let value = decarb_json::parse(&json).unwrap();
@@ -1727,11 +1648,10 @@ horizon = 240
         let path = temp_file("run-strict.scenario", UNSATISFIABLE_SCENARIO);
         let target = crate::args::ScenarioTarget::File(path.to_str().unwrap().to_string());
         // Default: findings warn (to stderr) but the sweep still runs.
-        let out = run_scenarios_cmd(&target, false, None, None, false, None, &data).unwrap();
+        let out = run_scenarios_cmd(&target, false, None, false, &data).unwrap();
         assert!(out.contains("doomed"), "{out}");
         // --strict: the same findings abort before simulating.
-        let Err(CliError::Check(report)) =
-            run_scenarios_cmd(&target, false, None, None, true, None, &data)
+        let Err(CliError::Failed(report)) = run_scenarios_cmd(&target, false, None, true, &data)
         else {
             panic!("--strict must fail on findings");
         };
@@ -1742,9 +1662,7 @@ horizon = 240
             &crate::args::ScenarioTarget::Name("batch-agnostic-europe".into()),
             false,
             None,
-            None,
             true,
-            None,
             &data,
         )
         .unwrap();
@@ -1771,7 +1689,7 @@ horizon = 240
         .unwrap();
         assert!(out.ends_with("0 diagnostics"), "{out}");
         let doomed = examples.join("unsatisfiable.scenario");
-        let Err(CliError::Check(report)) = scenario_check_cmd(
+        let Err(CliError::Failed(report)) = scenario_check_cmd(
             &crate::args::ScenarioTarget::File(doomed.to_str().unwrap().to_string()),
             false,
             &data,
@@ -1800,7 +1718,7 @@ horizon = 240
             "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )
         .unwrap();
-        let Err(CliError::Check(report)) = analyze_workspace_cmd(seed.to_str().unwrap(), false)
+        let Err(CliError::Failed(report)) = analyze_workspace_cmd(seed.to_str().unwrap(), false)
         else {
             panic!("seeded violation must fail the analyze gate");
         };
@@ -1810,7 +1728,7 @@ horizon = 240
         // the gate with exactly its documented findings — CI negates
         // this command and would go green-forever if the seed rotted.
         let ci_seed = root.join("ci/analyze-seed");
-        let Err(CliError::Check(report)) = analyze_workspace_cmd(ci_seed.to_str().unwrap(), false)
+        let Err(CliError::Failed(report)) = analyze_workspace_cmd(ci_seed.to_str().unwrap(), false)
         else {
             panic!("the checked-in CI seed must fail the analyze gate");
         };
@@ -2259,7 +2177,7 @@ regions = pair
             "/nonexistent.scenario",
         ]))
         .unwrap_err();
-        assert!(matches!(err, CliError::Parse(_)));
+        assert!(matches!(err, CliError::Failed(_)));
     }
 
     #[test]
@@ -2296,7 +2214,7 @@ regions = pair
             golden.to_str().unwrap(),
         ]))
         .unwrap_err();
-        assert!(matches!(err, CliError::Check(_)));
+        assert!(matches!(err, CliError::Failed(_)));
         let text = format!("{err}");
         assert!(text.contains("a: emissions 103.000"), "{text}");
         assert!(!text.contains("b:"), "{text}");

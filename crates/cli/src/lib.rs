@@ -11,8 +11,8 @@
 //! built-in synthetic dataset with a `zone,hour,value` CSV (e.g. a real
 //! Electricity Maps export re-keyed to hours since 2020-01-01 UTC) or a
 //! binary trace container packed by `data pack` — the two are told
-//! apart by the container's magic bytes, so every subcommand, the sweep
-//! pipeline, and all shard workers accept either transparently.
+//! apart by the container's magic bytes, so every subcommand and the
+//! sweep pipeline accept either transparently.
 //! Zone codes are *not* restricted to the built-in catalog: known codes
 //! take catalog metadata, `--regions` supplies a `[region CODE]`
 //! metadata sidecar for the rest, and anything else gets neutral
@@ -30,14 +30,13 @@ use decarb_traces::{
 
 pub mod args;
 pub mod commands;
-mod fanout;
 
 pub use args::{
     parse, usage, Command, DataCommand, HistoryCommand, MergeExpect, ParseError, ScenarioTarget,
     ShardSpec,
 };
+use commands::failed;
 pub use commands::CliError;
-use commands::DataPaths;
 
 /// Loads a `--data` dataset: a binary trace container (detected by its
 /// magic bytes) or a `zone,hour,value` CSV.
@@ -66,10 +65,9 @@ pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, 
     let (extra, declared_resolution) = match regions_path {
         None => (Vec::new(), None),
         Some(sidecar_path) => {
-            let text = std::fs::read_to_string(sidecar_path)
-                .map_err(|e| CliError::Parse(ParseError(format!("{sidecar_path}: {e}"))))?;
-            let doc = decarb_traces::parse_sidecar(&text)
-                .map_err(|e| CliError::Parse(ParseError(format!("{sidecar_path}: {e}"))))?;
+            let text =
+                std::fs::read_to_string(sidecar_path).map_err(|e| failed(sidecar_path, e))?;
+            let doc = decarb_traces::parse_sidecar(&text).map_err(|e| failed(sidecar_path, e))?;
             (doc.regions, doc.resolution)
         }
     };
@@ -85,10 +83,10 @@ pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, 
                 series.clone()
             } else {
                 repair(series).ok_or_else(|| {
-                    CliError::Parse(ParseError(format!(
+                    CliError::Failed(format!(
                         "zone {} has no valid samples to repair from",
                         region.code
-                    )))
+                    ))
                 })?
             };
             Ok((region.clone(), series))
@@ -105,8 +103,7 @@ pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, 
 
 /// An imported `--data` dataset together with the paths it came from
 /// (`--data`, optional `--regions` sidecar) — the paths ride along so
-/// the multi-process fan-out can re-import the same dataset in its
-/// child processes.
+/// `serve` can re-import the dataset on `POST /v1/reload`.
 pub type ImportedData = Option<(String, Option<String>, TraceSet)>;
 
 /// Splits the global `--data FILE [--regions FILE]` options off `argv`,
@@ -181,10 +178,6 @@ pub fn execute(
         Some((_, _, set)) => set,
         None => &**builtin.get_or_init(builtin_dataset),
     };
-    let paths = data.as_ref().map(|(path, regions, _)| DataPaths {
-        data: path,
-        regions: regions.as_deref(),
-    });
     let text = match command {
         Command::Help => usage(),
         Command::Regions { group, year } => commands::regions(dataset(), group.as_deref(), *year)?,
@@ -208,19 +201,9 @@ pub fn execute(
             target,
             json,
             shard,
-            workers,
             strict,
         } => {
-            commands::run_scenarios_to(
-                out,
-                target,
-                *json,
-                *shard,
-                *workers,
-                *strict,
-                paths,
-                dataset(),
-            )?;
+            commands::run_scenarios_to(out, target, *json, *shard, *strict, dataset())?;
             String::new()
         }
         Command::ScenarioCheck { target, json } => {
@@ -257,17 +240,15 @@ pub fn execute(
             threads,
             capacity_per_hour,
         } => {
-            let paths = match (paths, serve_data) {
+            let paths = match (data, serve_data) {
                 (Some(_), Some(_)) => {
                     return Err(CliError::Parse(ParseError(
                         "--data given twice (global and `serve --data`); pass it once".into(),
                     )))
                 }
-                (None, Some(path)) => Some(DataPaths {
-                    data: path,
-                    regions: regions.as_deref(),
-                }),
-                (paths, None) => paths,
+                (Some((path, sidecar, _)), None) => Some((path.as_str(), sidecar.as_deref())),
+                (None, Some(path)) => Some((path.as_str(), regions.as_deref())),
+                (None, None) => None,
             };
             return commands::serve_cmd(out, paths, addr, *threads, *capacity_per_hour);
         }

@@ -8,9 +8,11 @@ fn main() {
         // Tolerate a closed pipe (`decarb-cli list | head`) instead of
         // failing mid-print.
         Err(decarb_cli::CliError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        // Usage errors exit 2, failures while doing the work exit 1.
         Err(error) => {
             eprintln!("error: {error}");
-            std::process::exit(2);
+            let usage = matches!(error, decarb_cli::CliError::Parse(_));
+            std::process::exit(if usage { 2 } else { 1 });
         }
     }
 }

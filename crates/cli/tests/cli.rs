@@ -110,6 +110,10 @@ fn every_subcommand_rejects_an_unknown_flag_with_its_usage_line() {
         let err = assert_usage_error(&decarb_cli(&args), path);
         assert!(err.contains("unknown option `--bogus`"), "{path}: {err}");
     }
+    // One host runs the whole sweep in-process; there is no `--workers`.
+    let workers = decarb_cli(&["scenario", "run", "all", "--workers", "2"]);
+    let err = assert_usage_error(&workers, "scenario run");
+    assert!(err.contains("unknown option `--workers`"), "{err}");
 }
 
 #[test]
@@ -257,6 +261,10 @@ fn scenario_run_unknown_name_exits_2_listing_valid_names() {
     assert!(err.contains("batch-agnostic-europe"), "{err}");
     assert!(err.contains("interactive-threshold-us"), "{err}");
     assert!(err.contains("mixed-spatiotemporal-global"), "{err}");
+    // `scenario check` reads its target the same way and says the same.
+    let check = decarb_cli(&["scenario", "check", "bogus"]);
+    assert_eq!(check.status.code(), Some(2));
+    assert_eq!(stderr(&check), err);
 }
 
 #[test]
@@ -293,9 +301,9 @@ regions = europe
     assert!(text.contains("\"tiny-forecast-europe\""), "{text}");
     assert!(text.contains("\"tiny-spatiotemporal-europe\""), "{text}");
     std::fs::remove_file(&path).ok();
-    // A missing file is a clean exit-2 error, not a panic.
+    // A missing file is a clean exit-1 failure, not a panic.
     let out = decarb_cli(&["scenario", "run", "--file", "/nonexistent.scenario"]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("/nonexistent.scenario"));
 }
 
@@ -322,7 +330,7 @@ fn scenario_diff_gates_emissions_drift_end_to_end() {
         "{}",
         stdout(&out)
     );
-    // Tamper with the golden: the gate must fail with exit code 2.
+    // Tamper with the golden: the gate must fail with exit code 1.
     let tampered = String::from_utf8(run.stdout)
         .unwrap()
         .replace("\"emissions_g\": ", "\"emissions_g\": 9");
@@ -335,7 +343,7 @@ fn scenario_diff_gates_emissions_drift_end_to_end() {
         "--golden",
         golden.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("drifted beyond"), "{}", stderr(&out));
     std::fs::remove_file(&report).ok();
     std::fs::remove_file(&golden).ok();
@@ -409,14 +417,14 @@ fn four_shard_sweep_merges_to_the_single_process_report() {
         stdout(&diff)
     );
 
-    // Overlapping shards and incomplete merges are rejected with exit 2.
+    // Overlapping shards and incomplete merges are rejected with exit 1.
     let overlap = decarb_cli(&[
         "scenario",
         "merge",
         shard_paths[0].to_str().unwrap(),
         shard_paths[0].to_str().unwrap(),
     ]);
-    assert_eq!(overlap.status.code(), Some(2));
+    assert_eq!(overlap.status.code(), Some(1));
     assert!(
         stderr(&overlap).contains("more than one shard report"),
         "{}",
@@ -429,7 +437,7 @@ fn four_shard_sweep_merges_to_the_single_process_report() {
         "--expect",
         "all",
     ]);
-    assert_eq!(incomplete.status.code(), Some(2));
+    assert_eq!(incomplete.status.code(), Some(1));
     assert!(
         stderr(&incomplete).contains("missing"),
         "{}",
@@ -439,71 +447,6 @@ fn four_shard_sweep_merges_to_the_single_process_report() {
     for path in shard_paths.iter().chain([&full_path, &merged_path]) {
         std::fs::remove_file(path).ok();
     }
-}
-
-#[test]
-fn worker_fanout_spawns_shard_processes_and_merges_their_streams() {
-    // A small scenario file keeps the multi-process test cheap.
-    let dir = std::env::temp_dir();
-    let file = dir.join("decarb_cli_e2e_workers.scenario");
-    std::fs::write(
-        &file,
-        "\
-[workload tiny]
-class = batch
-per_origin = 2
-spacing = 24
-length = 3
-slack = day
-
-[matrix m]
-workloads = tiny
-policies = agnostic, deferral, greenest
-regions = europe, us
-",
-    )
-    .unwrap();
-    let single = decarb_cli(&[
-        "scenario",
-        "run",
-        "--file",
-        file.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(single.status.success(), "{}", stderr(&single));
-    let fanned = decarb_cli(&[
-        "scenario",
-        "run",
-        "--file",
-        file.to_str().unwrap(),
-        "--workers",
-        "2",
-        "--json",
-    ]);
-    assert!(fanned.status.success(), "{}", stderr(&fanned));
-    // Deterministic simulation + plan-ordered merge: identical bytes up
-    // to the wall-clock elapsed field.
-    let strip = |text: &str| -> String {
-        text.lines()
-            .filter(|l| !l.contains("\"elapsed_s\""))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&stdout(&fanned)), strip(&stdout(&single)));
-    // Text mode renders the same table through the merge path.
-    let table = decarb_cli(&[
-        "scenario",
-        "run",
-        "--file",
-        file.to_str().unwrap(),
-        "--workers",
-        "2",
-    ]);
-    assert!(table.status.success(), "{}", stderr(&table));
-    let text = stdout(&table);
-    assert!(text.contains("tiny-deferral-us"), "{text}");
-    assert!(text.lines().count() >= 7, "header + 6 rows: {text}");
-    std::fs::remove_file(&file).ok();
 }
 
 #[test]
@@ -727,7 +670,7 @@ fn data_pack_probe_append_flow_with_auto_detection() {
     assert!(from_grown.status.success(), "{}", stderr(&from_grown));
     assert_eq!(stdout(&from_grown), stdout(&from_packed));
 
-    // Appending rows that add nothing new is a clean error.
+    // Appending rows that add nothing new is a clean failure.
     let out = decarb_cli(&[
         "data",
         "append",
@@ -735,7 +678,7 @@ fn data_pack_probe_append_flow_with_auto_detection() {
         "--from",
         second.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("no hours"), "{}", stderr(&out));
 
     for path in [&csv, &packed, &first, &second, &grown] {
@@ -840,7 +783,7 @@ fn sidecar_dataset_resolution_stamps_imported_csv() {
 }
 
 #[test]
-fn corrupted_container_behind_data_exits_2() {
+fn corrupted_container_behind_data_exits_1() {
     let dir = std::env::temp_dir();
     let csv = write_fixture_csv("decarb_cli_e2e_corrupt.csv", 0, 48);
     let packed = dir.join("decarb_cli_e2e_corrupt.dct");
@@ -860,16 +803,16 @@ fn corrupted_container_behind_data_exits_2() {
     std::fs::write(&packed, &bytes).unwrap();
 
     let out = decarb_cli(&["--data", packed.to_str().unwrap(), "regions"]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
     assert!(err.contains("hash mismatch"), "{err}");
     assert!(err.contains("decarb_cli_e2e_corrupt.dct"), "{err}");
     let out = decarb_cli(&["data", "probe", packed.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("hash mismatch"), "{}", stderr(&out));
 
     // A container under --data carries its own metadata: --regions is a
-    // contradiction, not a silent no-op.
+    // usage error, not a silent no-op.
     std::fs::write(&packed, {
         let out = decarb_cli(&[
             "data",
@@ -896,7 +839,7 @@ fn corrupted_container_behind_data_exits_2() {
 
     // Probing a CSV reports bad magic instead of garbage.
     let out = decarb_cli(&["data", "probe", csv.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("bad magic"), "{}", stderr(&out));
 
     for path in [&csv, &packed, &sidecar] {
@@ -1084,9 +1027,9 @@ fn serve_agrees_with_the_plan_command_ground_truth() {
 }
 
 #[test]
-fn serve_rejects_a_bad_bind_address_with_exit_2() {
+fn serve_rejects_a_bad_bind_address_with_exit_1() {
     let out = decarb_cli(&["serve", "--addr", "999.999.999.999:0"]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("cannot bind"));
     assert!(!stderr(&out).contains("usage:"), "{}", stderr(&out));
 }
