@@ -17,7 +17,7 @@ use decarb_json::Value;
 use decarb_stats::daily::average_daily_cv;
 use decarb_stats::periodicity::periodicity_score;
 use decarb_traces::time::{hours_in_year, year_start};
-use decarb_traces::{container, csv, TraceError, TraceSet};
+use decarb_traces::{container, csv, TimeSeries, TraceError, TraceSet};
 
 use decarb_sim::sweep::SweepPlan;
 use decarb_sim::{Scenario, ScenarioFile, ScenarioFileError, ScenarioReport};
@@ -73,26 +73,29 @@ pub(crate) fn failed(what: impl std::fmt::Display, why: impl std::fmt::Display) 
 }
 
 /// `serve`: builds the placement service over the dataset at `data`
-/// (its `--data` path and optional `--regions` sidecar path) or the
-/// built-in one, prints the bound address, and blocks in the accept
-/// loop. The daemon re-imports `--data` from its path on every `POST
+/// (its `--data` path, optional `--regions` sidecar path, and the set
+/// already imported from them, if any) or the built-in one, prints the
+/// bound address, and blocks in the accept loop. An imported set is
+/// moved into the service, not loaded a second time, so a reload frees
+/// it. The daemon re-imports `--data` from its path on every `POST
 /// /v1/reload`, so a repacked container or refreshed CSV is picked up
 /// without a restart.
 pub(crate) fn serve_cmd(
     out: &mut dyn io::Write,
-    data: Option<(&str, Option<&str>)>,
+    data: Option<(String, Option<String>, Option<TraceSet>)>,
     addr: &str,
     threads: usize,
     capacity_per_hour: Option<usize>,
 ) -> Result<(), CliError> {
     use std::sync::Arc;
     let (traces, loader): (Arc<TraceSet>, decarb_serve::Loader) = match data {
-        Some((data_path, regions_path)) => {
-            let data_path = data_path.to_string();
-            let regions_path = regions_path.map(str::to_string);
-            let set = Arc::new(crate::load_dataset(&data_path, regions_path.as_deref())?);
+        Some((data_path, regions_path, imported)) => {
+            let set = match imported {
+                Some(set) => set,
+                None => crate::load_dataset(&data_path, regions_path.as_deref())?,
+            };
             (
-                set,
+                Arc::new(set),
                 Box::new(move || {
                     crate::load_dataset(&data_path, regions_path.as_deref())
                         .map(Arc::new)
@@ -934,6 +937,13 @@ pub(crate) fn scenario_history_check(
     ))
 }
 
+/// The trace of a zone named on the command line. An unknown code is a
+/// usage error (exit 2), like an unknown experiment or scenario name.
+fn zone_series<'a>(data: &'a TraceSet, zone: &str) -> Result<&'a TimeSeries, CliError> {
+    data.series(zone)
+        .map_err(|_| CliError::Parse(ParseError(format!("unknown zone `{zone}` (see `regions`)"))))
+}
+
 fn year_values<'a>(data: &'a TraceSet, zone: &str, year: i32) -> Result<&'a [f64], CliError> {
     Ok(data
         .series(zone)?
@@ -979,8 +989,8 @@ pub(crate) fn regions(data: &TraceSet, group: Option<&str>, year: i32) -> Result
 }
 
 pub(crate) fn analyze(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
+    let series = zone_series(data, zone)?;
     let region = data.region(zone)?;
-    let series = data.series(zone)?;
     // Imported datasets (`--data`) may not cover the whole requested
     // year; fall back to the full stored range rather than failing.
     let (values, range_label) = match series.window(year_start(year), hours_in_year(year)) {
@@ -1053,7 +1063,7 @@ pub(crate) fn plan(
             "job window extends past the year end; lower --arrive/--slack".into(),
         )));
     }
-    let series = data.series(zone)?;
+    let series = zone_series(data, zone)?;
     let arrival = year_start(year).plus(arrive);
     // Check the job itself fits the stored data before the (panicking)
     // planner kernels see it — imported datasets may be short. The
@@ -1154,7 +1164,7 @@ pub(crate) fn forecast(
     days: usize,
     year: i32,
 ) -> Result<String, CliError> {
-    let series = data.series(zone)?;
+    let series = zone_series(data, zone)?;
     let eval_start = year_start(year);
     let eval_hours = (days * 24).min(hours_in_year(year));
     let config = BacktestConfig::default();
@@ -1215,9 +1225,7 @@ pub(crate) fn rank(data: &TraceSet, year: i32) -> Result<String, CliError> {
 }
 
 pub(crate) fn export(data: &TraceSet, zone: &str, year: i32) -> Result<String, CliError> {
-    let series = data
-        .series(zone)?
-        .slice(year_start(year), hours_in_year(year))?;
+    let series = zone_series(data, zone)?.slice(year_start(year), hours_in_year(year))?;
     let mut buffer = Vec::new();
     csv::write_series(&series, &mut buffer)?;
     Ok(String::from_utf8(buffer).expect("CSV output is ASCII"))
@@ -1232,7 +1240,7 @@ mod tests {
     fn run_on(command: &Command, data: &TraceSet) -> Result<String, CliError> {
         let imported = Some(("<memory>".to_string(), None, data.clone()));
         let mut out = Vec::new();
-        crate::execute(command, &imported, &mut out)?;
+        crate::execute(command, imported, &mut out)?;
         Ok(String::from_utf8(out).unwrap().trim_end().to_string())
     }
 
@@ -1293,9 +1301,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_zone_is_a_trace_error() {
-        let err = dispatch(&argv(&["analyze", "XX-NOPE"])).unwrap_err();
-        assert!(matches!(err, CliError::Trace(_)));
+    fn unknown_zone_is_a_usage_error() {
+        for run in [
+            &["analyze", "XX-NOPE"][..],
+            &["plan", "XX-NOPE", "--hours", "6"],
+            &["forecast", "XX-NOPE"],
+            &["export", "XX-NOPE"],
+        ] {
+            let err = dispatch(&argv(run)).unwrap_err();
+            assert!(matches!(err, CliError::Parse(_)), "{run:?}: {err:?}");
+            assert!(format!("{err}").contains("unknown zone `XX-NOPE`"), "{err}");
+        }
     }
 
     #[test]

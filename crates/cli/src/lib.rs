@@ -22,7 +22,7 @@
 //! by their content hash.
 
 use std::cell::OnceCell;
-use std::io::Write;
+use std::io::{Read, Write};
 
 use decarb_traces::{
     builtin_dataset, container, csv, repair, validate, TraceSet, ValidationConfig,
@@ -50,17 +50,27 @@ pub use commands::CliError;
 /// interned with defaults instead of being rejected. A sidecar
 /// `[dataset] resolution = MIN` section declares the CSV rows' sample
 /// cadence — without one, rows are hourly.
+///
+/// Only the first eight bytes are read to tell the formats apart, so a
+/// container streams through [`container::load_file`] without first
+/// being read whole.
 pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, CliError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| decarb_traces::TraceError::Io(format!("{path}: {e}")))?;
-    if container::is_container(&bytes) {
+    let io = |e: std::io::Error| decarb_traces::TraceError::Io(format!("{path}: {e}"));
+    let mut magic = Vec::with_capacity(container::MAGIC.len());
+    std::fs::File::open(path)
+        .and_then(|file| {
+            file.take(container::MAGIC.len() as u64)
+                .read_to_end(&mut magic)
+        })
+        .map_err(io)?;
+    if container::is_container(&magic) {
         if regions_path.is_some() {
             return Err(CliError::Parse(ParseError(format!(
                 "{path} is a binary trace container and carries its own region \
                  metadata; drop --regions"
             ))));
         }
-        return Ok(container::decode(&bytes, path)?);
+        return Ok(container::load_file(path)?);
     }
     let (extra, declared_resolution) = match regions_path {
         None => (Vec::new(), None),
@@ -71,8 +81,7 @@ pub fn load_dataset(path: &str, regions_path: Option<&str>) -> Result<TraceSet, 
             (doc.regions, doc.resolution)
         }
     };
-    let text = String::from_utf8(bytes)
-        .map_err(|e| decarb_traces::TraceError::Io(format!("{path}: {e}")))?;
+    let text = std::fs::read_to_string(path).map_err(io)?;
     let raw = csv::read_dataset_str_with(&text, &extra)?;
     let config = ValidationConfig::default();
     let pairs = raw
@@ -161,11 +170,7 @@ impl Command {
 /// built-in one, writing its output to `out`. `scenario run` streams
 /// each report as its parallel chunk completes, and `serve` prints its
 /// address and then blocks in the accept loop.
-pub fn execute(
-    command: &Command,
-    data: &ImportedData,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Result<(), CliError> {
     if data.is_some() && !command.reads_dataset() {
         return Err(CliError::Parse(ParseError(
             "--data replaces the built-in dataset, which this command does not read; drop --data"
@@ -174,7 +179,7 @@ pub fn execute(
     }
     // Synthesized on first use, so dataset-free commands never pay for it.
     let builtin = OnceCell::new();
-    let dataset = || match data {
+    let dataset = || match &data {
         Some((_, _, set)) => set,
         None => &**builtin.get_or_init(builtin_dataset),
     };
@@ -240,17 +245,17 @@ pub fn execute(
             threads,
             capacity_per_hour,
         } => {
-            let paths = match (data, serve_data) {
+            let data = match (data, serve_data) {
                 (Some(_), Some(_)) => {
                     return Err(CliError::Parse(ParseError(
                         "--data given twice (global and `serve --data`); pass it once".into(),
                     )))
                 }
-                (Some((path, sidecar, _)), None) => Some((path.as_str(), sidecar.as_deref())),
-                (None, Some(path)) => Some((path.as_str(), regions.as_deref())),
+                (Some((path, sidecar, set)), None) => Some((path, sidecar, Some(set))),
+                (None, Some(path)) => Some((path.clone(), regions.clone(), None)),
                 (None, None) => None,
             };
-            return commands::serve_cmd(out, paths, addr, *threads, *capacity_per_hour);
+            return commands::serve_cmd(out, data, addr, *threads, *capacity_per_hour);
         }
         Command::ServeBench {
             addr,
@@ -279,7 +284,7 @@ pub fn execute(
 pub fn dispatch_stream(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (data, rest) = split_data(argv)?;
     let command = parse(rest).map_err(CliError::Parse)?;
-    execute(&command, &data, out)
+    execute(&command, data, out)
 }
 
 /// [`dispatch_stream`] buffered into a `String`, without the final

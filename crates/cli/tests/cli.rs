@@ -124,6 +124,30 @@ fn every_subcommand_missing_its_argument_prints_its_usage_line() {
     }
 }
 
+/// Every row of the command table that takes a zone code, given the
+/// unknown zone `XX-NOPE` and otherwise valid arguments.
+const UNKNOWN_ZONE_RUNS: &[&str] = &[
+    "analyze XX-NOPE",
+    "plan XX-NOPE --hours 6",
+    "forecast XX-NOPE",
+    "export XX-NOPE",
+];
+
+#[test]
+fn every_zone_subcommand_rejects_an_unknown_zone_with_exit_2() {
+    for run in UNKNOWN_ZONE_RUNS {
+        let args: Vec<&str> = run.split(' ').collect();
+        let out = decarb_cli(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{run}: {err}");
+        assert!(stdout(&out).is_empty(), "{run}");
+        assert!(
+            err.contains("unknown zone `XX-NOPE` (see `regions`)"),
+            "{run}: {err}"
+        );
+    }
+}
+
 #[test]
 fn list_enumerates_the_whole_registry() {
     let out = decarb_cli(&["list"]);

@@ -51,12 +51,13 @@ pub struct Placement {
 /// arguments are slot counts. Callers with wall-clock inputs convert
 /// once at the edge (see `Job::length_slots_at` and friends) before
 /// querying. Window sums go through a shared [`ChunkedPrefix`] on every
-/// axis; [`TemporalPlanner::for_region`] borrows the dataset's cached
-/// one instead of building a copy.
+/// axis. The planner holds a [`TimeSeries`] clone, which shares the
+/// samples rather than copying them, so [`TemporalPlanner::for_region`]
+/// reads the dataset's own sample buffer and cached prefix and
+/// allocates neither.
 #[derive(Debug, Clone)]
 pub struct TemporalPlanner {
-    start: Hour,
-    values: Vec<f64>,
+    series: TimeSeries,
     prefix: Arc<ChunkedPrefix>,
     resolution: Resolution,
 }
@@ -89,11 +90,15 @@ impl TemporalPlanner {
         prefix: Arc<ChunkedPrefix>,
     ) -> Self {
         Self {
-            start: series.start(),
-            values: series.values().to_vec(),
+            series: series.clone(),
             prefix,
             resolution,
         }
+    }
+
+    /// Returns the trace the planner reads.
+    pub fn series(&self) -> &TimeSeries {
+        &self.series
     }
 
     /// Returns the sample resolution of the planner's trace axis.
@@ -103,21 +108,21 @@ impl TemporalPlanner {
 
     /// Returns the first hour covered by the trace.
     pub fn trace_start(&self) -> Hour {
-        self.start
+        self.series.start()
     }
 
     /// Returns the hour just past the end of the trace.
     pub fn trace_end(&self) -> Hour {
-        self.start.plus(self.values.len())
+        self.series.end()
     }
 
     fn idx(&self, hour: Hour) -> usize {
         assert!(
-            hour >= self.start,
+            hour >= self.series.start(),
             "hour {hour} before trace start {}",
-            self.start
+            self.series.start()
         );
-        (hour.0 - self.start.0) as usize
+        (hour.0 - self.series.start().0) as usize
     }
 
     /// Returns the carbon cost of running `slots` hours at `arrival`
@@ -129,7 +134,7 @@ impl TemporalPlanner {
     pub fn baseline_cost(&self, arrival: Hour, slots: usize) -> f64 {
         let i = self.idx(arrival);
         assert!(
-            i + slots <= self.values.len(),
+            i + slots <= self.series.len(),
             "job at {arrival} (+{slots}h) runs past trace end"
         );
         self.prefix.sum(arrival, slots)
@@ -137,7 +142,7 @@ impl TemporalPlanner {
 
     /// Returns the latest start the trace can accommodate for `slots`.
     fn last_start(&self, slots: usize) -> usize {
-        self.values.len().saturating_sub(slots)
+        self.series.len().saturating_sub(slots)
     }
 
     /// Finds the cheapest contiguous `slots`-window starting within
@@ -156,14 +161,14 @@ impl TemporalPlanner {
         let mut best_start = first;
         let mut best_cost = f64::INFINITY;
         for s in first..=last {
-            let cost = self.prefix.sum(self.start.plus(s), slots);
+            let cost = self.prefix.sum(self.series.start().plus(s), slots);
             if cost < best_cost {
                 best_cost = cost;
                 best_start = s;
             }
         }
         Placement {
-            start: self.start.plus(best_start),
+            start: self.series.start().plus(best_start),
             cost_g: best_cost,
         }
     }
@@ -178,13 +183,14 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> (Vec<Hour>, f64) {
+        let values = self.series.values();
         let first = self.idx(arrival);
-        let end = (first + slots + slack).min(self.values.len());
+        let end = (first + slots + slack).min(values.len());
         assert!(
-            first + slots <= self.values.len(),
+            first + slots <= values.len(),
             "job at {arrival} (+{slots}h) cannot fit before trace end"
         );
-        let mut indexed: Vec<(f64, usize)> = self.values[first..end]
+        let mut indexed: Vec<(f64, usize)> = values[first..end]
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, first + i))
@@ -192,9 +198,12 @@ impl TemporalPlanner {
         indexed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut chosen: Vec<usize> = indexed.iter().take(slots).map(|&(_, i)| i).collect();
         chosen.sort_unstable();
-        let cost = chosen.iter().map(|&i| self.values[i]).sum();
+        let cost = chosen.iter().map(|&i| values[i]).sum();
         (
-            chosen.into_iter().map(|i| self.start.plus(i)).collect(),
+            chosen
+                .into_iter()
+                .map(|i| self.series.start().plus(i))
+                .collect(),
             cost,
         )
     }
@@ -238,7 +247,7 @@ impl TemporalPlanner {
         let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         let mut next_push = first;
         let mut out = Vec::with_capacity(count);
-        let window_cost = |s: usize| -> f64 { self.prefix.sum(self.start.plus(s), slots) };
+        let window_cost = |s: usize| -> f64 { self.prefix.sum(self.series.start().plus(s), slots) };
         for a in first..first + count {
             let right = (a + slack).min(last_start);
             while next_push <= right {
@@ -282,22 +291,23 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> Vec<f64> {
+        let values = self.series.values();
         let first = self.idx(sweep_start);
         assert!(
-            first + count - 1 + slots <= self.values.len(),
+            first + count - 1 + slots <= values.len(),
             "sweep runs past trace end"
         );
         let mut set = SlidingKSmallest::new(slots);
         let mut right = first;
         let mut out = Vec::with_capacity(count);
         for a in first..first + count {
-            let target_right = (a + slots + slack).min(self.values.len());
+            let target_right = (a + slots + slack).min(values.len());
             while right < target_right {
-                set.insert(self.values[right]);
+                set.insert(values[right]);
                 right += 1;
             }
             if a > first {
-                set.remove(self.values[a - 1]);
+                set.remove(values[a - 1]);
             }
             out.push(set.k_sum());
         }
@@ -506,6 +516,10 @@ mod tests {
         let id = data.id_of("SE").unwrap();
         let shared = TemporalPlanner::for_region(&data, id);
         assert!(Arc::ptr_eq(&shared.prefix, data.chunked_prefix_by_id(id)));
+        assert!(std::ptr::eq(
+            shared.series().values().as_ptr(),
+            data.series_by_id(id).values().as_ptr()
+        ));
         let own = TemporalPlanner::new(data.series_by_id(id));
         assert_eq!(
             shared.best_deferred(Hour(3), 6, 48),

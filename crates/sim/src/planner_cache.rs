@@ -1,15 +1,16 @@
 //! A shared, thread-safe cache of [`TemporalPlanner`]s.
 //!
-//! [`crate::policy::PlannedDeferral`] builds a fresh planner — a copy
-//! of the origin's trace — for *every* placement. For one validation
-//! job that is fine; at scenario-matrix scale (hundreds of scenarios ×
-//! ~100 jobs each) the rebuild dominates the whole sweep. A
-//! [`PlannerCache`] is created once per `run_scenarios` call and shared
-//! by reference across the worker threads: each region's planner is
-//! built the first time any scenario needs it and reused by every later
-//! placement. Planners share the dataset's cached prefix sums
-//! ([`TemporalPlanner::for_region`]), so the engine's span accrual and
-//! the planners hold one prefix per region between them.
+//! [`crate::policy::PlannedDeferral`] builds a fresh planner for
+//! *every* placement. A planner built by
+//! [`TemporalPlanner::for_region`] shares the dataset's samples and its
+//! cached prefix sums, so a build copies no trace: it is two reference
+//! count bumps, plus the prefix build for the first planner of a
+//! region. A [`PlannerCache`] is created once per `run_scenarios` call
+//! and shared by reference across the worker threads: each region's
+//! planner is built the first time any scenario needs it and reused by
+//! every later placement. With builds this cheap the cache saves
+//! little; deleting it is an open item, as the benchmark's serial
+//! replay still calls it.
 //!
 //! A planner spans a region's entire stored trace, so the cache is a
 //! dense [`RegionId`]-indexed slot table — scenario horizons never

@@ -120,7 +120,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Builds a snapshot deploying every region of `traces`, prewarming
-    /// one planner per region so first queries pay no build cost.
+    /// one planner per region so first queries pay no prefix build. The
+    /// planners share the dataset's samples; prewarming copies none.
     pub fn build(traces: Arc<TraceSet>, generation: u64) -> Self {
         let deployed: Vec<RegionId> = traces.ids().collect();
         let rtt = RttTable::build(&traces, &deployed);
@@ -332,6 +333,19 @@ mod tests {
         assert_eq!(d.start, r.arrival);
         assert!((d.cost_g - d.naive_g).abs() < 1e-9);
         assert_eq!(d.saved_g, 0.0);
+    }
+
+    #[test]
+    fn planners_read_the_dataset_sample_buffer() {
+        let snap = snapshot();
+        let data = snap.traces();
+        for id in [data.id_of("DE").unwrap(), data.id_of("SE").unwrap()] {
+            let samples = data.series_by_id(id).values().as_ptr();
+            let region = TemporalPlanner::for_region(data, id);
+            assert!(std::ptr::eq(region.series().values().as_ptr(), samples));
+            let prewarmed = snap.planner(id);
+            assert!(std::ptr::eq(prewarmed.series().values().as_ptr(), samples));
+        }
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //!
 //! CSV is the interchange format, but parsing `zone,hour,value` rows is
 //! the dominant cost of every process start on year-scale multi-grid
-//! datasets — and the sharded sweep fan-out multiplies that cost by the
-//! worker count, since each child re-imports the same file. This module
-//! defines a versioned binary layout that loads in one pass with no
-//! string work past the metadata block:
+//! datasets. This module defines a versioned binary layout that loads
+//! in one streaming pass with no string work past the metadata block:
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────┐
@@ -41,10 +39,21 @@
 //! trailer hash — history is never re-encoded. [`decode`] concatenates
 //! the segments per region into one contiguous series.
 //!
+//! Every reader runs one parser. It pulls the file in 1 MiB pieces,
+//! hashes each piece as it arrives and converts value blocks straight
+//! into each region's final, pre-sized sample buffer, so loading a
+//! container never holds the whole file next to the decoded samples.
+//! Header counts are checked against the bytes that follow before
+//! anything is allocated for them.
+//!
 //! The trailing hash makes a container self-verifying: [`decode`],
-//! [`probe`], and [`append`] all reject a file whose bytes do not match
-//! the recorded hash, and the hash doubles as a cheap dataset identity
-//! for comparing inputs across sweep hosts.
+//! [`load_file`], [`probe`], and [`append`] all reject a file whose
+//! bytes do not match the recorded hash, and return nothing before the
+//! hash has matched. The hash doubles as a cheap dataset identity for
+//! comparing inputs across sweep hosts.
+
+use std::fs::File;
+use std::io::Read;
 
 use crate::dataset::TraceSet;
 use crate::error::TraceError;
@@ -106,15 +115,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Bytes per content-hash chunk.
 const HASH_CHUNK: usize = 1 << 20;
 
-/// FNV-1a folded over little-endian 8-byte words, with a trailing
-/// length mix — the chunk digest under [`content_hash`].
-///
-/// Byte-serial FNV-1a advances its multiply dependency chain once per
-/// byte, which on a year-scale value section costs more than decoding
-/// the values it guards. Folding a word at a time keeps the same
-/// xor-and-multiply structure with an eighth of the chain; the length
-/// mix keeps a short chunk from colliding with its zero-padded
-/// extension.
 /// Copies an exact-width chunk into a fixed array. Callers pass slices
 /// whose width `chunks_exact`/`take` already checked; short input pads
 /// with zeros instead of panicking.
@@ -125,6 +125,15 @@ fn array_from<const N: usize>(slice: &[u8]) -> [u8; N] {
     out
 }
 
+/// FNV-1a folded over little-endian 8-byte words, with a trailing
+/// length mix — the chunk digest under [`content_hash`].
+///
+/// Byte-serial FNV-1a advances its multiply dependency chain once per
+/// byte, which on a year-scale value section costs more than decoding
+/// the values it guards. Folding a word at a time keeps the same
+/// xor-and-multiply structure with an eighth of the chain; the length
+/// mix keeps a short chunk from colliding with its zero-padded
+/// extension.
 fn fnv1a64_words(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut words = bytes.chunks_exact(8);
@@ -321,105 +330,278 @@ fn put_str(out: &mut Vec<u8>, text: &str) {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A bounds-checked little-endian reader over the container bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The fewest bytes one region's metadata record can take: two empty
+/// strings' length prefixes, three flag bytes and fifteen `f64`s.
+const MIN_REGION_META: usize = 2 + 2 + 3 + 15 * 8;
+
+/// The container body (every byte before the trailer), pulled from its
+/// source in [`HASH_CHUNK`] pieces. Each piece is folded into the
+/// content hash as it arrives, so the whole file is never held: values
+/// go straight from a piece into their final buffers. The source is a
+/// `File` for [`load_file`] and [`probe_file`], and a byte slice for
+/// [`decode`], [`probe`] and [`append`].
+struct Body<'a, R> {
+    src: R,
     label: &'a str,
+    /// Body length in bytes: the file length minus the trailer.
+    len: usize,
+    /// The current piece and the read position inside it.
+    chunk: Vec<u8>,
+    pos: usize,
+    /// Body bytes pulled from the source so far.
+    pulled: usize,
+    /// The little-endian [`fnv1a64_words`] digest of every piece pulled.
+    digests: Vec<u8>,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
+impl<'a, R: Read> Body<'a, R> {
+    /// Opens the body of a `file_len`-byte container and checks its
+    /// magic. Files too short for the fixed header and trailer are
+    /// rejected here, before anything is hashed.
+    fn open(mut src: R, file_len: u64, label: &'a str) -> Result<Self, TraceError> {
+        let len = usize::try_from(file_len)
+            .map_err(|_| bad(label, "file length exceeds the address space"))?;
+        if len < HEADER_LEN + TRAILER_LEN {
+            let mut head = Vec::with_capacity(MAGIC.len());
+            (&mut src)
+                .take(MAGIC.len() as u64)
+                .read_to_end(&mut head)
+                .map_err(|e| io(label, e))?;
+            if !is_container(&head) {
+                return Err(bad_magic(label));
+            }
             return Err(bad(
-                self.label,
+                label,
                 format!(
-                    "truncated {what}: needed {n} bytes at offset {} but the file holds {}; \
-                     the file was cut short — re-pack it from the source CSV",
-                    self.pos,
-                    self.bytes.len()
+                    "truncated header: the file holds {len} bytes but the fixed header and \
+                     hash trailer need {}",
+                    HEADER_LEN + TRAILER_LEN
                 ),
             ));
+        }
+        let mut body = Self {
+            src,
+            label,
+            len: len - TRAILER_LEN,
+            chunk: Vec::new(),
+            pos: 0,
+            pulled: 0,
+            digests: Vec::new(),
         };
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        body.next_chunk()?;
+        if !is_container(&body.chunk) {
+            return Err(bad_magic(label));
+        }
+        body.pos = MAGIC.len();
+        Ok(body)
+    }
+
+    /// Body bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.len - self.pulled + (self.chunk.len() - self.pos)
+    }
+
+    /// Replaces the consumed piece with the next one and folds it into
+    /// the hash. Callers check [`Body::remaining`] first.
+    fn next_chunk(&mut self) -> Result<(), TraceError> {
+        let n = HASH_CHUNK.min(self.len - self.pulled);
+        self.chunk.resize(n, 0);
+        self.src
+            .read_exact(&mut self.chunk)
+            .map_err(|e| io(self.label, e))?;
+        self.digests
+            .extend_from_slice(&fnv1a64_words(&self.chunk).to_le_bytes());
+        self.pulled += n;
+        self.pos = 0;
+        Ok(())
+    }
+
+    /// Fails unless `n` more body bytes exist.
+    fn need(&self, n: usize, what: &str) -> Result<(), TraceError> {
+        if n <= self.remaining() {
+            return Ok(());
+        }
+        Err(bad(
+            self.label,
+            format!(
+                "truncated {what}: needed {n} bytes at offset {} but the file holds {}; \
+                 the file was cut short — re-pack it from the source CSV",
+                self.len - self.remaining(),
+                self.len
+            ),
+        ))
+    }
+
+    /// Feeds the next `n` body bytes to `take`, one piece-bounded
+    /// slice at a time.
+    fn consume(
+        &mut self,
+        n: usize,
+        what: &str,
+        mut take: impl FnMut(&[u8]),
+    ) -> Result<(), TraceError> {
+        self.need(n, what)?;
+        let mut left = n;
+        while left > 0 {
+            if self.pos == self.chunk.len() {
+                self.next_chunk()?;
+            }
+            let step = left.min(self.chunk.len() - self.pos);
+            take(&self.chunk[self.pos..self.pos + step]);
+            self.pos += step;
+            left -= step;
+        }
+        Ok(())
+    }
+
+    /// Fills `out` from the body, across piece edges.
+    fn read(&mut self, out: &mut [u8], what: &str) -> Result<(), TraceError> {
+        let mut filled = 0;
+        self.consume(out.len(), what, |piece| {
+            out[filled..filled + piece.len()].copy_from_slice(piece);
+            filled += piece.len();
+        })
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceError> {
+        let mut out = [0u8; N];
+        self.read(&mut out, what)?;
+        Ok(out)
+    }
+
+    fn byte(&mut self, what: &str) -> Result<u8, TraceError> {
+        Ok(self.array::<1>(what)?[0])
     }
 
     fn u16(&mut self, what: &str) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(array_from(self.take(2, what)?)))
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(array_from(self.take(4, what)?)))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(array_from(self.take(8, what)?)))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, TraceError> {
-        Ok(f64::from_le_bytes(array_from(self.take(8, what)?)))
+        Ok(f64::from_le_bytes(self.array(what)?))
     }
 
-    fn str(&mut self, what: &str) -> Result<&'a str, TraceError> {
+    /// Reads a u16-length-prefixed UTF-8 string.
+    fn str(&mut self, what: &str) -> Result<String, TraceError> {
         let len = self.u16(what)? as usize;
-        let raw = self.take(len, what)?;
-        std::str::from_utf8(raw).map_err(|_| bad(self.label, format!("{what} is not UTF-8")))
+        self.need(len, what)?;
+        let mut raw = vec![0u8; len];
+        self.read(&mut raw, what)?;
+        String::from_utf8(raw).map_err(|_| bad(self.label, format!("{what} is not UTF-8")))
+    }
+
+    /// Appends `n` little-endian `f64`s to `out`, converting each piece
+    /// in place; only a word that straddles two pieces is copied first.
+    // decarb-analyze: hot-path
+    fn f64s(&mut self, n: usize, out: &mut Vec<f64>, what: &str) -> Result<(), TraceError> {
+        self.need(n.saturating_mul(8), what)?;
+        let mut left = n;
+        while left > 0 {
+            if self.pos == self.chunk.len() {
+                self.next_chunk()?;
+            }
+            let words = left.min((self.chunk.len() - self.pos) / 8);
+            if words == 0 {
+                out.push(f64::from_le_bytes(self.array(what)?));
+                left -= 1;
+                continue;
+            }
+            let end = self.pos + words * 8;
+            out.extend(
+                self.chunk[self.pos..end]
+                    .chunks_exact(8)
+                    .map(|word| f64::from_le_bytes(array_from(word))),
+            );
+            self.pos = end;
+            left -= words;
+        }
+        Ok(())
+    }
+
+    /// Hashes whatever body is left unread, then checks the total
+    /// against the trailer and returns it.
+    fn finish(mut self) -> Result<u64, TraceError> {
+        let rest = self.remaining();
+        self.consume(rest, "body", |_| ())?;
+        let mut trailer = [0u8; TRAILER_LEN];
+        self.src
+            .read_exact(&mut trailer)
+            .map_err(|e| io(self.label, e))?;
+        let recorded = u64::from_le_bytes(trailer);
+        let actual = fnv1a64(&self.digests);
+        if recorded != actual {
+            return Err(bad(
+                self.label,
+                format!(
+                    "content hash mismatch: trailer records fnv1a64:{recorded:016x} but the \
+                     bytes hash to fnv1a64:{actual:016x}; the file is corrupt or was \
+                     modified in place — re-pack it from the source CSV"
+                ),
+            ));
+        }
+        Ok(recorded)
     }
 }
 
-/// The parsed fixed header.
-struct Header {
-    regions: usize,
-    resolution_minutes: u32,
-    start: Hour,
-    hours: usize,
-    segments: usize,
-    meta_len: usize,
-    version: u16,
-}
-
-/// Checks magic, version, and the trailer hash, then parses the fixed
-/// header. Every loader goes through this gate.
-fn verify_and_read_header(bytes: &[u8], label: &str) -> Result<(Header, u64), TraceError> {
-    if !is_container(bytes) {
-        return Err(bad(
-            label,
-            "bad magic: not a decarb trace container (pack one with `data pack`)",
-        ));
-    }
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(bad(
-            label,
-            format!(
-                "truncated header: the file holds {} bytes but the fixed header and \
-                 hash trailer need {}",
-                bytes.len(),
-                HEADER_LEN + TRAILER_LEN
-            ),
-        ));
-    }
-    let body = &bytes[..bytes.len() - TRAILER_LEN];
-    let recorded = u64::from_le_bytes(array_from(&bytes[bytes.len() - TRAILER_LEN..]));
-    let actual = content_hash(body);
-    if recorded != actual {
-        return Err(bad(
-            label,
-            format!(
-                "content hash mismatch: trailer records fnv1a64:{recorded:016x} but the \
-                 bytes hash to fnv1a64:{actual:016x}; the file is corrupt or was \
-                 modified in place — re-pack it from the source CSV"
-            ),
-        ));
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: MAGIC.len(),
+fn bad_magic(label: &str) -> TraceError {
+    bad(
         label,
-    };
-    let version = r.u16("header")?;
+        "bad magic: not a decarb trace container (pack one with `data pack`)",
+    )
+}
+
+fn io(label: &str, err: std::io::Error) -> TraceError {
+    TraceError::Io(format!("{label}: {err}"))
+}
+
+/// What one walk over a container yields.
+struct Walk {
+    /// The header facts; `content_hash` is set by [`walk`] once the
+    /// trailer has matched.
+    info: ContainerInfo,
+    regions: Vec<Region>,
+    /// Each region's samples, in metadata order; empty unless the walk
+    /// was asked to keep them.
+    values: Vec<Vec<f64>>,
+}
+
+/// The one parser under every reader: walks a `file_len`-byte container
+/// from `src` in a single pass, hashing as it goes, and decodes each
+/// region's samples into a pre-sized buffer when `keep_values` is set.
+///
+/// A structural error is held until the rest of the body has been
+/// hashed, so the error order is fixed: bad magic, truncated header,
+/// hash mismatch, then whatever the structure broke. Nothing is
+/// returned before the trailer matches.
+fn walk<R: Read>(
+    src: R,
+    file_len: u64,
+    label: &str,
+    keep_values: bool,
+) -> Result<Walk, TraceError> {
+    let mut body = Body::open(src, file_len, label)?;
+    let parsed = parse(&mut body, keep_values);
+    let content_hash = body.finish()?;
+    let mut walk = parsed?;
+    walk.info.content_hash = content_hash;
+    Ok(walk)
+}
+
+/// Parses the header, metadata block and value segments from `body`.
+/// Every allocation is checked against the bytes the body still holds
+/// before it is made, so a header claiming more than the file carries
+/// is an error, never an allocation.
+fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, TraceError> {
+    let label = body.label;
+    let version = body.u16("header")?;
     if version != VERSION {
         return Err(bad(
             label,
@@ -429,48 +611,127 @@ fn verify_and_read_header(bytes: &[u8], label: &str) -> Result<(Header, u64), Tr
             ),
         ));
     }
-    let regions = r.u16("header")? as usize;
-    let resolution_minutes = r.u32("header")?;
-    let start = Hour(r.u32("header")?);
-    let hours = usize::try_from(r.u64("header")?)
+    let regions = body.u16("header")? as usize;
+    let resolution_minutes = body.u32("header")?;
+    let start = Hour(body.u32("header")?);
+    let hours = body.u64("header")?;
+    let segments = body.u32("header")? as usize;
+    let meta_len = body.u32("header")? as usize;
+    let promised = (regions as u64)
+        .checked_mul(hours)
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| n.checked_add(meta_len as u64));
+    if promised.is_none_or(|n| n > body.remaining() as u64) {
+        return Err(bad(
+            label,
+            format!(
+                "header promises {regions} regions of {hours} samples and a {meta_len}-byte \
+                 metadata block, more than the {} bytes after the header",
+                body.remaining()
+            ),
+        ));
+    }
+    let hours = usize::try_from(hours)
         .map_err(|_| bad(label, "header hour count exceeds the address space"))?;
-    let segments = r.u32("header")? as usize;
-    let meta_len = r.u32("header")? as usize;
-    Ok((
-        Header {
+    if regions > meta_len / MIN_REGION_META {
+        return Err(bad(
+            label,
+            format!(
+                "header promises {regions} regions but the {meta_len}-byte metadata block \
+                 holds at most {}",
+                meta_len / MIN_REGION_META
+            ),
+        ));
+    }
+    let meta_start = body.remaining();
+    let stored = decode_metadata(body, regions)?;
+    let parsed = meta_start - body.remaining();
+    if parsed != meta_len {
+        return Err(bad(
+            label,
+            format!(
+                "region metadata block length mismatch: header says {meta_len} bytes, \
+                 parsed {parsed}"
+            ),
+        ));
+    }
+    let mut values: Vec<Vec<f64>> = if keep_values {
+        (0..regions).map(|_| Vec::with_capacity(hours)).collect()
+    } else {
+        Vec::new()
+    };
+    let mut covered = 0usize;
+    for _ in 0..segments {
+        let seg_hours = usize::try_from(body.u64("segment header")?)
+            .ok()
+            .filter(|&n| n <= hours - covered)
+            .ok_or_else(|| {
+                bad(
+                    label,
+                    format!("segment hours run past the {hours} the header promises"),
+                )
+            })?;
+        if keep_values {
+            for out in &mut values {
+                body.f64s(seg_hours, out, "value block")?;
+            }
+        } else {
+            body.consume(regions * seg_hours * 8, "value block", |_| ())?;
+        }
+        covered += seg_hours;
+    }
+    if covered != hours {
+        return Err(bad(
+            label,
+            format!("segment hours sum to {covered} but the header promises {hours}"),
+        ));
+    }
+    if body.remaining() != 0 {
+        return Err(bad(
+            label,
+            format!(
+                "{} trailing bytes after the last value block",
+                body.remaining()
+            ),
+        ));
+    }
+    Ok(Walk {
+        info: ContainerInfo {
+            version,
             regions,
-            resolution_minutes,
             start,
             hours,
+            resolution_minutes,
             segments,
-            meta_len,
-            version,
+            content_hash: 0,
+            file_bytes: body.len + TRAILER_LEN,
         },
-        recorded,
-    ))
+        regions: stored,
+        values,
+    })
 }
 
 /// Parses the region metadata block into owned [`Region`]s.
-fn decode_metadata(r: &mut Reader<'_>, count: usize) -> Result<Vec<Region>, TraceError> {
+fn decode_metadata<R: Read>(r: &mut Body<'_, R>, count: usize) -> Result<Vec<Region>, TraceError> {
     let mut regions = Vec::with_capacity(count);
     for _ in 0..count {
-        let code = r.str("region code")?.to_string();
-        let name = r.str("region name")?.to_string();
-        let group_byte = r.take(1, "region group")?[0] as usize;
+        let code = r.str("region code")?;
+        let name = r.str("region name")?;
+        let group_byte = r.byte("region group")? as usize;
         let group = *GROUP_WIRE.get(group_byte).ok_or_else(|| {
             bad(
                 r.label,
                 format!("region {code}: unknown geo-group byte {group_byte}"),
             )
         })?;
-        let provider_bits = r.take(1, "region providers")?[0];
+        let provider_bits = r.byte("region providers")?;
         let mut providers = Providers::NONE;
         for (bit, &flag) in PROVIDER_WIRE.iter().enumerate() {
             if provider_bits & (1 << bit) != 0 {
                 providers = providers | flag;
             }
         }
-        let hyperscale_set = r.take(1, "region flags")?[0] != 0;
+        let hyperscale_set = r.byte("region flags")? != 0;
         let lat = r.f64("region latitude")?;
         let lon = r.f64("region longitude")?;
         let mean_ci_2022 = r.f64("region mean CI")?;
@@ -505,137 +766,35 @@ fn decode_metadata(r: &mut Reader<'_>, count: usize) -> Result<Vec<Region>, Trac
     Ok(regions)
 }
 
-/// Decodes a container into a [`TraceSet`].
+/// Decodes a container held in memory into a [`TraceSet`].
 ///
 /// `label` names the source in errors (the file path at the CLI edge).
-/// The load is one pass and allocation-lean: strings exist only in the
-/// metadata block; each region's samples are bulk-converted from the
-/// fixed-width segments into one pre-sized `Vec<f64>`.
+/// This is the same single pass as [`load_file`]: strings exist only in
+/// the metadata block, and each region's samples are converted from the
+/// fixed-width segments straight into one pre-sized `Vec<f64>`.
 pub fn decode(bytes: &[u8], label: &str) -> Result<TraceSet, TraceError> {
-    let (header, _) = verify_and_read_header(bytes, label)?;
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - TRAILER_LEN],
-        pos: HEADER_LEN,
-        label,
-    };
-    let meta_end = HEADER_LEN
-        .checked_add(header.meta_len)
-        .filter(|&e| e <= r.bytes.len())
-        .ok_or_else(|| bad(label, "truncated region metadata block"))?;
-    let regions = decode_metadata(&mut r, header.regions)?;
-    if r.pos != meta_end {
-        return Err(bad(
-            label,
-            format!(
-                "region metadata block length mismatch: header says {} bytes, parsed {}",
-                header.meta_len,
-                r.pos - HEADER_LEN
-            ),
-        ));
-    }
-    // Walk the segment structure sequentially (cheap pointer
-    // arithmetic), then fan the actual byte→f64 conversion out across
-    // regions — on the year-long 123-zone dataset that conversion, not
-    // the walk, is the bulk of the decode.
-    let mut blocks: Vec<Vec<&[u8]>> = regions
-        .iter()
-        .map(|_| Vec::with_capacity(header.segments))
-        .collect();
-    let mut covered = 0usize;
-    for _ in 0..header.segments {
-        let seg_hours = usize::try_from(r.u64("segment header")?)
-            .map_err(|_| bad(label, "segment hour count exceeds the address space"))?;
-        for region_blocks in &mut blocks {
-            region_blocks.push(r.take(seg_hours * 8, "value block")?);
-        }
-        covered += seg_hours;
-    }
-    if covered != header.hours {
-        return Err(bad(
-            label,
-            format!(
-                "segment hours sum to {covered} but the header promises {}",
-                header.hours
-            ),
-        ));
-    }
-    if r.pos != r.bytes.len() {
-        return Err(bad(
-            label,
-            format!(
-                "{} trailing bytes after the last value block",
-                r.bytes.len() - r.pos
-            ),
-        ));
-    }
-    let resolution = Resolution::from_minutes(header.resolution_minutes)
+    into_trace_set(walk(bytes, bytes.len() as u64, label, true)?, label)
+}
+
+/// Builds the dataset from a walk that kept its values.
+fn into_trace_set(walk: Walk, label: &str) -> Result<TraceSet, TraceError> {
+    let resolution = Resolution::from_minutes(walk.info.resolution_minutes)
         .map_err(|reason| bad(label, format!("header {reason}")))?;
-    let values = decode_value_blocks(&blocks, header.hours);
-    let pairs = regions
+    let start = walk.info.start;
+    let pairs = walk
+        .regions
         .into_iter()
-        .zip(values)
-        .map(|(region, values)| (region, TimeSeries::new(header.start, values)))
+        .zip(walk.values)
+        .map(|(region, values)| (region, TimeSeries::new(start, values)))
         .collect();
     Ok(TraceSet::try_from_series(pairs)?.with_resolution(resolution))
 }
 
-/// Fans the byte→f64 conversion of the per-region segment blocks out
-/// across worker threads. On the year-long 123-zone dataset this
-/// conversion, not the segment walk, dominates the whole decode.
-// decarb-analyze: hot-path
-fn decode_value_blocks(blocks: &[Vec<&[u8]>], hours: usize) -> Vec<Vec<f64>> {
-    decarb_par::par_map(blocks, |region_blocks| {
-        let mut out = Vec::with_capacity(hours);
-        for block in region_blocks {
-            out.extend(
-                block
-                    .chunks_exact(8)
-                    .map(|chunk| f64::from_le_bytes(array_from(chunk))),
-            );
-        }
-        out
-    })
-}
-
 /// Verifies a container and reports its header facts without building
-/// the dataset: magic, version, and hash are checked, and the segment
-/// structure is walked so truncation inside a value block is caught.
+/// the dataset: the same walk as [`decode`], with the values hashed and
+/// skipped rather than kept.
 pub fn probe(bytes: &[u8], label: &str) -> Result<ContainerInfo, TraceError> {
-    let (header, content_hash) = verify_and_read_header(bytes, label)?;
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - TRAILER_LEN],
-        pos: HEADER_LEN,
-        label,
-    };
-    r.take(header.meta_len, "region metadata block")?;
-    let mut covered = 0usize;
-    for _ in 0..header.segments {
-        let seg_hours = usize::try_from(r.u64("segment header")?)
-            .map_err(|_| bad(label, "segment hour count exceeds the address space"))?;
-        r.take(header.regions * seg_hours * 8, "value block")?;
-        covered += seg_hours;
-    }
-    if covered != header.hours || r.pos != r.bytes.len() {
-        return Err(bad(
-            label,
-            format!(
-                "segment structure mismatch: {covered} segment hours / {} promised, \
-                 {} bytes left over",
-                header.hours,
-                r.bytes.len() - r.pos
-            ),
-        ));
-    }
-    Ok(ContainerInfo {
-        version: header.version,
-        regions: header.regions,
-        start: header.start,
-        hours: header.hours,
-        resolution_minutes: header.resolution_minutes,
-        segments: header.segments,
-        content_hash,
-        file_bytes: bytes.len(),
-    })
+    Ok(walk(bytes, bytes.len() as u64, label, false)?.info)
 }
 
 // ---------------------------------------------------------------------
@@ -661,13 +820,11 @@ pub fn append(
     update: &TraceSet,
     pad: bool,
 ) -> Result<(Vec<u8>, usize), TraceError> {
-    let (header, _) = verify_and_read_header(bytes, label)?;
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - TRAILER_LEN],
-        pos: HEADER_LEN,
-        label,
-    };
-    let stored = decode_metadata(&mut r, header.regions)?;
+    let Walk {
+        info: header,
+        regions: stored,
+        ..
+    } = walk(bytes, bytes.len() as u64, label, false)?;
     if update.resolution().minutes() != header.resolution_minutes {
         return Err(bad(
             label,
@@ -795,16 +952,24 @@ pub fn write_file(set: &TraceSet, path: &str) -> Result<(), TraceError> {
     write_bytes_atomic(path, &bytes)
 }
 
-/// Reads and [`decode`]s a container file.
+/// Streams a container file through [`decode`]'s single pass. The file
+/// is read one 1 MiB piece at a time, so a load holds about one
+/// copy of the samples, not the file and the samples side by side.
 pub fn load_file(path: &str) -> Result<TraceSet, TraceError> {
-    let bytes = std::fs::read(path).map_err(|e| TraceError::Io(format!("{path}: {e}")))?;
-    decode(&bytes, path)
+    let (file, len) = open(path)?;
+    into_trace_set(walk(file, len, path, true)?, path)
 }
 
-/// Reads and [`probe`]s a container file.
+/// Streams a container file through [`probe`]'s walk.
 pub fn probe_file(path: &str) -> Result<ContainerInfo, TraceError> {
-    let bytes = std::fs::read(path).map_err(|e| TraceError::Io(format!("{path}: {e}")))?;
-    probe(&bytes, path)
+    let (file, len) = open(path)?;
+    Ok(walk(file, len, path, false)?.info)
+}
+
+fn open(path: &str) -> Result<(File, u64), TraceError> {
+    let file = File::open(path).map_err(|e| io(path, e))?;
+    let len = file.metadata().map_err(|e| io(path, e))?.len();
+    Ok((file, len))
 }
 
 /// Swaps the `<encode>` placeholder label for a real path.
@@ -1166,6 +1331,80 @@ mod tests {
         assert_eq!(probe_file(path).unwrap().hours, 12);
         assert!(!std::path::Path::new(&format!("{path}.tmp~")).exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A two-segment container whose body spans three hash pieces, with
+    /// an odd-length metadata block so that sample words straddle the
+    /// piece edges.
+    fn straddling_container() -> Vec<u8> {
+        let mut odd = Region::user("XX-ODD");
+        odd.name = "Odd".into();
+        let regions = [
+            catalog::region("SE").unwrap().clone(),
+            catalog::region("DE").unwrap().clone(),
+            odd,
+        ];
+        let series = |k: usize, from: usize, len: usize| {
+            let values = (from..from + len)
+                .map(|i| 100.0 + 50.0 * ((i * (k + 3)) as f64 * 0.37).sin())
+                .collect();
+            TimeSeries::new(Hour(from as u32), values)
+        };
+        let part = |from: usize, len: usize| {
+            TraceSet::from_series(
+                regions
+                    .iter()
+                    .enumerate()
+                    .map(|(k, region)| (region.clone(), series(k, from, len)))
+                    .collect(),
+            )
+        };
+        let first = encode(&part(0, 60_000)).unwrap();
+        let (bytes, added) = append(&first, "test", &part(60_000, 40_000), false).unwrap();
+        assert_eq!(added, 40_000);
+        assert!(bytes.len() > 2 * HASH_CHUNK);
+        let meta_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
+        assert_eq!(meta_len % 2, 1, "metadata block length {meta_len}");
+        bytes
+    }
+
+    #[test]
+    fn values_straddling_piece_edges_load_identically_from_file_and_bytes() {
+        let bytes = straddling_container();
+        let from_bytes = decode(&bytes, "test").unwrap();
+        let dir = std::env::temp_dir().join(format!("decarb-straddle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("straddle.dctr");
+        let path = path.to_str().unwrap();
+        write_bytes_atomic(path, &bytes).unwrap();
+        let from_file = load_file(path).unwrap();
+        assert_set_eq(&from_bytes, &from_file);
+        assert_eq!(from_file.series("DE").unwrap().len(), 100_000);
+        assert_eq!(probe_file(path).unwrap(), probe(&bytes, "test").unwrap());
+        assert_eq!(probe(&bytes, "test").unwrap().segments, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cuts_at_any_offset_keep_their_messages() {
+        let bytes = straddling_container();
+        let mut cuts = vec![0, 1, 7, 8, 9, 20, 35, 36, 43, 44, 45, 400, 1000];
+        for edge in [HASH_CHUNK, 2 * HASH_CHUNK, bytes.len()] {
+            cuts.extend((edge - 9..=edge + 9).filter(|&cut| cut < bytes.len()));
+        }
+        for cut in cuts {
+            let err = decode(&bytes[..cut], "test").unwrap_err();
+            assert!(
+                matches!(err, TraceError::Container { .. }),
+                "{cut}: {err:?}"
+            );
+            let expected = match cut {
+                0..=7 => "bad magic",
+                8..=43 => "truncated",
+                _ => "hash mismatch",
+            };
+            assert!(format!("{err}").contains(expected), "{cut}: {err}");
+        }
     }
 
     #[test]

@@ -19,6 +19,10 @@ use crate::time::{self, Hour, Resolution};
 /// built-in set ([`builtin_dataset`]) interns all 123 catalog regions
 /// over 2020–2023; imported datasets and scenario files intern whatever
 /// regions they declare.
+///
+/// A [`TimeSeries`] shares its samples between clones, so the set is
+/// the one owner of every region's samples: cloning the set, or
+/// building a planner over one of its regions, copies none of them.
 #[derive(Debug, Clone)]
 pub struct TraceSet {
     table: RegionTable,

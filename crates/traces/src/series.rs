@@ -1,23 +1,33 @@
 //! Time series and the prefix-sum structure behind every window-sum query.
 
+use std::sync::Arc;
+
 use crate::error::TraceError;
 use crate::time::Hour;
 
 /// An hourly time series anchored at an absolute [`Hour`].
 ///
-/// The series owns a dense `Vec<f64>` of samples; index `i` holds the value
+/// The series holds a dense buffer of samples; index `i` holds the value
 /// for hour `start + i`. All scheduling kernels in `decarb-core` consume
-/// slices of this type.
+/// slices of this type. The buffer sits behind an `Arc`, so a clone
+/// shares the samples instead of copying them: a dataset and every
+/// planner over one of its regions read the same memory.
+/// [`TimeSeries::map_in_place`] copies on write when the buffer is
+/// shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: Hour,
-    values: Vec<f64>,
+    values: Arc<Vec<f64>>,
 }
 
 impl TimeSeries {
-    /// Creates a series from a start hour and raw samples.
+    /// Creates a series from a start hour and raw samples (the vector
+    /// is moved in, not copied).
     pub fn new(start: Hour, values: Vec<f64>) -> Self {
-        Self { start, values }
+        Self {
+            start,
+            values: Arc::new(values),
+        }
     }
 
     /// Returns the absolute hour of the first sample.
@@ -123,9 +133,10 @@ impl TimeSeries {
             .map(move |(i, &v)| (self.start.plus(i), v))
     }
 
-    /// Applies `f` to every sample in place.
+    /// Applies `f` to every sample in place, first copying the samples
+    /// if another clone still shares them.
     pub fn map_in_place(&mut self, mut f: impl FnMut(Hour, f64) -> f64) {
-        for (i, v) in self.values.iter_mut().enumerate() {
+        for (i, v) in Arc::make_mut(&mut self.values).iter_mut().enumerate() {
             *v = f(self.start.plus(i), *v);
         }
     }
@@ -312,6 +323,23 @@ mod tests {
         let mut s = ts(&[1.0, 2.0]);
         s.map_in_place(|h, v| v + h.index() as f64);
         assert_eq!(s.values(), &[11.0, 13.0]);
+    }
+
+    #[test]
+    fn clones_share_samples_until_one_is_mapped() {
+        let original = ts(&[1.0, 2.0]);
+        let mut copy = original.clone();
+        assert!(std::ptr::eq(
+            original.values().as_ptr(),
+            copy.values().as_ptr()
+        ));
+        copy.map_in_place(|_, v| v * 2.0);
+        assert_eq!(original.values(), &[1.0, 2.0]);
+        assert_eq!(copy.values(), &[2.0, 4.0]);
+        assert!(!std::ptr::eq(
+            original.values().as_ptr(),
+            copy.values().as_ptr()
+        ));
     }
 
     #[test]
