@@ -292,6 +292,26 @@ fn scenario_run_unknown_name_exits_2_listing_valid_names() {
 }
 
 #[test]
+fn windows_past_the_slot_clock_fail_with_exit_1_on_their_line() {
+    // The seeded fixture CI runs: a start past the slot clock is a
+    // failed check (exit 1) anchored at its line — neither a silent
+    // pass (0) nor a panic (101) — and `scenario run` refuses it alike.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../ci/scenario-seed/overflow.scenario"
+    );
+    let check = decarb_cli(&["scenario", "check", "--file", path]);
+    let err = stderr(&check);
+    assert_eq!(check.status.code(), Some(1), "{err}");
+    assert!(err.contains("overflow.scenario:24: [parse-error]"), "{err}");
+    assert!(err.contains("`start_offset` 4294967295"), "{err}");
+    let run = decarb_cli(&["scenario", "run", "--file", path]);
+    let err = stderr(&run);
+    assert_eq!(run.status.code(), Some(1), "{err}");
+    assert!(err.contains("line 24"), "{err}");
+}
+
+#[test]
 fn scenario_run_file_round_trips_through_the_binary() {
     // parse → run → JSON, end to end over a real file.
     let path = std::env::temp_dir().join("decarb_cli_e2e.scenario");

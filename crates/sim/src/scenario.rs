@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use decarb_forecast::{Persistence, SeasonalNaive};
 use decarb_json::Value;
-use decarb_traces::time::year_start;
+use decarb_traces::time::{year_start, CLOCK_HOURS};
 use decarb_traces::{Hour, RegionId, TraceSet};
 use decarb_workloads::{Arrival, Slack, WorkloadSpec};
 
@@ -374,8 +374,17 @@ impl Scenario {
         )
     }
 
-    /// Checks the scenario can run against `data` (all zones covered).
+    /// Checks the scenario can run against `data`: its window ends
+    /// within [`CLOCK_HOURS`] (so slot arithmetic cannot wrap on any
+    /// axis) and the dataset covers all of its zones.
     pub fn validate_against(&self, data: &TraceSet) -> Result<(), String> {
+        if self.start.index().saturating_add(self.horizon) > CLOCK_HOURS {
+            return Err(format!(
+                "a {} h horizon from hour {} runs past the slot clock's end at hour \
+                 {CLOCK_HOURS}",
+                self.horizon, self.start.0
+            ));
+        }
         self.regions.try_resolve(data).map(|_| ())
     }
 
@@ -641,12 +650,10 @@ impl ScenarioMatrix {
 /// `DefaultHasher`). Shared by [`Scenario::content_id`] and
 /// [`Scenario::outcome_id`].
 fn fnv1a64(canonical: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in canonical.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("{hash:016x}")
+    format!(
+        "{:016x}",
+        decarb_traces::container::fnv1a64(canonical.as_bytes())
+    )
 }
 
 /// The built-in matrix: 3 workload classes × 6 policies × 3 region sets

@@ -22,8 +22,9 @@
 //! * `dead-axis` — two scenarios whose canonical encodings collide
 //!   ([`Scenario::outcome_id`]), so one simulates nothing new;
 //! * `unknown-key` — a typo'd key in any section, with an
-//!   edit-distance suggestion (the parser rejects these too, but only
-//!   one at a time and without a "did you mean" hint);
+//!   edit-distance suggestion. The parser rejects the first of them
+//!   through the same walk (`decarb_traces::sections`); the checker
+//!   reports them all;
 //! * `parse-error` — fallback span for files the parser rejects for
 //!   any other reason.
 //!
@@ -35,14 +36,11 @@
 use std::collections::HashMap;
 
 use decarb_analyze::Diagnostic;
-use decarb_traces::{Region, TraceSet};
+use decarb_traces::TraceSet;
 use decarb_workloads::WorkloadSpec;
 
 use crate::scenario::Scenario;
-use crate::scenario_file::{
-    parse_scenario_file_full, split_sections, Section, DEFAULTS_KEYS, MATRIX_KEYS, REGIONS_KEYS,
-    SCENARIO_KEYS,
-};
+use crate::scenario_file::{parse_scenario_file_full, sections, unknown_keys};
 
 /// Checks an in-memory scenario list against `data`.
 ///
@@ -60,23 +58,19 @@ pub fn check_scenarios(label: &str, scenarios: &[Scenario], data: &TraceSet) -> 
 /// the runner synthesizes traces for them — and skipped by the
 /// `unknown-zone` and `trace-coverage` rules.
 pub fn check_file(path: &str, text: &str, data: &TraceSet) -> Vec<Diagnostic> {
-    let sections = match split_sections(text) {
-        Ok(sections) => sections,
-        Err(e) => return vec![Diagnostic::new(path, e.line, "parse-error", e.message)],
-    };
-    let mut diags = unknown_key_diagnostics(path, &sections);
+    let mut diags: Vec<Diagnostic> = sections(text)
+        .map(|sections| {
+            unknown_keys(&sections)
+                .map(|e| Diagnostic::new(path, e.line, "unknown-key", e.message))
+                .collect()
+        })
+        .unwrap_or_default();
     match parse_scenario_file_full(text) {
+        // The parser rejects the first unknown key through the same
+        // walk, so a parse error on a line that already has an
+        // unknown-key finding repeats it.
         Err(e) => {
-            // An unknown key is both a parse error and an unknown-key
-            // finding; keep only the richer typo-aware diagnostic. The
-            // key pass mirrors the parser's vocabularies exactly, so
-            // every "unknown … key" rejection is already covered (the
-            // parser may anchor workload/region keys to the section
-            // header rather than the offending pair, hence the message
-            // match and not just the line match).
-            let covered = diags.iter().any(|d| d.line == e.line)
-                || (e.message.contains("unknown") && e.message.contains("key `"));
-            if !covered {
+            if diags.iter().all(|d| d.line != e.line) {
                 diags.push(Diagnostic::new(path, e.line, "parse-error", e.message));
             }
         }
@@ -135,10 +129,14 @@ fn semantic_diagnostics(
         }
 
         // Scenario start/horizon are wall-clock hours; series bounds
-        // live on the dataset's slot axis. Scale once for comparison.
-        let sph = data.resolution().slots_per_hour() as u32;
-        let slot_start = decarb_traces::Hour(s.start.0 * sph);
-        let window_end = slot_start.plus(s.horizon * sph as usize);
+        // live on the dataset's slot axis. Scale once for comparison,
+        // saturating so a window past the slot clock's end (which
+        // `Scenario::validate_against` rejects) reads as uncovered.
+        let sph = data.resolution().slots_per_hour() as u64;
+        let slot_start = u64::from(s.start.0) * sph;
+        let window_end = (s.horizon as u64)
+            .saturating_mul(sph)
+            .saturating_add(slot_start);
         for code in &codes {
             if synthesized.iter().any(|c| c == code) {
                 continue;
@@ -155,7 +153,9 @@ fn semantic_diagnostics(
                     ),
                 )),
                 Ok(series) => {
-                    if slot_start < series.start() || window_end > series.end() {
+                    if slot_start < u64::from(series.start().0)
+                        || window_end > u64::from(series.end().0)
+                    {
                         diags.push(Diagnostic::new(
                             file,
                             line,
@@ -164,8 +164,8 @@ fn semantic_diagnostics(
                                 "scenario `{}`: window [{}, {}) falls outside zone `{code}`'s \
                                  trace coverage [{}, {})",
                                 s.name,
-                                slot_start.0,
-                                window_end.0,
+                                slot_start,
+                                window_end,
                                 series.start().0,
                                 series.end().0
                             ),
@@ -269,71 +269,6 @@ fn workload_durations(workload: &WorkloadSpec) -> Vec<(&'static str, f64)> {
     }
 }
 
-/// Typo-aware unknown-key pass over the raw sections. Mirrors the
-/// parser's per-section vocabularies but reports *all* offenders (the
-/// parser stops at the first) and suggests near-miss spellings.
-fn unknown_key_diagnostics(path: &str, sections: &[Section]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for section in sections {
-        let allowed: &[&str] = match section.kind.as_str() {
-            "defaults" => DEFAULTS_KEYS,
-            "scenario" => SCENARIO_KEYS,
-            "matrix" => MATRIX_KEYS,
-            "regions" => REGIONS_KEYS,
-            "workload" => WorkloadSpec::KNOWN_KEYS,
-            "region" => Region::KNOWN_KEYS,
-            _ => continue,
-        };
-        let header = if section.name.is_empty() {
-            format!("[{}]", section.kind)
-        } else {
-            format!("[{} {}]", section.kind, section.name)
-        };
-        for ((key, _), &line) in section.pairs.iter().zip(&section.pair_lines) {
-            if allowed.contains(&key.as_str()) {
-                continue;
-            }
-            let hint = match suggest(key, allowed) {
-                Some(near) => format!(" (did you mean `{near}`?)"),
-                None => format!(" (valid: {})", allowed.join(", ")),
-            };
-            diags.push(Diagnostic::new(
-                path,
-                line,
-                "unknown-key",
-                format!("unknown key `{key}` in {header}{hint}"),
-            ));
-        }
-    }
-    diags
-}
-
-/// Returns the closest allowed key within edit distance 2, if any.
-fn suggest<'a>(key: &str, allowed: &[&'a str]) -> Option<&'a str> {
-    allowed
-        .iter()
-        .map(|candidate| (edit_distance(key, candidate), *candidate))
-        .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, candidate)| candidate)
-}
-
-/// Levenshtein distance over bytes (keys are ASCII), two-row DP.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr: Vec<usize> = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let substitute = prev[j] + usize::from(ca != cb);
-            curr[j + 1] = substitute.min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,12 +291,37 @@ mod tests {
 
     #[test]
     fn edit_distance_and_suggestions() {
-        assert_eq!(edit_distance("horizon", "horizon"), 0);
-        assert_eq!(edit_distance("horzion", "horizon"), 2);
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(suggest("horzion", SCENARIO_KEYS), Some("horizon"));
-        assert_eq!(suggest("capactiy", SCENARIO_KEYS), Some("capacity"));
-        assert_eq!(suggest("frobnicate", SCENARIO_KEYS), None);
+        let text = "\
+[workload w]
+class = batch
+
+[scenario s]
+workload = w
+policy = agnostic
+regions = europe
+horzion = 240
+capactiy = 2
+frobnicate = 1
+";
+        let diags = check_file("typos.scenario", text, &builtin_dataset());
+        let messages: Vec<(usize, &str)> =
+            diags.iter().map(|d| (d.line, d.message.as_str())).collect();
+        assert_eq!(diags.len(), 3, "{diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "unknown-key"), "{diags:?}");
+        assert_eq!(messages[0].0, 8);
+        assert!(
+            messages[0].1.contains("did you mean `horizon`?"),
+            "{messages:?}"
+        );
+        assert!(
+            messages[1].1.contains("did you mean `capacity`?"),
+            "{messages:?}"
+        );
+        // Nothing within two edits: the hint lists the section's keys.
+        assert!(
+            messages[2].1.contains("(valid: workload, policy, regions,"),
+            "{messages:?}"
+        );
     }
 
     #[test]
@@ -414,6 +374,62 @@ horzion = 240
         let diags = check_file("bad.scenario", "[scenario\n", &data);
         assert_eq!(diags[0].rule, "parse-error");
         assert_eq!(diags[0].line, 1);
+    }
+
+    #[test]
+    fn windows_past_the_slot_clock_are_parse_errors_on_their_line() {
+        let data = builtin_dataset();
+        let overflow = include_str!("../../../ci/scenario-seed/overflow.scenario");
+        let horizon = overflow.replace(
+            "start_offset = 4294967295",
+            "horizon = 18446744073709551615",
+        );
+        for (text, needle) in [
+            (overflow, "`start_offset`"),
+            (horizon.as_str(), "`horizon`"),
+        ] {
+            let diags = check_file("overflow.scenario", text, &data);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, "parse-error");
+            assert_eq!(diags[0].line, 24);
+            assert!(diags[0].message.contains(needle), "{}", diags[0].message);
+            assert!(
+                diags[0].message.contains("slot clock"),
+                "{}",
+                diags[0].message
+            );
+        }
+        // In-memory scenarios skip the parser; their coverage check
+        // saturates instead of wrapping.
+        let mut late = builtin_scenarios().remove(0);
+        late.horizon = usize::MAX;
+        let diags = check_scenarios("<mem>", &[late], &data);
+        assert!(
+            diags.iter().any(|d| d.rule == "trace-coverage"),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn class_inapplicable_workload_keys_are_parse_errors() {
+        // Every key is in the workload vocabulary, but `slack` does not
+        // apply to interactive workloads: the parser rejects it at the
+        // header, and no unknown-key finding on that line hides it.
+        let text = "\
+[workload web]
+class = interactive
+slack = day
+
+[scenario s]
+workload = web
+policy = agnostic
+regions = europe
+";
+        let diags = check_file("web.scenario", text, &builtin_dataset());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "parse-error");
+        assert_eq!(diags[0].line, 1);
+        assert!(diags[0].message.contains("`slack`"), "{}", diags[0].message);
     }
 
     #[test]

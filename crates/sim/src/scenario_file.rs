@@ -3,9 +3,10 @@
 //! The built-in matrix covers 54 scenarios; everything beyond it —
 //! custom region sets, workload recipes, overhead/capacity grids,
 //! different horizons — is declared in a plain-text scenario file and
-//! run via `decarb-cli scenario run --file <path>`. The format is
-//! INI-like (no external parser needed): `[kind name]` section headers,
-//! `key = value` lines, `#` comments, comma-separated lists.
+//! run via `decarb-cli scenario run --file <path>`. The format is the
+//! INI-like section grammar of `decarb_traces::sections`, which region
+//! sidecars share: `[kind name]` section headers, `key = value` lines,
+//! `#` comments, comma-separated lists.
 //!
 //! ```text
 //! [defaults]
@@ -50,7 +51,9 @@
 //! * `[region CODE]` — a fully custom region: metadata for a zone the
 //!   dataset (or catalog) does not know, keys per
 //!   `decarb_traces::Region::from_pairs` (`name`, `group`, `lat`,
-//!   `lon`, `mean_ci`, `ci_delta`, `daily_cv`, `periodicity`, `mix`).
+//!   `lon`, `mean_ci`, `ci_delta`, `daily_cv`, `periodicity`, `mix`),
+//!   built by the same `decarb_traces::sidecar::push_region` a sidecar
+//!   uses.
 //!   The CLI synthesizes a trace for it when the active dataset lacks
 //!   one, so scenarios can deploy into entirely hypothetical grids.
 //! * `[scenario NAME]` — one scenario: `workload`, `policy`, `regions`
@@ -64,10 +67,15 @@
 //!
 //! Scenario names must be unique across the whole file; region codes
 //! are validated against the active dataset by the CLI before running.
+//! A window (`year` + `start_offset`, then `horizon`) must end within
+//! `decarb_traces::time::CLOCK_HOURS`, the hours the `u32` slot clock
+//! addresses at 1-minute resolution.
 
 use std::collections::HashMap;
 
-use decarb_traces::time::{year_start, EPOCH_YEAR, LAST_YEAR};
+use decarb_traces::sections::{parse_sections, Section, SectionError};
+use decarb_traces::sidecar::push_region;
+use decarb_traces::time::{year_start, CLOCK_HOURS, EPOCH_YEAR, LAST_YEAR};
 use decarb_traces::{Hour, Region};
 use decarb_workloads::WorkloadSpec;
 
@@ -77,212 +85,77 @@ use crate::scenario::{
 };
 
 /// A scenario-file parse failure, with the 1-based line it points at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioFileError {
-    /// 1-based line number of the offending section or pair.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for ScenarioFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "scenario file line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ScenarioFileError {}
+pub type ScenarioFileError = SectionError;
 
 fn err(line: usize, message: impl Into<String>) -> ScenarioFileError {
-    ScenarioFileError {
-        line,
-        message: message.into(),
+    SectionError::new(line, message)
+}
+
+/// The section headers a scenario file accepts.
+const KINDS: &[&str] = &[
+    "defaults",
+    "workload NAME",
+    "regions NAME",
+    "region CODE",
+    "scenario NAME",
+    "matrix NAME",
+];
+
+/// The keys a section of `kind` accepts.
+fn allowed_keys(kind: &str) -> &'static [&'static str] {
+    match kind {
+        "defaults" => &[
+            "capacity",
+            "horizon",
+            "year",
+            "start_offset",
+            "overheads",
+            "forecaster",
+            "slo_ms",
+        ],
+        "workload" => WorkloadSpec::KNOWN_KEYS,
+        "regions" => &["codes"],
+        "region" => Region::KNOWN_KEYS,
+        "scenario" => &[
+            "workload",
+            "policy",
+            "regions",
+            "capacity",
+            "horizon",
+            "year",
+            "start_offset",
+            "overheads",
+            "forecaster",
+            "slo_ms",
+        ],
+        "matrix" => &[
+            "workloads",
+            "policies",
+            "regions",
+            "overheads",
+            "capacities",
+            "capacity",
+            "horizon",
+            "year",
+            "start_offset",
+            "forecaster",
+            "slo_ms",
+        ],
+        _ => &[],
     }
 }
 
-/// Keys a `[defaults]` section accepts.
-pub(crate) const DEFAULTS_KEYS: &[&str] = &[
-    "capacity",
-    "horizon",
-    "year",
-    "start_offset",
-    "overheads",
-    "forecaster",
-    "slo_ms",
-];
-
-/// Keys a `[scenario NAME]` section accepts.
-pub(crate) const SCENARIO_KEYS: &[&str] = &[
-    "workload",
-    "policy",
-    "regions",
-    "capacity",
-    "horizon",
-    "year",
-    "start_offset",
-    "overheads",
-    "forecaster",
-    "slo_ms",
-];
-
-/// Keys a `[matrix NAME]` section accepts.
-pub(crate) const MATRIX_KEYS: &[&str] = &[
-    "workloads",
-    "policies",
-    "regions",
-    "overheads",
-    "capacities",
-    "capacity",
-    "horizon",
-    "year",
-    "start_offset",
-    "forecaster",
-    "slo_ms",
-];
-
-/// Keys a `[regions NAME]` section accepts.
-pub(crate) const REGIONS_KEYS: &[&str] = &["codes"];
-
-/// One `[kind name]` section with its `key = value` pairs. Shared with
-/// the static checker (`scenario_check`), which re-walks the raw
-/// sections for typo-aware unknown-key diagnostics.
-#[derive(Debug)]
-pub(crate) struct Section {
-    pub(crate) kind: String,
-    pub(crate) name: String,
-    pub(crate) line: usize,
-    pub(crate) pairs: Vec<(String, String)>,
-    pub(crate) pair_lines: Vec<usize>,
+/// Splits a scenario file into its sections.
+pub(crate) fn sections(text: &str) -> Result<Vec<Section>, ScenarioFileError> {
+    parse_sections(text, KINDS)
 }
 
-impl Section {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn line_of(&self, key: &str) -> usize {
-        self.pairs
-            .iter()
-            .position(|(k, _)| k == key)
-            .map_or(self.line, |i| self.pair_lines[i])
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ScenarioFileError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| {
-                err(
-                    self.line_of(key),
-                    format!("invalid value `{raw}` for `{key}`"),
-                )
-            }),
-        }
-    }
-
-    fn list(&self, key: &str) -> Option<Vec<&str>> {
-        self.get(key).map(|raw| {
-            raw.split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect()
-        })
-    }
-
-    fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ScenarioFileError> {
-        for (i, (key, _)) in self.pairs.iter().enumerate() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(err(
-                    self.pair_lines[i],
-                    format!("unknown key `{key}` in [{} {}]", self.kind, self.name),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Splits the file into sections, validating the line grammar.
-pub(crate) fn split_sections(text: &str) -> Result<Vec<Section>, ScenarioFileError> {
-    let mut sections: Vec<Section> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[') {
-            let Some(header) = header.strip_suffix(']') else {
-                return Err(err(line_no, format!("unterminated section header `{raw}`")));
-            };
-            let mut parts = header.split_whitespace();
-            let kind = parts.next().unwrap_or("").to_string();
-            let name = parts.next().unwrap_or("").to_string();
-            if parts.next().is_some() {
-                return Err(err(line_no, "section headers take one name"));
-            }
-            match kind.as_str() {
-                "defaults" => {
-                    if !name.is_empty() {
-                        return Err(err(line_no, "`[defaults]` takes no name"));
-                    }
-                }
-                "workload" | "regions" | "region" | "scenario" | "matrix" => {
-                    if name.is_empty() {
-                        return Err(err(line_no, format!("`[{kind} ...]` needs a name")));
-                    }
-                }
-                other => {
-                    return Err(err(
-                        line_no,
-                        format!(
-                            "unknown section kind `{other}` (valid: defaults, workload, \
-                             regions, region, scenario, matrix)"
-                        ),
-                    ));
-                }
-            }
-            sections.push(Section {
-                kind,
-                name,
-                line: line_no,
-                pairs: Vec::new(),
-                pair_lines: Vec::new(),
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(err(
-                line_no,
-                format!("expected `key = value`, got `{line}`"),
-            ));
-        };
-        let Some(section) = sections.last_mut() else {
-            return Err(err(line_no, "`key = value` before any section header"));
-        };
-        let key = key.trim().to_string();
-        if key.is_empty() {
-            return Err(err(line_no, "empty key"));
-        }
-        if section.pairs.iter().any(|(k, _)| *k == key) {
-            return Err(err(
-                line_no,
-                format!(
-                    "duplicate key `{key}` in [{} {}]",
-                    section.kind, section.name
-                ),
-            ));
-        }
-        section.pairs.push((key, value.trim().to_string()));
-        section.pair_lines.push(line_no);
-    }
-    Ok(sections)
+/// Every key its section's kind does not accept, in file order — the
+/// parser rejects the first, the static checker reports them all.
+pub(crate) fn unknown_keys(sections: &[Section]) -> impl Iterator<Item = SectionError> + '_ {
+    sections
+        .iter()
+        .flat_map(|section| section.unknown_keys(allowed_keys(&section.kind)))
 }
 
 /// Run-wide defaults, overridable per scenario/matrix section. The
@@ -340,6 +213,23 @@ fn settings_from(
     let horizon: usize = section.parsed("horizon", base.horizon)?;
     if horizon == 0 {
         return Err(err(section.line_of("horizon"), "`horizon` must be ≥ 1"));
+    }
+    // The window must end on the slot clock at its finest resolution,
+    // or `Hour` arithmetic would wrap.
+    let start = year_start(year).index().saturating_add(start_offset);
+    if start.saturating_add(horizon) > CLOCK_HOURS {
+        let (key, value) = if start > CLOCK_HOURS {
+            ("start_offset", start_offset)
+        } else {
+            ("horizon", horizon)
+        };
+        return Err(err(
+            section.line_of(key),
+            format!(
+                "`{key}` {value} puts the window past the slot clock's end \
+                 ({CLOCK_HOURS} h after {EPOCH_YEAR}-01-01)"
+            ),
+        ));
     }
     let overheads = match section.get("overheads").filter(|_| include_overheads) {
         Some(raw) => OverheadKind::parse(raw).map_err(|e| err(section.line_of("overheads"), e))?,
@@ -413,7 +303,10 @@ pub fn parse_scenario_file(text: &str) -> Result<Vec<Scenario>, ScenarioFileErro
 /// `[matrix]` entries expanded in axis order). Names must be unique
 /// across the file.
 pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFileError> {
-    let sections = split_sections(text)?;
+    let sections = sections(text)?;
+    if let Some(e) = unknown_keys(&sections).next() {
+        return Err(e);
+    }
 
     let mut defaults = Defaults::builtin();
     let mut workloads: HashMap<String, WorkloadSpec> = HashMap::new();
@@ -425,42 +318,26 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
     for section in &sections {
         match section.kind.as_str() {
             "defaults" => {
-                section.reject_unknown(DEFAULTS_KEYS)?;
                 defaults = settings_from(section, defaults, true)?;
             }
             "workload" => {
                 let spec =
-                    WorkloadSpec::from_pairs(&section.pairs).map_err(|e| err(section.line, e))?;
+                    WorkloadSpec::from_pairs(section.pairs()).map_err(|e| section.error(e))?;
                 if workloads.insert(section.name.clone(), spec).is_some() {
-                    return Err(err(
-                        section.line,
-                        format!("duplicate workload `{}`", section.name),
-                    ));
+                    return Err(section.error(format!("duplicate workload `{}`", section.name)));
                 }
             }
-            "region" => {
-                let code = section.name.to_uppercase();
-                let region =
-                    Region::from_pairs(&code, &section.pairs).map_err(|e| err(section.line, e))?;
-                if custom_regions.iter().any(|r| r.code == region.code) {
-                    return Err(err(
-                        section.line,
-                        format!("duplicate region `{}`", section.name),
-                    ));
-                }
-                custom_regions.push(region);
-            }
+            "region" => push_region(&mut custom_regions, section)?,
             "regions" => {
-                section.reject_unknown(REGIONS_KEYS)?;
                 if RegionSet::parse(&section.name).is_ok() {
-                    return Err(err(
-                        section.line,
-                        format!("region set `{}` shadows a built-in set", section.name),
-                    ));
+                    return Err(section.error(format!(
+                        "region set `{}` shadows a built-in set",
+                        section.name
+                    )));
                 }
                 let codes: Vec<String> = section
                     .list("codes")
-                    .ok_or_else(|| err(section.line, "regions section needs `codes`"))?
+                    .ok_or_else(|| section.error("regions section needs `codes`"))?
                     .iter()
                     .map(|c| c.to_uppercase())
                     .collect();
@@ -472,10 +349,7 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                     codes,
                 };
                 if region_sets.insert(section.name.clone(), spec).is_some() {
-                    return Err(err(
-                        section.line,
-                        format!("duplicate region set `{}`", section.name),
-                    ));
+                    return Err(section.error(format!("duplicate region set `{}`", section.name)));
                 }
             }
             _ => {}
@@ -488,11 +362,10 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
     for section in &sections {
         match section.kind.as_str() {
             "scenario" => {
-                section.reject_unknown(SCENARIO_KEYS)?;
                 let settings = settings_from(section, defaults, true)?;
                 let workload_name = section
                     .get("workload")
-                    .ok_or_else(|| err(section.line, "scenario needs `workload`"))?;
+                    .ok_or_else(|| section.error("scenario needs `workload`"))?;
                 let workload = workloads.get(workload_name).cloned().ok_or_else(|| {
                     err(
                         section.line_of("workload"),
@@ -501,13 +374,13 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                 })?;
                 let policy = section
                     .get("policy")
-                    .ok_or_else(|| err(section.line, "scenario needs `policy`"))
+                    .ok_or_else(|| section.error("scenario needs `policy`"))
                     .and_then(|raw| {
                         PolicyKind::parse(raw).map_err(|e| err(section.line_of("policy"), e))
                     })?;
                 let regions_name = section
                     .get("regions")
-                    .ok_or_else(|| err(section.line, "scenario needs `regions`"))?;
+                    .ok_or_else(|| section.error("scenario needs `regions`"))?;
                 let regions =
                     resolve_regions(regions_name, &region_sets, section.line_of("regions"))?;
                 lines.push(section.line);
@@ -525,11 +398,10 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                 });
             }
             "matrix" => {
-                section.reject_unknown(MATRIX_KEYS)?;
                 let settings = settings_from(section, defaults, false)?;
                 let matrix_workloads: Vec<(String, WorkloadSpec)> = section
                     .list("workloads")
-                    .ok_or_else(|| err(section.line, "matrix needs `workloads`"))?
+                    .ok_or_else(|| section.error("matrix needs `workloads`"))?
                     .iter()
                     .map(|name| {
                         workloads
@@ -545,7 +417,7 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                     })
                     .collect::<Result<_, _>>()?;
                 let policies: Vec<PolicyKind> = match section.list("policies") {
-                    None => return Err(err(section.line, "matrix needs `policies`")),
+                    None => return Err(section.error("matrix needs `policies`")),
                     Some(labels) if labels == ["all"] => PolicyKind::ALL.to_vec(),
                     Some(labels) => labels
                         .iter()
@@ -557,7 +429,7 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                 };
                 let matrix_regions: Vec<RegionSpec> = section
                     .list("regions")
-                    .ok_or_else(|| err(section.line, "matrix needs `regions`"))?
+                    .ok_or_else(|| section.error("matrix needs `regions`"))?
                     .iter()
                     .map(|name| resolve_regions(name, &region_sets, section.line_of("regions")))
                     .collect::<Result<_, _>>()?;
@@ -589,7 +461,7 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                         .collect::<Result<_, _>>()?,
                 };
                 if matrix_workloads.is_empty() || policies.is_empty() || matrix_regions.is_empty() {
-                    return Err(err(section.line, "matrix axes must be non-empty"));
+                    return Err(section.error("matrix axes must be non-empty"));
                 }
                 let matrix = ScenarioMatrix {
                     workloads: matrix_workloads,
@@ -1066,6 +938,66 @@ mix = plutonium:1
 ";
         let error = parse_scenario_file_full(bad).unwrap_err();
         assert!(error.message.contains("unknown energy source"), "{error}");
+    }
+
+    #[test]
+    fn windows_past_the_slot_clock_are_rejected_with_their_line() {
+        // The two windows that wrapped `Hour` arithmetic before they
+        // were bounded: a start past the clock, and a horizon of
+        // `usize::MAX` hours.
+        let overflow = include_str!("../../../ci/scenario-seed/overflow.scenario");
+        let error = parse_scenario_file(overflow).unwrap_err();
+        assert_eq!(error.line, 24, "{error}");
+        assert!(
+            error.message.contains("`start_offset` 4294967295"),
+            "{error}"
+        );
+        let base = "\
+[workload w]
+class = batch
+
+[scenario s]
+workload = w
+policy = agnostic
+regions = europe
+";
+        let horizon = format!("{base}horizon = 18446744073709551615\n");
+        let error = parse_scenario_file(&horizon).unwrap_err();
+        assert_eq!(error.line, 8, "{error}");
+        assert!(
+            error.message.contains("`horizon` 18446744073709551615"),
+            "{error}"
+        );
+
+        // The bound counts 1-minute slots: the last hour the clock
+        // addresses at 60 slots per hour closes the longest window.
+        let room = CLOCK_HOURS - year_start(2022).index();
+        let fits = format!("{base}horizon = {room}\n");
+        assert_eq!(parse_scenario_file(&fits).unwrap()[0].horizon, room);
+        let one_more = format!("{base}horizon = {}\n", room + 1);
+        assert_eq!(parse_scenario_file(&one_more).unwrap_err().line, 8);
+
+        // A window built from inherited halves anchors at the key that
+        // breaks the sum, in [defaults], [scenario] and [matrix] alike
+        // (the default horizon is 384 h).
+        let late = format!("[defaults]\nstart_offset = {}\n", room - 384);
+        let cases = [
+            (format!("[defaults]\nstart_offset = {}\n", room + 1), 2),
+            (format!("[defaults]\nstart_offset = {room}\n"), 1),
+            (format!("{late}{base}horizon = 385\n"), 10),
+            (
+                format!(
+                    "{late}\n[workload w]\nclass = batch\n\n[matrix m]\nworkloads = w\n\
+                     policies = agnostic\nregions = europe\nhorizon = 385\n"
+                ),
+                11,
+            ),
+        ];
+        for (text, line) in cases {
+            let error = parse_scenario_file(&text).unwrap_err();
+            assert_eq!(error.line, line, "{text}: {error}");
+            assert!(error.message.contains("slot clock"), "{text}: {error}");
+        }
     }
 
     #[test]

@@ -412,6 +412,26 @@ mod tests {
     }
 
     #[test]
+    fn plan_rejects_windows_past_the_slot_clock() {
+        let data = builtin_dataset();
+        let mut late = find_scenario("batch-agnostic-europe").unwrap();
+        late.horizon = usize::MAX;
+        let mut edge = find_scenario("batch-agnostic-europe").unwrap();
+        edge.name = "edge".into();
+        edge.horizon = decarb_traces::time::CLOCK_HOURS - edge.start.index() + 1;
+        let err = SweepPlan::plan(&data, vec![late, edge]).unwrap_err();
+        let SweepError::InvalidScenarios(bad) = &err else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(bad.len(), 2, "{err}");
+        assert!(bad[0].1.contains("slot clock"), "{err}");
+        // The longest window that still ends on the clock plans.
+        let mut fits = find_scenario("batch-agnostic-europe").unwrap();
+        fits.horizon = decarb_traces::time::CLOCK_HOURS - fits.start.index();
+        assert!(fits.validate_against(&data).is_ok());
+    }
+
+    #[test]
     fn plan_rejects_duplicate_names() {
         let data = builtin_dataset();
         let s = find_scenario("batch-agnostic-europe").unwrap();

@@ -101,8 +101,8 @@ const PROVIDER_WIRE: [Providers; 5] = [
 ];
 
 /// FNV-1a 64-bit hash — the primitive under the container's content
-/// hash and the same construction the sweep pipeline uses for
-/// content-addressed ids.
+/// hash, the sweep pipeline's content-addressed ids and
+/// [`crate::rng::Xoshiro256::from_label`] seeds.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {

@@ -41,6 +41,7 @@ pub mod grid;
 pub mod mix;
 pub mod region;
 pub mod rng;
+pub mod sections;
 pub mod series;
 pub mod sidecar;
 pub mod synth;

@@ -40,11 +40,7 @@ impl Xoshiro256 {
     /// Creates a generator seeded from a string label (e.g. a region code).
     pub fn from_label(label: &str, salt: u64) -> Self {
         // FNV-1a over the label, mixed with the salt.
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for b in label.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
+        let hash = crate::container::fnv1a64(label.as_bytes());
         Self::seeded(hash ^ salt.wrapping_mul(0x9E3779B97F4A7C15))
     }
 

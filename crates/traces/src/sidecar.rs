@@ -3,8 +3,8 @@
 //! [`crate::csv::read_dataset`] accepts zones outside the built-in
 //! catalog, interning them with [`Region::user`] defaults. A sidecar
 //! file supplies real metadata instead — geography for latency-aware
-//! routing, a generation mix, calibration targets — in the same
-//! INI-like grammar as scenario files:
+//! routing, a generation mix, calibration targets — in the section
+//! grammar of [`crate::sections`], which scenario files share:
 //!
 //! ```text
 //! # metadata for a zone the catalog does not know
@@ -22,14 +22,8 @@
 
 use crate::error::TraceError;
 use crate::region::Region;
+use crate::sections::{parse_sections, Section, SectionError};
 use crate::time::Resolution;
-
-fn err(line: usize, message: impl Into<String>) -> TraceError {
-    TraceError::Parse {
-        line,
-        message: message.into(),
-    }
-}
 
 /// Everything a sidecar can declare: regions plus optional
 /// dataset-level facts from a `[dataset]` section.
@@ -51,105 +45,47 @@ pub fn parse_region_sidecar(text: &str) -> Result<Vec<Region>, TraceError> {
     Ok(parse_sidecar(text)?.regions)
 }
 
-/// An open `[region CODE]` section: code, header line, pairs so far.
-type OpenSection = Option<(String, usize, Vec<(String, String)>)>;
-
 /// Parses a sidecar document: `[region CODE]` sections plus at most one
 /// `[dataset]` section declaring file-level facts (currently
 /// `resolution = <minutes>`, validated against the divisors of 60).
 pub fn parse_sidecar(text: &str) -> Result<SidecarDoc, TraceError> {
-    let mut regions: Vec<Region> = Vec::new();
-    let mut resolution: Option<Resolution> = None;
-    let mut in_dataset = false;
-    let mut current: OpenSection = None;
-    let finish = |current: &mut OpenSection, regions: &mut Vec<Region>| -> Result<(), TraceError> {
-        if let Some((code, line, pairs)) = current.take() {
-            let region = Region::from_pairs(&code, &pairs).map_err(|e| err(line, e))?;
-            if regions.iter().any(|r| r.code == region.code) {
-                return Err(err(line, format!("duplicate region `{code}`")));
-            }
-            regions.push(region);
-        }
-        Ok(())
-    };
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
+    let mut doc = SidecarDoc::default();
+    for section in parse_sections(text, &["region CODE", "dataset"])? {
+        if section.kind == "region" {
+            push_region(&mut doc.regions, &section)?;
             continue;
         }
-        if let Some(header) = line.strip_prefix('[') {
-            let Some(header) = header.strip_suffix(']') else {
-                return Err(err(line_no, format!("unterminated section header `{raw}`")));
-            };
-            let mut parts = header.split_whitespace();
-            let kind = parts.next().unwrap_or("");
-            let code = parts.next().unwrap_or("");
-            if kind == "dataset" && code.is_empty() {
-                finish(&mut current, &mut regions)?;
-                in_dataset = true;
-                continue;
-            }
-            if kind != "region" || code.is_empty() || parts.next().is_some() {
-                return Err(err(
-                    line_no,
-                    "sidecar sections are `[region CODE]` or `[dataset]`".to_string(),
-                ));
-            }
-            finish(&mut current, &mut regions)?;
-            in_dataset = false;
-            current = Some((code.to_uppercase(), line_no, Vec::new()));
+        section.reject_unknown(&["resolution"])?;
+        let Some(raw) = section.get("resolution") else {
             continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(err(
-                line_no,
-                format!("expected `key = value`, got `{line}`"),
-            ));
         };
-        let key = key.trim();
-        let value = value.trim();
-        if key.is_empty() {
-            return Err(err(line_no, "empty key"));
+        let line = section.line_of("resolution");
+        if doc.resolution.is_some() {
+            return Err(SectionError::new(line, "duplicate key `resolution` in [dataset]").into());
         }
-        if in_dataset {
-            match key {
-                "resolution" => {
-                    if resolution.is_some() {
-                        return Err(err(line_no, "duplicate key `resolution`"));
-                    }
-                    let minutes: u32 = value
-                        .parse()
-                        .map_err(|_| err(line_no, format!("bad resolution `{value}` (minutes)")))?;
-                    resolution =
-                        Some(Resolution::from_minutes(minutes).map_err(|e| err(line_no, e))?);
-                }
-                other => {
-                    return Err(err(
-                        line_no,
-                        format!("unknown dataset key `{other}` (valid: resolution)"),
-                    ));
-                }
-            }
-            continue;
-        }
-        let Some((_, _, pairs)) = current.as_mut() else {
-            return Err(err(line_no, "`key = value` before any `[region CODE]`"));
-        };
-        if pairs.iter().any(|(k, _)| *k == key) {
-            return Err(err(line_no, format!("duplicate key `{key}`")));
-        }
-        pairs.push((key.to_string(), value.to_string()));
+        let minutes: u32 = raw
+            .parse()
+            .map_err(|_| SectionError::new(line, format!("bad resolution `{raw}` (minutes)")))?;
+        doc.resolution =
+            Some(Resolution::from_minutes(minutes).map_err(|e| SectionError::new(line, e))?);
     }
-    finish(&mut current, &mut regions)?;
-    Ok(SidecarDoc {
-        regions,
-        resolution,
-    })
+    Ok(doc)
+}
+
+/// Builds the region a `[region CODE]` section declares (the code
+/// upper-cased) and appends it to `regions`. Unknown keys point at
+/// their own line; bad values and a code declared twice point at the
+/// header. Sidecars and scenario files both declare regions through
+/// this one function.
+pub fn push_region(regions: &mut Vec<Region>, section: &Section) -> Result<(), SectionError> {
+    section.reject_unknown(Region::KNOWN_KEYS)?;
+    let region = Region::from_pairs(&section.name.to_uppercase(), section.pairs())
+        .map_err(|e| section.error(e))?;
+    if regions.iter().any(|r| r.code == region.code) {
+        return Err(section.error(format!("duplicate region `{}`", section.name)));
+    }
+    regions.push(region);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -157,20 +93,7 @@ mod tests {
     use super::*;
     use crate::region::GeoGroup;
 
-    const EXAMPLE: &str = "\
-# Two user zones.
-[region xx-hydro]
-name = Hydrotopia
-group = south-america
-lat = -10.5
-lon = -55.0
-mean_ci = 45
-mix = hydro:0.8, wind:0.2
-
-[region XX-COAL]
-name = Coalville
-mean_ci = 700
-";
+    const EXAMPLE: &str = include_str!("../../../examples/regions.sidecar");
 
     #[test]
     fn sidecar_parses_regions_in_order() {
@@ -216,7 +139,10 @@ mean_ci = 700
                 "[dataset]\nresolution = 5\nresolution = 10\n",
                 "duplicate key `resolution`",
             ),
-            ("[dataset]\ncadence = 5\n", "unknown dataset key"),
+            (
+                "[dataset]\ncadence = 5\n",
+                "unknown key `cadence` in [dataset]",
+            ),
         ] {
             let error = parse_sidecar(text).unwrap_err();
             assert!(format!("{error}").contains(needle), "{text:?}: {error}");
@@ -226,7 +152,7 @@ mean_ci = 700
     #[test]
     fn malformed_sidecars_error_with_line_numbers() {
         for (text, line, needle) in [
-            ("name = X\n", 1, "before any `[region"),
+            ("name = X\n", 1, "before any section header"),
             ("[region\n", 1, "unterminated"),
             ("[zone XX]\n", 1, "`[region CODE]`"),
             ("[region]\n", 1, "`[region CODE]`"),
@@ -234,6 +160,11 @@ mean_ci = 700
             ("[region XX]\nname X\n", 2, "expected `key = value`"),
             ("[region XX]\nname = A\nname = B\n", 3, "duplicate key"),
             ("[region XX]\ngroup = atlantis\n", 1, "unknown geography"),
+            (
+                "[region XX]\nflux = 1\n",
+                2,
+                "unknown key `flux` in [region XX]",
+            ),
             ("[region XX]\n\n[region XX]\n", 3, "duplicate region"),
         ] {
             let error = parse_region_sidecar(text).unwrap_err();

@@ -21,6 +21,13 @@ pub const LAST_YEAR: i32 = 2023;
 /// Day of week of the epoch (2020-01-01 was a Wednesday; Monday = 0).
 const EPOCH_WEEKDAY: usize = 2;
 
+/// Wall-clock hours from the epoch that the `u32` slot clock can
+/// address at the finest resolution (1-minute slots, 60 per hour). A
+/// window that ends by this hour keeps its slot arithmetic in range on
+/// every axis; scenario files and `decarb_sim::Scenario` reject any
+/// window that ends later.
+pub const CLOCK_HOURS: usize = (u32::MAX / 60) as usize;
+
 /// An absolute hour index since 2020-01-01 00:00 UTC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hour(pub u32);
