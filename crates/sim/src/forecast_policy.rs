@@ -20,8 +20,13 @@ use crate::policy::{Placement, Policy};
 
 /// Slices the history an online scheduler is allowed to see at `now`:
 /// every sample of `series` strictly before `now`, capped at
-/// `max_history`.
-fn visible_history(series: &TimeSeries, now: Hour, max_history: usize) -> Option<TimeSeries> {
+/// `max_history` slots. The slice is a view onto `series`' buffer, so a
+/// decision copies no history.
+pub(crate) fn visible_history(
+    series: &TimeSeries,
+    now: Hour,
+    max_history: usize,
+) -> Option<TimeSeries> {
     let available = now.0.checked_sub(series.start().0)? as usize;
     if available == 0 {
         return None;
@@ -299,5 +304,21 @@ mod tests {
         assert!(visible_history(series, series.start(), 48).is_none());
         // Before the trace start: also none.
         assert!(visible_history(series, Hour(series.start().0.saturating_sub(1)), 48).is_none());
+    }
+
+    #[test]
+    fn visible_history_is_a_view_onto_the_region_buffer() {
+        // The decision path copies no history: the window handed to the
+        // forecaster reads the region's own samples.
+        let traces = builtin_dataset();
+        let series = traces.series("SE").unwrap();
+        let now = series.start().plus(28 * 24 + 100);
+        let history = visible_history(series, now, 28 * 24).unwrap();
+        let from = (history.start().0 - series.start().0) as usize;
+        assert!(std::ptr::eq(
+            history.values().as_ptr(),
+            &series.values()[from]
+        ));
+        assert_eq!(history.values(), &series.values()[from..from + 28 * 24]);
     }
 }

@@ -374,15 +374,28 @@ impl Scenario {
         )
     }
 
-    /// Checks the scenario can run against `data`: its window ends
-    /// within [`CLOCK_HOURS`] (so slot arithmetic cannot wrap on any
-    /// axis) and the dataset covers all of its zones.
+    /// Checks the scenario can run against `data`: its window and every
+    /// job's scheduling window end within [`CLOCK_HOURS`] (so slot
+    /// arithmetic cannot wrap on any axis), its workload recipe passes
+    /// [`WorkloadSpec::check_bounds`], and the dataset covers all of its
+    /// zones.
     pub fn validate_against(&self, data: &TraceSet) -> Result<(), String> {
         if self.start.index().saturating_add(self.horizon) > CLOCK_HOURS {
             return Err(format!(
                 "a {} h horizon from hour {} runs past the slot clock's end at hour \
                  {CLOCK_HOURS}",
                 self.horizon, self.start.0
+            ));
+        }
+        self.workload.check_bounds()?;
+        let worst = self
+            .workload
+            .worst_case_completion_offset(self.regions.codes().len());
+        if self.start.index().saturating_add(worst) > CLOCK_HOURS {
+            return Err(format!(
+                "jobs from hour {} may run until {worst} h after it, past the slot clock's \
+                 end at hour {CLOCK_HOURS}",
+                self.start.0
             ));
         }
         self.regions.try_resolve(data).map(|_| ())

@@ -411,6 +411,25 @@ horzion = 240
     }
 
     #[test]
+    fn recipes_past_the_slot_clock_are_parse_errors_on_their_line() {
+        let data = builtin_dataset();
+        let recipe = include_str!("../../../ci/scenario-seed/recipe-overflow.scenario");
+        let sparse = recipe.replace("per_origin = 18446744073709551615", "per_origin = 100");
+        let poisson = sparse.replace("spacing = 1000000", "arrival = poisson:0.000001");
+        for (text, line, needle) in [
+            (recipe, 16, "`per_origin` 18446744073709551615 exceeds"),
+            (sparse.as_str(), 17, "`fixed:1000000` span about 99000000 h"),
+            (poisson.as_str(), 17, "`poisson:0.000001:41505` span about"),
+        ] {
+            let diags = check_file("recipe-overflow.scenario", text, &data);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].rule, "parse-error");
+            assert_eq!(diags[0].line, line, "{}", diags[0].message);
+            assert!(diags[0].message.contains(needle), "{}", diags[0].message);
+        }
+    }
+
+    #[test]
     fn class_inapplicable_workload_keys_are_parse_errors() {
         // Every key is in the workload vocabulary, but `slack` does not
         // apply to interactive workloads: the parser rejects it at the

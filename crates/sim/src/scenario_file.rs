@@ -69,7 +69,9 @@
 //! are validated against the active dataset by the CLI before running.
 //! A window (`year` + `start_offset`, then `horizon`) must end within
 //! `decarb_traces::time::CLOCK_HOURS`, the hours the `u32` slot clock
-//! addresses at 1-minute resolution.
+//! addresses at 1-minute resolution. A workload recipe must fit the
+//! clock too (`WorkloadSpec::check_bounds`); a recipe error points at
+//! the line of the key it blames.
 
 use std::collections::HashMap;
 
@@ -321,8 +323,10 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
                 defaults = settings_from(section, defaults, true)?;
             }
             "workload" => {
-                let spec =
-                    WorkloadSpec::from_pairs(section.pairs()).map_err(|e| section.error(e))?;
+                let spec = WorkloadSpec::from_pairs(section.pairs()).map_err(|e| {
+                    let line = e.key.map_or(section.line, |key| section.line_of(key));
+                    err(line, e.message)
+                })?;
                 if workloads.insert(section.name.clone(), spec).is_some() {
                     return Err(section.error(format!("duplicate workload `{}`", section.name)));
                 }

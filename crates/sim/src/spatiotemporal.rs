@@ -14,6 +14,7 @@ use decarb_traces::{Hour, RegionId, TimeSeries, TraceSet};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
+use crate::forecast_policy::visible_history;
 use crate::policy::{Placement, Policy};
 use crate::routing::{HourlyLedger, RttTable};
 
@@ -75,14 +76,9 @@ impl<F: Forecaster> SpatioTemporal<F> {
         let Some(series) = view.traces.try_series_by_id(region) else {
             return view.now;
         };
-        let available = view.now.0.saturating_sub(series.start().0) as usize;
-        if available == 0 {
-            return view.now;
-        }
         let resolution = view.traces.resolution();
         let history_slots = self.max_history * resolution.slots_per_hour();
-        let history_len = history_slots.min(available);
-        let Ok(history) = series.slice(Hour(view.now.0 - history_len as u32), history_len) else {
+        let Some(history) = visible_history(series, view.now, history_slots) else {
             return view.now;
         };
         let slots = job.length_slots_at(resolution);

@@ -432,6 +432,44 @@ mod tests {
     }
 
     #[test]
+    fn plan_rejects_recipes_past_the_slot_clock() {
+        // The recipe of ci/scenario-seed/recipe-overflow.scenario, built
+        // in code so it bypasses the parser: sizing its horizon used to
+        // overflow, and a release build would wrap and plan it.
+        let data = builtin_dataset();
+        let mut flood = find_scenario("batch-agnostic-europe").unwrap();
+        flood.workload = WorkloadSpec::Batch {
+            per_origin: usize::MAX,
+            arrival: Arrival::fixed(1_000_000),
+            length_hours: 8.0,
+            slack: Slack::Day,
+            interruptible: true,
+        };
+        // Within the job cap, but the cadence outruns the clock.
+        let mut sparse = flood.clone();
+        sparse.name = "sparse".into();
+        sparse.workload = WorkloadSpec::Interactive {
+            per_origin: 100,
+            arrival: Arrival::fixed(1_000_000),
+        };
+        // Arrivals that span the clock but start late in it.
+        let mut late = flood.clone();
+        late.name = "late".into();
+        late.workload = WorkloadSpec::Interactive {
+            per_origin: 2,
+            arrival: Arrival::fixed(decarb_traces::time::CLOCK_HOURS),
+        };
+        let err = SweepPlan::plan(&data, vec![flood, sparse, late]).unwrap_err();
+        let SweepError::InvalidScenarios(bad) = &err else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(bad.len(), 3, "{err}");
+        assert!(bad[0].1.contains("`per_origin`"), "{err}");
+        assert!(bad[1].1.contains("span about"), "{err}");
+        assert!(bad[2].1.contains("may run until"), "{err}");
+    }
+
+    #[test]
     fn plan_rejects_duplicate_names() {
         let data = builtin_dataset();
         let s = find_scenario("batch-agnostic-europe").unwrap();

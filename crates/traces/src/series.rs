@@ -7,17 +7,25 @@ use crate::time::Hour;
 
 /// An hourly time series anchored at an absolute [`Hour`].
 ///
-/// The series holds a dense buffer of samples; index `i` holds the value
-/// for hour `start + i`. All scheduling kernels in `decarb-core` consume
-/// slices of this type. The buffer sits behind an `Arc`, so a clone
-/// shares the samples instead of copying them: a dataset and every
-/// planner over one of its regions read the same memory.
-/// [`TimeSeries::map_in_place`] copies on write when the buffer is
-/// shared.
-#[derive(Debug, Clone, PartialEq)]
+/// The series is a window onto a dense buffer of samples; index `i` of
+/// the window holds the value for hour `start + i`. All scheduling
+/// kernels in `decarb-core` consume slices of this type. The buffer
+/// sits behind an `Arc`, so a clone shares the samples instead of
+/// copying them: a dataset and every planner over one of its regions
+/// read the same memory. [`TimeSeries::slice`] is an O(1) view onto the
+/// same buffer, so a view keeps its parent's whole buffer alive; copy a
+/// small window that outlives a large temporary parent with
+/// `TimeSeries::new(from, window.to_vec())`.
+/// [`TimeSeries::map_in_place`] copies the window on write when the
+/// buffer is shared or the series is a view.
+#[derive(Clone)]
 pub struct TimeSeries {
     start: Hour,
-    values: Arc<Vec<f64>>,
+    buffer: Arc<Vec<f64>>,
+    /// Index of the window's first sample in `buffer`.
+    offset: usize,
+    /// Number of samples in the window.
+    len: usize,
 }
 
 impl TimeSeries {
@@ -26,7 +34,9 @@ impl TimeSeries {
     pub fn new(start: Hour, values: Vec<f64>) -> Self {
         Self {
             start,
-            values: Arc::new(values),
+            len: values.len(),
+            offset: 0,
+            buffer: Arc::new(values),
         }
     }
 
@@ -39,32 +49,32 @@ impl TimeSeries {
     /// Returns the absolute hour just past the last sample.
     #[inline]
     pub fn end(&self) -> Hour {
-        self.start.plus(self.len())
+        self.start.plus(self.len)
     }
 
     /// Returns the number of samples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Returns `true` if the series holds no samples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Returns the raw sample slice.
     #[inline]
     pub fn values(&self) -> &[f64] {
-        &self.values
+        &self.buffer[self.offset..self.offset + self.len]
     }
 
     /// Returns the sample at absolute hour `hour`, if in range.
     #[inline]
     pub fn at(&self, hour: Hour) -> Option<f64> {
         let i = hour.0.checked_sub(self.start.0)? as usize;
-        self.values.get(i).copied()
+        self.values().get(i).copied()
     }
 
     /// Returns the sample at absolute hour `hour`.
@@ -85,41 +95,57 @@ impl TimeSeries {
         })
     }
 
-    /// Returns the contiguous window of `len` samples starting at `from`.
-    pub fn window(&self, from: Hour, len: usize) -> Result<&[f64], TraceError> {
+    /// Returns the index into `values()` of the window of `len` samples
+    /// starting at `from`.
+    fn locate(&self, from: Hour, len: usize) -> Result<usize, TraceError> {
         let i = from
             .0
             .checked_sub(self.start.0)
             .ok_or(TraceError::OutOfRange { hour: from })? as usize;
-        if i + len > self.values.len() {
+        if i.checked_add(len).is_none_or(|end| end > self.len) {
+            // The window's last hour, saturated at the largest `Hour`.
+            let last = u32::try_from(len.saturating_sub(1)).unwrap_or(u32::MAX);
             return Err(TraceError::OutOfRange {
-                hour: from.plus(len.saturating_sub(1)),
+                hour: Hour(from.0.saturating_add(last)),
             });
         }
-        Ok(&self.values[i..i + len])
+        Ok(i)
     }
 
-    /// Returns a new series holding the samples for hours `[from, from+len)`.
+    /// Returns the contiguous window of `len` samples starting at `from`.
+    pub fn window(&self, from: Hour, len: usize) -> Result<&[f64], TraceError> {
+        let i = self.locate(from, len)?;
+        Ok(&self.values()[i..i + len])
+    }
+
+    /// Returns the series of hours `[from, from+len)` as an O(1) view
+    /// sharing this series' buffer.
     pub fn slice(&self, from: Hour, len: usize) -> Result<TimeSeries, TraceError> {
-        Ok(TimeSeries::new(from, self.window(from, len)?.to_vec()))
+        let i = self.locate(from, len)?;
+        Ok(TimeSeries {
+            start: from,
+            buffer: Arc::clone(&self.buffer),
+            offset: self.offset + i,
+            len,
+        })
     }
 
     /// Returns the arithmetic mean of all samples (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
+        self.values().iter().sum::<f64>() / self.len as f64
     }
 
     /// Returns the minimum sample (+∞ when empty).
     pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
+        self.values().iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Returns the maximum sample (−∞ when empty).
     pub fn max(&self) -> f64 {
-        self.values
+        self.values()
             .iter()
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
@@ -127,16 +153,21 @@ impl TimeSeries {
 
     /// Iterates over `(hour, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Hour, f64)> + '_ {
-        self.values
+        self.values()
             .iter()
             .enumerate()
             .map(move |(i, &v)| (self.start.plus(i), v))
     }
 
-    /// Applies `f` to every sample in place, first copying the samples
-    /// if another clone still shares them.
+    /// Applies `f` to every sample in place. A view, or a series whose
+    /// buffer another clone still shares, first copies its window into
+    /// a buffer of its own.
     pub fn map_in_place(&mut self, mut f: impl FnMut(Hour, f64) -> f64) {
-        for (i, v) in Arc::make_mut(&mut self.values).iter_mut().enumerate() {
+        if self.offset != 0 || self.len != self.buffer.len() {
+            self.buffer = Arc::new(self.values().to_vec());
+            self.offset = 0;
+        }
+        for (i, v) in Arc::make_mut(&mut self.buffer).iter_mut().enumerate() {
             *v = f(self.start.plus(i), *v);
         }
     }
@@ -145,6 +176,25 @@ impl TimeSeries {
     /// series.
     pub fn chunked_prefix(&self) -> ChunkedPrefix {
         ChunkedPrefix::build(self)
+    }
+}
+
+/// Two series are equal when they start at the same hour and their
+/// windows hold the same samples, wherever those samples live.
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.start == other.start && self.values() == other.values()
+    }
+}
+
+/// Prints the start and the window only, so a one-day view of a long
+/// trace does not print the whole trace.
+impl std::fmt::Debug for TimeSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("start", &self.start)
+            .field("values", &self.values())
+            .finish()
     }
 }
 
@@ -340,6 +390,98 @@ mod tests {
             original.values().as_ptr(),
             copy.values().as_ptr()
         ));
+    }
+
+    #[test]
+    fn slice_of_a_slice_has_the_right_start_and_values() {
+        let s = ts(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let outer = s.slice(Hour(11), 4).unwrap();
+        let inner = outer.slice(Hour(13), 2).unwrap();
+        assert_eq!(inner.start(), Hour(13));
+        assert_eq!(inner.end(), Hour(15));
+        assert_eq!(inner.len(), 2);
+        assert_eq!(inner.values(), &[4.0, 5.0]);
+        assert_eq!(inner.at(Hour(12)), None);
+        assert_eq!(inner.at(Hour(14)), Some(5.0));
+        assert_eq!(inner.at(Hour(15)), None);
+        assert_eq!(inner.window(Hour(14), 1).unwrap(), &[5.0]);
+        assert_eq!(inner.mean(), 4.5);
+        assert_eq!(inner.min(), 4.0);
+        assert_eq!(inner.max(), 5.0);
+        let pairs: Vec<_> = inner.iter().collect();
+        assert_eq!(pairs, vec![(Hour(13), 4.0), (Hour(14), 5.0)]);
+        // Both views read the parent's buffer.
+        assert!(std::ptr::eq(inner.values().as_ptr(), &s.values()[3]));
+    }
+
+    #[test]
+    fn a_view_equals_an_owned_copy_of_its_window() {
+        let s = ts(&[1.0, 2.0, 3.0, 4.0]);
+        let view = s.slice(Hour(11), 2).unwrap();
+        let owned = TimeSeries::new(Hour(11), view.values().to_vec());
+        assert_eq!(view, owned);
+        assert_eq!(view.chunked_prefix().sum(Hour(11), 2), 5.0);
+        // Same samples at another start, or another window, differ.
+        assert_ne!(view, TimeSeries::new(Hour(12), vec![2.0, 3.0]));
+        assert_ne!(view, s.slice(Hour(12), 2).unwrap());
+        assert_eq!(s.slice(Hour(10), 4).unwrap(), s);
+    }
+
+    #[test]
+    fn map_in_place_on_a_view_leaves_parent_and_siblings_untouched() {
+        let parent = ts(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut view = parent.slice(Hour(11), 3).unwrap();
+        let sibling = parent.slice(Hour(12), 3).unwrap();
+        view.map_in_place(|h, v| v * 10.0 + h.index() as f64);
+        assert_eq!(view.start(), Hour(11));
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.values(), &[31.0, 42.0, 53.0]);
+        assert_eq!(parent.values(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(sibling.values(), &[3.0, 4.0, 5.0]);
+        // A view of the whole buffer copies too while it is shared.
+        let mut whole = parent.slice(Hour(10), 5).unwrap();
+        whole.map_in_place(|_, v| -v);
+        assert_eq!(whole.values(), &[-1.0, -2.0, -3.0, -4.0, -5.0]);
+        assert_eq!(parent.values(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn debug_of_a_view_prints_only_its_window() {
+        let long = TimeSeries::new(Hour(0), (0..10_000).map(f64::from).collect());
+        let view = long.slice(Hour(4321), 1).unwrap();
+        assert_eq!(
+            format!("{view:?}"),
+            "TimeSeries { start: Hour(4321), values: [4321.0] }"
+        );
+    }
+
+    #[test]
+    fn out_of_range_slices_are_typed_errors() {
+        let s = ts(&[1.0, 2.0, 3.0]);
+        let view = s.slice(Hour(11), 2).unwrap();
+        assert_eq!(
+            s.slice(Hour(9), 1).unwrap_err(),
+            TraceError::OutOfRange { hour: Hour(9) }
+        );
+        assert_eq!(
+            s.slice(Hour(12), 2).unwrap_err(),
+            TraceError::OutOfRange { hour: Hour(13) }
+        );
+        // A view's bounds are its window's, not its buffer's.
+        assert_eq!(
+            view.slice(Hour(10), 1).unwrap_err(),
+            TraceError::OutOfRange { hour: Hour(10) }
+        );
+        assert!(matches!(
+            view.slice(Hour(12), 2),
+            Err(TraceError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            view.slice(Hour(11), usize::MAX),
+            Err(TraceError::OutOfRange { .. })
+        ));
+        assert!(view.window(Hour(13), 1).is_err());
+        assert!(view.slice(Hour(13), 0).unwrap().is_empty());
     }
 
     #[test]

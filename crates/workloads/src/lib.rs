@@ -21,4 +21,4 @@ pub use cluster_trace::{ClusterTrace, ClusterTraceConfig};
 pub use distribution::JobLengthDistribution;
 pub use generator::{arrival_sweep, MixedWorkload};
 pub use job::{Job, JobClass, Slack, JOB_LENGTHS_HOURS};
-pub use spec::{Arrival, WorkloadSpec, DEFAULT_ARRIVAL_SEED};
+pub use spec::{Arrival, RecipeError, WorkloadSpec, DEFAULT_ARRIVAL_SEED};

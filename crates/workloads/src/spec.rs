@@ -7,6 +7,7 @@
 //! sets of different sizes, which is what the scenario matrix needs.
 
 use decarb_traces::rng::Xoshiro256;
+use decarb_traces::time::CLOCK_HOURS;
 use decarb_traces::{Hour, RegionId, Resolution};
 
 use crate::job::{Job, Slack};
@@ -14,6 +15,11 @@ use crate::job::{Job, Slack};
 /// Default RNG seed for Poisson arrival processes (overridable via the
 /// scenario-file `arrival_seed` key).
 pub const DEFAULT_ARRIVAL_SEED: u64 = 0xA221;
+
+/// The most jobs one origin may submit: 2^20, about two a minute for a
+/// year. Far above any shipped recipe (the largest submits 1,400), and
+/// small enough that sizing a recipe's horizon stays a brief pass.
+pub const MAX_PER_ORIGIN: usize = 1 << 20;
 
 /// When one origin submits its jobs: a fixed cadence or a seeded
 /// Poisson process.
@@ -248,18 +254,85 @@ impl Arrival {
     }
 
     /// The largest arrival offset any of `origins` origins submitting
-    /// `count` jobs each can have, for sizing scenario horizons.
+    /// `count` jobs each can have, for sizing scenario horizons. The
+    /// arithmetic saturates, so an offset past `usize::MAX` reads as
+    /// `usize::MAX`, which no horizon or slot clock admits.
     pub fn last_offset(&self, count: usize, origins: usize) -> usize {
         match self {
-            Arrival::Fixed { spacing_hours } => {
-                count.saturating_sub(1) * spacing_hours + origins.saturating_sub(1)
-            }
+            Arrival::Fixed { spacing_hours } => count
+                .saturating_sub(1)
+                .saturating_mul(*spacing_hours)
+                .saturating_add(origins.saturating_sub(1)),
             Arrival::Poisson { .. } | Arrival::Bursty { .. } | Arrival::Diurnal { .. } => (0
                 ..origins.max(1))
                 .map(|o| self.offsets(count, o).last().copied().unwrap_or(0))
                 .max()
                 .unwrap_or(0),
         }
+    }
+
+    /// Checks that `count` submissions from one origin are expected to
+    /// arrive within the slot clock: the last fixed-cadence offset, or
+    /// the mean time the random recipes take to draw `count` arrivals,
+    /// must not pass [`CLOCK_HOURS`].
+    pub fn check_span(&self, count: usize) -> Result<(), String> {
+        let gaps = count.saturating_sub(1) as f64;
+        let span = match self {
+            Arrival::Fixed { spacing_hours } => gaps * *spacing_hours as f64,
+            Arrival::Poisson { rate_per_hour, .. } | Arrival::Diurnal { rate_per_hour, .. } => {
+                count as f64 / rate_per_hour
+            }
+            Arrival::Bursty {
+                rate_per_hour,
+                burst_size,
+                ..
+            } => count.div_ceil(*burst_size) as f64 * *burst_size as f64 / rate_per_hour,
+        };
+        if !span.is_finite() || span > CLOCK_HOURS as f64 {
+            return Err(format!(
+                "{count} arrivals on `{}` span about {span:.0} h, past the slot clock's end \
+                 ({CLOCK_HOURS} h)",
+                self.canonical()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// A workload recipe that [`WorkloadSpec::from_pairs`] rejects, with
+/// the key to blame when one is (the section header otherwise).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecipeError {
+    /// The offending key, if the error is about one value.
+    pub key: Option<&'static str>,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl RecipeError {
+    fn at(key: &'static str, message: impl Into<String>) -> Self {
+        Self {
+            key: Some(key),
+            message: message.into(),
+        }
+    }
+}
+
+impl From<String> for RecipeError {
+    fn from(message: String) -> Self {
+        Self { key: None, message }
+    }
+}
+
+impl From<&str> for RecipeError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
+impl std::fmt::Display for RecipeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
     }
 }
 
@@ -307,6 +380,25 @@ pub enum WorkloadSpec {
     },
 }
 
+/// Checks `per_origin` lies in `1..=`[`MAX_PER_ORIGIN`].
+fn check_per_origin(per_origin: usize) -> Result<(), RecipeError> {
+    if per_origin == 0 {
+        return Err(RecipeError::at(
+            "per_origin",
+            "`per_origin` must be at least 1",
+        ));
+    }
+    if per_origin > MAX_PER_ORIGIN {
+        return Err(RecipeError::at(
+            "per_origin",
+            format!(
+                "`per_origin` {per_origin} exceeds the {MAX_PER_ORIGIN} jobs one origin may submit"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// Key-value view used by [`WorkloadSpec::from_pairs`]: lookup with
 /// per-key parse errors and leftover-key detection.
 struct Pairs<'a> {
@@ -328,18 +420,25 @@ impl<'a> Pairs<'a> {
         Some(self.pairs[i].1.as_str())
     }
 
-    fn parsed<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, String> {
+    fn parsed<T: std::str::FromStr>(
+        &mut self,
+        key: &'static str,
+        default: T,
+    ) -> Result<T, RecipeError> {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for workload key `{key}`")),
+            Some(raw) => raw.parse().map_err(|_| {
+                RecipeError::at(
+                    key,
+                    format!("invalid value `{raw}` for workload key `{key}`"),
+                )
+            }),
         }
     }
 
-    fn finish(self) -> Result<(), String> {
+    fn finish(self) -> Result<(), RecipeError> {
         match self.used.iter().position(|&u| !u) {
-            Some(i) => Err(format!("unknown workload key `{}`", self.pairs[i].0)),
+            Some(i) => Err(format!("unknown workload key `{}`", self.pairs[i].0).into()),
             None => Ok(()),
         }
     }
@@ -351,37 +450,34 @@ impl WorkloadSpec {
     /// The `class` key selects the variant (`batch` / `interactive` /
     /// `mixed`); the remaining keys fill its fields, with the built-in
     /// matrix's values as defaults. Unknown keys, unparseable values,
-    /// and out-of-range fractions are errors.
-    pub fn from_pairs(pairs: &[(String, String)]) -> Result<WorkloadSpec, String> {
+    /// out-of-range fractions and recipes past
+    /// [`WorkloadSpec::check_bounds`] are errors.
+    pub fn from_pairs(pairs: &[(String, String)]) -> Result<WorkloadSpec, RecipeError> {
         let mut p = Pairs::new(pairs);
         let class = p.get("class").ok_or("workload section needs `class`")?;
         let per_origin: usize = p.parsed("per_origin", 12)?;
-        if per_origin == 0 {
-            return Err("`per_origin` must be at least 1".into());
-        }
-        let spacing = p.get("spacing").map(str::to_string);
-        let recipe = p.get("arrival").map(str::to_string);
-        let arrival_seed: Option<u64> =
-            match p.get("arrival_seed") {
-                None => None,
-                Some(raw) => Some(raw.parse().map_err(|_| {
-                    format!("invalid value `{raw}` for workload key `arrival_seed`")
-                })?),
-            };
-        let mut arrival = match (spacing, recipe) {
+        check_per_origin(per_origin)?;
+        let arrival_key = if p.get("spacing").is_some() {
+            "spacing"
+        } else {
+            "arrival"
+        };
+        let arrival_seed: Option<u64> = match p.get("arrival_seed") {
+            None => None,
+            Some(_) => Some(p.parsed("arrival_seed", 0)?),
+        };
+        let mut arrival = match (p.get("spacing"), p.get("arrival")) {
             (Some(_), Some(_)) => {
                 return Err("pass `spacing` or `arrival`, not both".into());
             }
-            (Some(raw), None) => {
-                let spacing_hours: usize = raw
-                    .parse()
-                    .map_err(|_| format!("invalid value `{raw}` for workload key `spacing`"))?;
+            (Some(_), None) => {
+                let spacing_hours: usize = p.parsed("spacing", 24)?;
                 if spacing_hours == 0 {
-                    return Err("`spacing` must be at least 1".into());
+                    return Err(RecipeError::at("spacing", "`spacing` must be at least 1"));
                 }
                 Arrival::Fixed { spacing_hours }
             }
-            (None, Some(raw)) => Arrival::parse(&raw)?,
+            (None, Some(raw)) => Arrival::parse(raw).map_err(|e| RecipeError::at("arrival", e))?,
             (None, None) => Arrival::fixed(24),
         };
         match (&mut arrival, arrival_seed) {
@@ -393,19 +489,23 @@ impl WorkloadSpec {
             ) => *seed = override_seed,
             (_, None) => {}
             (Arrival::Fixed { .. }, Some(_)) => {
-                return Err(
-                    "`arrival_seed` only applies to poisson, bursty, and diurnal arrivals".into(),
-                );
+                return Err(RecipeError::at(
+                    "arrival_seed",
+                    "`arrival_seed` only applies to poisson, bursty, and diurnal arrivals",
+                ));
             }
         }
+        arrival
+            .check_span(per_origin)
+            .map_err(|e| RecipeError::at(arrival_key, e))?;
         let spec = match class {
             "batch" => {
                 let length_hours: f64 = p.parsed("length", 8.0)?;
                 if !length_hours.is_finite() || length_hours <= 0.0 {
-                    return Err("`length` must be positive".into());
+                    return Err(RecipeError::at("length", "`length` must be positive"));
                 }
                 let slack = match p.get("slack") {
-                    Some(raw) => Slack::parse(raw)?,
+                    Some(raw) => Slack::parse(raw).map_err(|e| RecipeError::at("slack", e))?,
                     None => Slack::Day,
                 };
                 WorkloadSpec::Batch {
@@ -423,14 +523,17 @@ impl WorkloadSpec {
             "mixed" => {
                 let migratable_fraction: f64 = p.parsed("migratable_fraction", 0.5)?;
                 if !(0.0..=1.0).contains(&migratable_fraction) {
-                    return Err("`migratable_fraction` must lie in [0, 1]".into());
+                    return Err(RecipeError::at(
+                        "migratable_fraction",
+                        "`migratable_fraction` must lie in [0, 1]",
+                    ));
                 }
                 let batch_length_hours: f64 = p.parsed("length", 4.0)?;
                 if !batch_length_hours.is_finite() || batch_length_hours <= 0.0 {
-                    return Err("`length` must be positive".into());
+                    return Err(RecipeError::at("length", "`length` must be positive"));
                 }
                 let batch_slack = match p.get("slack") {
-                    Some(raw) => Slack::parse(raw)?,
+                    Some(raw) => Slack::parse(raw).map_err(|e| RecipeError::at("slack", e))?,
                     None => Slack::Day,
                 };
                 WorkloadSpec::Mixed {
@@ -443,8 +546,9 @@ impl WorkloadSpec {
                 }
             }
             other => {
-                return Err(format!(
-                    "unknown workload class `{other}` (valid: batch, interactive, mixed)"
+                return Err(RecipeError::at(
+                    "class",
+                    format!("unknown workload class `{other}` (valid: batch, interactive, mixed)"),
                 ))
             }
         };
@@ -461,15 +565,29 @@ impl WorkloadSpec {
         }
     }
 
-    /// Returns the number of jobs materialized for `origins` origin
-    /// regions.
-    pub fn job_count(&self, origins: usize) -> usize {
-        let per_origin = match self {
+    /// Returns the number of jobs each origin submits.
+    pub fn per_origin(&self) -> usize {
+        match self {
             WorkloadSpec::Batch { per_origin, .. }
             | WorkloadSpec::Interactive { per_origin, .. }
             | WorkloadSpec::Mixed { per_origin, .. } => *per_origin,
-        };
-        per_origin * origins
+        }
+    }
+
+    /// Returns the number of jobs materialized for `origins` origin
+    /// regions.
+    pub fn job_count(&self, origins: usize) -> usize {
+        self.per_origin() * origins
+    }
+
+    /// Checks the recipe fits the slot clock: `per_origin` lies in
+    /// `1..=`[`MAX_PER_ORIGIN`] and its arrivals pass
+    /// [`Arrival::check_span`]. Scenario files reject a recipe that
+    /// fails at parse time; `decarb_sim::Scenario::validate_against`
+    /// rejects one built in code.
+    pub fn check_bounds(&self) -> Result<(), String> {
+        check_per_origin(self.per_origin()).map_err(|e| e.message)?;
+        self.arrival().check_span(self.per_origin())
     }
 
     /// Returns the spec's arrival process.
@@ -484,12 +602,7 @@ impl WorkloadSpec {
     /// Returns the largest arrival offset (hours past `start`) any
     /// materialized job can have, for sizing scenario horizons.
     pub fn last_arrival_offset(&self, origins: usize) -> usize {
-        let per_origin = match self {
-            WorkloadSpec::Batch { per_origin, .. }
-            | WorkloadSpec::Interactive { per_origin, .. }
-            | WorkloadSpec::Mixed { per_origin, .. } => *per_origin,
-        };
-        self.arrival().last_offset(per_origin, origins)
+        self.arrival().last_offset(self.per_origin(), origins)
     }
 
     /// Returns the latest offset (hours past the scenario start) at
@@ -520,7 +633,7 @@ impl WorkloadSpec {
                 .window_hours()
                 .max(Job::interactive(0, RegionId(0), Hour(0)).window_hours()),
         };
-        last + window
+        last.saturating_add(window)
     }
 
     /// Every key [`WorkloadSpec::from_pairs`] understands, across all
@@ -602,12 +715,7 @@ impl WorkloadSpec {
             _ => Xoshiro256::seeded(0),
         };
         for (o, &origin) in origins.iter().enumerate() {
-            let per_origin = match self {
-                WorkloadSpec::Batch { per_origin, .. }
-                | WorkloadSpec::Interactive { per_origin, .. }
-                | WorkloadSpec::Mixed { per_origin, .. } => *per_origin,
-            };
-            let offsets = self.arrival().offsets(per_origin, o);
+            let offsets = self.arrival().offsets(self.per_origin(), o);
             for &offset in &offsets {
                 id += 1;
                 let arrival = start.plus(offset * slots_per_hour);
@@ -933,8 +1041,76 @@ mod tests {
             (vec![("class", "batch"), ("bogus", "1")], "unknown workload"),
         ] {
             let err = WorkloadSpec::from_pairs(&pairs(&kv)).unwrap_err();
-            assert!(err.contains(needle), "{kv:?}: got `{err}`");
+            assert!(err.message.contains(needle), "{kv:?}: got `{err}`");
         }
+    }
+
+    #[test]
+    fn from_pairs_names_the_key_a_bound_fails_on() {
+        for (kv, key, needle) in [
+            (
+                vec![("class", "batch"), ("per_origin", "18446744073709551615")],
+                "per_origin",
+                "exceeds the 1048576 jobs",
+            ),
+            (
+                vec![
+                    ("class", "batch"),
+                    ("per_origin", "100"),
+                    ("spacing", "1000000"),
+                ],
+                "spacing",
+                "past the slot clock's end",
+            ),
+            (
+                vec![("class", "interactive"), ("arrival", "poisson:1e-300")],
+                "arrival",
+                "past the slot clock's end",
+            ),
+            (
+                vec![("class", "interactive"), ("arrival", "bursty:1,100000000")],
+                "arrival",
+                "past the slot clock's end",
+            ),
+            (
+                vec![("class", "batch"), ("length", "0")],
+                "length",
+                "positive",
+            ),
+        ] {
+            let err = WorkloadSpec::from_pairs(&pairs(&kv)).unwrap_err();
+            assert_eq!(err.key, Some(key), "{kv:?}: got `{err}`");
+            assert!(err.message.contains(needle), "{kv:?}: got `{err}`");
+        }
+        // Errors that concern the section as a whole name no key.
+        let err = WorkloadSpec::from_pairs(&pairs(&[("per_origin", "3")])).unwrap_err();
+        assert_eq!(err.key, None);
+        // The largest recipe on the clock parses.
+        let most = MAX_PER_ORIGIN.to_string();
+        let spacing = (CLOCK_HOURS / (MAX_PER_ORIGIN - 1)).to_string();
+        let spec = WorkloadSpec::from_pairs(&pairs(&[
+            ("class", "interactive"),
+            ("per_origin", &most),
+            ("spacing", &spacing),
+        ]))
+        .unwrap();
+        assert!(spec.check_bounds().is_ok());
+        assert!(spec.last_arrival_offset(1) <= CLOCK_HOURS);
+    }
+
+    #[test]
+    fn last_offset_saturates_instead_of_overflowing() {
+        let flood = Arrival::fixed(1_000_000);
+        assert_eq!(flood.last_offset(usize::MAX, 3), usize::MAX);
+        let spec = WorkloadSpec::Batch {
+            per_origin: usize::MAX,
+            arrival: flood,
+            length_hours: 8.0,
+            slack: Slack::Day,
+            interruptible: true,
+        };
+        assert_eq!(spec.worst_case_completion_offset(8), usize::MAX);
+        assert!(spec.check_bounds().unwrap_err().contains("exceeds"));
     }
 
     #[test]
