@@ -393,7 +393,7 @@ fn bench_planner_cache(h: &Harness) {
 /// alone — plus the keep-alive connection loop end to end (64
 /// pipelined requests through reused buffers), a 64-job batch through
 /// one `POST /v1/place`, and the off-path cost a reload pays: building
-/// a full 123-zone snapshot with prewarmed planners.
+/// a full 123-zone snapshot with one planner per region.
 fn bench_serve(h: &Harness) {
     use decarb_serve::{handle_connection, read_request, PlacementService};
     use decarb_sim::{PlaceRequest, Snapshot};

@@ -109,9 +109,9 @@ pub(crate) fn serve_cmd(
         ),
     };
     let regions = traces.len();
-    let capacity = capacity_per_hour.unwrap_or(usize::MAX);
     let service = Arc::new(
-        decarb_serve::PlacementService::with_capacity(traces, capacity).with_loader(loader),
+        decarb_serve::PlacementService::with_capacity(traces, capacity_per_hour)
+            .with_loader(loader),
     );
     let server = decarb_serve::Server::bind(addr, service)
         .map_err(|e| failed(format_args!("serve: cannot bind {addr}"), e))?;

@@ -64,11 +64,3 @@ mod table1;
 pub use context::Context;
 pub use registry::{CompletedRun, Experiment};
 pub use table::ExperimentTable;
-
-/// Runs one experiment by id and returns its rendered tables.
-///
-/// Returns `None` for an unknown id. Thin compatibility wrapper over
-/// [`registry::find`] + [`Experiment::run`].
-pub fn run_experiment(ctx: &Context, id: &str) -> Option<Vec<ExperimentTable>> {
-    registry::find(id).map(|experiment| experiment.run(ctx))
-}

@@ -97,28 +97,28 @@ pub struct PlacementService {
     snapshot: RwLock<Arc<Snapshot>>,
     loader: Option<Loader>,
     metrics: Metrics,
-    /// Same-hour admission limit applied to every snapshot this
-    /// service builds, including reloads (`usize::MAX` = unlimited).
-    capacity_per_hour: usize,
 }
 
 impl PlacementService {
     /// Creates the service over `traces` with no reload hook
     /// (`POST /v1/reload` answers 503) and no admission limit.
     pub fn new(traces: Arc<TraceSet>) -> Self {
-        Self::with_capacity(traces, usize::MAX)
+        Self::with_capacity(traces, None)
     }
 
     /// Creates the service with a same-hour admission limit per region
-    /// (the `serve --capacity-per-hour` flag); reloads keep the limit.
-    pub fn with_capacity(traces: Arc<TraceSet>, capacity_per_hour: usize) -> Self {
+    /// (the `serve --capacity-per-hour` flag; `None` = unlimited);
+    /// reloads keep the limit.
+    pub fn with_capacity(
+        traces: Arc<TraceSet>,
+        capacity_per_hour: impl Into<Option<usize>>,
+    ) -> Self {
         Self {
             snapshot: RwLock::new(Arc::new(
                 Snapshot::build(traces, 1).with_capacity_per_hour(capacity_per_hour),
             )),
             loader: None,
             metrics: Metrics::new(),
-            capacity_per_hour,
         }
     }
 
@@ -149,10 +149,11 @@ impl PlacementService {
         };
         let traces = loader().map_err(|message| ApiError::new(503, "reload-failed", message))?;
         // Build outside the lock: readers keep serving the old
-        // snapshot for the entire (planner-prewarming) rebuild.
+        // snapshot for the entire rebuild, which keeps its limit.
+        let current = self.snapshot();
         let next = Arc::new(
-            Snapshot::build(traces, self.snapshot().generation() + 1)
-                .with_capacity_per_hour(self.capacity_per_hour),
+            Snapshot::build(traces, current.generation() + 1)
+                .with_capacity_per_hour(current.capacity_per_hour()),
         );
         let mut slot = self
             .snapshot
@@ -414,9 +415,8 @@ impl PlacementService {
     /// in input order (a decision object, or the documented error
     /// envelope for that job alone), plus an aggregate summary.
     ///
-    /// Valid jobs are evaluated through [`Snapshot::place_batch`], so
-    /// large batches fan out across `decarb-par` worker threads when
-    /// admission control is off and the answers stay bit-identical to
+    /// Valid jobs are evaluated in input order through
+    /// [`Snapshot::place_batch`], so the answers are bit-identical to
     /// N sequential single-job calls.
     fn place_many(&self, snap: &Snapshot, jobs: &[Value]) -> Result<Value, ApiError> {
         if jobs.is_empty() {
@@ -752,6 +752,11 @@ mod tests {
             ),
             (
                 r#"{"origin":"DE","duration_hours":9999999}"#,
+                422,
+                "beyond-trace-end",
+            ),
+            (
+                r#"{"origin":"DE","duration_hours":1,"arrival_hour":4000000000}"#,
                 422,
                 "beyond-trace-end",
             ),

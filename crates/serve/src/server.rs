@@ -256,6 +256,23 @@ mod tests {
     }
 
     #[test]
+    fn an_arrival_past_the_trace_end_leaves_the_worker_serving() {
+        let (addr, handle) = start();
+        let body = r#"{"origin":"DE","duration_hours":1,"arrival_hour":4000000000}"#;
+        let raw = format!(
+            "POST /v1/place HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}\
+             GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        let response = roundtrip(addr, raw.as_bytes());
+        handle.join().unwrap();
+        assert!(response.starts_with("HTTP/1.1 422"), "{response}");
+        assert!(response.contains("beyond-trace-end"), "{response}");
+        assert!(response.contains("HTTP/1.1 200 OK"), "{response}");
+        assert!(response.contains("\"status\": \"ok\""), "{response}");
+    }
+
+    #[test]
     fn one_connection_serves_many_requests() {
         let (addr, handle) = start();
         let response = roundtrip(

@@ -9,8 +9,10 @@
 //! and shared by reference across the worker threads: each region's
 //! planner is built the first time any scenario needs it and reused by
 //! every later placement. With builds this cheap the cache saves
-//! little; deleting it is an open item, as the benchmark's serial
-//! replay still calls it.
+//! little. Its remaining users are the sweep ([`crate::sweep`] and
+//! [`crate::Scenario::run_cached`]) and the benchmark's serial replay;
+//! the serving [`crate::Snapshot`] holds a plain planner per region
+//! instead. Deleting the cache is an open item.
 //!
 //! A planner spans a region's entire stored trace, so the cache is a
 //! dense [`RegionId`]-indexed slot table — scenario horizons never

@@ -5,28 +5,28 @@
 //! where and when should it run" for one job at a time, thousands of
 //! times per second. A [`Snapshot`] bundles everything those queries
 //! touch — the interned region table and dense series (`Arc<TraceSet>`),
-//! a prebuilt [`RttTable`], a prewarmed [`PlannerCache`], and an
-//! [`HourlyLedger`] for same-hour admission control — so a query is
-//! pure table lookups plus one planner scan, with no allocation or
-//! locking on the read path (the ledger is the only mutex, held for a
-//! few integer ops). `decarb-serve` keeps the current snapshot behind
-//! an atomically swapped `Arc`, so `POST /v1/reload` never stalls
-//! in-flight readers.
+//! a prebuilt `RttTable`, one [`TemporalPlanner`] per region (sharing
+//! the dataset's samples), and, only when a same-hour admission limit
+//! is set, an `HourlyLedger` behind a mutex — so a query is a plain
+//! scan over table lookups and planners, with no allocation and, when
+//! admission control is off, no locking on the read path.
+//! `decarb-serve` keeps the current snapshot behind an atomically
+//! swapped `Arc`, so `POST /v1/reload` never stalls in-flight readers.
 //!
 //! The query mirrors [`crate::spatiotemporal::SpatioTemporal`]'s
 //! route-then-defer logic, but against the *actual* stored trace (the
 //! planner's oracle view) rather than a forecast, and without a running
 //! cluster: capacity is the ledger's same-hour admission count. Every
 //! panicking precondition of [`TemporalPlanner`] is pre-validated into
-//! a typed [`PlaceError`], so a malformed query becomes an HTTP 4xx,
-//! never a worker-thread panic.
+//! a typed [`PlaceError`] for the origin (remote regions that fail it
+//! are skipped), so a malformed query becomes an HTTP 4xx, never a
+//! worker-thread panic.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
 use decarb_core::temporal::TemporalPlanner;
 use decarb_traces::{Hour, Region, RegionId, TraceSet};
 
-use crate::planner_cache::PlannerCache;
 use crate::routing::{HourlyLedger, RttTable};
 
 /// One placement query: a job's shape plus its origin and constraints.
@@ -82,9 +82,7 @@ impl std::fmt::Display for PlaceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlaceError::ZeroDuration => write!(f, "duration_hours must be at least 1"),
-            // `Hour`'s Display resolves the calendar year and panics
-            // one-past-the-horizon (exactly where a trace-end bound
-            // sits), so these render the raw index.
+            // The raw slot index: the unit of the API's `arrival_hour`.
             PlaceError::BeforeTraceStart(start) => {
                 write!(
                     f,
@@ -110,41 +108,49 @@ pub struct Snapshot {
     traces: Arc<TraceSet>,
     deployed: Vec<RegionId>,
     rtt: RttTable,
-    planners: PlannerCache,
-    ledger: Mutex<HourlyLedger>,
-    /// Same-hour admissions allowed per region before the router skips
-    /// it (`usize::MAX` disables admission control).
-    capacity_per_hour: usize,
+    /// One planner per region, indexed by [`RegionId::index`].
+    planners: Vec<TemporalPlanner>,
+    /// `None` disables admission control.
+    admission: Option<Admission>,
     generation: u64,
 }
 
+/// Same-hour admission control: a region stops winning placements once
+/// `limit` of them land in one wall-clock hour.
+#[derive(Debug)]
+struct Admission {
+    limit: usize,
+    ledger: Mutex<HourlyLedger>,
+}
+
 impl Snapshot {
-    /// Builds a snapshot deploying every region of `traces`, prewarming
-    /// one planner per region so first queries pay no prefix build. The
-    /// planners share the dataset's samples; prewarming copies none.
+    /// Builds a snapshot deploying every region of `traces`, with one
+    /// planner per region so first queries pay no prefix build. The
+    /// planners share the dataset's samples; building them copies none.
     pub fn build(traces: Arc<TraceSet>, generation: u64) -> Self {
         let deployed: Vec<RegionId> = traces.ids().collect();
         let rtt = RttTable::build(&traces, &deployed);
-        let planners = PlannerCache::new();
-        for &id in &deployed {
-            planners.planner(&traces, id);
-        }
-        let ledger = Mutex::new(HourlyLedger::new(traces.len()));
+        let planners = deployed
+            .iter()
+            .map(|&id| TemporalPlanner::for_region(&traces, id))
+            .collect();
         Self {
             traces,
             deployed,
             rtt,
             planners,
-            ledger,
-            capacity_per_hour: usize::MAX,
+            admission: None,
             generation,
         }
     }
 
     /// Limits same-hour admissions per region (admission control for
-    /// bursts of simultaneous queries).
-    pub fn with_capacity_per_hour(mut self, capacity: usize) -> Self {
-        self.capacity_per_hour = capacity;
+    /// bursts of simultaneous queries); `None` lifts the limit.
+    pub fn with_capacity_per_hour(mut self, capacity: impl Into<Option<usize>>) -> Self {
+        self.admission = capacity.into().map(|limit| Admission {
+            limit,
+            ledger: Mutex::new(HourlyLedger::new(self.traces.len())),
+        });
         self
     }
 
@@ -178,18 +184,16 @@ impl Snapshot {
     }
 
     /// Validates that a `slots`-slot run from `arrival` fits `id`'s
-    /// stored trace; `Ok` carries the slots remaining from arrival to
-    /// the trace end.
-    fn fits(&self, id: RegionId, arrival: Hour, slots: usize) -> Result<usize, PlaceError> {
+    /// stored trace, including an arrival at or past the trace end.
+    fn fits(&self, id: RegionId, arrival: Hour, slots: usize) -> Result<(), PlaceError> {
         let series = self.traces.series_by_id(id);
         if arrival < series.start() {
             return Err(PlaceError::BeforeTraceStart(series.start()));
         }
-        let remaining = (series.end().0 - arrival.0) as usize;
-        if remaining < slots {
+        if (series.end().0.saturating_sub(arrival.0) as usize) < slots {
             return Err(PlaceError::BeyondTraceEnd(series.end()));
         }
-        Ok(remaining)
+        Ok(())
     }
 
     /// Answers one placement query: route to the cheapest deferred
@@ -208,38 +212,39 @@ impl Snapshot {
         let slots = req.duration_hours * sph;
         let slack = req.slack_hours * sph;
         self.fits(req.origin, req.arrival, slots)?;
-        let origin_planner = self.planners.planner(&self.traces, req.origin);
+        let origin_planner = self.planner(req.origin);
         let naive_g = origin_planner.baseline_cost(req.arrival, slots) / sph as f64;
 
-        let mut admitted = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
-        // Hour-floored: admission control counts per wall-clock hour
-        // whatever the slot axis, like the simulator's router ledger.
-        admitted.roll(Hour(req.arrival.0 - req.arrival.0 % sph as u32));
+        // Held across the scan so each answer sees every earlier
+        // admission; no lock at all when admission control is off.
+        let admission = self.admission.as_ref().map(|a| {
+            let mut ledger = a.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            // Hour-floored: admission control counts per wall-clock
+            // hour whatever the slot axis, like the simulator's router.
+            ledger.roll(Hour(req.arrival.0 - req.arrival.0 % sph as u32));
+            (a.limit, ledger)
+        });
 
         // The origin is always feasible (validated above); remote
-        // regions must clear RTT, fit, and same-hour admission.
-        let origin_best = origin_planner.best_deferred(req.arrival, slots, slack);
+        // regions must clear admission, RTT, and fit.
         let mut best_region = req.origin;
-        let mut best = origin_best;
+        let mut best = origin_planner.best_deferred(req.arrival, slots, slack);
         for &id in &self.deployed {
             if id == req.origin {
                 continue;
             }
-            if self.capacity_per_hour != usize::MAX && admitted.placed(id) >= self.capacity_per_hour
-            {
-                continue;
+            if let Some((limit, ledger)) = &admission {
+                if ledger.placed(id) >= *limit {
+                    continue;
+                }
             }
             let Some(rtt) = self.rtt.get(req.origin, id) else {
                 continue;
             };
-            if rtt > req.slo_ms {
+            if rtt > req.slo_ms || self.fits(id, req.arrival, slots).is_err() {
                 continue;
             }
-            if self.fits(id, req.arrival, slots).is_err() {
-                continue;
-            }
-            let planner = self.planners.planner(&self.traces, id);
-            let candidate = planner.best_deferred(req.arrival, slots, slack);
+            let candidate = self.planner(id).best_deferred(req.arrival, slots, slack);
             if candidate.cost_g < best.cost_g
                 || (candidate.cost_g == best.cost_g && self.rtt.code_before(id, best_region))
             {
@@ -247,8 +252,9 @@ impl Snapshot {
                 best = candidate;
             }
         }
-        admitted.record(best_region);
-        drop(admitted);
+        if let Some((_, mut ledger)) = admission {
+            ledger.record(best_region);
+        }
 
         let rtt_ms = self.rtt.get(req.origin, best_region).unwrap_or(0.0);
         let cost_g = best.cost_g / sph as f64;
@@ -262,47 +268,24 @@ impl Snapshot {
         })
     }
 
-    /// The temporal planner for `id` (prewarmed at build time).
-    pub fn planner(&self, id: RegionId) -> Arc<TemporalPlanner> {
-        self.planners.planner(&self.traces, id)
+    /// The temporal planner for `id`.
+    pub fn planner(&self, id: RegionId) -> &TemporalPlanner {
+        &self.planners[id.index()]
     }
 
-    /// The configured same-hour admission limit (`usize::MAX` when
-    /// admission control is disabled).
-    pub fn capacity_per_hour(&self) -> usize {
-        self.capacity_per_hour
-    }
-
-    /// Whether admission control is active. When it is, placements
-    /// mutate the shared ledger, so query *order* matters and batches
-    /// must be answered sequentially to stay deterministic.
-    pub fn admission_limited(&self) -> bool {
-        self.capacity_per_hour != usize::MAX
+    /// The configured same-hour admission limit (`None` when admission
+    /// control is disabled).
+    pub fn capacity_per_hour(&self) -> Option<usize> {
+        self.admission.as_ref().map(|a| a.limit)
     }
 
     /// Answers many placement queries, one result per request in input
-    /// order.
-    ///
-    /// With admission control disabled (the default), `place` never
-    /// *reads* the ledger's counts, so no answer depends on any other
-    /// and batches of at least [`PAR_BATCH_THRESHOLD`] fan out across
-    /// [`decarb_par::par_map`] worker threads — results are
-    /// bit-identical to the same requests answered sequentially. With
-    /// a capacity limit set, each answer feeds the next one's
-    /// admission state, so the batch runs sequentially in input order
-    /// (exactly N single calls).
+    /// order: exactly N single calls, so under admission control each
+    /// answer sees the admissions of the requests before it.
     pub fn place_batch(&self, requests: &[PlaceRequest]) -> Vec<Result<PlaceDecision, PlaceError>> {
-        if requests.len() >= PAR_BATCH_THRESHOLD && !self.admission_limited() {
-            decarb_par::par_map(requests, |r| self.place(r))
-        } else {
-            requests.iter().map(|r| self.place(r)).collect()
-        }
+        requests.iter().map(|r| self.place(r)).collect()
     }
 }
-
-/// Smallest batch worth fanning out across threads — below this the
-/// scoped-thread spawn cost exceeds the ~6 µs/decision planner scan.
-pub const PAR_BATCH_THRESHOLD: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -343,8 +326,8 @@ mod tests {
             let samples = data.series_by_id(id).values().as_ptr();
             let region = TemporalPlanner::for_region(data, id);
             assert!(std::ptr::eq(region.series().values().as_ptr(), samples));
-            let prewarmed = snap.planner(id);
-            assert!(std::ptr::eq(prewarmed.series().values().as_ptr(), samples));
+            let built = snap.planner(id);
+            assert!(std::ptr::eq(built.series().values().as_ptr(), samples));
         }
     }
 
@@ -474,6 +457,39 @@ mod tests {
             snap.place(&late),
             Err(PlaceError::BeyondTraceEnd(_))
         ));
+        // An arrival far past the origin's trace end, not just a run
+        // that overruns it.
+        let mut beyond = req(&snap, "DE", 0, f64::INFINITY);
+        beyond.arrival = Hour(4_000_000_000);
+        assert!(matches!(
+            snap.place(&beyond),
+            Err(PlaceError::BeyondTraceEnd(_))
+        ));
+        // A ragged dataset: the greener candidate's trace ends before
+        // the arrival, so it is skipped and the origin answers.
+        let region = |code| decarb_traces::catalog::region(code).unwrap().clone();
+        let ragged = decarb_traces::TraceSet::from_series(vec![
+            (
+                region("DE"),
+                decarb_traces::TimeSeries::new(start, vec![300.0; 500]),
+            ),
+            (
+                region("SE"),
+                decarb_traces::TimeSeries::new(start, vec![10.0; 100]),
+            ),
+        ]);
+        let ragged_snap = Snapshot::build(Arc::new(ragged), 1);
+        let mut query = PlaceRequest {
+            origin: ragged_snap.traces().id_of("DE").unwrap(),
+            arrival: start.plus(200),
+            duration_hours: 2,
+            slack_hours: 24,
+            slo_ms: f64::INFINITY,
+        };
+        let routed = ragged_snap.place(&query).unwrap();
+        query.slo_ms = 0.0;
+        assert_eq!(routed, ragged_snap.place(&query).unwrap());
+        assert_eq!(routed.region, query.origin);
     }
 
     #[test]
@@ -508,10 +524,10 @@ mod tests {
     #[test]
     fn parallel_batches_match_sequential_answers_bit_for_bit() {
         let snap = snapshot();
-        assert!(!snap.admission_limited());
+        assert_eq!(snap.capacity_per_hour(), None);
         let origins = ["DE", "PL", "FR", "SE"];
-        // Past the parallel threshold, with varied shapes.
-        let requests: Vec<PlaceRequest> = (0..(PAR_BATCH_THRESHOLD * 2 + 3))
+        // A batch of varied shapes.
+        let requests: Vec<PlaceRequest> = (0..35)
             .map(|i| {
                 let mut r = req(&snap, origins[i % origins.len()], (i % 5) * 6, 150.0);
                 r.duration_hours = 1 + i % 4;
@@ -527,8 +543,7 @@ mod tests {
     #[test]
     fn admission_limited_batches_run_in_input_order() {
         let limited = Snapshot::build(builtin_dataset(), 1).with_capacity_per_hour(1);
-        assert!(limited.admission_limited());
-        assert_eq!(limited.capacity_per_hour(), 1);
+        assert_eq!(limited.capacity_per_hour(), Some(1));
         let requests = vec![req(&limited, "PL", 0, f64::INFINITY); 3];
         let batched = limited.place_batch(&requests);
         // A fresh identical snapshot answered sequentially must agree:

@@ -92,8 +92,13 @@ impl Hour {
     }
 }
 
+/// `2021y+0042h` inside the horizon; past [`LAST_YEAR`], where there
+/// is no calendar year, the raw index, so formatting never panics.
 impl std::fmt::Display for Hour {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.index() >= horizon_hours() {
+            return write!(f, "{}", self.0);
+        }
         write!(f, "{}y+{:04}h", self.year(), self.hour_of_year())
     }
 }
@@ -274,6 +279,14 @@ mod tests {
         assert_eq!(hours_in_year(2020), 8784);
         assert_eq!(hours_in_year(2021), 8760);
         assert_eq!(horizon_hours(), 8784 + 3 * 8760);
+    }
+
+    #[test]
+    fn display_is_total_past_the_horizon() {
+        assert_eq!(year_start(2021).plus(42).to_string(), "2021y+0042h");
+        let end = Hour(horizon_hours() as u32);
+        assert_eq!(end.to_string(), end.0.to_string());
+        assert_eq!(Hour(u32::MAX).to_string(), "4294967295");
     }
 
     #[test]
