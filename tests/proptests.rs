@@ -432,3 +432,122 @@ fn container_append_equals_one_shot_pack() {
         assert_eq!(info.segments, 2, "case {case}");
     }
 }
+
+/// Runs one job alone on an uncapacitated deployment of every region
+/// of `data` and returns its emissions, g.
+fn emissions_alone(
+    data: &decarb::traces::TraceSet,
+    policy: &mut dyn decarb::sim::Policy,
+    job: &decarb::workloads::Job,
+    horizon: usize,
+) -> f64 {
+    use decarb::sim::{SimConfig, Simulator};
+    let regions: Vec<_> = data.ids().collect();
+    let config = SimConfig::new(job.arrival, horizon, 1 << 20);
+    let report = Simulator::new(data, &regions, config).run(policy, std::slice::from_ref(job));
+    assert_eq!(report.completed_count(), 1, "job {} must finish", job.id);
+    report.emissions_of(job.id).unwrap()
+}
+
+/// The clairvoyant bound oracle: no online policy beats the cheapest
+/// contiguous window `decarb-core` computes on the true trace, and the
+/// clairvoyant policy meets it exactly. Spatial placement is bounded
+/// by the cheapest window over the origin and every region within the
+/// latency SLO. Checked on hourly data and its 5-minute replica.
+#[test]
+fn online_policies_never_beat_the_clairvoyant_bound() {
+    use decarb::core::latency::rtt_ms;
+    use decarb::forecast::{Persistence, SeasonalNaive};
+    use decarb::sim::{ForecastDeferral, PlannedDeferral, SpatioTemporal};
+    use decarb::traces::{builtin_dataset, Resolution, TraceSet};
+    use decarb::workloads::{Job, Slack};
+
+    let builtin = builtin_dataset();
+    let hourly = TraceSet::from_series(
+        ["DE", "PL", "SE", "FR"]
+            .iter()
+            .map(|code| {
+                let id = builtin.id_of(code).unwrap();
+                (
+                    builtin.region_by_id(id).clone(),
+                    builtin.series_by_id(id).clone(),
+                )
+            })
+            .collect(),
+    );
+    let fine = hourly
+        .resample_to(Resolution::from_minutes(5).unwrap())
+        .unwrap();
+    let ids: Vec<_> = hourly.ids().collect();
+    let first = hourly.series_by_id(ids[0]).start();
+    let hours = hourly.series_by_id(ids[0]).len();
+    let slacks = [Slack::None, Slack::Day, Slack::Week, Slack::TenX];
+    let slos = [0.0, 15.0, 30.0, 60.0, f64::INFINITY];
+    // Half the kernel properties' cases: each runs four policies on two
+    // axes.
+    for case in 0..CASES / 2 {
+        let mut g = Gen::new("clairvoyant_bound", case);
+        let origin = ids[g.usize_in(0, ids.len())];
+        let length_hours = g.usize_in(1, 13);
+        let slack = slacks[g.usize_in(0, slacks.len())];
+        let slo_ms = slos[g.usize_in(0, slos.len())];
+        let window = slack.hours(length_hours as f64) + length_hours;
+        let arrival_hour = g.usize_in(28 * 24, hours - window - 1);
+        for data in [&hourly, &fine] {
+            let resolution = data.resolution();
+            let sph = resolution.slots_per_hour();
+            let arrival = Hour((first.0 as usize + arrival_hour) as u32 * sph as u32);
+            let job = Job::batch(case, origin, arrival, length_hours as f64, slack);
+            let slots = job.length_slots_at(resolution);
+            let slack_slots = job.slack_slots_at(resolution);
+            let horizon = slots + slack_slots + sph;
+            let bound_in = |id| {
+                TemporalPlanner::for_region(data, id)
+                    .best_deferred(arrival, slots, slack_slots)
+                    .cost_g
+                    * job.length_hours
+                    / slots as f64
+            };
+            let at = |msg: &str| format!("case {case} ({msg}) at {} min", resolution.minutes());
+
+            let bound = bound_in(origin);
+            let planned = emissions_alone(data, &mut PlannedDeferral, &job, horizon);
+            assert!(
+                (planned - bound).abs() <= 1e-9 * bound.abs(),
+                "{}: planned {planned} vs bound {bound}",
+                at("deferral")
+            );
+            let seasonal = SeasonalNaive::daily_at(resolution);
+            for (name, emitted) in [
+                (
+                    "forecast seasonal",
+                    emissions_alone(data, &mut ForecastDeferral::new(seasonal), &job, horizon),
+                ),
+                (
+                    "forecast persistence",
+                    emissions_alone(data, &mut ForecastDeferral::new(Persistence), &job, horizon),
+                ),
+            ] {
+                assert!(
+                    emitted >= bound * (1.0 - 1e-9),
+                    "{}: {emitted} beats bound {bound}",
+                    at(name)
+                );
+            }
+
+            let home = data.region_by_id(origin);
+            let spatial_bound = ids
+                .iter()
+                .filter(|&&r| r == origin || rtt_ms(home, data.region_by_id(r)) <= slo_ms)
+                .map(|&r| bound_in(r))
+                .fold(f64::INFINITY, f64::min);
+            let mut combined = SpatioTemporal::new(data, &ids, slo_ms, seasonal);
+            let emitted = emissions_alone(data, &mut combined, &job, horizon);
+            assert!(
+                emitted >= spatial_bound * (1.0 - 1e-9),
+                "{}: {emitted} beats bound {spatial_bound} (slo {slo_ms} ms)",
+                at("spatiotemporal")
+            );
+        }
+    }
+}
