@@ -22,11 +22,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Returns the shared experiment context used by the bench targets.
-pub fn bench_context() -> decarb_experiments::Context {
-    decarb_experiments::Context::default()
-}
-
 /// Whether the bench log should also print each experiment's tables.
 pub fn print_tables() -> bool {
     std::env::var("DECARB_BENCH_PRINT").is_ok_and(|v| v != "0")

@@ -6,6 +6,10 @@
 //! requires the k-smallest sum of a sliding window. Maintaining two
 //! ordered multisets (the k smallest in `low`, the rest in `high`) gives
 //! O(log n) insert/remove instead of re-sorting every window.
+//!
+//! A single window needs no sliding structure: [`k_cheapest`] picks its
+//! `k` cheapest positions directly, for the clairvoyant interruptible
+//! bound and for forecast-planned suspend/resume alike.
 
 use std::collections::BTreeMap;
 
@@ -143,6 +147,19 @@ impl SlidingKSmallest {
     }
 }
 
+/// Returns the positions of the `k` smallest `values` in ascending
+/// position order (all positions when `k >= values.len()`). Ties go to
+/// the earlier position, so the choice never depends on sort stability.
+pub fn k_cheapest(values: &[f64], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    if k < order.len() {
+        order.select_nth_unstable_by(k, |&a, &b| values[a].total_cmp(&values[b]).then(a.cmp(&b)));
+        order.truncate(k);
+    }
+    order.sort_unstable();
+    order
+}
+
 fn remove_one(map: &mut BTreeMap<OrdF64, usize>, key: OrdF64) {
     match map.get_mut(&key) {
         Some(count) if *count > 1 => *count -= 1,
@@ -162,6 +179,16 @@ mod tests {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
         sorted.iter().take(k).sum()
+    }
+
+    #[test]
+    fn k_cheapest_prefers_earlier_positions_on_ties() {
+        let values = [5.0, 1.0, 3.0, 1.0, 3.0, 9.0];
+        assert_eq!(k_cheapest(&values, 3), vec![1, 2, 3]);
+        assert_eq!(k_cheapest(&values, 0), Vec::<usize>::new());
+        assert_eq!(k_cheapest(&values, 10), vec![0, 1, 2, 3, 4, 5]);
+        let sum: f64 = k_cheapest(&values, 4).iter().map(|&i| values[i]).sum();
+        assert_eq!(sum, naive_k_sum(&values, 4));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use decarb_traces::{ChunkedPrefix, Hour, RegionId, Resolution, TimeSeries, TraceSet};
 
-use crate::ksmallest::SlidingKSmallest;
+use crate::ksmallest::{k_cheapest, SlidingKSmallest};
 
 /// The temporal flexibility a job is granted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,22 +190,11 @@ impl TemporalPlanner {
             first + slots <= values.len(),
             "job at {arrival} (+{slots}h) cannot fit before trace end"
         );
-        let mut indexed: Vec<(f64, usize)> = values[first..end]
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, first + i))
-            .collect();
-        indexed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut chosen: Vec<usize> = indexed.iter().take(slots).map(|&(_, i)| i).collect();
-        chosen.sort_unstable();
-        let cost = chosen.iter().map(|&i| values[i]).sum();
-        (
-            chosen
-                .into_iter()
-                .map(|i| self.series.start().plus(i))
-                .collect(),
-            cost,
-        )
+        let window = &values[first..end];
+        let chosen = k_cheapest(window, slots);
+        let cost = chosen.iter().map(|&i| window[i]).sum();
+        let start = self.series.start().plus(first);
+        (chosen.into_iter().map(|i| start.plus(i)).collect(), cost)
     }
 
     /// Returns the cost of running under `policy` for a single job.

@@ -13,7 +13,7 @@
 use decarb_traces::{Hour, TimeSeries};
 
 use crate::metrics::{mape_by_lead_day, ForecastErrors};
-use crate::model::Forecaster;
+use crate::model::{visible_history, Forecaster, HISTORY_HOURS};
 
 /// Backtest parameters.
 #[derive(Debug, Clone, Copy)]
@@ -32,7 +32,7 @@ impl Default for BacktestConfig {
         Self {
             horizon: 96,
             stride: 24,
-            history: 28 * 24,
+            history: HISTORY_HOURS,
         }
     }
 }
@@ -81,12 +81,10 @@ pub fn backtest(
     let mut offset = 0usize;
     while offset + config.horizon <= eval_hours {
         let origin = eval_start.plus(offset);
-        let available = (origin.0 - series.start().0) as usize;
-        let history_len = config.history.min(available);
         // The loop bound keeps every window inside the series; if a
         // caller-supplied eval range still escapes it, stop evaluating
         // rather than panic.
-        let Ok(history) = series.slice(Hour(origin.0 - history_len as u32), history_len) else {
+        let Some(history) = visible_history(series, origin, config.history) else {
             break;
         };
         let predicted = model.predict(&history, config.horizon);
@@ -146,9 +144,7 @@ pub fn rolling_forecast_trace(
     while offset < eval_hours {
         let origin = eval_start.plus(offset);
         let chunk = refresh.min(eval_hours - offset);
-        let available = (origin.0 - series.start().0) as usize;
-        let history_len = history.min(available);
-        let Ok(hist) = series.slice(Hour(origin.0 - history_len as u32), history_len) else {
+        let Some(hist) = visible_history(series, origin, history) else {
             break;
         };
         values.extend(model.predict(&hist, chunk));

@@ -53,6 +53,6 @@ pub mod template;
 pub use backtest::{backtest, rolling_forecast_trace, BacktestConfig, BacktestReport};
 pub use linear::LinearAr;
 pub use metrics::{mae, mape_pct, mean_bias, rmse, ForecastErrors};
-pub use model::{Forecaster, MIN_HISTORY_HOURS};
+pub use model::{visible_history, Forecaster, HISTORY_HOURS, MIN_HISTORY_HOURS};
 pub use naive::{Persistence, SeasonalNaive};
 pub use template::DiurnalTemplate;

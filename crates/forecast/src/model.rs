@@ -33,9 +33,39 @@ pub trait Forecaster {
     }
 }
 
+/// A boxed model forecasts like the model it holds, so a caller can pick
+/// the model at run time.
+impl<F: Forecaster + ?Sized> Forecaster for Box<F> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+        (**self).predict(history, horizon)
+    }
+}
+
 /// The minimum history (in hours) a forecaster can always rely on in the
 /// rolling backtests of this workspace: one week of hourly samples.
 pub const MIN_HISTORY_HOURS: usize = 168;
+
+/// The history (in wall-clock hours) handed to a forecaster at each
+/// decision: four weeks, so weekly seasonality is seen four times.
+/// Online policies, `/v1/forecast` and the default backtest all use it.
+pub const HISTORY_HOURS: usize = 28 * 24;
+
+/// Slices the history a forecaster may see at `now`: every sample of
+/// `series` strictly before `now`, capped at `max_slots` samples.
+/// `None` when nothing precedes `now`. The slice is a view onto
+/// `series`' buffer, so a decision copies no history.
+pub fn visible_history(series: &TimeSeries, now: Hour, max_slots: usize) -> Option<TimeSeries> {
+    let available = now.0.checked_sub(series.start().0)? as usize;
+    if available == 0 {
+        return None;
+    }
+    let len = available.min(max_slots);
+    series.slice(Hour(now.0 - len as u32), len).ok()
+}
 
 /// Returns the trailing `len` samples of `history` (or everything when the
 /// history is shorter), with the absolute hour of the first returned
@@ -70,6 +100,39 @@ mod tests {
         assert_eq!(fc.start(), Hour(7));
         assert_eq!(fc.len(), 3);
         assert_eq!(fc.values(), &[2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn visible_history_never_leaks_the_future() {
+        let series = TimeSeries::new(Hour(10), (0..200).map(f64::from).collect());
+        let now = series.start().plus(100);
+        let history = visible_history(&series, now, 48).unwrap();
+        assert_eq!(history.end(), now);
+        assert_eq!(history.len(), 48);
+        // At the trace start there is no history.
+        assert!(visible_history(&series, series.start(), 48).is_none());
+        // Before the trace start: also none.
+        assert!(visible_history(&series, Hour(series.start().0 - 1), 48).is_none());
+        // An empty series has none anywhere.
+        assert!(visible_history(&TimeSeries::new(Hour(10), Vec::new()), Hour(50), 48).is_none());
+    }
+
+    #[test]
+    fn visible_history_is_a_view_onto_the_region_buffer() {
+        // The decision path copies no history: the window handed to the
+        // forecaster reads the series' own samples.
+        let series = TimeSeries::new(Hour(0), (0..2000).map(f64::from).collect());
+        let now = series.start().plus(HISTORY_HOURS + 100);
+        let history = visible_history(&series, now, HISTORY_HOURS).unwrap();
+        let from = (history.start().0 - series.start().0) as usize;
+        assert!(std::ptr::eq(
+            history.values().as_ptr(),
+            &series.values()[from]
+        ));
+        assert_eq!(
+            history.values(),
+            &series.values()[from..from + HISTORY_HOURS]
+        );
     }
 
     #[test]

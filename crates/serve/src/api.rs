@@ -17,7 +17,7 @@
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
-use decarb_forecast::{Forecaster, Persistence, SeasonalNaive};
+use decarb_forecast::{visible_history, Forecaster, Persistence, SeasonalNaive, HISTORY_HOURS};
 use decarb_json::Value;
 use decarb_sim::{PlaceDecision, PlaceError, PlaceRequest, Snapshot};
 use decarb_traces::time::{EPOCH_YEAR, LAST_YEAR};
@@ -28,8 +28,6 @@ use crate::metrics::{Endpoint, Metrics};
 
 /// Longest forecast horizon served, hours (two weeks).
 pub const MAX_FORECAST_HOURS: usize = 336;
-/// History handed to the forecasters, hours (four weeks).
-pub const FORECAST_HISTORY_HOURS: usize = 28 * 24;
 /// Most jobs accepted in one batch `POST /v1/place` call; larger
 /// arrays are rejected with `batch-too-large` (HTTP 413).
 pub const MAX_BATCH_JOBS: usize = 1000;
@@ -360,11 +358,14 @@ impl PlacementService {
         let resolution = snap.traces().resolution();
         let sph = resolution.slots_per_hour();
         let series = snap.traces().series_by_id(id);
-        let history_len = (FORECAST_HISTORY_HOURS * sph).min(series.len());
-        let from = Hour(series.end().0 - history_len as u32);
-        let history = series
-            .slice(from, history_len)
-            .map_err(|e| ApiError::new(500, "internal", format!("history slice failed: {e}")))?;
+        let history =
+            visible_history(series, series.end(), HISTORY_HOURS * sph).ok_or_else(|| {
+                ApiError::new(
+                    422,
+                    "no-history",
+                    format!("zone `{zone}` has no stored samples to forecast from"),
+                )
+            })?;
         let horizon = hours as usize * sph;
         let predicted = match model {
             "seasonal" => SeasonalNaive::daily_at(resolution).predict_series(&history, horizon),
@@ -684,6 +685,31 @@ mod tests {
             panic!("cost_g missing")
         };
         assert!((600.0..=640.0).contains(cost), "cost_g {cost}");
+    }
+
+    #[test]
+    fn forecast_on_a_zone_without_samples_is_unprocessable() {
+        use decarb_traces::{container, TimeSeries, TraceSet};
+        // A container may carry a zone with no samples; it decodes, and
+        // a forecast for it must be a typed error, not a worker panic.
+        let de = decarb_traces::catalog::region("DE").unwrap().clone();
+        let empty =
+            TraceSet::from_series(vec![(de, TimeSeries::new(year_start(2022), Vec::new()))]);
+        let bytes = container::encode(&empty).unwrap();
+        let decoded = container::decode(&bytes, "empty.dctr").unwrap();
+        let svc = PlacementService::new(Arc::new(decoded));
+        for model in ["seasonal", "persistence"] {
+            let (status, text) =
+                svc.handle(&get(&format!("/v1/forecast/DE?hours=2&model={model}")));
+            assert_eq!(status, 422, "{text}");
+            let json = decarb_json::parse(&text).unwrap();
+            let error = json.get("error").expect("error envelope");
+            assert_eq!(
+                error.get("code"),
+                Some(&Value::from("no-history")),
+                "{text}"
+            );
+        }
     }
 
     #[test]

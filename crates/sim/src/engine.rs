@@ -535,12 +535,10 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forecast_policy::ForecastDeferral;
+    use crate::planner_cache::PlannerCache;
     use crate::policy::{CarbonAgnostic, GreenestRouter, PlannedDeferral, ThresholdSuspend};
-    use crate::scenario::{PolicyKind, SPATIOTEMPORAL_SLO_MS};
-    use crate::spatiotemporal::SpatioTemporal;
+    use crate::scenario::{ForecasterKind, PolicyKind, SPATIOTEMPORAL_SLO_MS};
     use decarb_core::temporal::TemporalPlanner;
-    use decarb_forecast::SeasonalNaive;
     use decarb_traces::time::year_start;
     use decarb_traces::{builtin_dataset, Resolution};
     use decarb_workloads::Slack;
@@ -548,23 +546,21 @@ mod tests {
     /// Named policy constructors for the axis-equivalence tests.
     type PolicyTable = Vec<(&'static str, fn() -> Box<dyn Policy>)>;
 
-    /// The concrete policy behind each [`PolicyKind`], as the scenario
-    /// layer builds it with the seasonal forecaster.
-    fn policy_of(kind: PolicyKind, traces: &TraceSet, regions: &[RegionId]) -> Box<dyn Policy> {
-        let seasonal = SeasonalNaive::daily_at(traces.resolution());
-        match kind {
-            PolicyKind::CarbonAgnostic => Box::new(CarbonAgnostic),
-            PolicyKind::PlannedDeferral => Box::new(PlannedDeferral),
-            PolicyKind::ThresholdSuspend => Box::new(ThresholdSuspend::default()),
-            PolicyKind::GreenestRouter => Box::new(GreenestRouter),
-            PolicyKind::ForecastDeferral => Box::new(ForecastDeferral::new(seasonal)),
-            PolicyKind::SpatioTemporal => Box::new(SpatioTemporal::new(
-                traces,
-                regions,
-                SPATIOTEMPORAL_SLO_MS,
-                seasonal,
-            )),
-        }
+    /// The concrete policy behind each [`PolicyKind`], built as a
+    /// scenario builds it with the seasonal forecaster.
+    fn policy_of<'a>(
+        kind: PolicyKind,
+        traces: &TraceSet,
+        regions: &[RegionId],
+        cache: &'a PlannerCache,
+    ) -> Box<dyn Policy + 'a> {
+        kind.policy(
+            traces,
+            regions,
+            cache,
+            ForecasterKind::Seasonal,
+            SPATIOTEMPORAL_SLO_MS,
+        )
     }
 
     fn config(horizon: usize) -> SimConfig {
@@ -1012,11 +1008,12 @@ mod tests {
         check: impl Fn(&str, &SimReport, &SimReport),
     ) {
         let rs = ids(traces, &["DE", "SE"]);
+        let cache = PlannerCache::new();
         for kind in PolicyKind::ALL {
             let mut sim = Simulator::new(traces, &rs, config.clone());
-            let event = sim.run(policy_of(kind, traces, &rs).as_mut(), jobs);
+            let event = sim.run(policy_of(kind, traces, &rs, &cache).as_mut(), jobs);
             let mut sim = Simulator::new(traces, &rs, config.clone());
-            let slot = sim.run_slot_stepped(policy_of(kind, traces, &rs).as_mut(), jobs);
+            let slot = sim.run_slot_stepped(policy_of(kind, traces, &rs, &cache).as_mut(), jobs);
             let name = kind.label();
             assert_eq!(slot.completed_count(), event.completed_count(), "{name}");
             assert_eq!(slot.suspends, event.suspends, "{name}");

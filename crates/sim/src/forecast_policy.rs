@@ -10,29 +10,41 @@
 
 use std::collections::HashMap;
 
+use decarb_core::ksmallest::k_cheapest;
 use decarb_core::temporal::TemporalPlanner;
-use decarb_forecast::Forecaster;
-use decarb_traces::{Hour, TimeSeries};
+use decarb_forecast::{visible_history, Forecaster, HISTORY_HOURS};
+use decarb_traces::{Hour, RegionId, TimeSeries};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
 use crate::policy::{Placement, Policy};
 
-/// Slices the history an online scheduler is allowed to see at `now`:
-/// every sample of `series` strictly before `now`, capped at
-/// `max_history` slots. The slice is a view onto `series`' buffer, so a
-/// decision copies no history.
-pub(crate) fn visible_history(
-    series: &TimeSeries,
-    now: Hour,
-    max_history: usize,
-) -> Option<TimeSeries> {
-    let available = now.0.checked_sub(series.start().0)? as usize;
-    if available == 0 {
+/// Forecasts `job`'s scheduling window in `region` at `view.now`: the
+/// next `slack + length` slots, cut at the end of the region's true
+/// trace (the simulator could not pay for later slots anyway), predicted
+/// from the [`HISTORY_HOURS`] visible before `now`. Returns the
+/// prediction with the job's length in slots, or `None` when the region
+/// has no trace, nothing precedes `now`, or the job no longer fits.
+fn forecast_window<F: Forecaster>(
+    forecaster: &F,
+    job: &Job,
+    region: RegionId,
+    view: &CloudView<'_>,
+) -> Option<(TimeSeries, usize)> {
+    let series = view.traces.try_series_by_id(region)?;
+    let resolution = view.traces.resolution();
+    let history = visible_history(
+        series,
+        view.now,
+        HISTORY_HOURS * resolution.slots_per_hour(),
+    )?;
+    let slots = job.length_slots_at(resolution);
+    let available = (series.end().0 - view.now.0) as usize;
+    if available < slots {
         return None;
     }
-    let len = available.min(max_history);
-    series.slice(Hour(now.0 - len as u32), len).ok()
+    let window = (job.slack_slots_at(resolution) + slots).min(available);
+    Some((forecaster.predict_series(&history, window), slots))
 }
 
 /// Defer a job's start using a forecast of its scheduling window.
@@ -43,49 +55,32 @@ pub(crate) fn visible_history(
 /// trace — the schedule-on-believed / account-on-truth protocol of §6.2.
 pub struct ForecastDeferral<F> {
     forecaster: F,
-    /// History handed to the forecaster at each decision, hours.
-    pub max_history: usize,
 }
 
 impl<F: Forecaster> ForecastDeferral<F> {
-    /// Creates the policy with a 28-day history window.
+    /// Creates the policy; it forecasts from [`HISTORY_HOURS`] of history.
     pub fn new(forecaster: F) -> Self {
-        Self {
-            forecaster,
-            max_history: 28 * 24,
-        }
+        Self { forecaster }
+    }
+
+    /// The start `job` commits to in `region`: the cheapest contiguous
+    /// window on the forecast, or `view.now` when nothing can be
+    /// forecast.
+    pub(crate) fn start_in(&self, job: &Job, region: RegionId, view: &CloudView<'_>) -> Hour {
+        let Some((predicted, slots)) = forecast_window(&self.forecaster, job, region, view) else {
+            return view.now;
+        };
+        TemporalPlanner::with_resolution(&predicted, view.traces.resolution())
+            .best_deferred(view.now, slots, predicted.len() - slots)
+            .start
     }
 }
 
 impl<F: Forecaster> Policy for ForecastDeferral<F> {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        let fallback = Placement {
-            region: job.origin,
-            start: view.now,
-        };
-        let Some(series) = view.traces.try_series_by_id(job.origin) else {
-            return fallback;
-        };
-        let resolution = view.traces.resolution();
-        let history_slots = self.max_history * resolution.slots_per_hour();
-        let Some(history) = visible_history(series, view.now, history_slots) else {
-            return fallback;
-        };
-        let slots = job.length_slots_at(resolution);
-        let window = job.slack_slots_at(resolution) + slots;
-        // Never plan past the true trace (the simulator could not pay for
-        // those hours anyway).
-        let available = (series.end().0 - view.now.0) as usize;
-        if available < slots {
-            return fallback;
-        }
-        let window = window.min(available);
-        let predicted = self.forecaster.predict_series(&history, window);
-        let planner = TemporalPlanner::with_resolution(&predicted, resolution);
-        let placement = planner.best_deferred(view.now, slots, window - slots);
         Placement {
             region: job.origin,
-            start: placement.start,
+            start: self.start_in(job, job.origin, view),
         }
     }
 }
@@ -98,17 +93,14 @@ impl<F: Forecaster> Policy for ForecastDeferral<F> {
 /// completion if the plan was too optimistic.
 pub struct ForecastSuspend<F> {
     forecaster: F,
-    /// History handed to the forecaster at each decision, hours.
-    pub max_history: usize,
     plans: HashMap<u64, Vec<Hour>>,
 }
 
 impl<F: Forecaster> ForecastSuspend<F> {
-    /// Creates the policy with a 28-day history window.
+    /// Creates the policy; it forecasts from [`HISTORY_HOURS`] of history.
     pub fn new(forecaster: F) -> Self {
         Self {
             forecaster,
-            max_history: 28 * 24,
             plans: HashMap::new(),
         }
     }
@@ -121,35 +113,19 @@ impl<F: Forecaster> ForecastSuspend<F> {
 
 impl<F: Forecaster> Policy for ForecastSuspend<F> {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        let placement = Placement {
+        if job.interruptible {
+            if let Some((predicted, slots)) =
+                forecast_window(&self.forecaster, job, job.origin, view)
+            {
+                let plan = k_cheapest(predicted.values(), slots);
+                self.plans
+                    .insert(job.id, plan.into_iter().map(|i| view.now.plus(i)).collect());
+            }
+        }
+        Placement {
             region: job.origin,
             start: view.now,
-        };
-        if !job.interruptible {
-            return placement;
         }
-        let Some(series) = view.traces.try_series_by_id(job.origin) else {
-            return placement;
-        };
-        let resolution = view.traces.resolution();
-        let history_slots = self.max_history * resolution.slots_per_hour();
-        let Some(history) = visible_history(series, view.now, history_slots) else {
-            return placement;
-        };
-        let slots = job.length_slots_at(resolution);
-        let available = (series.end().0 - view.now.0) as usize;
-        let window = (job.slack_slots_at(resolution) + slots).min(available);
-        if window < slots {
-            return placement;
-        }
-        let predicted = self.forecaster.predict(&history, window);
-        // The `slots` cheapest predicted hours, preferring earlier on ties.
-        let mut order: Vec<usize> = (0..window).collect();
-        order.sort_by(|&a, &b| predicted[a].total_cmp(&predicted[b]).then(a.cmp(&b)));
-        let mut hours: Vec<Hour> = order[..slots].iter().map(|&i| view.now.plus(i)).collect();
-        hours.sort();
-        self.plans.insert(job.id, hours);
-        placement
     }
 
     fn should_run(
@@ -188,7 +164,6 @@ mod tests {
     use decarb_forecast::{DiurnalTemplate, Persistence, SeasonalNaive};
     use decarb_traces::builtin_dataset;
     use decarb_traces::time::year_start;
-    use decarb_traces::RegionId;
     use decarb_workloads::Slack;
 
     fn id(code: &str) -> RegionId {
@@ -290,35 +265,5 @@ mod tests {
         let c = &report.completed[0];
         assert_eq!(c.started, arrival);
         assert_eq!(c.finished, arrival.plus(2));
-    }
-
-    #[test]
-    fn visible_history_never_leaks_the_future() {
-        let traces = builtin_dataset();
-        let series = traces.series("SE").unwrap();
-        let now = series.start().plus(100);
-        let history = visible_history(series, now, 48).unwrap();
-        assert_eq!(history.end(), now);
-        assert_eq!(history.len(), 48);
-        // At the trace start there is no history.
-        assert!(visible_history(series, series.start(), 48).is_none());
-        // Before the trace start: also none.
-        assert!(visible_history(series, Hour(series.start().0.saturating_sub(1)), 48).is_none());
-    }
-
-    #[test]
-    fn visible_history_is_a_view_onto_the_region_buffer() {
-        // The decision path copies no history: the window handed to the
-        // forecaster reads the region's own samples.
-        let traces = builtin_dataset();
-        let series = traces.series("SE").unwrap();
-        let now = series.start().plus(28 * 24 + 100);
-        let history = visible_history(series, now, 28 * 24).unwrap();
-        let from = (history.start().0 - series.start().0) as usize;
-        assert!(std::ptr::eq(
-            history.values().as_ptr(),
-            &series.values()[from]
-        ));
-        assert_eq!(history.values(), &series.values()[from..from + 28 * 24]);
     }
 }

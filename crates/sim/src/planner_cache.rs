@@ -28,7 +28,7 @@ use decarb_traces::{RegionId, TraceSet};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
-use crate::policy::{Placement, Policy};
+use crate::policy::{defer_at_origin, Placement, Policy};
 
 /// A [`RegionId`]-indexed cache of temporal planners, safe to share
 /// across the scenario engine's worker threads.
@@ -101,26 +101,7 @@ impl<'a> CachedDeferral<'a> {
 
 impl Policy for CachedDeferral<'_> {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        // A job originating in a region with no trace cannot be
-        // planned; run it now at the origin instead of panicking the
-        // worker thread.
-        if view.traces.try_series_by_id(job.origin).is_none() {
-            return Placement {
-                region: job.origin,
-                start: view.now,
-            };
-        }
-        let resolution = view.traces.resolution();
-        let planner = self.cache.planner(view.traces, job.origin);
-        let placement = planner.best_deferred(
-            view.now,
-            job.length_slots_at(resolution),
-            job.slack_slots_at(resolution),
-        );
-        Placement {
-            region: job.origin,
-            start: placement.start,
-        }
+        defer_at_origin(job, view, || self.cache.planner(view.traces, job.origin))
     }
 }
 

@@ -1,5 +1,7 @@
 //! Pluggable scheduling policies.
 
+use std::borrow::Borrow;
+
 use decarb_core::temporal::TemporalPlanner;
 use decarb_traces::{Hour, RegionId};
 use decarb_workloads::Job;
@@ -56,25 +58,36 @@ pub struct PlannedDeferral;
 
 impl Policy for PlannedDeferral {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        // No trace for the origin means nothing to plan against; run
-        // the job immediately rather than panicking the worker.
-        if view.traces.try_series_by_id(job.origin).is_none() {
-            return Placement {
-                region: job.origin,
-                start: view.now,
-            };
-        }
+        defer_at_origin(job, view, || {
+            TemporalPlanner::for_region(view.traces, job.origin)
+        })
+    }
+}
+
+/// Plans `job`'s cheapest contiguous start at its origin on the planner
+/// `planner` returns. A job whose origin has no trace has nothing to plan
+/// against and runs immediately rather than panicking the worker.
+pub(crate) fn defer_at_origin<P: Borrow<TemporalPlanner>>(
+    job: &Job,
+    view: &CloudView<'_>,
+    planner: impl FnOnce() -> P,
+) -> Placement {
+    let start = if view.traces.try_series_by_id(job.origin).is_some() {
         let resolution = view.traces.resolution();
-        let planner = TemporalPlanner::for_region(view.traces, job.origin);
-        let placement = planner.best_deferred(
-            view.now,
-            job.length_slots_at(resolution),
-            job.slack_slots_at(resolution),
-        );
-        Placement {
-            region: job.origin,
-            start: placement.start,
-        }
+        planner()
+            .borrow()
+            .best_deferred(
+                view.now,
+                job.length_slots_at(resolution),
+                job.slack_slots_at(resolution),
+            )
+            .start
+    } else {
+        view.now
+    };
+    Placement {
+        region: job.origin,
+        start,
     }
 }
 

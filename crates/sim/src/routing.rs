@@ -7,7 +7,7 @@
 //! capacity, falling back to the origin.
 
 use decarb_core::latency::rtt_ms;
-use decarb_traces::{Hour, RegionId, TraceSet};
+use decarb_traces::{Hour, RegionId, Resolution, TraceSet};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
@@ -75,27 +75,31 @@ impl RttTable {
 /// Same-hour admission control shared by the routing policies: the
 /// simulator's capacity view only reflects *running* jobs, so a burst
 /// of same-hour arrivals would all see the same free slot. The router
-/// remembers what it has placed in the current hour and treats those
-/// slots as taken.
+/// remembers what it has placed in the current wall-clock hour and
+/// treats those slots as taken. The window is an hour even on
+/// sub-hourly axes, the policies' decision cadence.
 #[derive(Debug, Clone)]
 pub(crate) struct HourlyLedger {
-    placed: Vec<u16>,
+    placed: Vec<u32>,
+    slots_per_hour: u32,
     at: Option<Hour>,
 }
 
 impl HourlyLedger {
-    pub(crate) fn new(regions: usize) -> Self {
+    pub(crate) fn new(regions: usize, resolution: Resolution) -> Self {
         Self {
             placed: vec![0; regions],
+            slots_per_hour: resolution.slots_per_hour() as u32,
             at: None,
         }
     }
 
-    /// Resets the counts when the hour advances.
+    /// Resets the counts when slot `now` falls in a new hour.
     pub(crate) fn roll(&mut self, now: Hour) {
-        if self.at != Some(now) {
+        let hour = Hour(now.0 - now.0 % self.slots_per_hour);
+        if self.at != Some(hour) {
             self.placed.fill(0);
-            self.at = Some(now);
+            self.at = Some(hour);
         }
     }
 
@@ -104,9 +108,10 @@ impl HourlyLedger {
         self.placed.get(id.index()).copied().unwrap_or(0) as usize
     }
 
+    /// Counts one admission into `id`, saturating rather than wrapping.
     pub(crate) fn record(&mut self, id: RegionId) {
         if let Some(slot) = self.placed.get_mut(id.index()) {
-            *slot += 1;
+            *slot = slot.saturating_add(1);
         }
     }
 }
@@ -125,7 +130,7 @@ impl LatencyAwareRouter {
         Self {
             matrix: RttTable::build(traces, deployed),
             slo_ms,
-            ledger: HourlyLedger::new(traces.len()),
+            ledger: HourlyLedger::new(traces.len(), traces.resolution()),
         }
     }
 
@@ -137,10 +142,7 @@ impl LatencyAwareRouter {
 
 impl Policy for LatencyAwareRouter {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        // Hour-floored: the ledger's admission-control window is the
-        // policies' hourly decision cadence even on sub-hourly axes.
-        let sph = view.traces.resolution().slots_per_hour() as u32;
-        self.ledger.roll(Hour(view.now.0 - view.now.0 % sph));
+        self.ledger.roll(view.now);
         let mut region = job.origin;
         if job.migratable {
             let mut best_ci = view.current_ci(job.origin).unwrap_or(f64::INFINITY);
@@ -200,6 +202,34 @@ mod tests {
         let report = sim.run(&mut router, &[job]);
         assert_eq!(report.completed_count(), 1);
         traces.code(report.completed[0].region).to_string()
+    }
+
+    #[test]
+    fn ledger_saturates_instead_of_wrapping() {
+        let traces = builtin_dataset();
+        let de = traces.id_of("DE").unwrap();
+        let mut ledger = HourlyLedger::new(traces.len(), Resolution::HOURLY);
+        ledger.roll(Hour(7));
+        for _ in 0..65_536 {
+            ledger.record(de);
+        }
+        assert_eq!(ledger.placed(de), 65_536);
+    }
+
+    #[test]
+    fn ledger_window_is_the_wall_clock_hour() {
+        let traces = builtin_dataset();
+        let de = traces.id_of("DE").unwrap();
+        let five = Resolution::from_minutes(5).unwrap();
+        let mut ledger = HourlyLedger::new(traces.len(), five);
+        ledger.roll(Hour(24));
+        ledger.record(de);
+        // Slots 24..36 are one hour at 5 minutes: the count survives.
+        ledger.roll(Hour(35));
+        assert_eq!(ledger.placed(de), 1);
+        // Slot 36 opens the next hour.
+        ledger.roll(Hour(36));
+        assert_eq!(ledger.placed(de), 0);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 
 use std::time::{Duration, Instant};
 
-use decarb_forecast::{Persistence, SeasonalNaive};
+use decarb_forecast::{Forecaster, Persistence, SeasonalNaive};
 use decarb_json::Value;
 use decarb_traces::time::{year_start, CLOCK_HOURS};
-use decarb_traces::{Hour, RegionId, TraceSet};
+use decarb_traces::{Hour, RegionId, Resolution, TraceSet};
 use decarb_workloads::{Arrival, Slack, WorkloadSpec};
 
 use crate::accounting::SimReport;
@@ -32,7 +32,7 @@ use crate::engine::{SimConfig, Simulator};
 use crate::forecast_policy::ForecastDeferral;
 use crate::overheads::OverheadModel;
 use crate::planner_cache::{CachedDeferral, PlannerCache};
-use crate::policy::{CarbonAgnostic, GreenestRouter, ThresholdSuspend};
+use crate::policy::{CarbonAgnostic, GreenestRouter, Policy, ThresholdSuspend};
 use crate::spatiotemporal::SpatioTemporal;
 
 /// Round-trip-time budget for the built-in spatiotemporal policy, ms —
@@ -214,47 +214,28 @@ impl PolicyKind {
             })
     }
 
-    /// Returns `true` for the carbon-agnostic baseline.
-    pub fn is_baseline(self) -> bool {
-        matches!(self, PolicyKind::CarbonAgnostic)
-    }
-
-    /// Drives one simulation with the concrete policy. Forecast-backed
-    /// policies instantiate the scenario's [`ForecasterKind`]; the
-    /// spatiotemporal router honors the scenario's `slo_ms`.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
+    /// Builds the concrete policy a scenario runs. Forecast-backed
+    /// policies plan with `forecaster`; the spatiotemporal router
+    /// honors `slo_ms` over `regions`; clairvoyant deferral reads its
+    /// planners from `cache`.
+    pub(crate) fn policy<'a>(
         self,
-        sim: &mut Simulator<'_>,
-        jobs: &[decarb_workloads::Job],
         data: &TraceSet,
         regions: &[RegionId],
-        cache: &PlannerCache,
+        cache: &'a PlannerCache,
         forecaster: ForecasterKind,
         slo_ms: f64,
-    ) -> SimReport {
-        // The seasonal period is one day *of the dataset's axis*: 24
-        // samples hourly, 288 at 5-minute resolution.
-        let seasonal = SeasonalNaive::daily_at(data.resolution());
+    ) -> Box<dyn Policy + 'a> {
+        let model = || forecaster.model(data.resolution());
         match self {
-            PolicyKind::CarbonAgnostic => sim.run(&mut CarbonAgnostic, jobs),
-            PolicyKind::PlannedDeferral => sim.run(&mut CachedDeferral::new(cache), jobs),
-            PolicyKind::ThresholdSuspend => sim.run(&mut ThresholdSuspend::default(), jobs),
-            PolicyKind::GreenestRouter => sim.run(&mut GreenestRouter, jobs),
-            PolicyKind::ForecastDeferral => match forecaster {
-                ForecasterKind::Naive => sim.run(&mut ForecastDeferral::new(Persistence), jobs),
-                ForecasterKind::Seasonal => sim.run(&mut ForecastDeferral::new(seasonal), jobs),
-            },
-            PolicyKind::SpatioTemporal => match forecaster {
-                ForecasterKind::Naive => sim.run(
-                    &mut SpatioTemporal::new(data, regions, slo_ms, Persistence),
-                    jobs,
-                ),
-                ForecasterKind::Seasonal => sim.run(
-                    &mut SpatioTemporal::new(data, regions, slo_ms, seasonal),
-                    jobs,
-                ),
-            },
+            PolicyKind::CarbonAgnostic => Box::new(CarbonAgnostic),
+            PolicyKind::PlannedDeferral => Box::new(CachedDeferral::new(cache)),
+            PolicyKind::ThresholdSuspend => Box::new(ThresholdSuspend::default()),
+            PolicyKind::GreenestRouter => Box::new(GreenestRouter),
+            PolicyKind::ForecastDeferral => Box::new(ForecastDeferral::new(model())),
+            PolicyKind::SpatioTemporal => {
+                Box::new(SpatioTemporal::new(data, regions, slo_ms, model()))
+            }
         }
     }
 }
@@ -293,6 +274,15 @@ impl ForecasterKind {
                 let valid: Vec<&str> = ForecasterKind::ALL.iter().map(|k| k.label()).collect();
                 format!("unknown forecaster `{label}` (valid: {})", valid.join(", "))
             })
+    }
+
+    /// The model on `resolution`'s axis. The seasonal period is one day
+    /// of the dataset's slots: 24 hourly, 288 at 5-minute resolution.
+    fn model(self, resolution: Resolution) -> Box<dyn Forecaster> {
+        match self {
+            ForecasterKind::Naive => Box::new(Persistence),
+            ForecasterKind::Seasonal => Box::new(SeasonalNaive::daily_at(resolution)),
+        }
     }
 }
 
@@ -467,15 +457,10 @@ impl Scenario {
             .with_overheads(self.overheads.model());
         let mut sim = Simulator::new(data, &regions, config);
         let started = Instant::now();
-        let report = self.policy.execute(
-            &mut sim,
-            &jobs,
-            data,
-            &regions,
-            cache,
-            self.forecaster,
-            self.slo_ms,
-        );
+        let mut policy = self
+            .policy
+            .policy(data, &regions, cache, self.forecaster, self.slo_ms);
+        let report = sim.run(policy.as_mut(), &jobs);
         ScenarioReport::condense(self, jobs.len(), &report, started.elapsed())
     }
 }

@@ -149,7 +149,10 @@ impl Snapshot {
     pub fn with_capacity_per_hour(mut self, capacity: impl Into<Option<usize>>) -> Self {
         self.admission = capacity.into().map(|limit| Admission {
             limit,
-            ledger: Mutex::new(HourlyLedger::new(self.traces.len())),
+            ledger: Mutex::new(HourlyLedger::new(
+                self.traces.len(),
+                self.traces.resolution(),
+            )),
         });
         self
     }
@@ -219,9 +222,7 @@ impl Snapshot {
         // admission; no lock at all when admission control is off.
         let admission = self.admission.as_ref().map(|a| {
             let mut ledger = a.ledger.lock().unwrap_or_else(PoisonError::into_inner);
-            // Hour-floored: admission control counts per wall-clock
-            // hour whatever the slot axis, like the simulator's router.
-            ledger.roll(Hour(req.arrival.0 - req.arrival.0 % sph as u32));
+            ledger.roll(req.arrival);
             (a.limit, ledger)
         });
 

@@ -2,106 +2,46 @@
 //!
 //! Fig. 12 combines migration with in-destination deferral analytically;
 //! this policy is the discrete-event counterpart: at arrival a job is
-//! routed to the greenest region within its latency SLO (with the same
-//! same-hour admission control as [`crate::routing::LatencyAwareRouter`]),
-//! then deferred inside the destination using a forecast of the
-//! destination's carbon-intensity. The paper's finding — spatial gains
-//! dominate, temporal shifting adds a little on top — emerges online.
+//! routed by a [`LatencyAwareRouter`] to the greenest region within its
+//! latency SLO (with the router's same-hour admission control), then
+//! deferred inside the destination by a [`ForecastDeferral`] planning on
+//! a forecast of the destination's carbon-intensity. The paper's finding
+//! — spatial gains dominate, temporal shifting adds a little on top —
+//! emerges online.
 
-use decarb_core::temporal::TemporalPlanner;
 use decarb_forecast::Forecaster;
-use decarb_traces::{Hour, RegionId, TimeSeries, TraceSet};
+use decarb_traces::{RegionId, TraceSet};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
-use crate::forecast_policy::visible_history;
+use crate::forecast_policy::ForecastDeferral;
 use crate::policy::{Placement, Policy};
-use crate::routing::{HourlyLedger, RttTable};
+use crate::routing::LatencyAwareRouter;
 
 /// Routes to the greenest feasible region, then forecast-defers there.
 pub struct SpatioTemporal<F> {
-    matrix: RttTable,
-    /// Round-trip-time budget in milliseconds.
-    pub slo_ms: f64,
-    forecaster: F,
-    /// History handed to the forecaster at each decision, hours.
-    pub max_history: usize,
-    ledger: HourlyLedger,
+    router: LatencyAwareRouter,
+    deferral: ForecastDeferral<F>,
 }
 
 impl<F: Forecaster> SpatioTemporal<F> {
-    /// Creates the policy over the deployed regions of `traces`.
+    /// Creates the policy over the deployed regions of `traces`, routing
+    /// within `slo_ms` of each job's origin.
     pub fn new(traces: &TraceSet, deployed: &[RegionId], slo_ms: f64, forecaster: F) -> Self {
         Self {
-            matrix: RttTable::build(traces, deployed),
-            slo_ms,
-            forecaster,
-            max_history: 28 * 24,
-            ledger: HourlyLedger::new(traces.len()),
+            router: LatencyAwareRouter::new(traces, deployed, slo_ms),
+            deferral: ForecastDeferral::new(forecaster),
         }
-    }
-
-    /// Picks the greenest admissible destination for `job` (falls back to
-    /// the origin).
-    fn route(&self, job: &Job, view: &CloudView<'_>) -> RegionId {
-        if !job.migratable {
-            return job.origin;
-        }
-        let mut region = job.origin;
-        let mut best_ci = view.current_ci(job.origin).unwrap_or(f64::INFINITY);
-        for dc in view.datacenters {
-            let id = dc.region;
-            if dc.free_slots() <= self.ledger.placed(id) {
-                continue;
-            }
-            let Some(rtt) = self.matrix.get(job.origin, id) else {
-                continue;
-            };
-            if rtt > self.slo_ms {
-                continue;
-            }
-            let Some(ci) = view.current_ci(id) else {
-                continue;
-            };
-            if ci < best_ci || (ci == best_ci && self.matrix.code_before(id, region)) {
-                best_ci = ci;
-                region = id;
-            }
-        }
-        region
-    }
-
-    /// Forecast-defers the start inside `region`'s trace.
-    fn defer(&self, job: &Job, region: RegionId, view: &CloudView<'_>) -> Hour {
-        let Some(series) = view.traces.try_series_by_id(region) else {
-            return view.now;
-        };
-        let resolution = view.traces.resolution();
-        let history_slots = self.max_history * resolution.slots_per_hour();
-        let Some(history) = visible_history(series, view.now, history_slots) else {
-            return view.now;
-        };
-        let slots = job.length_slots_at(resolution);
-        let remaining = (series.end().0 - view.now.0) as usize;
-        if remaining < slots {
-            return view.now;
-        }
-        let window = (job.slack_slots_at(resolution) + slots).min(remaining);
-        let predicted: TimeSeries = self.forecaster.predict_series(&history, window);
-        TemporalPlanner::with_resolution(&predicted, resolution)
-            .best_deferred(view.now, slots, window - slots)
-            .start
     }
 }
 
 impl<F: Forecaster> Policy for SpatioTemporal<F> {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
-        let sph = view.traces.resolution().slots_per_hour() as u32;
-        self.ledger.roll(Hour(view.now.0 - view.now.0 % sph));
-        let region = self.route(job, view);
-        self.ledger.record(region);
-        let start = self.defer(job, region, view);
-        Placement { region, start }
+        let region = self.router.place(job, view).region;
+        Placement {
+            region,
+            start: self.deferral.start_in(job, region, view),
+        }
     }
 }
 
@@ -109,9 +49,7 @@ impl<F: Forecaster> Policy for SpatioTemporal<F> {
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulator};
-    use crate::forecast_policy::ForecastDeferral;
     use crate::policy::CarbonAgnostic;
-    use crate::routing::LatencyAwareRouter;
     use decarb_forecast::SeasonalNaive;
     use decarb_traces::builtin_dataset;
     use decarb_traces::time::year_start;

@@ -451,14 +451,17 @@ fn emissions_alone(
 
 /// The clairvoyant bound oracle: no online policy beats the cheapest
 /// contiguous window `decarb-core` computes on the true trace, and the
-/// clairvoyant policy meets it exactly. Spatial placement is bounded
-/// by the cheapest window over the origin and every region within the
-/// latency SLO. Checked on hourly data and its 5-minute replica.
+/// clairvoyant policy meets it exactly. Interruptible jobs are bounded
+/// by the window's cheapest slots, spatial placement by the cheapest
+/// window over the origin and every region within the latency SLO.
+/// Checked on hourly data and its 5-minute replica.
 #[test]
 fn online_policies_never_beat_the_clairvoyant_bound() {
     use decarb::core::latency::rtt_ms;
     use decarb::forecast::{Persistence, SeasonalNaive};
-    use decarb::sim::{ForecastDeferral, PlannedDeferral, SpatioTemporal};
+    use decarb::sim::{
+        ForecastDeferral, ForecastSuspend, PlannedDeferral, SpatioTemporal, ThresholdSuspend,
+    };
     use decarb::traces::{builtin_dataset, Resolution, TraceSet};
     use decarb::workloads::{Job, Slack};
 
@@ -483,7 +486,7 @@ fn online_policies_never_beat_the_clairvoyant_bound() {
     let hours = hourly.series_by_id(ids[0]).len();
     let slacks = [Slack::None, Slack::Day, Slack::Week, Slack::TenX];
     let slos = [0.0, 15.0, 30.0, 60.0, f64::INFINITY];
-    // Half the kernel properties' cases: each runs four policies on two
+    // Half the kernel properties' cases: each runs six policies on two
     // axes.
     for case in 0..CASES / 2 {
         let mut g = Gen::new("clairvoyant_bound", case);
@@ -531,6 +534,37 @@ fn online_policies_never_beat_the_clairvoyant_bound() {
                 assert!(
                     emitted >= bound * (1.0 - 1e-9),
                     "{}: {emitted} beats bound {bound}",
+                    at(name)
+                );
+            }
+
+            // Interruptible: no suspend/resume schedule beats running in
+            // the window's `slots` cheapest slots.
+            let (_, cheapest) = TemporalPlanner::for_region(data, origin).best_interruptible(
+                arrival,
+                slots,
+                slack_slots,
+            );
+            let interruptible_bound = cheapest * job.length_hours / slots as f64;
+            let flexible = job.clone().with_interruptible();
+            for (name, emitted) in [
+                (
+                    "threshold",
+                    emissions_alone(data, &mut ThresholdSuspend::default(), &flexible, horizon),
+                ),
+                (
+                    "forecast suspend",
+                    emissions_alone(
+                        data,
+                        &mut ForecastSuspend::new(seasonal),
+                        &flexible,
+                        horizon,
+                    ),
+                ),
+            ] {
+                assert!(
+                    emitted >= interruptible_bound * (1.0 - 1e-9),
+                    "{}: {emitted} beats bound {interruptible_bound}",
                     at(name)
                 );
             }
