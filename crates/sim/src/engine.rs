@@ -537,7 +537,7 @@ mod tests {
     use super::*;
     use crate::planner_cache::PlannerCache;
     use crate::policy::{CarbonAgnostic, GreenestRouter, PlannedDeferral, ThresholdSuspend};
-    use crate::scenario::{ForecasterKind, PolicyKind, SPATIOTEMPORAL_SLO_MS};
+    use crate::scenario::{ForecasterKind, PolicyKind, WithPolicy, SPATIOTEMPORAL_SLO_MS};
     use decarb_core::temporal::TemporalPlanner;
     use decarb_traces::time::year_start;
     use decarb_traces::{builtin_dataset, Resolution};
@@ -546,21 +546,27 @@ mod tests {
     /// Named policy constructors for the axis-equivalence tests.
     type PolicyTable = Vec<(&'static str, fn() -> Box<dyn Policy>)>;
 
-    /// The concrete policy behind each [`PolicyKind`], built as a
-    /// scenario builds it with the seasonal forecaster.
-    fn policy_of<'a>(
-        kind: PolicyKind,
-        traces: &TraceSet,
-        regions: &[RegionId],
-        cache: &'a PlannerCache,
-    ) -> Box<dyn Policy + 'a> {
-        kind.policy(
-            traces,
-            regions,
-            cache,
-            ForecasterKind::Seasonal,
-            SPATIOTEMPORAL_SLO_MS,
-        )
+    /// Runs jobs under the policy a [`PolicyKind`] builds, event-driven
+    /// or slot-stepped.
+    struct Oracle<'a> {
+        traces: &'a TraceSet,
+        regions: &'a [RegionId],
+        config: &'a SimConfig,
+        jobs: &'a [Job],
+        stepped: bool,
+    }
+
+    impl WithPolicy for Oracle<'_> {
+        type Output = SimReport;
+
+        fn with<P: Policy>(self, mut policy: P) -> SimReport {
+            let mut sim = Simulator::new(self.traces, self.regions, self.config.clone());
+            if self.stepped {
+                sim.run_slot_stepped(&mut policy, self.jobs)
+            } else {
+                sim.run(&mut policy, self.jobs)
+            }
+        }
     }
 
     fn config(horizon: usize) -> SimConfig {
@@ -1010,10 +1016,26 @@ mod tests {
         let rs = ids(traces, &["DE", "SE"]);
         let cache = PlannerCache::new();
         for kind in PolicyKind::ALL {
-            let mut sim = Simulator::new(traces, &rs, config.clone());
-            let event = sim.run(policy_of(kind, traces, &rs, &cache).as_mut(), jobs);
-            let mut sim = Simulator::new(traces, &rs, config.clone());
-            let slot = sim.run_slot_stepped(policy_of(kind, traces, &rs, &cache).as_mut(), jobs);
+            // Built as a scenario builds it, with the seasonal forecaster.
+            let run = |stepped| {
+                let oracle = Oracle {
+                    traces,
+                    regions: &rs,
+                    config: &config,
+                    jobs,
+                    stepped,
+                };
+                kind.build(
+                    traces,
+                    &rs,
+                    &cache,
+                    ForecasterKind::Seasonal,
+                    SPATIOTEMPORAL_SLO_MS,
+                    oracle,
+                )
+            };
+            let event = run(false);
+            let slot = run(true);
             let name = kind.label();
             assert_eq!(slot.completed_count(), event.completed_count(), "{name}");
             assert_eq!(slot.suspends, event.suspends, "{name}");

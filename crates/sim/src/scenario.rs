@@ -25,7 +25,7 @@ use decarb_forecast::{Forecaster, Persistence, SeasonalNaive};
 use decarb_json::Value;
 use decarb_traces::time::{year_start, CLOCK_HOURS};
 use decarb_traces::{Hour, RegionId, Resolution, TraceSet};
-use decarb_workloads::{Arrival, Slack, WorkloadSpec};
+use decarb_workloads::{Arrival, Job, Slack, WorkloadSpec};
 
 use crate::accounting::SimReport;
 use crate::engine::{SimConfig, Simulator};
@@ -214,29 +214,55 @@ impl PolicyKind {
             })
     }
 
-    /// Builds the concrete policy a scenario runs. Forecast-backed
-    /// policies plan with `forecaster`; the spatiotemporal router
-    /// honors `slo_ms` over `regions`; clairvoyant deferral reads its
-    /// planners from `cache`.
-    pub(crate) fn policy<'a>(
+    /// Builds the concrete policy a scenario runs and hands it to
+    /// `work`. Forecast-backed policies plan with `forecaster`; the
+    /// spatiotemporal router honors `slo_ms` over `regions`;
+    /// clairvoyant deferral reads its planners from `cache`.
+    pub(crate) fn build<W: WithPolicy>(
         self,
         data: &TraceSet,
         regions: &[RegionId],
-        cache: &'a PlannerCache,
+        cache: &PlannerCache,
         forecaster: ForecasterKind,
         slo_ms: f64,
-    ) -> Box<dyn Policy + 'a> {
+        work: W,
+    ) -> W::Output {
         let model = || forecaster.model(data.resolution());
         match self {
-            PolicyKind::CarbonAgnostic => Box::new(CarbonAgnostic),
-            PolicyKind::PlannedDeferral => Box::new(CachedDeferral::new(cache)),
-            PolicyKind::ThresholdSuspend => Box::new(ThresholdSuspend::default()),
-            PolicyKind::GreenestRouter => Box::new(GreenestRouter),
-            PolicyKind::ForecastDeferral => Box::new(ForecastDeferral::new(model())),
+            PolicyKind::CarbonAgnostic => work.with(CarbonAgnostic),
+            PolicyKind::PlannedDeferral => work.with(CachedDeferral::new(cache)),
+            PolicyKind::ThresholdSuspend => work.with(ThresholdSuspend::default()),
+            PolicyKind::GreenestRouter => work.with(GreenestRouter),
+            PolicyKind::ForecastDeferral => work.with(ForecastDeferral::new(model())),
             PolicyKind::SpatioTemporal => {
-                Box::new(SpatioTemporal::new(data, regions, slo_ms, model()))
+                work.with(SpatioTemporal::new(data, regions, slo_ms, model()))
             }
         }
+    }
+}
+
+/// Work that runs with the concrete policy a [`PolicyKind`] names.
+/// [`PolicyKind::build`] hands the policy over by value, so the engine
+/// loop is compiled per policy and its per-hour `should_run` calls
+/// inline rather than go through a vtable.
+pub(crate) trait WithPolicy {
+    /// What the work returns.
+    type Output;
+    /// Runs the work with `policy`.
+    fn with<P: Policy>(self, policy: P) -> Self::Output;
+}
+
+/// [`Scenario::run_cached`]'s work: one engine run over the jobs.
+struct RunJobs<'s, 'd> {
+    sim: &'s mut Simulator<'d>,
+    jobs: &'s [Job],
+}
+
+impl WithPolicy for RunJobs<'_, '_> {
+    type Output = SimReport;
+
+    fn with<P: Policy>(self, mut policy: P) -> SimReport {
+        self.sim.run(&mut policy, self.jobs)
     }
 }
 
@@ -457,10 +483,17 @@ impl Scenario {
             .with_overheads(self.overheads.model());
         let mut sim = Simulator::new(data, &regions, config);
         let started = Instant::now();
-        let mut policy = self
-            .policy
-            .policy(data, &regions, cache, self.forecaster, self.slo_ms);
-        let report = sim.run(policy.as_mut(), &jobs);
+        let report = self.policy.build(
+            data,
+            &regions,
+            cache,
+            self.forecaster,
+            self.slo_ms,
+            RunJobs {
+                sim: &mut sim,
+                jobs: &jobs,
+            },
+        );
         ScenarioReport::condense(self, jobs.len(), &report, started.elapsed())
     }
 }
