@@ -548,7 +548,7 @@ mod tests {
 
     /// Runs jobs under the policy a [`PolicyKind`] builds, event-driven
     /// or slot-stepped.
-    struct Oracle<'a> {
+    struct EngineRun<'a> {
         traces: &'a TraceSet,
         regions: &'a [RegionId],
         config: &'a SimConfig,
@@ -556,7 +556,7 @@ mod tests {
         stepped: bool,
     }
 
-    impl WithPolicy for Oracle<'_> {
+    impl WithPolicy for EngineRun<'_> {
         type Output = SimReport;
 
         fn with<P: Policy>(self, mut policy: P) -> SimReport {
@@ -1018,7 +1018,7 @@ mod tests {
         for kind in PolicyKind::ALL {
             // Built as a scenario builds it, with the seasonal forecaster.
             let run = |stepped| {
-                let oracle = Oracle {
+                let work = EngineRun {
                     traces,
                     regions: &rs,
                     config: &config,
@@ -1031,7 +1031,7 @@ mod tests {
                     &cache,
                     ForecasterKind::Seasonal,
                     SPATIOTEMPORAL_SLO_MS,
-                    oracle,
+                    work,
                 )
             };
             let event = run(false);
