@@ -178,6 +178,7 @@ fn scan_par_safety(file: &str, tokens: &[Token<'_>], test: &[bool], out: &mut Ve
         let is_call = !test[i]
             && (tok.is_ident("par_map")
                 || tok.is_ident("par_map_with")
+                || tok.is_ident("par_map_ordered_with")
                 || tok.is_ident("par_for_each"))
             && matches!(tokens.get(i + 1), Some(t) if t.is_punct(b'('));
         if !is_call {
@@ -376,10 +377,12 @@ mod tests {
 
     #[test]
     fn par_safety_flags_shared_mutability_in_closures() {
-        let src = "fn f(xs: &[u8]) {\n    let m = std::sync::Mutex::new(0);\n    par_map(xs, |x| { *m.lock().unwrap() += 1; x });\n}\n";
-        let diags = lint_source("f.rs", src, &BIN);
-        assert_eq!(rules_of(&diags), vec!["par-safety"]);
-        assert_eq!(diags[0].line, 3);
+        for call in ["par_map(xs, ", "par_map_ordered_with(2, xs, "] {
+            let src = format!("fn f(xs: &[u8]) {{\n    let m = std::sync::Mutex::new(0);\n    {call}|x| {{ *m.lock().unwrap() += 1; x }});\n}}\n");
+            let diags = lint_source("f.rs", &src, &BIN);
+            assert_eq!(rules_of(&diags), vec!["par-safety"], "{call}");
+            assert_eq!(diags[0].line, 3);
+        }
     }
 
     #[test]

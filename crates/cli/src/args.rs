@@ -169,6 +169,13 @@ pub enum Command {
     },
     /// `help`, `-h` or `--help`.
     Help,
+    /// `<command> --help` (or `-h`): one row's usage line and help.
+    CommandHelp {
+        /// The row's `usage:` line.
+        usage: String,
+        /// The row's one-line description.
+        help: &'static str,
+    },
 }
 
 /// The `data` subcommands (binary trace containers).
@@ -348,6 +355,8 @@ pub struct Args<'a> {
     positionals: Vec<&'a str>,
     /// One slot per entry of `spec.flags`; a given switch holds `""`.
     values: Vec<Option<&'a str>>,
+    /// `--help` or `-h` stood where a flag may.
+    help: bool,
 }
 
 impl<'a> Args<'a> {
@@ -358,6 +367,7 @@ impl<'a> Args<'a> {
             spec,
             positionals: Vec::new(),
             values: vec![None; spec.flags.len()],
+            help: false,
         };
         let mut tokens = rest.iter();
         while let Some(token) = tokens.next() {
@@ -366,6 +376,10 @@ impl<'a> Args<'a> {
                     return Err(format!("unexpected argument `{token}` for `{}`", spec.path));
                 }
                 args.positionals.push(token);
+                continue;
+            }
+            if matches!(token.as_str(), "--help" | "-h") {
+                args.help = true;
                 continue;
             }
             let slot = spec
@@ -919,7 +933,16 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     }
     let (spec, rest) = route(argv)?;
     Args::scan(spec, rest)
-        .and_then(|args| (spec.build)(&args))
+        .and_then(|args| {
+            if args.help {
+                Ok(Command::CommandHelp {
+                    usage: spec.usage(),
+                    help: spec.help,
+                })
+            } else {
+                (spec.build)(&args)
+            }
+        })
         .map_err(|message| ParseError(format!("{message}\n\n{}", spec.usage())))
 }
 
@@ -979,6 +1002,20 @@ mod tests {
         assert_eq!(parse(&argv(&["--help"])).unwrap(), Command::Help);
         assert_eq!(parse(&argv(&["-h"])).unwrap(), Command::Help);
         assert_eq!(parse(&argv(&["help"])).unwrap(), Command::Help);
+        // After a command, `--help` asks for that row's help instead of
+        // running it, even when its required arguments are missing.
+        for args in [
+            &["analyze", "--help"][..],
+            &["analyze", "DE", "-h", "--year", "2021"],
+        ] {
+            assert_eq!(
+                parse(&argv(args)).unwrap(),
+                Command::CommandHelp {
+                    usage: "usage: decarb-cli analyze <ZONE> [--year Y]".into(),
+                    help: "one region's carbon profile",
+                }
+            );
+        }
     }
 
     #[test]

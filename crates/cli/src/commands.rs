@@ -367,9 +367,9 @@ fn scenario_table_row(r: &ScenarioReport) -> String {
 }
 
 /// Runs scenarios (built-in by name, the whole matrix, or a scenario
-/// file) in parallel against `data`, streaming each report to `out` as
-/// its chunk completes — a thousand-scenario sweep never buffers the
-/// full result set.
+/// file) in parallel against `data`, streaming each report to `out` in
+/// plan order as soon as it and every report before it are done — a
+/// thousand-scenario sweep never buffers the full result set.
 ///
 /// The target is statically checked first: findings print as warnings,
 /// or fail the run under `strict`. `shard` restricts the run to one

@@ -168,8 +168,9 @@ impl Command {
 
 /// Runs a parsed command against the imported `--data` dataset, or the
 /// built-in one, writing its output to `out`. `scenario run` streams
-/// each report as its parallel chunk completes, and `serve` prints its
-/// address and then blocks in the accept loop.
+/// each report in plan order as soon as it and every report before it
+/// are done, and `serve` prints its address and then blocks in the
+/// accept loop.
 pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Result<(), CliError> {
     if data.is_some() && !command.reads_dataset() {
         return Err(CliError::Parse(ParseError(
@@ -185,6 +186,7 @@ pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Re
     };
     let text = match command {
         Command::Help => usage(),
+        Command::CommandHelp { usage, help } => format!("{usage}\n\n{help}"),
         Command::Regions { group, year } => commands::regions(dataset(), group.as_deref(), *year)?,
         Command::Analyze { zone, year } => commands::analyze(dataset(), zone, *year)?,
         Command::Plan {

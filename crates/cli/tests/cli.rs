@@ -47,6 +47,23 @@ fn help_flag_prints_usage() {
 }
 
 #[test]
+fn every_subcommand_help_prints_its_row_and_exits_0() {
+    for spec in decarb_cli::args::COMMANDS {
+        let mut args: Vec<&str> = spec.path.split(' ').collect();
+        args.push("--help");
+        let out = decarb_cli(&args);
+        let path = spec.path;
+        assert_eq!(out.status.code(), Some(0), "{path}: {}", stderr(&out));
+        assert!(stderr(&out).is_empty(), "{path}");
+        assert_eq!(
+            stdout(&out),
+            format!("{}\n\n{}\n", spec.usage(), spec.help),
+            "{path}"
+        );
+    }
+}
+
+#[test]
 fn unknown_command_exits_2_with_usage_on_stderr() {
     let out = decarb_cli(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

@@ -10,10 +10,11 @@
 //! into named scenarios; [`run_scenarios_with`] fans them out across
 //! threads with `decarb_par` against one shared dataset and a shared
 //! [`PlannerCache`], handing each condensed [`ScenarioReport`] to a
-//! sink in input order as chunks complete, so thousand-scenario sweeps
-//! stream instead of buffering. Reports serialize with `decarb_json`
-//! for machine consumers (`decarb-cli scenario run all --json`, the CI
-//! emissions-regression gate).
+//! sink in input order as soon as it and every report before it are
+//! done, so thousand-scenario sweeps stream instead of buffering.
+//! Reports serialize with `decarb_json` for machine consumers
+//! (`decarb-cli scenario run all --json`, the CI emissions-regression
+//! gate).
 //!
 //! Beyond the built-in matrix, users declare their own sweeps in
 //! scenario files (see [`crate::scenario_file`]) with custom region
@@ -760,14 +761,14 @@ pub fn run_scenarios(data: &TraceSet, scenarios: &[Scenario]) -> Vec<ScenarioRep
     reports
 }
 
-/// Streaming variant of [`run_scenarios`]: executes chunk-by-chunk in
-/// parallel (each chunk spans the worker threads) and hands every
-/// report to `sink` in input order as soon as its chunk completes, so
-/// thousand-scenario sweeps emit incrementally instead of buffering a
-/// matrix-sized `Vec`. A `false` return from `sink` aborts the sweep
-/// after the current chunk (e.g. the consumer's pipe closed), skipping
-/// the remaining scenarios. All scenarios in one call share one
-/// [`PlannerCache`].
+/// Streaming variant of [`run_scenarios`]: executes the scenarios in
+/// parallel on one work-stealing thread scope and hands every report
+/// to `sink` in input order as soon as it and every report before it
+/// are done, so thousand-scenario sweeps emit incrementally instead of
+/// buffering a matrix-sized `Vec`. A `false` return from `sink` aborts
+/// the sweep (e.g. the consumer's pipe closed): no further scenario
+/// starts, and the call returns once the running ones finish. All
+/// scenarios in one call share one [`PlannerCache`].
 ///
 /// # Panics
 ///
@@ -1050,8 +1051,9 @@ mod tests {
             delivered += 1;
             delivered < 3
         });
-        // The sweep stops after the chunk containing the third report
-        // instead of running all 54 scenarios.
+        // The sweep starts no scenario after the sink declines the
+        // third report, and hands it no further report, instead of
+        // running all 54 scenarios.
         assert!(delivered >= 3);
         assert!(delivered < scenarios.len(), "sweep must abort early");
     }

@@ -18,8 +18,8 @@
 //!    run all --shards N --shard-index I` in `N` separate processes
 //!    covers the plan exactly once with no coordination.
 //! 3. **Execute** — [`SweepPlan::execute_with`] runs one shard against a
-//!    shared [`TraceSet`] + [`PlannerCache`] with the chunked streaming
-//!    sink the in-process engine always had.
+//!    shared [`TraceSet`] + [`PlannerCache`] on one work-stealing
+//!    thread scope, streaming each report to a sink in plan order.
 //! 4. **Merge** — [`merge_reports`] recombines per-shard JSON reports
 //!    into one document, detecting duplicate (overlapping shards),
 //!    missing, and unexpected scenarios against the plan.
@@ -29,7 +29,7 @@
 //! reports by construction.
 
 use decarb_json::Value;
-use decarb_par::{par_map, thread_count};
+use decarb_par::{par_map_ordered_with, thread_count};
 use decarb_traces::TraceSet;
 
 use crate::planner_cache::PlannerCache;
@@ -171,21 +171,23 @@ impl SweepPlan {
         })
     }
 
-    /// Executes the plan against `data`, fanning out across threads
-    /// over one shared [`PlannerCache`], streaming each report to
-    /// `sink` in plan order as its chunk completes. A `false` return
-    /// from `sink` aborts after the current chunk.
+    /// Executes the plan against `data` on [`thread_count`] workers
+    /// that share one [`PlannerCache`] and claim scenarios one at a
+    /// time, so a slow scenario never idles the others. Each report
+    /// reaches `sink` in plan order as soon as it and every report
+    /// before it are done; workers run only a few scenarios past the
+    /// last one handed over, so the sweep never buffers the full report
+    /// set. A `false` return from `sink` starts no further scenario and
+    /// returns once the running ones finish.
     // decarb-analyze: hot-path
-    pub fn execute_with(&self, data: &TraceSet, mut sink: impl FnMut(ScenarioReport) -> bool) {
+    pub fn execute_with(&self, data: &TraceSet, sink: impl FnMut(ScenarioReport) -> bool) {
         let cache = PlannerCache::new();
-        let chunk = (thread_count() * 2).max(1);
-        for batch in self.entries.chunks(chunk) {
-            for report in par_map(batch, |entry| entry.scenario.run_cached(data, &cache)) {
-                if !sink(report) {
-                    return;
-                }
-            }
-        }
+        par_map_ordered_with(
+            thread_count(),
+            &self.entries,
+            |entry| entry.scenario.run_cached(data, &cache),
+            sink,
+        );
     }
 
     /// Buffered [`SweepPlan::execute_with`]: all reports, in plan order.
