@@ -114,13 +114,13 @@ pub enum Command {
     /// emissions series (JSONL keyed by git rev).
     ScenarioHistory(HistoryCommand),
     /// `scenario diff --report R --golden G [--tolerance-pct P]` — gate
-    /// per-scenario emissions drift against a golden JSON report.
+    /// every numeric field of each scenario against a golden JSON report.
     ScenarioDiff {
         /// Path of the freshly produced `scenario run ... --json` report.
         report: String,
         /// Path of the committed golden report.
         golden: String,
-        /// Allowed absolute drift per scenario, percent.
+        /// Allowed relative drift of each float field, percent.
         tolerance_pct: f64,
     },
     /// `data pack|probe|append` — manage binary trace containers.
@@ -703,7 +703,7 @@ pub static COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         path: "scenario diff",
         synopsis: "--report R --golden G [--tolerance-pct P]",
-        help: "fail when per-scenario emissions drift",
+        help: "fail when a scenario's counts change or its floats drift",
         flags: &[Value("report"), Value("golden"), Value("tolerance-pct")],
         positionals: 0,
         build: |a| {

@@ -532,16 +532,47 @@ fn report_emissions(path: &str) -> Result<Vec<(String, f64)>, CliError> {
         .collect()
 }
 
-/// The CI emissions-regression gate: compares per-scenario emissions of
-/// a fresh report against a committed golden snapshot, failing on
-/// missing/extra scenarios or drift beyond `tolerance_pct` percent.
+/// One scenario's numeric report fields, `(key, value)` in report order.
+type NumericFields = Vec<(String, f64)>;
+
+/// The numeric fields of each scenario in a `scenario run --json`
+/// report document (a single object or an array of objects), keyed by
+/// scenario name, without the wall-clock field.
+fn report_fields(path: &str) -> Result<Vec<(String, NumericFields)>, CliError> {
+    let doc = read_report_doc(path)?;
+    let reports = decarb_json::merge_keyed(&[doc], "name").map_err(|e| failed(path, e))?;
+    Ok(reports
+        .into_iter()
+        .map(|(name, report)| {
+            let fields = match report {
+                Value::Object(pairs) => pairs
+                    .into_iter()
+                    .filter_map(|(key, value)| match value {
+                        Value::Number(x) if key != ScenarioReport::WALL_CLOCK_FIELD => {
+                            Some((key, x))
+                        }
+                        _ => None,
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            (name, fields)
+        })
+        .collect())
+}
+
+/// The CI report-regression gate: compares every numeric field of each
+/// scenario in a fresh report against a committed golden snapshot.
+/// Counts ([`ScenarioReport::COUNT_FIELDS`]) must match exactly, float
+/// fields within `tolerance_pct` percent; a missing or extra scenario or
+/// field fails too.
 pub(crate) fn scenario_diff(
     report_path: &str,
     golden_path: &str,
     tolerance_pct: f64,
 ) -> Result<String, CliError> {
-    let report = report_emissions(report_path)?;
-    let golden = report_emissions(golden_path)?;
+    let report = report_fields(report_path)?;
+    let golden = report_fields(golden_path)?;
     let mut violations: Vec<String> = Vec::new();
     let mut max_drift = 0.0f64;
     for (name, expected) in &golden {
@@ -549,19 +580,42 @@ pub(crate) fn scenario_diff(
             violations.push(format!("  {name}: missing from the report"));
             continue;
         };
-        let drift_pct = if expected.abs() > f64::EPSILON {
-            (actual - expected).abs() / expected.abs() * 100.0
-        } else if actual.abs() > f64::EPSILON {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-        max_drift = max_drift.max(drift_pct);
-        if drift_pct > tolerance_pct {
-            violations.push(format!(
-                "  {name}: emissions {actual:.3} g vs golden {expected:.3} g \
-                 ({drift_pct:.3}% > {tolerance_pct}%)"
-            ));
+        for (key, want) in expected {
+            let Some(&(_, got)) = actual.iter().find(|(k, _)| k == key) else {
+                violations.push(format!("  {name}: `{key}` missing from the report"));
+                continue;
+            };
+            if ScenarioReport::COUNT_FIELDS.contains(&key.as_str()) {
+                if got != *want {
+                    violations.push(format!(
+                        "  {name}: {key} {got} vs golden {want} (counts must match exactly)"
+                    ));
+                }
+                continue;
+            }
+            let drift_pct = if want.abs() > f64::EPSILON {
+                (got - want).abs() / want.abs() * 100.0
+            } else if got.abs() > f64::EPSILON {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            max_drift = max_drift.max(drift_pct);
+            if drift_pct > tolerance_pct {
+                // `emissions_g` reads as "emissions 1.000 g".
+                let (label, unit) = key
+                    .strip_suffix("_g")
+                    .map_or((key.as_str(), ""), |k| (k, " g"));
+                violations.push(format!(
+                    "  {name}: {label} {got:.3}{unit} vs golden {want:.3}{unit} \
+                     ({drift_pct:.3}% > {tolerance_pct}%)"
+                ));
+            }
+        }
+        for (key, _) in actual {
+            if !expected.iter().any(|(k, _)| k == key) {
+                violations.push(format!("  {name}: `{key}` not in the golden snapshot"));
+            }
         }
     }
     for (name, _) in &report {
@@ -573,14 +627,14 @@ pub(crate) fn scenario_diff(
     }
     if !violations.is_empty() {
         return Err(CliError::Failed(format!(
-            "scenario emissions drifted beyond ±{tolerance_pct}% ({} violation{}):\n{}",
+            "scenario reports drifted beyond ±{tolerance_pct}% or changed a count ({} violation{}):\n{}",
             violations.len(),
             if violations.len() == 1 { "" } else { "s" },
             violations.join("\n")
         )));
     }
     Ok(format!(
-        "{} scenarios within ±{tolerance_pct}% of {golden_path} (max drift {max_drift:.4}%)\n",
+        "{} scenarios within ±{tolerance_pct}% of {golden_path}, counts exact (max drift {max_drift:.4}%)\n",
         golden.len()
     ))
 }

@@ -410,6 +410,107 @@ fn scenario_diff_gates_emissions_drift_end_to_end() {
     std::fs::remove_file(&golden).ok();
 }
 
+/// Writes `report` as a golden copy with `edit` applied to its fields,
+/// then runs `scenario diff` of `report_path` against it at
+/// `tolerance_pct`.
+fn diff_against_edited_golden(
+    report_path: &std::path::Path,
+    report: &decarb_json::Value,
+    tag: &str,
+    tolerance_pct: &str,
+    edit: impl FnOnce(&mut Vec<(String, decarb_json::Value)>),
+) -> Output {
+    let mut golden = report.clone();
+    let decarb_json::Value::Object(fields) = &mut golden else {
+        panic!("a single-scenario report is an object: {golden:?}");
+    };
+    edit(fields);
+    let path = std::env::temp_dir().join(format!("decarb_cli_e2e_golden_{tag}.json"));
+    std::fs::write(&path, golden.pretty()).unwrap();
+    let out = decarb_cli(&[
+        "scenario",
+        "diff",
+        "--report",
+        report_path.to_str().unwrap(),
+        "--golden",
+        path.to_str().unwrap(),
+        "--tolerance-pct",
+        tolerance_pct,
+    ]);
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+fn number_mut<'a>(fields: &'a mut [(String, decarb_json::Value)], key: &str) -> &'a mut f64 {
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, decarb_json::Value::Number(x))) => x,
+        other => panic!("`{key}` is not a number: {other:?}"),
+    }
+}
+
+#[test]
+fn scenario_diff_compares_every_numeric_field() {
+    let run = decarb_cli(&["scenario", "run", "batch-spatiotemporal-europe", "--json"]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let report_path = std::env::temp_dir().join("decarb_cli_e2e_fields_report.json");
+    std::fs::write(&report_path, &run.stdout).unwrap();
+    let report = decarb_json::parse(&stdout(&run)).unwrap();
+    let diff = |tag: &str, tolerance: &str, edit: fn(&mut Vec<(String, decarb_json::Value)>)| {
+        diff_against_edited_golden(&report_path, &report, tag, tolerance, edit)
+    };
+
+    // The wall clock is never compared: a golden from another run passes
+    // at zero tolerance.
+    let out = diff("clock", "0", |f| *number_mut(f, "elapsed_s") += 10.0);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("counts exact"), "{}", stdout(&out));
+
+    // One more migration fails however wide the float tolerance.
+    let out = diff("migrations", "50", |f| *number_mut(f, "migrations") += 1.0);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stderr(&out);
+    assert!(text.contains("migrations"), "{text}");
+    assert!(text.contains("counts must match exactly"), "{text}");
+    assert!(text.contains("1 violation)"), "{text}");
+
+    // A perturbed mean slowdown fails at the CI tolerance and passes
+    // at a tolerance wider than the perturbation.
+    let slower = |f: &mut Vec<(String, decarb_json::Value)>| {
+        *number_mut(f, "mean_slowdown") *= 1.002;
+    };
+    let out = diff("slowdown", "0.1", slower);
+    assert_eq!(out.status.code(), Some(1));
+    let text = stderr(&out);
+    assert!(text.contains("mean_slowdown"), "{text}");
+    assert!(text.contains("0.200% > 0.1%"), "{text}");
+    let out = diff("slowdown-wide", "1", slower);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("max drift 0.1996"),
+        "{}",
+        stdout(&out)
+    );
+
+    // A numeric field the golden lacks, or one the report lacks, fails.
+    let out = diff("lacks", "0.1", |f| f.retain(|(k, _)| k != "transitions"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("`transitions` not in the golden snapshot"),
+        "{}",
+        stderr(&out)
+    );
+    let out = diff("extra", "0.1", |f| {
+        f.push(("retries".into(), decarb_json::Value::from(0.0)));
+    });
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains("`retries` missing from the report"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_file(&report_path).ok();
+}
+
 /// The sharded-sweep acceptance pin: `scenario run all --shards 4
 /// --shard-index {0..3} --json`, merged via `scenario merge --expect
 /// all`, must reproduce the single-process `scenario run all --json`

@@ -61,4 +61,4 @@ pub use pareto::{carbon_delay_frontier, pareto_filter, FrontierPoint};
 pub use rankings::{rank_stability, RankStability};
 pub use signals::{compare_signals, SignalComparison};
 pub use spatial::{inf_migration, one_migration, SpatialOutcome};
-pub use temporal::{TemporalPlanner, TemporalPolicy};
+pub use temporal::{cheapest_window, TemporalPlanner, TemporalPolicy};

@@ -44,6 +44,38 @@ pub struct Placement {
     pub cost_g: f64,
 }
 
+/// Finds the cheapest contiguous `slots`-window of `prefix` whose start
+/// index lies in `[first, last]` (§3.2.1's minimum k-element sub-array),
+/// in O(last − first) prefix queries. Ties resolve to the earliest
+/// start; the returned start is absolute. Both
+/// [`TemporalPlanner::best_deferred`] and planners over a forecast (which
+/// refill one scratch prefix per decision) scan through here.
+///
+/// # Panics
+///
+/// Panics if a window `[last, last + slots)` runs past the prefix.
+// decarb-analyze: hot-path
+pub fn cheapest_window(
+    prefix: &ChunkedPrefix,
+    first: usize,
+    last: usize,
+    slots: usize,
+) -> Placement {
+    let mut best_start = first;
+    let mut best_cost = f64::INFINITY;
+    for s in first..=last {
+        let cost = prefix.sum(prefix.start().plus(s), slots);
+        if cost < best_cost {
+            best_cost = cost;
+            best_start = s;
+        }
+    }
+    Placement {
+        start: prefix.start().plus(best_start),
+        cost_g: best_cost,
+    }
+}
+
 /// A temporal scheduling planner over one region's carbon trace.
 ///
 /// The planner is resolution-agnostic: `Hour` values are *slot*
@@ -158,19 +190,7 @@ impl TemporalPlanner {
             first <= last,
             "job at {arrival} (+{slots}h) cannot fit before trace end"
         );
-        let mut best_start = first;
-        let mut best_cost = f64::INFINITY;
-        for s in first..=last {
-            let cost = self.prefix.sum(self.series.start().plus(s), slots);
-            if cost < best_cost {
-                best_cost = cost;
-                best_start = s;
-            }
-        }
-        Placement {
-            start: self.series.start().plus(best_start),
-            cost_g: best_cost,
-        }
+        cheapest_window(&self.prefix, first, last, slots)
     }
 
     /// Finds the `slots` cheapest hours within

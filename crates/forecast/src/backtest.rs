@@ -147,7 +147,7 @@ pub fn rolling_forecast_trace(
         let Some(hist) = visible_history(series, origin, history) else {
             break;
         };
-        values.extend(model.predict(&hist, chunk));
+        model.predict_into(&hist, chunk, &mut values);
         offset += chunk;
     }
     TimeSeries::new(eval_start, values)

@@ -129,20 +129,21 @@ impl Forecaster for LinearAr {
         "linear-ar"
     }
 
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
         assert!(!history.is_empty(), "history must be non-empty");
         let max_lag = MAX_LAG;
         let (_, window) = tail(history, max_lag);
         if window.len() < max_lag {
             // Not enough context for the longest lag: degrade to the
             // training mean, as documented on the trait.
-            return vec![self.train_mean; horizon];
+            out.resize(out.len() + horizon, self.train_mean);
+            return;
         }
         let origin = history.end();
         // Rolling buffer of the last `max_lag` values, true history first,
         // then our own predictions as the rollout proceeds.
         let mut buffer: Vec<f64> = window.to_vec();
-        let mut out = Vec::with_capacity(horizon);
+        out.reserve(horizon);
         for k in 0..horizon {
             let hour = origin.plus(k);
             let len = buffer.len();
@@ -155,7 +156,6 @@ impl Forecaster for LinearAr {
             }
             out.push(v);
         }
-        out
     }
 }
 

@@ -13,18 +13,34 @@ pub trait Forecaster {
     /// Returns a short model name for tables and reports.
     fn name(&self) -> &'static str;
 
-    /// Predicts the `horizon` hourly values following `history.end()`.
+    /// Appends the `horizon` hourly values following `history.end()` to
+    /// `out`, leaving its existing entries untouched.
     ///
-    /// The returned vector has exactly `horizon` entries; entry `k` is the
-    /// prediction for hour `history.end() + k`. Implementations must cope
-    /// with histories shorter than their preferred context by degrading
-    /// gracefully (e.g. falling back to the history mean), never by
-    /// panicking, as long as the history holds at least one sample.
+    /// Exactly `horizon` entries are appended; the `k`-th is the
+    /// prediction for hour `history.end() + k`. This is the one body each
+    /// model implements: a caller that plans many windows reuses one
+    /// buffer, and [`Forecaster::predict`] wraps it for one-off calls.
+    /// Implementations must cope with histories shorter than their
+    /// preferred context by degrading gracefully (e.g. falling back to
+    /// the history mean), never by panicking, as long as the history
+    /// holds at least one sample.
     ///
     /// # Panics
     ///
     /// Panics if `history` is empty.
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64>;
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>);
+
+    /// Predicts the `horizon` hourly values following `history.end()`
+    /// into a fresh vector (see [`Forecaster::predict_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is empty.
+    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(horizon);
+        self.predict_into(history, horizon, &mut out);
+        out
+    }
 
     /// Predicts and wraps the result as a [`TimeSeries`] anchored at the
     /// forecast origin.
@@ -40,8 +56,8 @@ impl<F: Forecaster + ?Sized> Forecaster for Box<F> {
         (**self).name()
     }
 
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
-        (**self).predict(history, horizon)
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
+        (**self).predict_into(history, horizon, out)
     }
 }
 
@@ -87,9 +103,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "flat"
         }
-        fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+        fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
             assert!(!history.is_empty(), "history must be non-empty");
-            vec![history.mean(); horizon]
+            out.resize(out.len() + horizon, history.mean());
         }
     }
 
@@ -145,5 +161,53 @@ mod tests {
         let (start, values) = tail(&history, 10);
         assert_eq!(start, Hour(0));
         assert_eq!(values.len(), 4);
+    }
+
+    /// Appending to a non-empty buffer keeps its contents and adds
+    /// exactly what `predict` returns, bit for bit.
+    fn assert_appends_predict<F: Forecaster + ?Sized>(model: &F, history: &TimeSeries) {
+        for horizon in [0, 1, 5, 24, 100] {
+            let kept = [-1.5, f64::MAX, 0.25];
+            let mut out = kept.to_vec();
+            model.predict_into(history, horizon, &mut out);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out[..kept.len()]), bits(&kept), "{}", model.name());
+            assert_eq!(
+                bits(&out[kept.len()..]),
+                bits(&model.predict(history, horizon)),
+                "{} over {} samples, horizon {horizon}",
+                model.name(),
+                history.len()
+            );
+        }
+    }
+
+    #[test]
+    fn predict_into_appends_exactly_the_prediction() {
+        use crate::{DiurnalTemplate, LinearAr, Persistence, SeasonalNaive};
+        use decarb_traces::time::year_start;
+
+        let start = year_start(2022);
+        let series = TimeSeries::new(
+            start,
+            (0..40 * 24)
+                .map(|t| 300.0 + 90.0 * ((t % 24) as f64 / 3.0).sin() + (t % 7) as f64 * 1.25)
+                .collect(),
+        );
+        let history = |len: usize| series.slice(start, len).unwrap();
+        let period = 24;
+        let models: Vec<Box<dyn Forecaster>> = vec![
+            Box::new(Persistence),
+            Box::new(SeasonalNaive::new(period)),
+            Box::new(DiurnalTemplate::default()),
+            Box::new(LinearAr::fit(&history(20 * 24)).expect("fits")),
+        ];
+        for model in &models {
+            // A boxed model, and the model it holds.
+            for len in [1, period - 5, period, period + 7, 30 * 24] {
+                assert_appends_predict(model, &history(len));
+                assert_appends_predict(&**model, &history(len));
+            }
+        }
     }
 }

@@ -23,10 +23,10 @@ impl Forecaster for Persistence {
         "persistence"
     }
 
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
         assert!(!history.is_empty(), "history must be non-empty");
         let last = history.values().last().copied().unwrap_or(0.0);
-        vec![last; horizon]
+        out.resize(out.len() + horizon, last);
     }
 }
 
@@ -82,11 +82,18 @@ impl Forecaster for SeasonalNaive {
         "seasonal-naive"
     }
 
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
         assert!(!history.is_empty(), "history must be non-empty");
         let (_, window) = tail(history, self.period);
-        // With less history than one period, repeat what we have.
-        (0..horizon).map(|k| window[k % window.len()]).collect()
+        // Whole periods, then the head of one more; with less history
+        // than one period, repeat what we have.
+        out.reserve(horizon);
+        let mut left = horizon;
+        while left > 0 {
+            let take = left.min(window.len());
+            out.extend_from_slice(&window[..take]);
+            left -= take;
+        }
     }
 }
 

@@ -53,7 +53,7 @@ impl Forecaster for DiurnalTemplate {
         "diurnal-template"
     }
 
-    fn predict(&self, history: &TimeSeries, horizon: usize) -> Vec<f64> {
+    fn predict_into(&self, history: &TimeSeries, horizon: usize, out: &mut Vec<f64>) {
         assert!(!history.is_empty(), "history must be non-empty");
         let (start, window) = tail(history, self.window_days * 24);
 
@@ -77,20 +77,18 @@ impl Forecaster for DiurnalTemplate {
         let overall = total / window.len() as f64;
 
         let origin = history.end();
-        (0..horizon)
-            .map(|k| {
-                let hour = origin.plus(k);
-                let h = hour.hour_of_day();
-                let w = usize::from(hour.is_weekend());
-                if bucket_n[h][w] > 0 {
-                    bucket[h][w] / bucket_n[h][w] as f64
-                } else if hod_n[h] > 0 {
-                    hod[h] / hod_n[h] as f64
-                } else {
-                    overall
-                }
-            })
-            .collect()
+        out.extend((0..horizon).map(|k| {
+            let hour = origin.plus(k);
+            let h = hour.hour_of_day();
+            let w = usize::from(hour.is_weekend());
+            if bucket_n[h][w] > 0 {
+                bucket[h][w] / bucket_n[h][w] as f64
+            } else if hod_n[h] > 0 {
+                hod[h] / hod_n[h] as f64
+            } else {
+                overall
+            }
+        }));
     }
 }
 

@@ -11,26 +11,29 @@
 use std::collections::HashMap;
 
 use decarb_core::ksmallest::k_cheapest;
-use decarb_core::temporal::TemporalPlanner;
+use decarb_core::temporal::cheapest_window;
 use decarb_forecast::{visible_history, Forecaster, HISTORY_HOURS};
-use decarb_traces::{Hour, RegionId, TimeSeries};
+use decarb_traces::{ChunkedPrefix, Hour, RegionId};
 use decarb_workloads::Job;
 
 use crate::cluster::CloudView;
 use crate::policy::{Placement, Policy};
 
-/// Forecasts `job`'s scheduling window in `region` at `view.now`: the
-/// next `slack + length` slots, cut at the end of the region's true
-/// trace (the simulator could not pay for later slots anyway), predicted
-/// from the [`HISTORY_HOURS`] visible before `now`. Returns the
-/// prediction with the job's length in slots, or `None` when the region
-/// has no trace, nothing precedes `now`, or the job no longer fits.
+/// Forecasts `job`'s scheduling window in `region` at `view.now` into
+/// `out`, replacing its contents: the next `slack + length` slots, cut
+/// at the end of the region's true trace (the simulator could not pay
+/// for later slots anyway), predicted from the [`HISTORY_HOURS`] visible
+/// before `now`. Entry `k` of `out` predicts slot `view.now + k`.
+/// Returns the job's length in slots, or `None` (with `out` left as it
+/// was) when the region has no trace, nothing precedes `now`, or the job
+/// no longer fits.
 fn forecast_window<F: Forecaster>(
     forecaster: &F,
     job: &Job,
     region: RegionId,
     view: &CloudView<'_>,
-) -> Option<(TimeSeries, usize)> {
+    out: &mut Vec<f64>,
+) -> Option<usize> {
     let series = view.traces.try_series_by_id(region)?;
     let resolution = view.traces.resolution();
     let history = visible_history(
@@ -44,7 +47,9 @@ fn forecast_window<F: Forecaster>(
         return None;
     }
     let window = (job.slack_slots_at(resolution) + slots).min(available);
-    Some((forecaster.predict_series(&history, window), slots))
+    out.clear();
+    forecaster.predict_into(&history, window, out);
+    Some(slots)
 }
 
 /// Defer a job's start using a forecast of its scheduling window.
@@ -53,26 +58,38 @@ fn forecast_window<F: Forecaster>(
 /// job's origin, picks the cheapest contiguous window on the *predicted*
 /// trace, and commits to that start. Emissions are then paid on the true
 /// trace — the schedule-on-believed / account-on-truth protocol of §6.2.
+/// The prediction and its prefix live in buffers the policy reuses from
+/// job to job, so a decision allocates nothing once they have grown to
+/// the longest window seen.
 pub struct ForecastDeferral<F> {
     forecaster: F,
+    /// The forecast of the window being planned.
+    predicted: Vec<f64>,
+    /// Prefix sums over `predicted`, anchored at the decision slot.
+    prefix: ChunkedPrefix,
 }
 
 impl<F: Forecaster> ForecastDeferral<F> {
     /// Creates the policy; it forecasts from [`HISTORY_HOURS`] of history.
     pub fn new(forecaster: F) -> Self {
-        Self { forecaster }
+        Self {
+            forecaster,
+            predicted: Vec::new(),
+            prefix: ChunkedPrefix::default(),
+        }
     }
 
     /// The start `job` commits to in `region`: the cheapest contiguous
     /// window on the forecast, or `view.now` when nothing can be
     /// forecast.
-    pub(crate) fn start_in(&self, job: &Job, region: RegionId, view: &CloudView<'_>) -> Hour {
-        let Some((predicted, slots)) = forecast_window(&self.forecaster, job, region, view) else {
+    // decarb-analyze: hot-path
+    pub(crate) fn start_in(&mut self, job: &Job, region: RegionId, view: &CloudView<'_>) -> Hour {
+        let Some(slots) = forecast_window(&self.forecaster, job, region, view, &mut self.predicted)
+        else {
             return view.now;
         };
-        TemporalPlanner::with_resolution(&predicted, view.traces.resolution())
-            .best_deferred(view.now, slots, predicted.len() - slots)
-            .start
+        self.prefix.refill(view.now, &self.predicted);
+        cheapest_window(&self.prefix, 0, self.predicted.len() - slots, slots).start
     }
 }
 
@@ -94,6 +111,8 @@ impl<F: Forecaster> Policy for ForecastDeferral<F> {
 pub struct ForecastSuspend<F> {
     forecaster: F,
     plans: HashMap<u64, Vec<Hour>>,
+    /// The forecast of the window being planned, reused across jobs.
+    predicted: Vec<f64>,
 }
 
 impl<F: Forecaster> ForecastSuspend<F> {
@@ -102,6 +121,7 @@ impl<F: Forecaster> ForecastSuspend<F> {
         Self {
             forecaster,
             plans: HashMap::new(),
+            predicted: Vec::new(),
         }
     }
 
@@ -114,10 +134,10 @@ impl<F: Forecaster> ForecastSuspend<F> {
 impl<F: Forecaster> Policy for ForecastSuspend<F> {
     fn place(&mut self, job: &Job, view: &CloudView<'_>) -> Placement {
         if job.interruptible {
-            if let Some((predicted, slots)) =
-                forecast_window(&self.forecaster, job, job.origin, view)
+            if let Some(slots) =
+                forecast_window(&self.forecaster, job, job.origin, view, &mut self.predicted)
             {
-                let plan = k_cheapest(predicted.values(), slots);
+                let plan = k_cheapest(&self.predicted, slots);
                 self.plans
                     .insert(job.id, plan.into_iter().map(|i| view.now.plus(i)).collect());
             }
@@ -161,9 +181,11 @@ mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulator};
     use crate::policy::{CarbonAgnostic, PlannedDeferral};
+    use decarb_core::temporal::TemporalPlanner;
     use decarb_forecast::{DiurnalTemplate, Persistence, SeasonalNaive};
-    use decarb_traces::builtin_dataset;
+    use decarb_traces::rng::Xoshiro256;
     use decarb_traces::time::year_start;
+    use decarb_traces::{builtin_dataset, Resolution, TraceSet};
     use decarb_workloads::Slack;
 
     fn id(code: &str) -> RegionId {
@@ -265,5 +287,125 @@ mod tests {
         let c = &report.completed[0];
         assert_eq!(c.started, arrival);
         assert_eq!(c.finished, arrival.plus(2));
+    }
+
+    /// The pipeline `start_in` replaced, kept as its oracle: forecast
+    /// into a fresh series and plan on a fresh planner over it.
+    fn oracle_start<F: Forecaster>(
+        forecaster: &F,
+        job: &Job,
+        region: RegionId,
+        view: &CloudView<'_>,
+    ) -> Hour {
+        let series = view.traces.series_by_id(region);
+        let resolution = view.traces.resolution();
+        let Some(history) = visible_history(
+            series,
+            view.now,
+            HISTORY_HOURS * resolution.slots_per_hour(),
+        ) else {
+            return view.now;
+        };
+        let slots = job.length_slots_at(resolution);
+        let available = (series.end().0 - view.now.0) as usize;
+        if available < slots {
+            return view.now;
+        }
+        let window = (job.slack_slots_at(resolution) + slots).min(available);
+        let predicted = forecaster.predict_series(&history, window);
+        TemporalPlanner::with_resolution(&predicted, resolution)
+            .best_deferred(view.now, slots, predicted.len() - slots)
+            .start
+    }
+
+    /// One policy instance per forecaster plans seeded jobs of mixed
+    /// window lengths — from a few slots to past one `ChunkedPrefix`
+    /// block — at random arrivals across the whole trace, so a scratch
+    /// buffer left stale by a longer earlier window would change a later
+    /// start. Returns the longest window planned.
+    fn assert_start_in_matches_oracle(traces: &TraceSet, codes: &[&str], seed: u64) -> usize {
+        let resolution = traces.resolution();
+        let sph = resolution.slots_per_hour();
+        let regions: Vec<RegionId> = codes.iter().map(|c| traces.id_of(c).unwrap()).collect();
+        let view_at = |now: Hour| CloudView {
+            datacenters: &[],
+            slot_of: &[],
+            traces,
+            now,
+        };
+        let slacks = [
+            Slack::None,
+            Slack::Day,
+            Slack::Week,
+            Slack::TenX,
+            Slack::Days24,
+        ];
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut longest = 0;
+        for forecaster in [
+            Box::new(SeasonalNaive::daily_at(resolution)) as Box<dyn Forecaster>,
+            Box::new(Persistence),
+            Box::new(DiurnalTemplate::default()),
+        ] {
+            let mut policy = ForecastDeferral::new(forecaster);
+            for id in 0..120u64 {
+                let region = regions[rng.below(regions.len())];
+                let series = traces.series_by_id(region);
+                // Mostly mid-trace, with arrivals at the very start (no
+                // history) and in the last weeks (windows cut at the
+                // trace end, jobs that no longer fit).
+                let offset = match rng.below(8) {
+                    0 => rng.below(3 * sph),
+                    1 => series.len() - 1 - rng.below(30 * 24 * sph),
+                    _ => rng.below(series.len()),
+                };
+                let now = series.start().plus(offset);
+                let length = [0.25, 1.0, 2.5, 6.0, 23.0][rng.below(5)];
+                let slack = slacks[rng.below(slacks.len())];
+                let job = Job::batch(id, region, now, length, slack);
+                let view = view_at(now);
+                let expected = oracle_start(&policy.forecaster, &job, region, &view);
+                let got = policy.start_in(&job, region, &view);
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} job {id} at {now} in {} ({length} h, {slack:?})",
+                    policy.forecaster.name(),
+                    traces.code(region)
+                );
+                longest = longest.max(policy.predicted.len());
+            }
+        }
+        longest
+    }
+
+    #[test]
+    fn start_in_matches_the_planner_over_a_fresh_forecast_on_both_axes() {
+        let codes = ["DE", "US-CA", "PL"];
+        let hourly = builtin_dataset();
+        let longest = assert_start_in_matches_oracle(&hourly, &codes, 0x5eed_0001);
+        assert!(
+            longest >= 24 * 24,
+            "hourly windows reach 24 days: {longest}"
+        );
+
+        // The 5-minute replica of three builtin regions.
+        let subset = TraceSet::from_series(
+            codes
+                .iter()
+                .map(|c| {
+                    let region = decarb_traces::catalog::region(c).unwrap().clone();
+                    (region, hourly.series(c).unwrap().clone())
+                })
+                .collect(),
+        );
+        let fine = subset
+            .resample_to(Resolution::from_minutes(5).unwrap())
+            .unwrap();
+        let longest = assert_start_in_matches_oracle(&fine, &codes, 0x5eed_0002);
+        assert!(
+            longest > ChunkedPrefix::BLOCK,
+            "a 5-minute window crosses a prefix block: {longest}"
+        );
     }
 }

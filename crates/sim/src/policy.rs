@@ -118,6 +118,7 @@ impl Policy for ThresholdSuspend {
         }
     }
 
+    // decarb-analyze: hot-path
     fn should_run(
         &mut self,
         job: &Job,
@@ -137,18 +138,22 @@ impl Policy for ThresholdSuspend {
         };
         // Trailing mean over up to `window` past hours (scaled to the
         // dataset's slot axis, so a 24 h window covers 288 slots at
-        // 5-minute resolution).
+        // 5-minute resolution), one query on the dataset's cached
+        // prefix — the one the engine accrues spans on.
         let window_slots = self.window * view.traces.resolution().slots_per_hour();
         let lookback = (view.now.0.saturating_sub(series.start().0) as usize).min(window_slots);
         if lookback == 0 {
             return true;
         }
         let from = Hour(view.now.0 - lookback as u32);
-        let Ok(past) = series.window(from, lookback) else {
+        let Some(Ok(past)) = view
+            .traces
+            .try_chunked_prefix_by_id(job.origin)
+            .map(|prefix| prefix.try_sum(from, lookback))
+        else {
             return true;
         };
-        let mean = past.iter().sum::<f64>() / lookback as f64;
-        now_ci <= self.threshold * mean
+        now_ci <= self.threshold * (past / lookback as f64)
     }
 }
 

@@ -573,6 +573,25 @@ impl ScenarioReport {
         }
     }
 
+    /// The numeric fields of [`ScenarioReport::to_json`] that count
+    /// things, so two runs of one scenario must agree on them exactly;
+    /// every other numeric field but [`ScenarioReport::WALL_CLOCK_FIELD`]
+    /// accumulates floats.
+    pub const COUNT_FIELDS: [&'static str; 8] = [
+        "capacity",
+        "jobs",
+        "completed",
+        "unfinished",
+        "missed_deadlines",
+        "stalled_hours",
+        "migrations",
+        "transitions",
+    ];
+
+    /// The field holding the run's wall-clock time, which differs on
+    /// every run.
+    pub const WALL_CLOCK_FIELD: &'static str = "elapsed_s";
+
     /// Serializes the report as a JSON object.
     pub fn to_json(&self) -> Value {
         Value::object([
@@ -597,7 +616,10 @@ impl ScenarioReport {
             ("emissions_g", Value::from(self.total_emissions_g)),
             ("avg_ci_g_per_kwh", Value::from(self.average_ci)),
             ("mean_slowdown", Value::from(self.mean_slowdown)),
-            ("elapsed_s", Value::from(self.elapsed.as_secs_f64())),
+            (
+                Self::WALL_CLOCK_FIELD,
+                Value::from(self.elapsed.as_secs_f64()),
+            ),
         ])
     }
 }

@@ -225,6 +225,21 @@ pub struct ChunkedPrefix {
     rel: Vec<f64>,
 }
 
+/// The prefix of an empty series at slot 0, ready to be
+/// [refilled](ChunkedPrefix::refill).
+impl Default for ChunkedPrefix {
+    fn default() -> Self {
+        let mut prefix = Self {
+            start: Hour(0),
+            len: 0,
+            block: Vec::new(),
+            rel: Vec::new(),
+        };
+        prefix.refill(Hour(0), &[]);
+        prefix
+    }
+}
+
 impl ChunkedPrefix {
     /// Samples per block: 4096 f64s = 32 kB of relative prefixes per
     /// block, sized to L1/L2-friendly strides for sliding windows.
@@ -232,15 +247,28 @@ impl ChunkedPrefix {
 
     /// Builds the two-level prefix over `series`.
     pub fn build(series: &TimeSeries) -> Self {
-        let n = series.len();
+        let mut prefix = Self::default();
+        prefix.refill(series.start(), series.values());
+        prefix
+    }
+
+    /// Rebuilds the prefix in place over `values`, the samples of slots
+    /// `start..start + values.len()`, reusing the block and relative
+    /// buffers' capacity, so a caller that plans window after window
+    /// allocates only when a window outgrows every earlier one.
+    pub fn refill(&mut self, start: Hour, values: &[f64]) {
+        let n = values.len();
         // `rel` holds, for position i, the sum of `i`'s block's samples
         // strictly before `i` — an (n+1)-entry array so a window ending
         // exactly at `n` indexes cleanly.
-        let mut block = Vec::with_capacity(n / Self::BLOCK + 2);
-        let mut rel = Vec::with_capacity(n + 1);
+        let (block, rel) = (&mut self.block, &mut self.rel);
+        block.clear();
+        rel.clear();
+        block.reserve(n / Self::BLOCK + 2);
+        rel.reserve(n + 1);
         let mut total = 0.0f64;
         let mut acc = 0.0f64;
-        for (i, &v) in series.values().iter().enumerate() {
+        for (i, &v) in values.iter().enumerate() {
             if i % Self::BLOCK == 0 {
                 total += acc;
                 block.push(total);
@@ -257,12 +285,8 @@ impl ChunkedPrefix {
             acc = 0.0;
         }
         rel.push(acc);
-        Self {
-            start: series.start(),
-            len: n,
-            block,
-            rel,
-        }
+        self.start = start;
+        self.len = n;
     }
 
     /// Returns the number of underlying samples.
@@ -585,5 +609,60 @@ mod tests {
         let empty = TimeSeries::new(Hour(0), vec![]).chunked_prefix();
         assert!(empty.is_empty());
         assert_eq!(empty.sum(Hour(0), 0), 0.0);
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_build_at_every_length() {
+        // One prefix refilled long → short → long over non-integer
+        // samples must answer exactly like a freshly built one at each
+        // length: same buffers bit for bit, same sums, and `try_sum`
+        // bounded by the new length, not a stale earlier one.
+        let b = ChunkedPrefix::BLOCK;
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let values: Vec<f64> = (0..3 * b + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                20.0 + 880.0 * ((x >> 11) as f64 / (1u64 << 53) as f64)
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut reused = ChunkedPrefix::default();
+        let lengths = [3 * b, b + 1, 0, 1, b, b - 1, 1, 3 * b, 0, b + 1];
+        for (k, &n) in lengths.iter().enumerate() {
+            let start = Hour(100 + 7 * k as u32);
+            let window = &values[k..k + n];
+            reused.refill(start, window);
+            let fresh = ChunkedPrefix::build(&TimeSeries::new(start, window.to_vec()));
+            assert_eq!((reused.start(), reused.len()), (start, n), "n={n}");
+            assert_eq!(reused.is_empty(), n == 0);
+            assert_eq!(bits(&reused.block), bits(&fresh.block), "block n={n}");
+            assert_eq!(bits(&reused.rel), bits(&fresh.rel), "rel n={n}");
+            let mut windows = vec![(0, n), (n, 0)];
+            for from in (0..n).step_by(509) {
+                for len in [0, 1, 7, b - 1, b, b + 1] {
+                    windows.push((from, len.min(n - from)));
+                }
+            }
+            for (from, len) in windows {
+                let h = start.plus(from);
+                assert_eq!(
+                    reused.sum(h, len).to_bits(),
+                    fresh.sum(h, len).to_bits(),
+                    "n={n} {from}+{len}"
+                );
+                assert_eq!(
+                    reused.try_sum(h, len).map(f64::to_bits),
+                    fresh.try_sum(h, len).map(f64::to_bits),
+                    "n={n} {from}+{len}"
+                );
+            }
+            for (from, len) in [(Hour(start.0 - 1), 1), (start, n + 1), (start.plus(n), 1)] {
+                let err = reused.try_sum(from, len);
+                assert!(err.is_err(), "n={n} {from}+{len} past the new length");
+                assert_eq!(err, fresh.try_sum(from, len), "n={n} {from}+{len}");
+            }
+        }
     }
 }
