@@ -1,7 +1,7 @@
 //! One benchmark group per paper table/figure.
 //!
 //! Figure-level timings go through the experiment registry (the same
-//! uniform pipeline `repro` and `decarb-cli run` use); kernel-scale
+//! uniform pipeline `decarb-cli run` uses); kernel-scale
 //! rows below time the computation behind the figure directly. With
 //! `DECARB_BENCH_PRINT=1` each group first prints the regenerated
 //! tables, so a bench log doubles as a reproduction run.

@@ -68,10 +68,11 @@ pub enum Command {
     },
     /// `list` — enumerate the experiment registry.
     List,
-    /// `run <ID|all> [--json]` — run registered experiments.
+    /// `run <ID...|all> [--json]` — run registered experiments.
     Run {
-        /// Experiment id, or `all` for the whole registry.
-        id: String,
+        /// Experiment ids in the order given, or just `all` for the
+        /// whole registry.
+        ids: Vec<String>,
         /// Emit JSON instead of text tables.
         json: bool,
     },
@@ -544,8 +545,8 @@ pub static COMMANDS: &[CommandSpec] = &[
         build: |a| {
             let zone = a.zone()?;
             let days = a.parsed("days", 60)?;
-            if days < 5 {
-                return Err("--days must be at least 5".into());
+            if !(5..=366).contains(&days) {
+                return Err("--days must lie in 5..=366".into());
             }
             Ok(Command::Forecast {
                 zone,
@@ -585,13 +586,17 @@ pub static COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         path: "run",
-        synopsis: "<ID|all> [--json]",
+        synopsis: "<ID...|all> [--json]",
         help: "run experiments from the registry",
         flags: &[Switch("json")],
-        positionals: 1,
+        positionals: usize::MAX,
         build: |a| {
+            a.positional(0, "an experiment id or `all` (see `list`)")?;
+            if a.positionals.len() > 1 && a.positionals.contains(&"all") {
+                return Err("`run all` takes no other experiment id".into());
+            }
             Ok(Command::Run {
-                id: a.positional(0, "an experiment id or `all` (see `list`)")?,
+                ids: a.positionals.iter().map(|s| s.to_string()).collect(),
                 json: a.switch("json"),
             })
         },
@@ -1218,12 +1223,13 @@ mod tests {
     fn forecast_day_floor() {
         assert!(parse(&argv(&["forecast", "DE", "--days", "2"])).is_err());
         assert!(parse(&argv(&["forecast", "DE", "--days", "10"])).is_ok());
+        assert!(parse(&argv(&["forecast", "DE", "--days", "367"])).is_err());
     }
 
     #[test]
     fn run_accepts_flag_and_id_in_either_order() {
         let expected = Command::Run {
-            id: "fig5".into(),
+            ids: vec!["fig5".into()],
             json: true,
         };
         assert_eq!(parse(&argv(&["run", "fig5", "--json"])).unwrap(), expected);
@@ -1231,8 +1237,15 @@ mod tests {
         assert_eq!(
             parse(&argv(&["run", "all"])).unwrap(),
             Command::Run {
-                id: "all".into(),
+                ids: vec!["all".into()],
                 json: false
+            }
+        );
+        assert_eq!(
+            parse(&argv(&["run", "fig6a", "--json", "fig5"])).unwrap(),
+            Command::Run {
+                ids: vec!["fig6a".into(), "fig5".into()],
+                json: true
             }
         );
     }
@@ -1793,7 +1806,7 @@ mod tests {
     fn run_and_list_reject_malformed_argv() {
         assert!(parse(&argv(&["run"])).is_err());
         assert!(parse(&argv(&["run", "--bogus", "fig5"])).is_err());
-        assert!(parse(&argv(&["run", "fig5", "fig6"])).is_err());
+        assert!(parse(&argv(&["run", "fig5", "all"])).is_err());
         assert!(parse(&argv(&["list", "extra"])).is_err());
         assert_eq!(parse(&argv(&["list"])).unwrap(), Command::List);
     }

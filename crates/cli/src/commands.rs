@@ -14,7 +14,7 @@ use decarb_forecast::{
     backtest, BacktestConfig, DiurnalTemplate, Forecaster, LinearAr, Persistence, SeasonalNaive,
 };
 use decarb_json::Value;
-use decarb_stats::daily::average_daily_cv;
+use decarb_stats::daily::{average_daily_cv, LOW_VARIATION_THRESHOLD};
 use decarb_stats::periodicity::periodicity_score;
 use decarb_traces::time::{hours_in_year, year_start};
 use decarb_traces::{container, csv, TimeSeries, TraceError, TraceSet};
@@ -199,11 +199,12 @@ pub(crate) fn list() -> String {
     out
 }
 
-/// Runs one experiment (or the whole registry, in parallel) and renders
-/// text tables or JSON.
-pub(crate) fn run_experiments(id: &str, json: bool) -> Result<String, CliError> {
+/// Runs the experiments `ids` names in the order given (or the whole
+/// registry, in parallel, for `all`) and renders text tables or JSON:
+/// one id prints its object, several ids or `all` an array of them.
+pub(crate) fn run_experiments(ids: &[String], json: bool) -> Result<String, CliError> {
     let ctx = decarb_experiments::context::shared();
-    if id == "all" {
+    if ids.len() == 1 && ids[0] == "all" {
         let runs = registry::run_all(ctx);
         if json {
             let value = Value::Array(runs.iter().map(|r| r.to_json()).collect());
@@ -217,17 +218,29 @@ pub(crate) fn run_experiments(id: &str, json: bool) -> Result<String, CliError> 
         }
         return Ok(out);
     }
-    let experiment = registry::find(id).ok_or_else(|| {
-        CliError::Parse(ParseError(format!(
-            "unknown experiment id `{id}` (see `list`)"
-        )))
-    })?;
+    let experiments = ids
+        .iter()
+        .map(|id| {
+            registry::find(id).ok_or_else(|| {
+                CliError::Parse(ParseError(format!(
+                    "unknown experiment id `{id}` (see `list`)"
+                )))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if json {
-        return Ok(experiment.run_json(ctx).pretty());
+        let mut runs: Vec<Value> = experiments.iter().map(|e| e.run_json(ctx)).collect();
+        let value = match runs.len() {
+            1 => runs.swap_remove(0),
+            _ => Value::Array(runs),
+        };
+        return Ok(value.pretty());
     }
     let mut out = String::new();
-    for table in experiment.run(ctx) {
-        let _ = writeln!(out, "{table}");
+    for experiment in experiments {
+        for table in experiment.run(ctx) {
+            let _ = writeln!(out, "{table}");
+        }
     }
     Ok(out)
 }
@@ -513,23 +526,6 @@ pub(crate) fn analyze_workspace_cmd(path: &str, json: bool) -> Result<String, Cl
             &outcome.diagnostics,
         )))
     }
-}
-
-/// Extracts `(name, emissions_g)` pairs from a `scenario run --json`
-/// report document (a single object or an array of objects).
-fn report_emissions(path: &str) -> Result<Vec<(String, f64)>, CliError> {
-    let doc = read_report_doc(path)?;
-    decarb_json::merge_keyed(&[doc], "name")
-        .map_err(|e| failed(path, e))?
-        .into_iter()
-        .map(|(name, report)| match report.get("emissions_g") {
-            Some(Value::Number(emissions)) => Ok((name, *emissions)),
-            _ => Err(failed(
-                path,
-                format!("scenario `{name}` has no `emissions_g`"),
-            )),
-        })
-        .collect()
 }
 
 /// One scenario's numeric report fields, `(key, value)` in report order.
@@ -838,7 +834,18 @@ pub(crate) fn scenario_history_append(
     file: &str,
     rev: Option<&str>,
 ) -> Result<String, CliError> {
-    let pairs = report_emissions(report_path)?;
+    let pairs = report_fields(report_path)?
+        .into_iter()
+        .map(
+            |(name, fields)| match fields.into_iter().find(|(key, _)| key == "emissions_g") {
+                Some((_, emissions)) => Ok((name, emissions)),
+                None => Err(failed(
+                    report_path,
+                    format!("scenario `{name}` has no `emissions_g`"),
+                )),
+            },
+        )
+        .collect::<Result<Vec<_>, _>>()?;
     let total: f64 = pairs.iter().map(|(_, g)| g).sum();
     let rev = resolve_rev(rev);
     let entry = Value::object([
@@ -1071,7 +1078,7 @@ pub(crate) fn analyze(data: &TraceSet, zone: &str, year: i32) -> Result<String, 
     let _ = writeln!(
         out,
         "  daily CV       {cv:8.3}  ({})",
-        if cv < 0.1 {
+        if cv < LOW_VARIATION_THRESHOLD {
             "low variation — weak temporal-shifting case (§4)"
         } else {
             "variable — temporal shifting can help"
@@ -1112,7 +1119,10 @@ pub(crate) fn plan(
     arrive: usize,
     year: i32,
 ) -> Result<String, CliError> {
-    if arrive + hours + slack > hours_in_year(year) {
+    let end = arrive
+        .checked_add(hours)
+        .and_then(|end| end.checked_add(slack));
+    if end.is_none_or(|end| end > hours_in_year(year)) {
         return Err(CliError::Parse(ParseError(
             "job window extends past the year end; lower --arrive/--slack".into(),
         )));
@@ -1391,6 +1401,21 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(format!("{err}").contains("past the year end"));
+        // Windows whose end overflows `usize` are usage errors too.
+        let max = usize::MAX.to_string();
+        for flags in [
+            ["--hours", "1", "--slack", &max],
+            ["--hours", "2", "--arrive", &max],
+        ] {
+            let mut command = vec!["plan", "DE"];
+            command.extend(flags);
+            let err = dispatch(&argv(&command)).unwrap_err();
+            assert!(matches!(err, CliError::Parse(_)), "{flags:?}: {err}");
+            assert!(format!("{err}").contains("past the year end"), "{flags:?}");
+        }
+        let err = dispatch(&argv(&["forecast", "DE", "--days", &max])).unwrap_err();
+        assert!(matches!(err, CliError::Parse(_)), "{err}");
+        assert!(format!("{err}").contains("--days must lie in"), "{err}");
     }
 
     #[test]
@@ -1548,7 +1573,7 @@ mod tests {
         for command in [
             Command::List,
             Command::Run {
-                id: "table1".into(),
+                ids: vec!["table1".into()],
                 json: false,
             },
             Command::ScenarioList,
@@ -1999,6 +2024,35 @@ regions = synthetic
             "routing to the hypothetical hydro grid must help"
         );
         std::fs::remove_file(&scenario_file).ok();
+    }
+
+    #[test]
+    fn history_append_names_a_scenario_without_emissions() {
+        let report = temp_file(
+            "decarb_cli_test_history_no_emissions.json",
+            r#"[{"name": "a", "emissions_g": 100.0}, {"name": "b", "jobs": 3}]"#,
+        );
+        let history = std::env::temp_dir().join("decarb_cli_test_history_no_emissions.jsonl");
+        std::fs::remove_file(&history).ok();
+        let err = dispatch(&argv(&[
+            "scenario",
+            "history",
+            "append",
+            "--report",
+            report.to_str().unwrap(),
+            "--file",
+            history.to_str().unwrap(),
+            "--rev",
+            "r1",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Failed(_)), "{err}");
+        assert!(
+            format!("{err}").contains("scenario `b` has no `emissions_g`"),
+            "{err}"
+        );
+        assert!(!history.exists(), "nothing appended");
+        std::fs::remove_file(report).ok();
     }
 
     #[test]

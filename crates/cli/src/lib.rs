@@ -202,7 +202,7 @@ pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Re
         Command::Rank { year } => commands::rank(dataset(), *year)?,
         Command::Export { zone, year } => commands::export(dataset(), zone, *year)?,
         Command::List => commands::list(),
-        Command::Run { id, json } => commands::run_experiments(id, *json)?,
+        Command::Run { ids, json } => commands::run_experiments(ids, *json)?,
         Command::ScenarioList => commands::scenario_list(),
         Command::ScenarioRun {
             target,

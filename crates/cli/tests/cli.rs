@@ -34,7 +34,7 @@ fn no_arguments_prints_usage_to_stderr_and_exits_2() {
     assert!(help.status.success());
     let text = stdout(&help);
     assert!(text.contains("usage: decarb-cli"));
-    assert!(text.contains("run      <ID|all> [--json]"));
+    assert!(text.contains("run      <ID...|all> [--json]"));
 }
 
 #[test]
@@ -209,11 +209,16 @@ fn list_enumerates_the_whole_registry() {
 
 #[test]
 fn run_unknown_id_exits_2_and_points_at_list() {
-    let out = decarb_cli(&["run", "fig99"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("unknown experiment id `fig99`"));
-    assert!(err.contains("see `list`"));
+    // Ids resolve before any experiment runs, so a bad one among
+    // several prints nothing.
+    for argv in [&["run", "fig99"][..], &["run", "table1", "fig99"]] {
+        let out = decarb_cli(argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(stdout(&out).is_empty(), "{argv:?}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown experiment id `fig99`"), "{argv:?}");
+        assert!(err.contains("see `list`"), "{argv:?}");
+    }
 }
 
 #[test]
@@ -248,6 +253,46 @@ fn run_table1_json_is_structured() {
     assert!(text.contains("\"id\": \"table1\""));
     assert!(text.contains("\"tables\""));
     assert!(text.contains("\"columns\""));
+}
+
+#[test]
+fn run_several_ids_prints_them_in_the_order_given() {
+    let out = decarb_cli(&["run", "fig1", "table1"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let fig1 = text.find("[fig1a]").expect("fig1 tables printed");
+    let table1 = text.find("[table1]").expect("table1 printed");
+    assert!(fig1 < table1, "{text}");
+
+    let out = decarb_cli(&["run", "--json", "fig1", "table1"]);
+    assert!(out.status.success());
+    let value = decarb_json::parse(&stdout(&out)).expect("JSON output");
+    let decarb_json::Value::Array(runs) = value else {
+        panic!("several ids print an array");
+    };
+    let ids: Vec<_> = runs.iter().map(|r| r.get("id").cloned()).collect();
+    assert_eq!(
+        ids,
+        [Some("fig1".into()), Some("table1".into())],
+        "{runs:?}"
+    );
+}
+
+#[test]
+fn plan_and_forecast_reject_overflowing_flags_with_exit_2() {
+    let max = usize::MAX.to_string();
+    for argv in [
+        ["plan", "DE", "--hours", "1", "--slack", &max],
+        ["plan", "DE", "--hours", "2", "--arrive", &max],
+    ] {
+        let out = decarb_cli(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{argv:?}");
+        assert!(stderr(&out).contains("past the year end"), "{argv:?}");
+    }
+    let out = decarb_cli(&["forecast", "DE", "--days", &max]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--days must lie in"));
 }
 
 #[test]

@@ -32,18 +32,6 @@ pub fn with_uniform_error(series: &TimeSeries, error: f64, seed: u64) -> TimeSer
     TimeSeries::new(series.start(), values)
 }
 
-/// Impact of one forecast-error level.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErrorImpact {
-    /// The injected uniform error magnitude (e.g. 0.5 for ±50 %).
-    pub error: f64,
-    /// Emission increase of temporal scheduling vs error-free, in percent.
-    pub temporal_increase_pct: f64,
-    /// Emission increase of spatial (∞-migration) scheduling vs
-    /// error-free, in percent.
-    pub spatial_increase_pct: f64,
-}
-
 /// Quantifies the temporal-scheduling emission increase for one region.
 ///
 /// For every arrival in the sweep, a deferred placement is chosen on the
@@ -115,37 +103,6 @@ pub fn spatial_increase_pct(
     }
 }
 
-/// Convenience bundle: computes [`ErrorImpact`] for one region's temporal
-/// scheduling and a candidate set's spatial scheduling at one error level.
-#[allow(clippy::too_many_arguments)]
-pub fn forecast_error_impact(
-    truth: &TimeSeries,
-    candidates: &[&TimeSeries],
-    error: f64,
-    seed: u64,
-    sweep_start: Hour,
-    count: usize,
-    slots: usize,
-    slack: usize,
-    stride: usize,
-) -> ErrorImpact {
-    let err_trace = with_uniform_error(truth, error, seed);
-    let temporal =
-        temporal_increase_pct(truth, &err_trace, sweep_start, count, slots, slack, stride);
-    let err_candidates: Vec<TimeSeries> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, t)| with_uniform_error(t, error, seed.wrapping_add(i as u64 + 1)))
-        .collect();
-    let err_refs: Vec<&TimeSeries> = err_candidates.iter().collect();
-    let spatial = spatial_increase_pct(candidates, &err_refs, sweep_start, count);
-    ErrorImpact {
-        error,
-        temporal_increase_pct: temporal,
-        spatial_increase_pct: spatial,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,17 +170,6 @@ mod tests {
         // Picking the wrong region occasionally cannot more than double
         // emissions for these bounded waves.
         assert!(pct < 60.0, "pct {pct}");
-    }
-
-    #[test]
-    fn bundle_produces_consistent_impact() {
-        let truth = wave(24 * 30, 0.0);
-        let other = wave(24 * 30, 2.0);
-        let impact =
-            forecast_error_impact(&truth, &[&truth, &other], 0.4, 11, Hour(0), 200, 2, 48, 5);
-        assert_eq!(impact.error, 0.4);
-        assert!(impact.temporal_increase_pct >= 0.0);
-        assert!(impact.spatial_increase_pct >= 0.0);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub use combined::{combined_shift, CombinedBreakdown};
 pub use elastic::{elastic_plan, elasticity_curve, ElasticPlan};
 pub use embodied::{net_footprint_sweep, optimal_idle, EmbodiedParams, NetPoint};
 pub use flexload::{allocate_flexible, flat_allocation, FlexAllocation};
-pub use forecast::{forecast_error_impact, ErrorImpact};
 pub use greener::greener_trace;
 pub use ksmallest::SlidingKSmallest;
 pub use latency::{rtt_ms, LatencyMatrix};

@@ -18,17 +18,6 @@ pub fn relative_reduction(absolute_g: f64) -> f64 {
     absolute_g / GLOBAL_AVG_CI * 100.0
 }
 
-/// Normalizes a job's absolute reduction by its length, yielding
-/// g·CO2eq per unit job hour (the y-axis of Figs. 7 and 8).
-#[inline]
-pub fn per_unit_job(absolute_g: f64, job_hours: f64) -> f64 {
-    if job_hours <= 0.0 {
-        0.0
-    } else {
-        absolute_g / job_hours
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,11 +40,5 @@ mod tests {
         // Fig. 2(a)'s toy example: deferring saves 13 of 68 units ≈ 19 %.
         let saved = absolute_reduction(68.0, 55.0);
         assert!((saved / 68.0 * 100.0 - 19.1).abs() < 0.5);
-    }
-
-    #[test]
-    fn per_unit_job_normalization() {
-        assert_eq!(per_unit_job(280.0, 2.0), 140.0);
-        assert_eq!(per_unit_job(100.0, 0.0), 0.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Reproduction harness: one module per figure/table of the paper, all
-//! registered behind the [`registry::Experiment`] trait.
+//! Reproduction harness: one module per figure/table of the paper, each
+//! registered as one [`registry::Experiment`] row.
 //!
 //! Every experiment module exposes a `run(&Context)` function whose
 //! result renders to text [`table::ExperimentTable`]s printing the same

@@ -2,9 +2,9 @@
 //!
 //! The workspace builds in environments with no route to a crates
 //! registry, so `serde`/`serde_json` are not available. Experiment
-//! results are *written* as JSON (for `repro --json` and `decarb-cli
-//! run --json`) through a [`Value`] tree with escaping, compact and
-//! pretty rendering, and a [`ToJson`] conversion trait; the CI
+//! results and reports are *written* as JSON (for `decarb-cli run
+//! --json` and the other `--json` outputs) through a [`Value`] tree
+//! with escaping and compact and pretty rendering; the CI
 //! emissions-regression gate also reads reports back through
 //! [`parse`].
 //!
@@ -247,31 +247,6 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 impl<T: Into<Value>> From<Option<T>> for Value {
     fn from(opt: Option<T>) -> Self {
         opt.map_or(Value::Null, Into::into)
-    }
-}
-
-/// Conversion into a JSON [`Value`] — the workspace's analogue of
-/// `serde::Serialize`.
-pub trait ToJson {
-    /// Converts `self` into a JSON value tree.
-    fn to_json(&self) -> Value;
-}
-
-impl ToJson for Value {
-    fn to_json(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        self.as_slice().to_json()
     }
 }
 

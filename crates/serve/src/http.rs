@@ -418,20 +418,6 @@ pub fn render_response(out: &mut Vec<u8>, status: u16, body: &str, keep_alive: b
     out.extend_from_slice(body.as_bytes());
 }
 
-/// Writes one JSON response to `writer`. Convenience wrapper over
-/// [`render_response`] for one-shot responders.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    render_response(&mut out, status, body, keep_alive);
-    writer.write_all(&out)?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,17 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn response_writer_frames_json() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", false).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 11\r\n"));
-        assert!(text.contains("connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-    }
-
-    #[test]
     fn render_response_reuses_the_buffer_and_marks_keep_alive() {
         let mut out = Vec::with_capacity(256);
         render_response(&mut out, 200, "{}", true);
@@ -615,6 +590,8 @@ mod tests {
         assert_eq!(out.capacity(), capacity, "render must not reallocate");
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
+        assert!(text.contains("content-length: 11\r\n"), "{text}");
         assert!(text.contains("connection: close\r\n"));
+        assert!(text.ends_with("\r\n\r\n{\"error\":1}"), "{text}");
     }
 }

@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod server;
 
 pub use api::{ApiError, Loader, PlacementService};
-pub use http::{read_request, write_response, HttpError, Request};
+pub use http::{read_request, HttpError, Request};
 pub use loadgen::{LoadConfig, LoadReport, MAX_PIPELINE};
 pub use metrics::{Endpoint, Metrics};
 pub use server::{handle_connection, Server};

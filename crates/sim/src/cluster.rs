@@ -121,12 +121,6 @@ impl CloudView<'_> {
         Some(&self.datacenters[slot_in(self.slot_of, id)?])
     }
 
-    /// Returns `true` if a datacenter is deployed in `id`'s region.
-    #[inline]
-    pub fn is_deployed(&self, id: RegionId) -> bool {
-        slot_in(self.slot_of, id).is_some()
-    }
-
     /// Returns the current carbon-intensity of a zone.
     #[inline]
     pub fn current_ci(&self, id: RegionId) -> Option<f64> {
@@ -214,10 +208,9 @@ mod tests {
         assert_eq!(view.greenest_with_capacity(), Some(se));
         assert!(view.current_ci(se).unwrap() < view.current_ci(pl).unwrap());
         assert!(view.datacenter(se).is_some());
-        assert!(view.is_deployed(pl));
+        assert!(view.datacenter(pl).is_some());
         let de = traces.id_of("DE").unwrap();
         assert!(view.datacenter(de).is_none());
-        assert!(!view.is_deployed(de));
         assert!(view.current_ci(RegionId(9999)).is_none());
     }
 }

@@ -57,11 +57,6 @@ impl OverheadModel {
     pub fn migration_kwh(&self) -> f64 {
         self.migrate_kwh_per_gb * self.state_gb
     }
-
-    /// Returns `true` when every overhead is zero (the ideal case).
-    pub fn is_zero(&self) -> bool {
-        self.suspend_kwh == 0.0 && self.resume_kwh == 0.0 && self.migration_kwh() == 0.0
-    }
 }
 
 #[cfg(test)]
@@ -71,14 +66,14 @@ mod tests {
     #[test]
     fn default_is_the_papers_idealization() {
         let m = OverheadModel::default();
-        assert!(m.is_zero());
+        assert_eq!(m, OverheadModel::ZERO);
         assert_eq!(m.migration_kwh(), 0.0);
     }
 
     #[test]
     fn realistic_point_has_positive_costs() {
         let m = OverheadModel::realistic();
-        assert!(!m.is_zero());
+        assert!(m.suspend_kwh > 0.0 && m.resume_kwh > 0.0);
         assert!((m.migration_kwh() - 2.5).abs() < 1e-12);
     }
 
@@ -90,6 +85,5 @@ mod tests {
             ..OverheadModel::ZERO
         };
         assert_eq!(m.migration_kwh(), 0.0);
-        assert!(m.is_zero());
     }
 }

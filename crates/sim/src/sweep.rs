@@ -1,10 +1,9 @@
 //! The sharded sweep pipeline: **plan → partition → execute → merge**.
 //!
-//! `run_scenarios` used to fuse expansion, validation, execution, and
-//! reporting into one in-process call, which capped sweeps at a single
-//! machine's core count and turned a bad zone code into a panic on a
-//! worker thread. This module separates the stages so large sweeps can
-//! be partitioned across processes (and machines) and recombined:
+//! Every sweep, including [`crate::run_scenarios`], runs through these
+//! stages. Keeping them apart lets a bad zone code fail the plan before
+//! any scenario runs, and lets large sweeps be partitioned across
+//! processes (and machines) and recombined:
 //!
 //! 1. **Plan** — [`SweepPlan::plan`] turns a scenario list (a matrix
 //!    expansion or a scenario file) into a deterministic, stably-ordered

@@ -35,11 +35,6 @@ pub fn average_daily_cv(hourly: &[f64]) -> f64 {
 /// Classification threshold: daily CV below this is "low variation".
 pub const LOW_VARIATION_THRESHOLD: f64 = 0.1;
 
-/// Returns `true` if the signal counts as low-variation per the paper.
-pub fn is_low_variation(hourly: &[f64]) -> bool {
-    average_daily_cv(hourly) < LOW_VARIATION_THRESHOLD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,7 +43,6 @@ mod tests {
     fn constant_signal_has_zero_cv() {
         let signal = vec![100.0; 24 * 7];
         assert_eq!(average_daily_cv(&signal), 0.0);
-        assert!(is_low_variation(&signal));
     }
 
     #[test]
@@ -59,7 +53,6 @@ mod tests {
             .collect();
         let signal: Vec<f64> = day.repeat(10);
         assert!((average_daily_cv(&signal) - 0.5).abs() < 1e-12);
-        assert!(!is_low_variation(&signal));
     }
 
     #[test]

@@ -1,67 +1,5 @@
 //! Descriptive statistics over `f64` slices.
 
-/// A one-pass summary of a sample: moments, extremes, and derived ratios.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `values`.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        Some(Summary {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
-        })
-    }
-
-    /// Returns the coefficient of variation (σ / μ).
-    ///
-    /// Returns 0.0 when the mean is zero to keep downstream table code
-    /// panic-free on degenerate inputs.
-    pub fn cv(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
-
-    /// Returns the half-width of a normal-approximation 95 % confidence
-    /// interval for the mean.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        1.96 * self.std_dev / (self.count as f64).sqrt()
-    }
-}
-
 /// Returns the arithmetic mean of `values` (0.0 when empty).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -71,115 +9,9 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Returns the `q`-quantile of `values` using linear interpolation.
-///
-/// `q` is clamped to `[0, 1]`. Returns `None` for an empty slice.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Returns the Pearson correlation between two equal-length samples.
-///
-/// Returns `None` if the slices differ in length, are shorter than two
-/// elements, or either sample has zero variance.
-pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() || a.len() < 2 {
-        return None;
-    }
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        return None;
-    }
-    Some(cov / (va.sqrt() * vb.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert_eq!(s.count, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.cv() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn cv_zero_mean() {
-        let s = Summary::of(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.cv(), 0.0);
-    }
-
-    #[test]
-    fn ci95_shrinks_with_n() {
-        let narrow = Summary::of(&[1.0, 2.0, 3.0].repeat(100)).unwrap();
-        let wide = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        assert!(narrow.ci95_half_width() < wide.ci95_half_width());
-    }
-
-    #[test]
-    fn quantiles() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&v, 0.0), Some(1.0));
-        assert_eq!(quantile(&v, 1.0), Some(5.0));
-        assert_eq!(quantile(&v, 0.5), Some(3.0));
-        assert_eq!(quantile(&v, 0.25), Some(2.0));
-        assert!((quantile(&v, 0.1).unwrap() - 1.4).abs() < 1e-12);
-        assert_eq!(quantile(&[], 0.5), None);
-        // Out-of-range q clamps.
-        assert_eq!(quantile(&v, 2.0), Some(5.0));
-    }
-
-    #[test]
-    fn quantile_unsorted_input() {
-        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile(&v, 0.5), Some(3.0));
-    }
-
-    #[test]
-    fn pearson_perfect_and_inverse() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let z = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&x, &z).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate() {
-        assert!(pearson(&[1.0], &[1.0]).is_none());
-        assert!(pearson(&[1.0, 2.0], &[1.0]).is_none());
-        assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_none());
-    }
 
     #[test]
     fn mean_empty() {

@@ -5,8 +5,7 @@
 //! and Azure Data Explorer. This crate reimplements each of them from
 //! scratch so the workspace has no external analytics dependencies:
 //!
-//! * [`descriptive`] — means, variance, coefficient of variation,
-//!   quantiles, confidence intervals;
+//! * [`descriptive`] — the arithmetic mean;
 //! * [`daily`] — the paper's *average daily CV* variability metric;
 //! * [mod@fft] — an iterative radix-2 Cooley–Tukey FFT;
 //! * [`periodicity`] — FFT-periodogram period detection with an
@@ -16,8 +15,7 @@
 //! * [mod@kmeans] — deterministic K-Means++ (Fig. 3(b) clustering);
 //! * [`regression`] — least-squares linear fit (the idle-capacity ≈
 //!   reduction correlation in §5.3.1);
-//! * [`rank`] — Kendall's τ and Spearman's ρ (the §5.1.4 rank-order
-//!   stability claim).
+//! * [`rank`] — Kendall's τ (the §5.1.4 rank-order stability claim).
 
 pub mod autocorr;
 pub mod daily;
@@ -31,10 +29,9 @@ pub mod seasonal;
 
 pub use autocorr::autocorrelation;
 pub use daily::average_daily_cv;
-pub use descriptive::Summary;
 pub use fft::{fft, ifft, Complex};
 pub use kmeans::{kmeans, KMeansResult};
 pub use periodicity::{detect_periods, periodicity_score, DetectedPeriod};
-pub use rank::{kendall_tau, spearman_rho};
+pub use rank::kendall_tau;
 pub use regression::{linear_fit, LinearFit};
 pub use seasonal::{decompose, Decomposition};

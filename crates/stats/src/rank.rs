@@ -43,46 +43,6 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> Option<f64> {
     Some((concordant - discordant) as f64 / pairs)
 }
 
-/// Spearman's ρ rank correlation between two aligned samples.
-///
-/// Ranks both samples (average ranks for ties) and returns the Pearson
-/// correlation of the ranks; `None` when fewer than two observations or
-/// zero rank variance.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn spearman_rho(a: &[f64], b: &[f64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "samples must align");
-    if a.len() < 2 {
-        return None;
-    }
-    let ra = ranks(a);
-    let rb = ranks(b);
-    crate::descriptive::pearson(&ra, &rb)
-}
-
-/// Average ranks (1-based) with ties sharing the mean of their positions.
-pub fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
-    let mut out = vec![0.0; values.len()];
-    let mut pos = 0usize;
-    while pos < order.len() {
-        let mut end = pos + 1;
-        while end < order.len() && values[order[end]] == values[order[pos]] {
-            end += 1;
-        }
-        // Positions pos..end share the average 1-based rank.
-        let avg = (pos + 1 + end) as f64 / 2.0;
-        for &idx in &order[pos..end] {
-            out[idx] = avg;
-        }
-        pos = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +52,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(kendall_tau(&a, &b), Some(1.0));
-        assert!((spearman_rho(&a, &b).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -100,7 +59,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [4.0, 3.0, 2.0, 1.0];
         assert_eq!(kendall_tau(&a, &b), Some(-1.0));
-        assert!((spearman_rho(&a, &b).unwrap() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -131,18 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn ranks_handle_ties_with_average() {
-        let r = ranks(&[10.0, 20.0, 20.0, 5.0]);
-        assert_eq!(r, vec![2.0, 3.5, 3.5, 1.0]);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         assert_eq!(kendall_tau(&[], &[]), None);
         assert_eq!(kendall_tau(&[1.0], &[2.0]), None);
-        assert_eq!(spearman_rho(&[1.0], &[1.0]), None);
-        // Constant sample: zero rank variance.
-        assert_eq!(spearman_rho(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), None);
     }
 
     #[test]
@@ -151,8 +100,6 @@ mod tests {
         let b: Vec<f64> = (0..30).map(|i| ((i * 7 + 5) % 19) as f64).collect();
         let tau = kendall_tau(&a, &b).unwrap();
         assert!((-1.0..=1.0).contains(&tau));
-        let rho = spearman_rho(&a, &b).unwrap();
-        assert!((-1.0..=1.0).contains(&rho));
     }
 
     #[test]

@@ -70,11 +70,6 @@ pub const MAGIC: [u8; 8] = [0x89, b'D', b'C', b'T', 0x0D, 0x0A, 0x1A, 0x0A];
 /// The format revision written by [`encode`].
 pub const VERSION: u16 = 1;
 
-/// Default minutes per sample (hourly) — what [`encode`] writes for
-/// datasets that never declared a finer axis. Containers may carry any
-/// divisor of 60; [`decode`] validates and stamps it onto the dataset.
-pub const RESOLUTION_MINUTES: u32 = 60;
-
 /// Fixed header length in bytes (magic through `meta_len`).
 const HEADER_LEN: usize = 36;
 /// Trailer length in bytes (the FNV-1a hash).

@@ -265,16 +265,6 @@ impl TraceSet {
             .collect()
     }
 
-    /// Returns each region's mean CI over the window `[from, from+len)`.
-    pub fn window_means(&self, from: Hour, len: usize) -> Result<Vec<(&Region, f64)>, TraceError> {
-        self.iter()
-            .map(|(region, series)| {
-                let w = series.window(from, len)?;
-                Ok((region, w.iter().sum::<f64>() / len as f64))
-            })
-            .collect()
-    }
-
     /// Returns each region's mean CI over calendar `year`.
     pub fn annual_means(&self, year: i32) -> Vec<(&Region, f64)> {
         let start = time::year_start(year);
@@ -415,19 +405,6 @@ mod tests {
             data.region("NOPE"),
             Err(TraceError::UnknownRegion(_))
         ));
-    }
-
-    #[test]
-    fn window_means_match_annual_means() {
-        let data = builtin_dataset();
-        let start = time::year_start(2022);
-        let len = time::hours_in_year(2022);
-        let windows = data.window_means(start, len).unwrap();
-        let annual = data.annual_means(2022);
-        for (w, a) in windows.iter().zip(annual.iter()) {
-            assert_eq!(w.0.code, a.0.code);
-            assert!((w.1 - a.1).abs() < 1e-9);
-        }
     }
 
     #[test]

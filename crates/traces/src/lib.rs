@@ -59,7 +59,7 @@ pub use series::{ChunkedPrefix, TimeSeries};
 pub use sidecar::{parse_region_sidecar, parse_sidecar, SidecarDoc};
 pub use synth::{SynthConfig, Synthesizer};
 pub use table::{RegionId, RegionTable};
-pub use time::{Hour, Resolution, HOURS_PER_DAY, HOURS_PER_WEEK, HOURS_PER_YEAR};
+pub use time::{Hour, Resolution, HOURS_PER_DAY, HOURS_PER_YEAR};
 pub use validate::{repair, validate, ValidationConfig, ValidationReport};
 
 /// The paper's global average carbon-intensity baseline, in g·CO2eq/kWh.

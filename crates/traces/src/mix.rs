@@ -163,46 +163,6 @@ impl EnergyMix {
             + self.share(Source::Biomass)
     }
 
-    /// Returns the combined share of variable renewables (wind + solar),
-    /// the driver of carbon-intensity *variability*.
-    pub fn variable_renewable_share(&self) -> f64 {
-        self.share(Source::Wind) + self.share(Source::Solar)
-    }
-
-    /// Returns the mix-implied average carbon-intensity in g·CO2eq/kWh.
-    pub fn implied_ci(&self) -> f64 {
-        Source::ALL
-            .iter()
-            .map(|&s| self.share(s) * s.emission_factor())
-            .sum()
-    }
-
-    /// Returns a new mix with an extra `fraction` of total generation added
-    /// from variable renewables (50 % wind, 50 % solar), displacing the
-    /// existing mix proportionally.
-    ///
-    /// This is the transformation behind the paper's "increasing renewable
-    /// penetration" what-if (§6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= fraction < 1.0`.
-    pub fn with_added_renewables(&self, fraction: f64) -> EnergyMix {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "added renewable fraction must be in [0, 1)"
-        );
-        let mut shares = self.shares;
-        for s in &mut shares {
-            *s *= 1.0 - fraction;
-        }
-        let wind_idx = Source::Wind.index();
-        let solar_idx = Source::Solar.index();
-        shares[wind_idx] += fraction / 2.0;
-        shares[solar_idx] += fraction / 2.0;
-        EnergyMix::new(shares)
-    }
-
     /// Iterates over `(source, share)` pairs with non-zero share.
     pub fn iter(&self) -> impl Iterator<Item = (Source, f64)> + '_ {
         Source::ALL
@@ -238,39 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn implied_ci_weighted_average() {
-        let mix = EnergyMix::new([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
-        // Half coal (820), half hydro (24) → 422.
-        assert!((mix.implied_ci() - 422.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn share_groupings() {
         let mix = california_like();
         assert!((mix.fossil_share() - 0.40).abs() < 1e-9);
-        assert!((mix.variable_renewable_share() - 0.35).abs() < 1e-9);
         assert!((mix.renewable_share() - 0.52).abs() < 1e-9);
-    }
-
-    #[test]
-    fn added_renewables_lower_ci() {
-        let mix = california_like();
-        let greener = mix.with_added_renewables(0.5);
-        assert!(greener.implied_ci() < mix.implied_ci());
-        assert!(greener.variable_renewable_share() > mix.variable_renewable_share());
-        let total: f64 = Source::ALL.iter().map(|&s| greener.share(s)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn added_renewables_monotone() {
-        let mix = california_like();
-        let mut last = mix.implied_ci();
-        for pct in [0.1, 0.3, 0.5, 0.7, 0.9] {
-            let ci = mix.with_added_renewables(pct).implied_ci();
-            assert!(ci < last, "CI should fall as renewables grow");
-            last = ci;
-        }
     }
 
     #[test]
@@ -294,11 +225,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_share_panics() {
         EnergyMix::new([-0.1, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in [0, 1)")]
-    fn bad_renewable_fraction_panics() {
-        california_like().with_added_renewables(1.0);
     }
 }

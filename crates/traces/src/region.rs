@@ -166,11 +166,6 @@ pub struct Region {
 }
 
 impl Region {
-    /// Returns the 2020 annual mean implied by the calibration targets.
-    pub fn mean_ci_2020(&self) -> f64 {
-        self.mean_ci_2022 - self.ci_delta_2020_2022
-    }
-
     /// Returns the calibrated annual mean for `year`, linearly
     /// interpolating the 2020→2022 drift and extrapolating to 2023.
     pub fn mean_ci(&self, year: i32) -> f64 {
@@ -349,7 +344,6 @@ mod tests {
     #[test]
     fn mean_ci_interpolation() {
         let r = region(300.0, -50.0);
-        assert!((r.mean_ci_2020() - 350.0).abs() < 1e-9);
         assert!((r.mean_ci(2020) - 350.0).abs() < 1e-9);
         assert!((r.mean_ci(2021) - 325.0).abs() < 1e-9);
         assert!((r.mean_ci(2022) - 300.0).abs() < 1e-9);

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use crate::catalog;
 use crate::error::TraceError;
-use crate::region::{GeoGroup, Region};
+use crate::region::Region;
 
 /// A dense handle to an interned region, valid for the table that
 /// produced it.
@@ -94,15 +94,6 @@ impl RegionTable {
         Ok(id)
     }
 
-    /// Interns `region` unless its code is already present, returning
-    /// the (new or existing) id.
-    pub fn intern_or_get(&mut self, region: Region) -> Result<RegionId, TraceError> {
-        match self.id(&region.code) {
-            Some(id) => Ok(id),
-            None => self.intern(region),
-        }
-    }
-
     /// Looks a code up at the string edge.
     pub fn id(&self, code: &str) -> Option<RegionId> {
         self.index.get(code).copied()
@@ -116,12 +107,6 @@ impl RegionTable {
     #[inline]
     pub fn get(&self, id: RegionId) -> &Region {
         &self.regions[id.index()]
-    }
-
-    /// The region behind `id`, if the id belongs to this table.
-    #[inline]
-    pub fn try_get(&self, id: RegionId) -> Option<&Region> {
-        self.regions.get(id.index())
     }
 
     /// The zone code behind `id` (panics on a foreign id).
@@ -171,14 +156,6 @@ impl RegionTable {
         }
         ranks
     }
-
-    /// Ids of the regions in `group`, in intern order.
-    pub fn ids_in_group(&self, group: GeoGroup) -> Vec<RegionId> {
-        self.iter()
-            .filter(|(_, r)| r.group == group)
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,14 +189,12 @@ mod tests {
             assert_eq!(table.id(&region.code), Some(id), "{}", region.code);
             assert_eq!(table.get(id).code, region.code);
             assert_eq!(table.code(id), region.code);
-            assert!(table.try_get(id).is_some());
         }
         assert_eq!(
             table.id("SE").map(|id| table.get(id).name.as_str()),
             Some("Sweden")
         );
         assert!(table.id("NOPE").is_none());
-        assert!(table.try_get(RegionId(9999)).is_none());
     }
 
     #[test]
@@ -238,9 +213,6 @@ mod tests {
         table.intern(Region::user("AA")).unwrap();
         let err = table.intern(Region::user("AA")).unwrap_err();
         assert!(matches!(err, TraceError::DuplicateRegion(code) if code == "AA"));
-        // intern_or_get returns the existing id instead.
-        let id = table.intern_or_get(Region::user("AA")).unwrap();
-        assert_eq!(id, RegionId(0));
         assert_eq!(table.len(), 1);
     }
 
@@ -255,17 +227,6 @@ mod tests {
         );
         let dup = vec![Region::user("AA"), Region::user("AA")];
         assert!(RegionTable::from_regions(dup).is_err());
-    }
-
-    #[test]
-    fn group_queries_by_id() {
-        let table = RegionTable::builtin();
-        let oceania = table.ids_in_group(GeoGroup::Oceania);
-        assert_eq!(oceania.len(), 7);
-        assert!(oceania
-            .iter()
-            .all(|&id| table.get(id).group == GeoGroup::Oceania));
-        assert!(table.ids_in_group(GeoGroup::Other).is_empty());
     }
 
     #[test]

@@ -8,8 +8,6 @@
 
 /// Hours in a day.
 pub const HOURS_PER_DAY: usize = 24;
-/// Hours in a week.
-pub const HOURS_PER_WEEK: usize = 168;
 /// Hours in a non-leap year.
 pub const HOURS_PER_YEAR: usize = 8760;
 
@@ -181,19 +179,6 @@ impl Resolution {
         (slots.ceil() as usize).max(1)
     }
 
-    /// Re-anchors an hour-domain index (e.g. [`year_start`]) as a slot
-    /// index on this axis.
-    #[inline]
-    pub fn slot_of_hour(self, hour: Hour) -> Hour {
-        Hour(hour.0 * self.slots_per_hour() as u32)
-    }
-
-    /// Returns `true` when `slot` falls on a wall-clock hour boundary.
-    #[inline]
-    pub fn is_hour_aligned(self, slot: Hour) -> bool {
-        slot.index().is_multiple_of(self.slots_per_hour())
-    }
-
     /// Returns `true` when `hours` wall-clock hours convert to a whole
     /// number of slots — trivially true for integer hours; used by the
     /// scenario checker for fractional durations.
@@ -251,13 +236,6 @@ pub fn year_start(year: i32) -> Hour {
 /// Returns the total number of hours in the full 2020–2023 horizon.
 pub fn horizon_hours() -> usize {
     (EPOCH_YEAR..=LAST_YEAR).map(hours_in_year).sum()
-}
-
-/// Returns every hourly start time within `year` as absolute hours.
-pub fn hours_of_year(year: i32) -> impl Iterator<Item = Hour> {
-    let start = year_start(year).0;
-    let len = hours_in_year(year) as u32;
-    (start..start + len).map(Hour)
 }
 
 #[cfg(test)]
@@ -328,15 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn hours_of_year_iterates_full_year() {
-        let hours: Vec<Hour> = hours_of_year(2022).collect();
-        assert_eq!(hours.len(), 8760);
-        assert_eq!(hours[0], year_start(2022));
-        assert_eq!(hours[0].year(), 2022);
-        assert_eq!(hours.last().unwrap().year(), 2022);
-    }
-
-    #[test]
     fn display_formats() {
         let h = year_start(2022).plus(5);
         assert_eq!(format!("{h}"), "2022y+0005h");
@@ -370,9 +339,6 @@ mod tests {
         assert_eq!(five.duration_to_slots(8.0), 96);
         assert_eq!(five.duration_to_slots(0.01), 1, "at least one slot");
         assert_eq!(five.duration_to_slots(6.5), 78);
-        assert_eq!(five.slot_of_hour(Hour(100)), Hour(1200));
-        assert!(five.is_hour_aligned(Hour(24)));
-        assert!(!five.is_hour_aligned(Hour(25)));
         assert!(five.aligns(6.5));
         assert!(!five.aligns(6.51));
         assert_eq!(format!("{five}"), "5min");
@@ -387,8 +353,6 @@ mod tests {
         assert_eq!(hourly.hours_to_slots(17), 17);
         assert_eq!(hourly.duration_to_slots(8.0), 8);
         assert_eq!(hourly.duration_to_slots(7.2), 8, "ceiling");
-        assert_eq!(hourly.slot_of_hour(Hour(42)), Hour(42));
-        assert!(hourly.is_hour_aligned(Hour(41)));
         assert!(hourly.aligns(3.0));
         assert!(!hourly.aligns(2.5));
     }

@@ -57,14 +57,6 @@ impl ValidationReport {
             && self.spikes.is_empty()
             && self.stuck_runs.is_empty()
     }
-
-    /// Total number of defective samples (stuck runs counted in full).
-    pub fn defect_count(&self) -> usize {
-        self.non_finite.len()
-            + self.non_positive.len()
-            + self.spikes.len()
-            + self.stuck_runs.iter().map(|&(_, len)| len).sum::<usize>()
-    }
 }
 
 /// Validates a trace against `config`.
@@ -181,7 +173,6 @@ mod tests {
         let s = series(&[300.0, 310.0, 290.0, 305.0, 295.0]);
         let report = validate(&s, &ValidationConfig::default());
         assert!(report.is_clean());
-        assert_eq!(report.defect_count(), 0);
         assert_eq!(report.samples, 5);
     }
 

@@ -78,35 +78,6 @@ impl ClusterTrace {
     pub fn total_energy_kwh(&self) -> f64 {
         self.jobs.iter().map(|j| j.energy_kwh()).sum()
     }
-
-    /// Returns the fraction of total resource usage contributed by jobs
-    /// of at least `min_hours` length.
-    pub fn usage_share_of_long_jobs(&self, min_hours: f64) -> f64 {
-        let total = self.total_energy_kwh();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let long: f64 = self
-            .jobs
-            .iter()
-            .filter(|j| j.length_hours >= min_hours)
-            .map(|j| j.energy_kwh())
-            .sum();
-        long / total
-    }
-
-    /// Returns the fraction of job *count* with at least `min_hours` length.
-    pub fn count_share_of_long_jobs(&self, min_hours: f64) -> f64 {
-        if self.jobs.is_empty() {
-            return 0.0;
-        }
-        let long = self
-            .jobs
-            .iter()
-            .filter(|j| j.length_hours >= min_hours)
-            .count();
-        long as f64 / self.jobs.len() as f64
-    }
 }
 
 fn sample_bucket(weights: &[f64; 8], u: f64) -> usize {
@@ -161,8 +132,14 @@ mod tests {
         // §5.2.5: ≈ 1 % of very long jobs account for ≈ 90 % of usage in
         // the Google trace; our week-long bucket alone must dominate.
         let trace = google_trace(200_000);
-        let count_share = trace.count_share_of_long_jobs(96.0);
-        let usage_share = trace.usage_share_of_long_jobs(96.0);
+        let long: Vec<&Job> = trace
+            .jobs
+            .iter()
+            .filter(|j| j.length_hours >= 96.0)
+            .collect();
+        let count_share = long.len() as f64 / trace.jobs.len() as f64;
+        let usage_share =
+            long.iter().map(|j| j.energy_kwh()).sum::<f64>() / trace.total_energy_kwh();
         assert!(count_share < 0.03, "count share {count_share}");
         assert!(usage_share > 0.6, "usage share {usage_share}");
     }
@@ -192,7 +169,5 @@ mod tests {
     fn empty_trace_is_safe() {
         let trace = ClusterTrace { jobs: Vec::new() };
         assert_eq!(trace.total_energy_kwh(), 0.0);
-        assert_eq!(trace.usage_share_of_long_jobs(1.0), 0.0);
-        assert_eq!(trace.count_share_of_long_jobs(1.0), 0.0);
     }
 }

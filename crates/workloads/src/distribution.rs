@@ -72,21 +72,6 @@ impl JobLengthDistribution {
             JobLengthDistribution::GoogleLike => "Google",
         }
     }
-
-    /// Computes the weighted average of per-bucket values (e.g. per-length
-    /// carbon reductions) under this distribution's resource weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `per_bucket` has exactly 8 entries.
-    pub fn weighted_mean(self, per_bucket: &[f64]) -> f64 {
-        assert_eq!(per_bucket.len(), 8, "expected one value per length bucket");
-        self.resource_weights()
-            .iter()
-            .zip(per_bucket)
-            .map(|(w, v)| w * v)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -144,31 +129,5 @@ mod tests {
             // The week-long bucket is ≈ 1 % of jobs but ≥ 50 % of usage.
             assert!(c[7] < 0.02, "{dist:?} long-job count share {}", c[7]);
         }
-    }
-
-    #[test]
-    fn weighted_mean_equal_is_plain_mean() {
-        let values = [8.0, 16.0, 24.0, 32.0, 40.0, 48.0, 56.0, 64.0];
-        let mean = JobLengthDistribution::Equal.weighted_mean(&values);
-        assert!((mean - 36.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_mean_prefers_tail_for_cloud_traces() {
-        // Decreasing per-length values (as in Fig. 7) yield lower weighted
-        // means under the long-job-heavy cloud distributions.
-        let decreasing = [154.0, 150.0, 140.0, 120.0, 110.0, 95.0, 80.0, 70.0];
-        let equal = JobLengthDistribution::Equal.weighted_mean(&decreasing);
-        let azure = JobLengthDistribution::AzureLike.weighted_mean(&decreasing);
-        let google = JobLengthDistribution::GoogleLike.weighted_mean(&decreasing);
-        assert!(azure < equal);
-        assert!(google < equal);
-        assert!(azure < google);
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per length bucket")]
-    fn weighted_mean_wrong_len_panics() {
-        JobLengthDistribution::Equal.weighted_mean(&[1.0, 2.0]);
     }
 }

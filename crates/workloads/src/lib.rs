@@ -3,8 +3,8 @@
 //! Implements Table 1 of the paper: the job dimensions (length, slack,
 //! deferrability, interruptibility, migratability), the job-length
 //! distributions derived from the Azure Public Dataset and Google's Borg
-//! v3 trace, and generators that sweep arrivals across every hour of a
-//! year.
+//! v3 trace, synthetic cluster traces, and the declarative workload specs
+//! scenarios materialize into jobs.
 //!
 //! All jobs use the paper's *energy-optimized 100 % usage* resource model:
 //! a job draws a constant 1 kW for its whole length, so carbon emissions in
@@ -13,12 +13,10 @@
 
 pub mod cluster_trace;
 pub mod distribution;
-pub mod generator;
 pub mod job;
 pub mod spec;
 
 pub use cluster_trace::{ClusterTrace, ClusterTraceConfig};
 pub use distribution::JobLengthDistribution;
-pub use generator::{arrival_sweep, MixedWorkload};
 pub use job::{Job, JobClass, Slack, JOB_LENGTHS_HOURS};
 pub use spec::{Arrival, RecipeError, WorkloadSpec, DEFAULT_ARRIVAL_SEED};
