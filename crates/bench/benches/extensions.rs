@@ -3,17 +3,16 @@
 //! simulator.
 //!
 //! Extension figures are timed through the registry like `figures.rs`;
-//! the rows below time the underlying kernels. `DECARB_BENCH_PRINT=1`
-//! also prints the regenerated extension tables.
+//! the rows below time the underlying kernels.
 
 use std::hint::black_box;
-use std::sync::OnceLock;
 
-use decarb_bench::{print_tables, Harness};
+use decarb_bench::Harness;
 use decarb_core::elastic::elastic_plan;
 use decarb_core::flexload::{allocate_by_average_ci, allocate_flexible};
 use decarb_core::signals::compare_signals;
-use decarb_experiments::{registry, Context};
+use decarb_experiments::context::shared;
+use decarb_experiments::registry;
 use decarb_forecast::{
     backtest, BacktestConfig, DiurnalTemplate, Forecaster, LinearAr, Persistence, SeasonalNaive,
 };
@@ -22,31 +21,8 @@ use decarb_traces::grid::{curtailment_grid, two_level_demand};
 use decarb_traces::time::year_start;
 use decarb_workloads::{Job, Slack};
 
-fn ctx() -> &'static Context {
-    static CTX: OnceLock<Context> = OnceLock::new();
-    CTX.get_or_init(Context::default)
-}
-
-/// Prints an experiment's tables once, outside any timed section.
-fn print_once(id: &str) {
-    if !print_tables() {
-        return;
-    }
-    static PRINTED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
-    let mut printed = PRINTED.lock().expect("print lock");
-    if printed.iter().any(|p| p == id) {
-        return;
-    }
-    printed.push(id.to_string());
-    let experiment = registry::find(id).expect("known experiment id");
-    for table in experiment.run(ctx()) {
-        println!("{table}");
-    }
-}
-
 fn bench_ext_forecast(h: &Harness) {
-    print_once("ext-forecast");
-    let data = ctx().data();
+    let data = shared().data();
     let series = data.series("US-CA").expect("trace");
     let history = series.slice(year_start(2021), 8760).expect("training year");
 
@@ -79,8 +55,7 @@ fn bench_ext_forecast(h: &Harness) {
 }
 
 fn bench_ext_elastic(h: &Harness) {
-    print_once("ext-elastic");
-    let data = ctx().data();
+    let data = shared().data();
     let series = data.series("US-CA").expect("trace");
     let arrival = year_start(2022);
     for &m in &[1usize, 8, 48] {
@@ -98,7 +73,6 @@ fn bench_ext_elastic(h: &Harness) {
 }
 
 fn bench_ext_grid(h: &Harness) {
-    print_once("ext-grid");
     let fleet = curtailment_grid();
     let demand = two_level_demand;
     h.bench("extensions/grid/dispatch_week", || {
@@ -139,8 +113,7 @@ fn bench_ext_grid(h: &Harness) {
 }
 
 fn bench_ext_sim(h: &Harness) {
-    print_once("ext-embodied");
-    let data = ctx().data();
+    let data = shared().data();
     let codes = ["US-CA", "DE", "GB", "SE", "IN-WE"];
     let regions: Vec<decarb_traces::RegionId> = codes
         .iter()
@@ -183,10 +156,9 @@ fn bench_ext_registry(h: &Harness) {
         "ext-rank",
         "ext-pareto",
     ] {
-        print_once(id);
         let experiment = registry::find(id).expect("known experiment id");
         h.bench(&format!("extensions/registry/{id}"), || {
-            black_box(experiment.run(ctx()))
+            black_box(experiment.run(shared()))
         });
     }
 }

@@ -2,56 +2,30 @@
 //!
 //! Figure-level timings go through the experiment registry (the same
 //! uniform pipeline `decarb-cli run` uses); kernel-scale
-//! rows below time the computation behind the figure directly. With
-//! `DECARB_BENCH_PRINT=1` each group first prints the regenerated
-//! tables, so a bench log doubles as a reproduction run.
+//! rows below time the computation behind the figure directly.
 
 use std::hint::black_box;
-use std::sync::OnceLock;
 
-use decarb_bench::{print_tables, Harness};
+use decarb_bench::Harness;
 use decarb_core::capacity::{water_filling, IdleCapacity};
-use decarb_core::latency::LatencyMatrix;
 use decarb_core::spatial::lower_envelope;
 use decarb_core::temporal::TemporalPlanner;
-use decarb_experiments::{registry, Context};
+use decarb_experiments::context::shared;
+use decarb_experiments::registry;
 use decarb_stats::periodicity::periodicity_score;
 use decarb_traces::time::{hours_in_year, year_start};
 use decarb_traces::Region;
 
-fn ctx() -> &'static Context {
-    static CTX: OnceLock<Context> = OnceLock::new();
-    CTX.get_or_init(Context::default)
-}
-
-/// Prints an experiment's tables once, outside any timed section.
-fn print_once(id: &str) {
-    if !print_tables() {
-        return;
-    }
-    static PRINTED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
-    let mut printed = PRINTED.lock().expect("print lock");
-    if printed.iter().any(|p| p == id) {
-        return;
-    }
-    printed.push(id.to_string());
-    let experiment = registry::find(id).expect("known experiment id");
-    for table in experiment.run(ctx()) {
-        println!("{table}");
-    }
-}
-
 /// Times one registry experiment end-to-end.
 fn bench_experiment(h: &Harness, id: &str) {
-    print_once(id);
     let experiment = registry::find(id).expect("known experiment id");
     h.bench(&format!("figures/registry/{id}"), || {
-        black_box(experiment.run(ctx()))
+        black_box(experiment.run(shared()))
     });
 }
 
 fn bench_fig4_kernel(h: &Harness) {
-    let data = ctx().data();
+    let data = shared().data();
     let start = year_start(2022);
     let len = hours_in_year(2022);
     let window = data
@@ -66,7 +40,7 @@ fn bench_fig4_kernel(h: &Harness) {
 }
 
 fn bench_fig5_kernel(h: &Harness) {
-    let means = ctx().data().annual_means(2022);
+    let means = shared().data().annual_means(2022);
     let feasible = |_: &Region, _: &Region| true;
     h.bench("figures/kernel/water_filling_123_regions", || {
         black_box(water_filling(
@@ -78,11 +52,8 @@ fn bench_fig5_kernel(h: &Harness) {
 }
 
 fn bench_fig6_kernels(h: &Harness) {
-    let regions: Vec<&decarb_traces::Region> = ctx().regions().iter().collect();
-    h.bench("figures/kernel/latency_matrix_build", || {
-        black_box(LatencyMatrix::build(&regions))
-    });
-    let data = ctx().data();
+    let regions: Vec<&decarb_traces::Region> = shared().regions().iter().collect();
+    let data = shared().data();
     let start = year_start(2022);
     h.bench("figures/kernel/lower_envelope_global_week", || {
         black_box(lower_envelope(data, &regions, start, 168))
@@ -92,7 +63,7 @@ fn bench_fig6_kernels(h: &Harness) {
 /// Times one region's full-year sweep — the unit of work Figs. 7–10 fan
 /// out over 123 regions × 7 lengths × slacks.
 fn bench_fig7to10_kernels(h: &Harness) {
-    let data = ctx().data();
+    let data = shared().data();
     let planner = TemporalPlanner::new(data.series("DE").expect("trace"));
     let start = year_start(2022);
     let count = hours_in_year(2022);
@@ -107,7 +78,7 @@ fn bench_fig7to10_kernels(h: &Harness) {
 }
 
 fn bench_fig11_kernels(h: &Harness) {
-    let data = ctx().data();
+    let data = shared().data();
     h.bench("figures/kernel/mixed_workload_sweep", || {
         black_box(decarb_core::mixed::migratable_sweep(
             data,
@@ -126,7 +97,7 @@ fn bench_fig11_kernels(h: &Harness) {
 }
 
 fn bench_fig12_kernel(h: &Harness) {
-    let data = ctx().data();
+    let data = shared().data();
     let region = data.region("US-CA").expect("region");
     h.bench("figures/kernel/combined_shift_one_destination", || {
         black_box(decarb_core::combined::combined_shift(

@@ -8,86 +8,118 @@
 //!   computation behind each at full or reduced scale.
 //! * `extensions` — forecasting models, elastic scaling, flexible grid
 //!   load, merit-order dispatch, and the online simulator.
-//! * `kernels` — ablation benchmarks for the design choices documented
-//!   in `DESIGN.md` §4: sliding-window minimum vs naive rescan, the
-//!   two-multiset k-smallest structure vs per-window sorting, prefix
-//!   sums vs direct summation, and FFT periodograms vs brute-force ACF.
+//! * `kernels` — ablation benchmarks for the kernels' design choices:
+//!   sliding-window minimum vs naive rescan, the two-multiset k-smallest
+//!   structure vs per-window sorting, prefix sums vs direct summation,
+//!   and FFT periodograms vs brute-force ACF — plus the simulator and
+//!   placement-service rows the regression gate watches.
 //!
 //! Usage: `cargo bench -p decarb-bench` runs everything;
-//! `cargo bench -p decarb-bench --bench kernels -- deferral` filters by
-//! substring; `DECARB_BENCH_QUICK=1` shrinks the per-benchmark time
-//! budget for smoke runs; `DECARB_BENCH_PRINT=1` additionally prints
-//! each figure's regenerated tables so a bench log doubles as a
-//! reproduction run.
+//! `cargo bench -p decarb-bench --bench kernels -- deferral` runs only
+//! the rows whose name contains the substring; `DECARB_BENCH_QUICK=1`
+//! shrinks the per-benchmark time budget for smoke runs.
+//!
+//! # Regression gate
+//!
+//! `DECARB_BENCH_CHECK=crates/bench/baseline.json` arms the gate CI
+//! runs on the `kernels` target. `baseline.json` is one JSON object
+//! mapping each gated row name to its baseline mean in integer
+//! nanoseconds; `BASELINE.md` records where those means came from.
+//! [`Harness::finish`] fails a row that runs more than [`MAX_RATIO`]
+//! times its baseline, and a row a run without a name filter did not
+//! measure, so a renamed or deleted bench cannot drop out of the gate.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-/// Whether the bench log should also print each experiment's tables.
-pub fn print_tables() -> bool {
-    std::env::var("DECARB_BENCH_PRINT").is_ok_and(|v| v != "0")
-}
+use decarb_json::Value;
+
+/// A gated row fails when its mean exceeds this multiple of its
+/// baseline mean.
+pub const MAX_RATIO: f64 = 2.0;
 
 /// A minimal benchmark runner: measures each closure over an adaptive
 /// iteration count within a fixed per-benchmark time budget and prints
-/// one aligned `name  mean-per-iter (iters)` line.
-///
-/// # Regression check mode
-///
-/// Setting `DECARB_BENCH_CHECK=<path to BASELINE.md>` arms a threshold
-/// gate: every measured row whose name starts with
-/// `DECARB_BENCH_CHECK_FILTER` (default `kernels/sim/`) and appears in
-/// the baseline file is compared against the recorded mean, and
-/// [`Harness::finish`] returns a nonzero exit code when any row runs
-/// more than `DECARB_BENCH_CHECK_MAX_RATIO` (default 2.0) times slower
-/// — the CI "Bench smoke" gate.
+/// one aligned `name  mean-per-iter (iters)` line. With
+/// `DECARB_BENCH_CHECK` set, [`Harness::finish`] gates the measured
+/// rows against the baseline file it names (see the crate docs).
 pub struct Harness {
     filter: Option<String>,
     budget: Duration,
-    check: Option<CheckConfig>,
-    results: std::cell::RefCell<Vec<(String, Duration)>>,
+    /// The armed gate: the baseline file's path and its rows.
+    check: Option<(String, Vec<(String, Duration)>)>,
+    results: RefCell<Vec<(String, Duration)>>,
 }
 
-/// The armed regression gate: baseline rows plus thresholds.
-struct CheckConfig {
-    path: String,
-    prefix: String,
-    max_ratio: f64,
-    baseline: std::collections::HashMap<String, Duration>,
+/// The gate's decision on one baseline row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    /// Measured at this mean, within [`MAX_RATIO`] of the baseline.
+    Ok(Duration),
+    /// Measured at this mean, more than [`MAX_RATIO`] × the baseline.
+    Regressed(Duration),
+    /// Selected by the run's name filter (or the run had none), but
+    /// never measured.
+    Missing,
+    /// Excluded by the run's name filter.
+    Skipped,
 }
 
-/// Parses `name  value unit (N iters)` rows out of a BASELINE.md file.
-/// Later occurrences of a name override earlier ones, so re-recorded
-/// addendum rows win over the original table.
-pub fn parse_baseline(text: &str) -> std::collections::HashMap<String, Duration> {
-    let mut rows = std::collections::HashMap::new();
-    for line in text.lines() {
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let [name, value, unit, iters, tail] = tokens[..] else {
-            continue;
-        };
-        if !iters.starts_with('(') || tail != "iters)" {
-            continue;
-        }
-        let Ok(value) = value.parse::<f64>() else {
-            continue;
-        };
-        let nanos = match unit {
-            "ns" => value,
-            "us" => value * 1e3,
-            "ms" => value * 1e6,
-            "s" => value * 1e9,
-            _ => continue,
-        };
-        rows.insert(name.to_string(), Duration::from_nanos(nanos as u64));
-    }
-    rows
+/// Whether the name filter `filter` selects the row `name`.
+fn selects(filter: Option<&str>, name: &str) -> bool {
+    filter.is_none_or(|needle| name.contains(needle))
+}
+
+/// Reads a baseline file: one JSON object mapping each gated row name
+/// to its baseline mean in integer nanoseconds.
+fn read_baseline(text: &str) -> Result<Vec<(String, Duration)>, String> {
+    let Value::Object(rows) = decarb_json::parse(text).map_err(|e| e.to_string())? else {
+        return Err("expected one JSON object of row name → nanoseconds".into());
+    };
+    rows.into_iter()
+        .map(|(name, value)| match value {
+            Value::Number(ns) if ns >= 0.0 && ns.fract() == 0.0 => {
+                Ok((name, Duration::from_nanos(ns as u64)))
+            }
+            other => Err(format!(
+                "`{name}`: expected integer nanoseconds, found {other}"
+            )),
+        })
+        .collect()
+}
+
+/// Judges every baseline row against the measured `results` of a run
+/// with name filter `filter`, in baseline order.
+fn gate(
+    baseline: &[(String, Duration)],
+    results: &[(String, Duration)],
+    filter: Option<&str>,
+) -> Vec<Verdict> {
+    baseline
+        .iter()
+        .map(|(name, base)| {
+            if !selects(filter, name) {
+                return Verdict::Skipped;
+            }
+            match results.iter().find(|(measured, _)| measured == name) {
+                None => Verdict::Missing,
+                Some(&(_, mean)) if ratio(mean, *base) > MAX_RATIO => Verdict::Regressed(mean),
+                Some(&(_, mean)) => Verdict::Ok(mean),
+            }
+        })
+        .collect()
+}
+
+/// `measured / baseline`, guarding a zero baseline.
+fn ratio(measured: Duration, baseline: Duration) -> f64 {
+    measured.as_secs_f64() / baseline.as_secs_f64().max(1e-12)
 }
 
 impl Harness {
     /// Creates the runner for one bench target, reading the CLI filter
     /// (first non-flag argument after the ones Cargo passes), the
     /// `DECARB_BENCH_QUICK` budget override, and the
-    /// `DECARB_BENCH_CHECK*` regression-gate configuration.
+    /// `DECARB_BENCH_CHECK` baseline path.
     pub fn from_args(suite: &str) -> Self {
         let filter = std::env::args()
             .skip(1)
@@ -105,7 +137,7 @@ impl Harness {
             .map(|path| {
                 // Cargo runs bench binaries from the package directory;
                 // fall back to workspace-root-relative resolution so
-                // `DECARB_BENCH_CHECK=crates/bench/BASELINE.md` works
+                // `DECARB_BENCH_CHECK=crates/bench/baseline.json` works
                 // from the repository root too.
                 let candidates = [
                     std::path::PathBuf::from(&path),
@@ -117,25 +149,16 @@ impl Harness {
                     .iter()
                     .find_map(|p| std::fs::read_to_string(p).ok())
                     .unwrap_or_else(|| panic!("DECARB_BENCH_CHECK={path}: file not found"));
-                let prefix = std::env::var("DECARB_BENCH_CHECK_FILTER")
-                    .unwrap_or_else(|_| "kernels/sim/".to_string());
-                let max_ratio = std::env::var("DECARB_BENCH_CHECK_MAX_RATIO")
-                    .ok()
-                    .and_then(|raw| raw.parse().ok())
-                    .unwrap_or(2.0);
-                CheckConfig {
-                    baseline: parse_baseline(&text),
-                    path,
-                    prefix,
-                    max_ratio,
-                }
+                let baseline = read_baseline(&text)
+                    .unwrap_or_else(|e| panic!("DECARB_BENCH_CHECK={path}: {e}"));
+                (path, baseline)
             });
         println!("== bench suite: {suite} ==");
         Self {
             filter,
             budget,
             check,
-            results: std::cell::RefCell::new(Vec::new()),
+            results: RefCell::new(Vec::new()),
         }
     }
 
@@ -145,10 +168,8 @@ impl Harness {
     /// measured loop fits the time budget; single calls slower than the
     /// budget run exactly once more.
     pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) {
-        if let Some(needle) = &self.filter {
-            if !name.contains(needle.as_str()) {
-                return;
-            }
+        if !selects(self.filter.as_deref(), name) {
+            return;
         }
         let warmup = Instant::now();
         std::hint::black_box(f());
@@ -164,47 +185,39 @@ impl Harness {
     }
 
     /// Applies the regression gate (when armed) and returns the process
-    /// exit code: `0` clean, `1` when any checked row regressed beyond
-    /// the ratio threshold. Bench mains end with
+    /// exit code: `0` clean, `1` when any baseline row regressed past
+    /// [`MAX_RATIO`] or went unmeasured. Bench mains end with
     /// `std::process::exit(h.finish())`.
     pub fn finish(&self) -> i32 {
-        let Some(check) = &self.check else {
+        let Some((path, baseline)) = &self.check else {
             return 0;
         };
-        let results = self.results.borrow();
-        let mut checked = 0usize;
+        println!("== bench check: rows of {path} (fail > {MAX_RATIO:.1}x or unmeasured) ==");
+        let verdicts = gate(baseline, &self.results.borrow(), self.filter.as_deref());
         let mut failures = 0usize;
-        println!(
-            "== bench check: `{}*` vs {} (fail > {:.1}x) ==",
-            check.prefix, check.path, check.max_ratio
-        );
-        for (name, measured) in results.iter() {
-            if !name.starts_with(check.prefix.as_str()) {
-                continue;
-            }
-            let Some(baseline) = check.baseline.get(name) else {
-                println!("{name:<58} no baseline row — skipped");
-                continue;
+        for ((name, base), verdict) in baseline.iter().zip(verdicts) {
+            let measured = |mean: Duration, word: &str| {
+                format!(
+                    "{:>12} vs {:>12} ({:.2}x) {word}",
+                    format_duration(mean),
+                    format_duration(*base),
+                    ratio(mean, *base),
+                )
             };
-            checked += 1;
-            let ratio = measured.as_secs_f64() / baseline.as_secs_f64().max(1e-12);
-            let verdict = if ratio > check.max_ratio {
-                failures += 1;
-                "REGRESSED"
-            } else {
-                "ok"
+            let (outcome, failed) = match verdict {
+                Verdict::Ok(mean) => (measured(mean, "ok"), false),
+                Verdict::Regressed(mean) => (measured(mean, "REGRESSED"), true),
+                Verdict::Missing => ("not measured — MISSING".to_string(), true),
+                Verdict::Skipped => ("excluded by the name filter".to_string(), false),
             };
-            println!(
-                "{name:<58} {:>12} vs {:>12} ({ratio:.2}x) {verdict}",
-                format_duration(*measured),
-                format_duration(*baseline),
-            );
-        }
-        if checked == 0 {
-            println!("no rows matched the check filter — nothing gated");
+            failures += usize::from(failed);
+            println!("{name:<58} {outcome}");
         }
         if failures > 0 {
-            println!("{failures} of {checked} checked rows regressed beyond the threshold");
+            println!(
+                "{failures} of {} baseline rows failed the gate",
+                baseline.len()
+            );
             1
         } else {
             0
@@ -239,48 +252,85 @@ mod tests {
     }
 
     #[test]
-    fn baseline_parser_reads_bench_rows_and_prefers_later_entries() {
-        let text = "\
-# Benchmark baseline
-
-```text
-kernels/sim/run_year                        2.2 ms (401 iters)
-kernels/prefix/prefix_sum_queries            544 ns (10000 iters)
-kernels/ksmallest/two_multiset_sliding     582.1 us (1336 iters)
-slow/row                                    2.00 s (2 iters)
-```
-
-prose lines are ignored, as are before/after tables:
-extensions/sim/year     3.0 ms      1.7 ms   (1.76x)
-
-```text
-kernels/sim/run_year                        1.1 ms (800 iters)
-```
-";
-        let rows = parse_baseline(text);
-        assert_eq!(rows.len(), 4);
-        // The re-recorded addendum value wins.
-        assert_eq!(
-            rows["kernels/sim/run_year"],
-            Duration::from_nanos(1_100_000)
-        );
-        assert_eq!(
-            rows["kernels/prefix/prefix_sum_queries"],
-            Duration::from_nanos(544)
-        );
-        assert_eq!(
-            rows["kernels/ksmallest/two_multiset_sliding"],
-            Duration::from_nanos(582_100)
-        );
-        assert_eq!(rows["slow/row"], Duration::from_secs(2));
-        assert!(!rows.contains_key("extensions/sim/year"));
+    fn every_baseline_row_names_a_kernels_bench() {
+        let baseline = read_baseline(include_str!("../baseline.json")).expect("baseline parses");
+        assert!(!baseline.is_empty());
+        let kernels = include_str!("../benches/kernels.rs");
+        for (name, _) in &baseline {
+            assert!(
+                kernels.contains(&format!("h.bench(\"{name}\"")),
+                "baseline row `{name}` names no `h.bench(\"…\")` in benches/kernels.rs"
+            );
+        }
     }
 
     #[test]
-    fn baseline_parser_survives_the_real_baseline_file() {
-        let text = include_str!("../BASELINE.md");
-        let rows = parse_baseline(text);
-        assert!(rows.len() > 30, "found {} rows", rows.len());
-        assert!(rows.contains_key("kernels/sim/scenario_batch_deferral_europe"));
+    fn baseline_rejects_anything_but_integer_nanoseconds() {
+        assert_eq!(
+            read_baseline(r#"{"a": 5, "b": 0}"#),
+            Ok(vec![
+                ("a".to_string(), Duration::from_nanos(5)),
+                ("b".to_string(), Duration::ZERO)
+            ])
+        );
+        for bad in [
+            r#"[1]"#,
+            r#"{"a": 1.5}"#,
+            r#"{"a": -1}"#,
+            r#"{"a": "1 ms"}"#,
+        ] {
+            assert!(read_baseline(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn gate_fails_regressions_and_unmeasured_rows_but_skips_filtered_ones() {
+        let ms = Duration::from_millis;
+        let baseline: Vec<(String, Duration)> =
+            ["kernels/sim/a", "kernels/sim/b", "kernels/serve/c"]
+                .into_iter()
+                .map(|name| (name.to_string(), ms(10)))
+                .collect();
+        let results = vec![
+            ("kernels/sim/a".to_string(), ms(19)),
+            ("kernels/sim/b".to_string(), ms(21)),
+            ("kernels/other/unlisted".to_string(), ms(1)),
+        ];
+        assert_eq!(
+            gate(&baseline, &results, None),
+            [
+                Verdict::Ok(ms(19)),
+                Verdict::Regressed(ms(21)),
+                Verdict::Missing
+            ]
+        );
+        assert_eq!(
+            gate(&baseline, &results, Some("kernels/sim/")),
+            [
+                Verdict::Ok(ms(19)),
+                Verdict::Regressed(ms(21)),
+                Verdict::Skipped
+            ]
+        );
+        // A row the filter selects must still be measured.
+        assert_eq!(
+            gate(&baseline, &results[..1], Some("kernels/sim/")),
+            [Verdict::Ok(ms(19)), Verdict::Missing, Verdict::Skipped]
+        );
+
+        // `finish` turns the verdicts into the exit code.
+        let harness = |filter: Option<&str>| Harness {
+            filter: filter.map(str::to_string),
+            budget: Duration::from_micros(10),
+            check: Some(("baseline.json".to_string(), baseline[..2].to_vec())),
+            results: RefCell::new(Vec::new()),
+        };
+        let unfiltered = harness(None);
+        unfiltered.bench("kernels/sim/a", || ());
+        assert_eq!(unfiltered.finish(), 1, "kernels/sim/b went unmeasured");
+        let filtered = harness(Some("/a"));
+        filtered.bench("kernels/sim/a", || ());
+        filtered.bench("kernels/sim/b", || ());
+        assert_eq!(filtered.finish(), 0, "kernels/sim/b is filtered out");
     }
 }

@@ -3,7 +3,7 @@
 //! rows render the global help and each subcommand's usage line. The
 //! allowed dependency set has no CLI parser crate.
 
-use decarb_traces::time::{EPOCH_YEAR, LAST_YEAR};
+use decarb_traces::time::{hours_in_year, EPOCH_YEAR, LAST_YEAR};
 
 use Flag::{Switch, Value};
 
@@ -527,12 +527,21 @@ pub static COMMANDS: &[CommandSpec] = &[
             if hours == 0 {
                 return Err("`plan` needs --hours ≥ 1".into());
             }
+            let slack = a.parsed("slack", 24)?;
+            let arrive: usize = a.parsed("arrive", 0)?;
+            let year = a.year()?;
+            let end = arrive
+                .checked_add(hours)
+                .and_then(|end| end.checked_add(slack));
+            if end.is_none_or(|end| end > hours_in_year(year)) {
+                return Err("job window extends past the year end; lower --arrive/--slack".into());
+            }
             Ok(Command::Plan {
                 zone,
                 hours,
-                slack: a.parsed("slack", 24)?,
-                arrive: a.parsed("arrive", 0)?,
-                year: a.year()?,
+                slack,
+                arrive,
+                year,
             })
         },
     },

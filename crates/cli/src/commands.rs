@@ -9,7 +9,7 @@ use std::io;
 use decarb_core::rankings::rank_stability;
 use decarb_core::spatial::{inf_migration, one_migration};
 use decarb_core::temporal::TemporalPlanner;
-use decarb_experiments::registry;
+use decarb_experiments::{registry, Experiment};
 use decarb_forecast::{
     backtest, BacktestConfig, DiurnalTemplate, Forecaster, LinearAr, Persistence, SeasonalNaive,
 };
@@ -199,48 +199,37 @@ pub(crate) fn list() -> String {
     out
 }
 
-/// Runs the experiments `ids` names in the order given (or the whole
-/// registry, in parallel, for `all`) and renders text tables or JSON:
-/// one id prints its object, several ids or `all` an array of them.
+/// Runs the experiments `ids` names (or the whole registry for `all`)
+/// in parallel and renders them in the order given, as text tables or
+/// JSON: one id prints its object, several ids or `all` an array of
+/// them. Every id resolves before anything runs.
 pub(crate) fn run_experiments(ids: &[String], json: bool) -> Result<String, CliError> {
-    let ctx = decarb_experiments::context::shared();
-    if ids.len() == 1 && ids[0] == "all" {
-        let runs = registry::run_all(ctx);
-        if json {
-            let value = Value::Array(runs.iter().map(|r| r.to_json()).collect());
-            return Ok(value.pretty());
-        }
-        let mut out = String::new();
-        for run in runs {
-            for table in &run.tables {
-                let _ = writeln!(out, "{table}");
-            }
-        }
-        return Ok(out);
-    }
-    let experiments = ids
-        .iter()
-        .map(|id| {
-            registry::find(id).ok_or_else(|| {
-                CliError::Parse(ParseError(format!(
-                    "unknown experiment id `{id}` (see `list`)"
-                )))
+    let all = matches!(ids, [id] if id == "all");
+    let experiments: Vec<&Experiment> = if all {
+        registry::all().collect()
+    } else {
+        ids.iter()
+            .map(|id| {
+                registry::find(id).ok_or_else(|| {
+                    CliError::Parse(ParseError(format!(
+                        "unknown experiment id `{id}` (see `list`)"
+                    )))
+                })
             })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<_, _>>()?
+    };
+    let runs = registry::run_all(decarb_experiments::context::shared(), &experiments);
     if json {
-        let mut runs: Vec<Value> = experiments.iter().map(|e| e.run_json(ctx)).collect();
-        let value = match runs.len() {
-            1 => runs.swap_remove(0),
-            _ => Value::Array(runs),
+        let mut values: Vec<Value> = runs.iter().map(|run| run.to_json()).collect();
+        let value = match values.len() {
+            1 if !all => values.swap_remove(0),
+            _ => Value::Array(values),
         };
         return Ok(value.pretty());
     }
     let mut out = String::new();
-    for experiment in experiments {
-        for table in experiment.run(ctx) {
-            let _ = writeln!(out, "{table}");
-        }
+    for table in runs.iter().flat_map(|run| &run.tables) {
+        let _ = writeln!(out, "{table}");
     }
     Ok(out)
 }
@@ -1119,14 +1108,6 @@ pub(crate) fn plan(
     arrive: usize,
     year: i32,
 ) -> Result<String, CliError> {
-    let end = arrive
-        .checked_add(hours)
-        .and_then(|end| end.checked_add(slack));
-    if end.is_none_or(|end| end > hours_in_year(year)) {
-        return Err(CliError::Parse(ParseError(
-            "job window extends past the year end; lower --arrive/--slack".into(),
-        )));
-    }
     let series = zone_series(data, zone)?;
     let arrival = year_start(year).plus(arrive);
     // Check the job itself fits the stored data before the (panicking)
@@ -1401,6 +1382,12 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(format!("{err}").contains("past the year end"));
+        assert!(
+            format!("{err}").ends_with(
+                "usage: decarb-cli plan <ZONE> --hours L [--slack H] [--arrive H0] [--year Y]"
+            ),
+            "{err}"
+        );
         // Windows whose end overflows `usize` are usage errors too.
         let max = usize::MAX.to_string();
         for flags in [
@@ -1412,6 +1399,10 @@ mod tests {
             let err = dispatch(&argv(&command)).unwrap_err();
             assert!(matches!(err, CliError::Parse(_)), "{flags:?}: {err}");
             assert!(format!("{err}").contains("past the year end"), "{flags:?}");
+            assert!(
+                format!("{err}").contains("usage: decarb-cli plan <ZONE>"),
+                "{flags:?}"
+            );
         }
         let err = dispatch(&argv(&["forecast", "DE", "--days", &max])).unwrap_err();
         assert!(matches!(err, CliError::Parse(_)), "{err}");
@@ -1565,6 +1556,22 @@ mod tests {
         let out = dispatch(&argv(&["run", "table1", "--json"])).unwrap();
         assert!(out.contains("\"id\": \"table1\""), "{out}");
         assert!(out.contains("\"tables\""), "{out}");
+        // One id and `all` print the same object shape.
+        let keys = |run: &Value| match run {
+            Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other}"),
+        };
+        let one = decarb_json::parse(&out).unwrap();
+        let all = dispatch(&argv(&["run", "all", "--json"])).unwrap();
+        let Value::Array(runs) = decarb_json::parse(&all).unwrap() else {
+            panic!("`run all --json` prints an array");
+        };
+        let table1 = runs
+            .iter()
+            .find(|run| run.get("id") == Some(&Value::from("table1")))
+            .expect("table1 in `run all`");
+        assert_eq!(keys(&one), keys(table1));
+        assert_eq!(keys(&one), ["id", "description", "elapsed_s", "tables"]);
     }
 
     #[test]

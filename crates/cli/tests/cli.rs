@@ -285,10 +285,8 @@ fn plan_and_forecast_reject_overflowing_flags_with_exit_2() {
         ["plan", "DE", "--hours", "1", "--slack", &max],
         ["plan", "DE", "--hours", "2", "--arrive", &max],
     ] {
-        let out = decarb_cli(&argv);
-        assert_eq!(out.status.code(), Some(2), "{argv:?}: {}", stderr(&out));
-        assert!(stdout(&out).is_empty(), "{argv:?}");
-        assert!(stderr(&out).contains("past the year end"), "{argv:?}");
+        let err = assert_usage_error(&decarb_cli(&argv), "plan");
+        assert!(err.contains("past the year end"), "{argv:?}: {err}");
     }
     let out = decarb_cli(&["forecast", "DE", "--days", &max]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));

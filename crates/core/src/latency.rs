@@ -39,61 +39,6 @@ pub fn rtt_ms(a: &Region, b: &Region) -> f64 {
     FIXED_OVERHEAD_MS + PATH_STRETCH * dist / FIBER_KM_PER_RTT_MS
 }
 
-/// A precomputed symmetric RTT matrix over a region set.
-#[derive(Debug, Clone)]
-pub struct LatencyMatrix {
-    codes: Vec<String>,
-    rtt: Vec<f64>,
-}
-
-impl LatencyMatrix {
-    /// Builds the matrix for `regions`.
-    pub fn build(regions: &[&Region]) -> Self {
-        let n = regions.len();
-        let mut rtt = vec![0.0; n * n];
-        for i in 0..n {
-            for j in i..n {
-                let v = rtt_ms(regions[i], regions[j]);
-                rtt[i * n + j] = v;
-                rtt[j * n + i] = v;
-            }
-        }
-        Self {
-            codes: regions.iter().map(|r| r.code.clone()).collect(),
-            rtt,
-        }
-    }
-
-    /// Returns the number of regions covered.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Returns `true` if the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Returns the RTT between two zone codes, if both are covered.
-    pub fn get(&self, a: &str, b: &str) -> Option<f64> {
-        let i = self.codes.iter().position(|c| c == a)?;
-        let j = self.codes.iter().position(|c| c == b)?;
-        Some(self.rtt[i * self.codes.len() + j])
-    }
-
-    /// Returns the zone codes whose RTT from `origin` is within `slo_ms`.
-    pub fn feasible_from(&self, origin: &str, slo_ms: f64) -> Vec<&str> {
-        let Some(i) = self.codes.iter().position(|c| c == origin) else {
-            return Vec::new();
-        };
-        let n = self.codes.len();
-        (0..n)
-            .filter(|&j| self.rtt[i * n + j] <= slo_ms)
-            .map(|j| self.codes[j].as_str())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,35 +76,20 @@ mod tests {
     }
 
     #[test]
-    fn matrix_matches_pairwise() {
-        let regions: Vec<&Region> = ["SE", "US-CA", "SG"]
-            .iter()
-            .map(|c| region(c).unwrap())
-            .collect();
-        let matrix = LatencyMatrix::build(&regions);
-        assert_eq!(matrix.len(), 3);
-        assert!(!matrix.is_empty());
-        for a in &regions {
-            for b in &regions {
-                let m = matrix.get(&a.code, &b.code).unwrap();
-                assert!((m - rtt_ms(a, b)).abs() < 1e-9);
-            }
-        }
-        assert!(matrix.get("SE", "NOPE").is_none());
-    }
-
-    #[test]
     fn feasible_set_grows_with_slo() {
-        let all: Vec<&Region> = decarb_traces::builtin_catalog().iter().collect();
-        let matrix = LatencyMatrix::build(&all);
-        let near = matrix.feasible_from("DE", 30.0);
-        let far = matrix.feasible_from("DE", 150.0);
-        let global = matrix.feasible_from("DE", 400.0);
+        let all = decarb_traces::builtin_catalog();
+        let de = region("DE").unwrap();
+        let feasible = |slo_ms: f64| -> Vec<&str> {
+            all.iter()
+                .filter(|r| rtt_ms(de, r) <= slo_ms)
+                .map(|r| r.code.as_str())
+                .collect()
+        };
+        let (near, far, global) = (feasible(30.0), feasible(150.0), feasible(400.0));
         assert!(near.contains(&"DE"));
         assert!(near.len() < far.len());
         assert!(far.len() < global.len());
         assert_eq!(global.len(), 123, "400 ms reaches everywhere");
-        assert!(matrix.feasible_from("NOPE", 100.0).is_empty());
     }
 
     #[test]

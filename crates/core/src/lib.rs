@@ -12,8 +12,7 @@
 //!   clairvoyant ∞-migration (hourly hop to the instantaneous greenest),
 //!   §5.1.4;
 //! * [`capacity`] — finite idle-capacity water-filling assignment, §5.1.2;
-//! * [`latency`] — geodesic RTT model and latency-constrained candidate
-//!   sets, §5.1.3;
+//! * [`latency`] — geodesic RTT model behind the latency SLOs, §5.1.3;
 //! * [`forecast`] — scheduling under carbon-forecast error, §6.2;
 //! * [`greener`] — rising renewable penetration what-ifs, §6.3;
 //! * [`mixed`] — migratable/pinned workload mixes, §6.1;
@@ -54,7 +53,7 @@ pub use embodied::{net_footprint_sweep, optimal_idle, EmbodiedParams, NetPoint};
 pub use flexload::{allocate_flexible, flat_allocation, FlexAllocation};
 pub use greener::greener_trace;
 pub use ksmallest::SlidingKSmallest;
-pub use latency::{rtt_ms, LatencyMatrix};
+pub use latency::rtt_ms;
 pub use metrics::{absolute_reduction, relative_reduction};
 pub use pareto::{carbon_delay_frontier, pareto_filter, FrontierPoint};
 pub use rankings::{rank_stability, RankStability};

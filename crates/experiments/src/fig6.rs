@@ -2,7 +2,7 @@
 //! (§5.1.3–§5.1.4).
 
 use decarb_core::capacity::{water_filling, IdleCapacity};
-use decarb_core::latency::LatencyMatrix;
+use decarb_core::latency::rtt_ms;
 use decarb_core::spatial::lower_envelope;
 use decarb_traces::time::{hours_in_year, year_start};
 use decarb_traces::{GeoGroup, Region, GLOBAL_AVG_CI};
@@ -31,17 +31,11 @@ pub struct Fig6a {
 /// Runs the Fig. 6(a) analysis.
 pub fn run_a(ctx: &Context) -> Fig6a {
     let means = ctx.data().annual_means(EVAL_YEAR);
-    let all: Vec<&Region> = ctx.regions().iter().collect();
-    let matrix = LatencyMatrix::build(&all);
     let slos = [10.0, 25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 250.0, 300.0];
     let points = slos
         .iter()
         .map(|&slo| {
-            let feasible = |from: &Region, to: &Region| {
-                matrix
-                    .get(&from.code, &to.code)
-                    .is_some_and(|rtt| rtt <= slo)
-            };
+            let feasible = |from: &Region, to: &Region| rtt_ms(from, to) <= slo;
             let infinite = water_filling(&means, IdleCapacity::Infinite, &feasible);
             let constrained = water_filling(&means, IdleCapacity::Fraction(0.5), &feasible);
             LatencyPoint {

@@ -6,8 +6,8 @@
 //! rows/series the paper reports; the modules are private and reachable
 //! only through the [`registry`] — look an experiment up with
 //! [`registry::find`] (or iterate [`registry::all`]) and call
-//! [`registry::Experiment::run`]. [`registry::run_all`] fans the whole
-//! suite out across threads. `EXPERIMENTS.md` records the paper-value vs
+//! [`registry::Experiment::run`]. [`registry::run_all`] fans a list of
+//! experiments out across threads. `EXPERIMENTS.md` records the paper-value vs
 //! measured-value comparison for each.
 //!
 //! | Id | Reproduces |

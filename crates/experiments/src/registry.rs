@@ -5,8 +5,8 @@
 //! way to reach them is through the registry — [`find`] an experiment by
 //! id (or iterate [`all`]) and call [`Experiment::run`]. This gives every
 //! consumer (`decarb-cli run`, the bench harness, tests) the same uniform
-//! pipeline, and lets [`run_all`] fan the whole suite out across threads
-//! with `decarb_par`.
+//! pipeline, and lets [`run_all`] fan any list of experiments out across
+//! threads with `decarb_par`.
 
 use std::time::Instant;
 
@@ -42,20 +42,6 @@ impl Experiment {
     /// Recomputes the experiment and renders its tables.
     pub fn run(&self, ctx: &Context) -> Vec<ExperimentTable> {
         (self.runner)(ctx)
-    }
-
-    /// Runs the experiment and packages the result as a JSON value
-    /// (`{id, description, tables: [...]}`).
-    pub fn run_json(&self, ctx: &Context) -> Value {
-        let tables = self.run(ctx);
-        Value::object([
-            ("id", Value::from(self.id)),
-            ("description", Value::from(self.description)),
-            (
-                "tables",
-                Value::Array(tables.iter().map(ExperimentTable::to_json).collect()),
-            ),
-        ])
     }
 }
 
@@ -235,11 +221,10 @@ impl CompletedRun {
     }
 }
 
-/// Runs every registered experiment against `ctx`, fanning out across
-/// threads; results come back in registry order.
-pub fn run_all(ctx: &Context) -> Vec<CompletedRun> {
-    let experiments: Vec<&Experiment> = EXPERIMENTS.iter().collect();
-    par_map(&experiments, |experiment| {
+/// Runs `experiments` against `ctx`, fanning out across threads;
+/// results come back in the order given.
+pub fn run_all(ctx: &Context, experiments: &[&Experiment]) -> Vec<CompletedRun> {
+    par_map(experiments, |experiment| {
         let started = Instant::now();
         let tables = experiment.run(ctx);
         CompletedRun {
@@ -326,7 +311,7 @@ mod tests {
         // memoized across experiments, as in a real `run all`), and pin
         // every table the paper's reproduction prints.
         let ctx = crate::context::shared();
-        let runs = run_all(ctx);
+        let runs = run_all(ctx, &all().collect::<Vec<_>>());
         let golden = golden();
         assert_eq!(runs.len(), golden.len(), "experiment count");
         for (run, want) in runs.iter().zip(&golden) {

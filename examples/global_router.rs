@@ -7,13 +7,11 @@
 //!
 //! Run with `cargo run --release --example global_router`.
 
-use decarb::core::latency::LatencyMatrix;
+use decarb::core::latency::rtt_ms;
 use decarb::traces::builtin_dataset;
 
 fn main() {
     let data = builtin_dataset();
-    let regions: Vec<&decarb::traces::Region> = data.regions().iter().collect();
-    let matrix = LatencyMatrix::build(&regions);
     let means = data.annual_means(2022);
     let mean_of = |code: &str| {
         means
@@ -23,6 +21,7 @@ fn main() {
             .expect("region known")
     };
     let origin = "DE";
+    let home = data.region(origin).expect("region known");
     println!(
         "interactive requests from {origin} (local grid {:.0} g/kWh)",
         mean_of(origin)
@@ -32,7 +31,12 @@ fn main() {
         "SLO ms", "feasible", "greenest", "g/kWh there"
     );
     for slo in [10.0, 25.0, 50.0, 100.0, 150.0, 250.0] {
-        let feasible = matrix.feasible_from(origin, slo);
+        let feasible: Vec<&str> = data
+            .regions()
+            .iter()
+            .filter(|r| rtt_ms(home, r) <= slo)
+            .map(|r| r.code.as_str())
+            .collect();
         let best = feasible
             .iter()
             .min_by(|a, b| mean_of(a).total_cmp(&mean_of(b)))
