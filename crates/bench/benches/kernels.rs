@@ -392,12 +392,14 @@ fn bench_planner_cache(h: &Harness) {
 /// (dispatch + JSON parse/render on top), and the request parser
 /// alone — plus the keep-alive connection loop end to end (64
 /// pipelined requests through reused buffers), a 64-job batch through
-/// one `POST /v1/place`, and the off-path cost a reload pays: building
-/// a full 123-zone snapshot with one planner per region.
+/// one `POST /v1/place`, the off-path cost a reload pays (building a
+/// full 123-zone snapshot with one planner per region), and 16 queries
+/// over loopback TCP with keep-alive and with one connection each.
 fn bench_serve(h: &Harness) {
-    use decarb_serve::{handle_connection, read_request, PlacementService};
+    use decarb_serve::{handle_connection, read_request, PlacementService, Server};
     use decarb_sim::{PlaceRequest, Snapshot};
-    use std::io::BufReader;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
 
     let data = builtin_dataset();
     let snapshot = Snapshot::build(std::sync::Arc::clone(&data), 1);
@@ -477,7 +479,6 @@ fn bench_serve(h: &Harness) {
     // `handle_place` + 64× `parse_request` to see the loop's own cost.
     let mut pipelined = Vec::new();
     for body in &bodies {
-        use std::io::Write as _;
         write!(
             pipelined,
             "POST /v1/place HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{}",
@@ -498,7 +499,7 @@ fn bench_serve(h: &Harness) {
     });
 
     // The same 64 queries as one batch `POST /v1/place` body: a single
-    // parse + par_map fan-out + one rendered summary document.
+    // parse, 64 sequential placements and one rendered summary document.
     let batch_body = format!("[{}]", bodies.join(","));
     let length = batch_body.len().to_string();
     let batch_request = decarb_serve::Request::synthetic(
@@ -514,6 +515,76 @@ fn bench_serve(h: &Harness) {
     h.bench("kernels/serve/snapshot_build_123z", || {
         black_box(Snapshot::build(std::sync::Arc::clone(&data), 1))
     });
+
+    // Real loopback TCP, the cost the rows above leave out: 16 queries
+    // over one keep-alive connection against one connection each with
+    // `connection: close`. Every closed connection leaves a TIME_WAIT
+    // socket for a minute; 16 per iteration holds a full-budget run of
+    // the close row to about 20k of them. The server thread is
+    // detached; it ends with the process.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        std::sync::Arc::new(PlacementService::new(std::sync::Arc::clone(&data))),
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::spawn(move || server.run(2));
+    let keepalive: Vec<String> = bodies[..16]
+        .iter()
+        .map(|b| place_request(b, "keep-alive"))
+        .collect();
+    let close: Vec<String> = bodies[..16]
+        .iter()
+        .map(|b| place_request(b, "close"))
+        .collect();
+    h.bench("kernels/serve/tcp_keepalive_16", || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut reader = BufReader::new(&stream);
+        let (mut line, mut body) = (String::new(), Vec::new());
+        for request in &keepalive {
+            (&stream).write_all(request.as_bytes()).expect("write");
+            line.clear();
+            reader.read_line(&mut line).expect("status line");
+            assert!(line.starts_with("HTTP/1.1 200 "), "{line}");
+            let mut length = 0;
+            loop {
+                line.clear();
+                reader.read_line(&mut line).expect("header line");
+                match line.trim_end().split_once(':') {
+                    Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                        length = value.trim().parse().expect("content-length");
+                    }
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+            body.resize(length, 0);
+            reader.read_exact(&mut body).expect("body");
+        }
+        black_box(body)
+    });
+    h.bench("kernels/serve/tcp_close_16", || {
+        let mut response = Vec::new();
+        for request in &close {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            stream.write_all(request.as_bytes()).expect("write");
+            response.clear();
+            stream.read_to_end(&mut response).expect("read to EOF");
+            assert!(response.starts_with(b"HTTP/1.1 200 "), "non-200 answer");
+        }
+        black_box(response)
+    });
+}
+
+/// One `POST /v1/place` request carrying `body`, with the given
+/// `connection` header.
+fn place_request(body: &str, connection: &str) -> String {
+    format!(
+        "POST /v1/place HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+        body.len()
+    )
 }
 
 fn bench_analyze(h: &Harness) {

@@ -144,30 +144,6 @@ pub enum Command {
         /// skips it (`None` = unlimited, admission control off).
         capacity_per_hour: Option<usize>,
     },
-    /// `serve bench [--addr HOST:PORT] [--connections N] [--requests M]
-    /// [--batch K] [--mode keepalive|close] [--pipeline P] [--threads N]`
-    /// — drive the in-tree load harness against a placement server (an
-    /// ephemeral in-process one when `--addr` is absent) and report
-    /// requests/sec plus latency percentiles.
-    ServeBench {
-        /// Server to drive; `None` boots an in-process server over the
-        /// built-in dataset on an ephemeral port.
-        addr: Option<String>,
-        /// Concurrent client connections.
-        connections: usize,
-        /// Requests each connection issues.
-        requests: u64,
-        /// Jobs per `POST /v1/place` body (1 = single-job object).
-        batch: usize,
-        /// `true` = keep-alive; `false` = close per request (baseline).
-        keep_alive: bool,
-        /// Requests written back-to-back before reading responses
-        /// (keep-alive only; 1 = strict ping-pong).
-        pipeline: usize,
-        /// Worker threads for the in-process server (ignored with
-        /// `--addr`).
-        threads: usize,
-    },
     /// `help`, `-h` or `--help`.
     Help,
     /// `<command> --help` (or `-h`): one row's usage line and help.
@@ -821,23 +797,6 @@ pub static COMMANDS: &[CommandSpec] = &[
             })
         },
     },
-    CommandSpec {
-        path: "serve bench",
-        synopsis: "[--addr HOST:PORT] [--connections N] [--requests M] [--batch K] \
-                   [--mode keepalive|close] [--pipeline P] [--threads N]",
-        help: "load-test a placement server (in-process without --addr)",
-        flags: &[
-            Value("addr"),
-            Value("connections"),
-            Value("requests"),
-            Value("batch"),
-            Value("mode"),
-            Value("pipeline"),
-            Value("threads"),
-        ],
-        positionals: 0,
-        build: build_serve_bench,
-    },
 ];
 
 /// `scenario run`/`scenario check` select a built-in name (or `all`)
@@ -873,41 +832,6 @@ fn build_scenario_run(a: &Args<'_>) -> Result<Command, String> {
     })
 }
 
-fn build_serve_bench(a: &Args<'_>) -> Result<Command, String> {
-    let pipeline = a.parsed("pipeline", 1)?;
-    if !(1..=decarb_serve::MAX_PIPELINE).contains(&pipeline) {
-        return Err(format!(
-            "--pipeline must be between 1 and {}",
-            decarb_serve::MAX_PIPELINE
-        ));
-    }
-    let keep_alive = match a.value("mode").unwrap_or("keepalive") {
-        "keepalive" => true,
-        "close" => false,
-        other => {
-            return Err(format!(
-                "invalid value `{other}` for --mode; expected keepalive|close"
-            ))
-        }
-    };
-    if !keep_alive && pipeline > 1 {
-        return Err(
-            "--pipeline needs keep-alive; a close-per-request connection carries \
-                    exactly one request"
-                .into(),
-        );
-    }
-    Ok(Command::ServeBench {
-        addr: a.string("addr"),
-        connections: a.count("connections", 4)?,
-        requests: a.count("requests", 2_000)? as u64,
-        batch: a.count("batch", 1)?,
-        keep_alive,
-        pipeline,
-        threads: a.count("threads", 4)?,
-    })
-}
-
 /// The global help after the command list.
 const HELP_FOOTER: &str = "
 defaults: --year 2022, --slack 24, --arrive 0, --days 60, --tolerance-pct 0.1
@@ -919,8 +843,8 @@ metadata, so --regions applies to CSV only). Imported CSV traces are
 validated and repaired; containers load verbatim.
 `scenario run` accepts --data (scenario region sets must exist in the
 imported dataset); `list`, `run`, `scenario list`, `scenario merge`,
-`scenario history`, `scenario diff`, `analyze --workspace`, `data` and
-`serve bench` do not";
+`scenario history`, `scenario diff`, `analyze --workspace` and `data`
+do not";
 
 /// The global help, generated from [`COMMANDS`].
 pub fn usage() -> String {
@@ -1112,68 +1036,6 @@ mod tests {
         assert!(parse(&argv(&["serve", "extra"])).is_err());
         assert!(parse(&argv(&["serve", "--capacity-per-hour", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--capacity-per-hour", "lots"])).is_err());
-    }
-
-    #[test]
-    fn serve_bench_defaults_and_options() {
-        assert_eq!(
-            parse(&argv(&["serve", "bench"])).unwrap(),
-            Command::ServeBench {
-                addr: None,
-                connections: 4,
-                requests: 2_000,
-                batch: 1,
-                keep_alive: true,
-                pipeline: 1,
-                threads: 4,
-            }
-        );
-        assert_eq!(
-            parse(&argv(&[
-                "serve",
-                "bench",
-                "--addr",
-                "127.0.0.1:8980",
-                "--connections",
-                "16",
-                "--requests",
-                "500",
-                "--batch",
-                "32",
-                "--mode",
-                "close"
-            ]))
-            .unwrap(),
-            Command::ServeBench {
-                addr: Some("127.0.0.1:8980".into()),
-                connections: 16,
-                requests: 500,
-                batch: 32,
-                keep_alive: false,
-                pipeline: 1,
-                threads: 4,
-            }
-        );
-        assert!(matches!(
-            parse(&argv(&["serve", "bench", "--pipeline", "32"])).unwrap(),
-            Command::ServeBench { pipeline: 32, .. }
-        ));
-        assert!(parse(&argv(&["serve", "bench", "--mode", "sometimes"])).is_err());
-        assert!(parse(&argv(&["serve", "bench", "--connections", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "bench", "--requests", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "bench", "--batch", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "bench", "--pipeline", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "bench", "--pipeline", "65"])).is_err());
-        assert!(parse(&argv(&[
-            "serve",
-            "bench",
-            "--mode",
-            "close",
-            "--pipeline",
-            "2"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["serve", "bench", "--data", "x.csv"])).is_err());
     }
 
     #[test]

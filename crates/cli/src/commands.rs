@@ -130,60 +130,6 @@ pub(crate) fn serve_cmd(
     Ok(())
 }
 
-/// `serve bench`: runs the in-tree load harness against `addr`, or
-/// against a freshly booted in-process server over the built-in
-/// dataset when no address is given, and renders requests/sec plus
-/// latency percentiles.
-pub(crate) fn serve_bench_cmd(
-    addr: Option<&str>,
-    connections: usize,
-    requests: u64,
-    batch: usize,
-    keep_alive: bool,
-    pipeline: usize,
-    threads: usize,
-) -> Result<String, CliError> {
-    use std::sync::Arc;
-    let target: std::net::SocketAddr = match addr {
-        Some(raw) => raw.parse().map_err(|_| {
-            CliError::Parse(ParseError(format!(
-                "serve bench: invalid --addr `{raw}` (expected HOST:PORT)"
-            )))
-        })?,
-        None => {
-            let service = Arc::new(decarb_serve::PlacementService::new(
-                decarb_traces::builtin_dataset(),
-            ));
-            let server = decarb_serve::Server::bind("127.0.0.1:0", service)
-                .map_err(|e| failed("serve bench", e))?;
-            let local = server.local_addr().map_err(|e| failed("serve bench", e))?;
-            // Detached: the server thread dies with the process once
-            // the measurement is done.
-            std::thread::spawn(move || {
-                let _ = server.run(threads);
-            });
-            local
-        }
-    };
-    let config = decarb_serve::LoadConfig {
-        connections,
-        requests_per_connection: requests,
-        batch,
-        keep_alive,
-        pipeline,
-    };
-    let report = config.run(target).map_err(CliError::Io)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "serve bench: {} mode, {connections} connection{} x {requests} requests, batch {batch}, pipeline {pipeline}, against {target}",
-        if keep_alive { "keep-alive" } else { "close-per-request" },
-        if connections == 1 { "" } else { "s" },
-    );
-    let _ = write!(out, "{}", report.summary());
-    Ok(out)
-}
-
 /// Renders the experiment registry, one `id  description` line per
 /// registered experiment.
 pub(crate) fn list() -> String {

@@ -161,7 +161,6 @@ impl Command {
                 | Command::ScenarioDiff { .. }
                 | Command::AnalyzeWorkspace { .. }
                 | Command::Data(_)
-                | Command::ServeBench { .. }
         )
     }
 }
@@ -259,23 +258,6 @@ pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Re
             };
             return commands::serve_cmd(out, data, addr, *threads, *capacity_per_hour);
         }
-        Command::ServeBench {
-            addr,
-            connections,
-            requests,
-            batch,
-            keep_alive,
-            pipeline,
-            threads,
-        } => commands::serve_bench_cmd(
-            addr.as_deref(),
-            *connections,
-            *requests,
-            *batch,
-            *keep_alive,
-            *pipeline,
-            *threads,
-        )?,
     };
     writeln!(out, "{text}")?;
     Ok(())

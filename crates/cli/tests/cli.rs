@@ -97,7 +97,6 @@ const SUBCOMMANDS: &[(&str, bool)] = &[
     ("data probe", true),
     ("data append", true),
     ("serve", false),
-    ("serve bench", false),
 ];
 
 /// Asserts a usage failure: exit 2, nothing on stdout, and stderr ending
@@ -1241,6 +1240,8 @@ fn serve_rejects_a_bad_bind_address_with_exit_1() {
 
 #[test]
 fn serve_capacity_per_hour_saturates_the_winning_region() {
+    let zero = decarb_cli(&["serve", "--capacity-per-hour", "0"]);
+    assert_usage_error(&zero, "serve");
     // With one admission slot per region-hour, two identical queries
     // cannot both land on the same region: the second must be pushed
     // to a different region (or start hour) by the admission ledger.
@@ -1273,60 +1274,26 @@ fn serve_capacity_per_hour_saturates_the_winning_region() {
 }
 
 #[test]
-fn serve_bench_drives_a_spawned_server_and_reports_throughput() {
-    let (mut child, addr) = spawn_serve(&["serve", "--addr", "127.0.0.1:0", "--threads", "2"]);
-    let result = std::panic::catch_unwind(|| {
-        let out = decarb_cli(&[
-            "serve",
-            "bench",
-            "--addr",
-            &addr,
-            "--connections",
-            "2",
-            "--requests",
-            "40",
-            "--batch",
-            "4",
-        ]);
-        assert!(out.status.success(), "{}", stderr(&out));
-        let text = stdout(&out);
-        assert!(text.contains("keep-alive mode"), "{text}");
-        assert!(text.contains("80 requests"), "{text}");
-        assert!(text.contains("req/s"), "{text}");
-        assert!(text.contains("p99"), "{text}");
-        assert!(text.contains("0 failures"), "{text}");
-    });
-    let _ = child.kill();
-    let _ = child.wait();
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
+fn serve_bench_is_a_usage_error_that_binds_no_port() {
+    // `serve` takes no positional argument, so `bench` is rejected
+    // before anything binds; a daemon would print its address and
+    // never exit, which the deadline below turns into a failure.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_decarb-cli"))
+        .args(["serve", "bench"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("child status").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`serve` with a stray `bench` is still running: it started a daemon");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
-}
-
-#[test]
-fn serve_bench_boots_its_own_server_when_no_addr_is_given() {
-    let out = decarb_cli(&[
-        "serve",
-        "bench",
-        "--connections",
-        "2",
-        "--requests",
-        "20",
-        "--mode",
-        "close",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("close-per-request mode"), "{text}");
-    assert!(text.contains("0 failures"), "{text}");
-}
-
-#[test]
-fn serve_bench_rejects_bad_options_with_exit_2() {
-    let zero = decarb_cli(&["serve", "bench", "--connections", "0"]);
-    assert_eq!(zero.status.code(), Some(2));
-    let mode = decarb_cli(&["serve", "bench", "--mode", "pipelined"]);
-    assert_eq!(mode.status.code(), Some(2));
-    let capacity = decarb_cli(&["serve", "--capacity-per-hour", "0"]);
-    assert_eq!(capacity.status.code(), Some(2));
+    let out = child.wait_with_output().expect("child output");
+    let err = assert_usage_error(&out, "serve");
+    assert!(err.contains("`bench`"), "{err}");
 }

@@ -1,8 +1,9 @@
 //! The canonical diagnostics envelope shared by every JSON emitter.
 //!
-//! `decarb-cli analyze --json`, `decarb-cli scenario check --json`, and
-//! the serve daemon's error bodies all publish diagnostics as JSON
-//! objects. Consumers (CI gates, dashboards) diff these payloads
+//! `decarb-cli analyze --json` and `decarb-cli scenario check --json`
+//! publish diagnostics as JSON objects, both through
+//! `decarb-analyze`, the one caller. (The serve daemon's error bodies
+//! are a different shape, `{"error": {code, message}}`.) Consumers (CI gates, dashboards) diff these payloads
 //! byte-for-byte, so the field order is part of the contract: **`file`,
 //! `line`, `rule`, `message`** — documented in `docs/API.md` and pinned
 //! by tests here and in `decarb-analyze`. Producing the object in one

@@ -17,28 +17,23 @@
 //! * [`api`] — the `/v1` routes over a [`decarb_sim::Snapshot`]
 //!   (interned regions, dense series, prebuilt RTT/planner tables)
 //!   behind an atomically swapped `Arc`; `POST /v1/reload` rebuilds
-//!   off-lock and swaps, so readers never wait. Batch placements fan
-//!   out over `decarb-par` when admission control allows.
+//!   off-lock and swaps, so readers never wait. A batch places its
+//!   jobs one after another on the worker that read it.
 //! * [`metrics`] — relaxed-atomic request counters, placement latency
 //!   and connection-reuse histograms, and batch-size counters for
 //!   `GET /v1/metrics`.
 //! * [`server`] — the TCP accept loop, worker-thread pool, and the
 //!   zero-allocation keep-alive connection loop
 //!   ([`server::handle_connection`]).
-//! * [`loadgen`] — the in-tree load harness behind
-//!   `decarb-cli serve bench`: N concurrent keep-alive connections,
-//!   requests/sec and latency percentiles.
 //!
 //! The full endpoint reference lives in `docs/API.md`.
 
 pub mod api;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod server;
 
 pub use api::{ApiError, Loader, PlacementService};
 pub use http::{read_request, HttpError, Request};
-pub use loadgen::{LoadConfig, LoadReport, MAX_PIPELINE};
 pub use metrics::{Endpoint, Metrics};
 pub use server::{handle_connection, Server};

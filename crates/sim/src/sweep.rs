@@ -202,13 +202,10 @@ impl SweepPlan {
 
 /// Which shard an id lands in: the id's 64-bit value modulo `shards`.
 fn shard_of(id: &str, shards: usize) -> usize {
-    let value = u64::from_str_radix(id, 16).unwrap_or_else(|_| {
-        // Ids from `Scenario::content_id` are always 16 hex digits; a
-        // foreign id still shards deterministically via a re-hash.
-        id.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
-    });
+    // Ids from `Scenario::content_id` are always 16 hex digits; a
+    // foreign id still shards deterministically via a re-hash.
+    let value = u64::from_str_radix(id, 16)
+        .unwrap_or_else(|_| decarb_traces::container::fnv1a64(id.as_bytes()));
     (value % shards as u64) as usize
 }
 
@@ -521,6 +518,17 @@ mod tests {
             b.sort();
             assert_eq!(a, b, "shard {index} membership ignores plan order");
         }
+    }
+
+    #[test]
+    fn non_hex_ids_shard_by_their_fnv1a64_hash() {
+        let id = "my-custom-scenario";
+        let hash = decarb_traces::container::fnv1a64(id.as_bytes());
+        assert_eq!(hash, 0x7864_af28_ba0d_f8d6);
+        for shards in [1, 2, 7, 16] {
+            assert_eq!(shard_of(id, shards), (hash % shards as u64) as usize);
+        }
+        assert_eq!(shard_of("00000000000000ff", 16), 15);
     }
 
     #[test]
