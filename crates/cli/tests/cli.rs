@@ -1240,8 +1240,6 @@ fn serve_rejects_a_bad_bind_address_with_exit_1() {
 
 #[test]
 fn serve_capacity_per_hour_saturates_the_winning_region() {
-    let zero = decarb_cli(&["serve", "--capacity-per-hour", "0"]);
-    assert_usage_error(&zero, "serve");
     // With one admission slot per region-hour, two identical queries
     // cannot both land on the same region: the second must be pushed
     // to a different region (or start hour) by the admission ledger.
@@ -1271,6 +1269,18 @@ fn serve_capacity_per_hour_saturates_the_winning_region() {
     if let Err(panic) = result {
         std::panic::resume_unwind(panic);
     }
+}
+
+#[test]
+fn serve_bench_rejects_bad_options_with_exit_2() {
+    // `bench` is no longer a `serve` subcommand, so its old options are
+    // rejected as a stray positional before any option is read.
+    let zero = decarb_cli(&["serve", "bench", "--connections", "0"]);
+    assert_usage_error(&zero, "serve");
+    let mode = decarb_cli(&["serve", "bench", "--mode", "pipelined"]);
+    assert_usage_error(&mode, "serve");
+    let capacity = decarb_cli(&["serve", "--capacity-per-hour", "0"]);
+    assert_usage_error(&capacity, "serve");
 }
 
 #[test]
