@@ -111,9 +111,6 @@ pub enum Command {
         /// cover exactly.
         expect: Option<MergeExpect>,
     },
-    /// `scenario history append|show` — persist and inspect a per-run
-    /// emissions series (JSONL keyed by git rev).
-    ScenarioHistory(HistoryCommand),
     /// `scenario diff --report R --golden G [--tolerance-pct P]` — gate
     /// every numeric field of each scenario against a golden JSON report.
     ScenarioDiff {
@@ -220,38 +217,6 @@ pub enum MergeExpect {
     All,
     /// The expansion of a scenario file (`--expect PATH`).
     File(String),
-}
-
-/// The `scenario history` subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HistoryCommand {
-    /// Append one run's emissions to the series.
-    Append {
-        /// Path of the `scenario run ... --json` report to record.
-        report: String,
-        /// Path of the JSONL history file (created when missing).
-        file: String,
-        /// Revision key; defaults to `$GITHUB_SHA`, then `git
-        /// rev-parse`, then `unknown`.
-        rev: Option<String>,
-    },
-    /// Render the series as a drift-trend table.
-    Show {
-        /// Path of the JSONL history file.
-        file: String,
-        /// Show only the last N entries (0 = all).
-        limit: usize,
-    },
-    /// Fail on monotonic multi-commit emissions drift.
-    Check {
-        /// Path of the JSONL history file.
-        file: String,
-        /// Number of trailing runs inspected (minimum 2).
-        window: usize,
-        /// Cumulative drift across the window that turns a monotonic
-        /// trend into a failure, percent.
-        max_drift_pct: f64,
-    },
 }
 
 /// A parse failure with a user-facing message.
@@ -641,56 +606,6 @@ pub static COMMANDS: &[CommandSpec] = &[
         },
     },
     CommandSpec {
-        path: "scenario history append",
-        synopsis: "--report R --file H [--rev REV]",
-        help: "record a run in the emissions series",
-        flags: &[Value("report"), Value("file"), Value("rev")],
-        positionals: 0,
-        build: |a| {
-            Ok(Command::ScenarioHistory(HistoryCommand::Append {
-                report: a.required("report")?,
-                file: a.required("file")?,
-                rev: a.string("rev"),
-            }))
-        },
-    },
-    CommandSpec {
-        path: "scenario history show",
-        synopsis: "--file H [--limit N]",
-        help: "render the emissions series as a trend",
-        flags: &[Value("file"), Value("limit")],
-        positionals: 0,
-        build: |a| {
-            Ok(Command::ScenarioHistory(HistoryCommand::Show {
-                file: a.required("file")?,
-                limit: a.parsed("limit", 0)?,
-            }))
-        },
-    },
-    CommandSpec {
-        path: "scenario history check",
-        synopsis: "--file H [--window N] [--max-drift-pct X]",
-        help: "fail on monotonic multi-commit drift",
-        flags: &[Value("file"), Value("window"), Value("max-drift-pct")],
-        positionals: 0,
-        build: |a| {
-            let file = a.required("file")?;
-            let window = a.parsed("window", 5)?;
-            if window < 2 {
-                return Err("--window must be at least 2".into());
-            }
-            let max_drift_pct: f64 = a.parsed("max-drift-pct", 1.0)?;
-            if !max_drift_pct.is_finite() || max_drift_pct < 0.0 {
-                return Err("--max-drift-pct must be non-negative".into());
-            }
-            Ok(Command::ScenarioHistory(HistoryCommand::Check {
-                file,
-                window,
-                max_drift_pct,
-            }))
-        },
-    },
-    CommandSpec {
         path: "scenario diff",
         synopsis: "--report R --golden G [--tolerance-pct P]",
         help: "fail when a scenario's counts change or its floats drift",
@@ -843,8 +758,7 @@ metadata, so --regions applies to CSV only). Imported CSV traces are
 validated and repaired; containers load verbatim.
 `scenario run` accepts --data (scenario region sets must exist in the
 imported dataset); `list`, `run`, `scenario list`, `scenario merge`,
-`scenario history`, `scenario diff`, `analyze --workspace` and `data`
-do not";
+`scenario diff`, `analyze --workspace` and `data` do not";
 
 /// The global help, generated from [`COMMANDS`].
 pub fn usage() -> String {
@@ -1380,48 +1294,6 @@ mod tests {
         assert!(parse(&argv(&["scenario", "merge", "--expect", "all"])).is_err());
         assert!(parse(&argv(&["scenario", "merge", "a.json", "--expect"])).is_err());
         assert!(parse(&argv(&["scenario", "merge", "a.json", "--bogus", "x"])).is_err());
-    }
-
-    #[test]
-    fn scenario_history_parses_append_and_show() {
-        assert_eq!(
-            parse(&argv(&[
-                "scenario", "history", "append", "--report", "r.json", "--file", "h.jsonl"
-            ]))
-            .unwrap(),
-            Command::ScenarioHistory(HistoryCommand::Append {
-                report: "r.json".into(),
-                file: "h.jsonl".into(),
-                rev: None,
-            })
-        );
-        assert_eq!(
-            parse(&argv(&[
-                "scenario", "history", "append", "--report", "r.json", "--file", "h.jsonl",
-                "--rev", "abc123"
-            ]))
-            .unwrap(),
-            Command::ScenarioHistory(HistoryCommand::Append {
-                report: "r.json".into(),
-                file: "h.jsonl".into(),
-                rev: Some("abc123".into()),
-            })
-        );
-        assert_eq!(
-            parse(&argv(&[
-                "scenario", "history", "show", "--file", "h.jsonl", "--limit", "5"
-            ]))
-            .unwrap(),
-            Command::ScenarioHistory(HistoryCommand::Show {
-                file: "h.jsonl".into(),
-                limit: 5,
-            })
-        );
-        assert!(parse(&argv(&["scenario", "history"])).is_err());
-        assert!(parse(&argv(&["scenario", "history", "append"])).is_err());
-        assert!(parse(&argv(&["scenario", "history", "append", "--report", "r"])).is_err());
-        assert!(parse(&argv(&["scenario", "history", "show"])).is_err());
-        assert!(parse(&argv(&["scenario", "history", "prune", "--file", "h"])).is_err());
     }
 
     #[test]

@@ -539,7 +539,8 @@ pub(crate) fn scenario_diff(
                     .map_or((key.as_str(), ""), |k| (k, " g"));
                 violations.push(format!(
                     "  {name}: {label} {got:.3}{unit} vs golden {want:.3}{unit} \
-                     ({drift_pct:.3}% > {tolerance_pct}%)"
+                     ({}% > {tolerance_pct}%)",
+                    drift_text(drift_pct, 3)
                 ));
             }
         }
@@ -565,9 +566,20 @@ pub(crate) fn scenario_diff(
         )));
     }
     Ok(format!(
-        "{} scenarios within ±{tolerance_pct}% of {golden_path}, counts exact (max drift {max_drift:.4}%)\n",
-        golden.len()
+        "{} scenarios within ±{tolerance_pct}% of {golden_path}, counts exact (max drift {}%)\n",
+        golden.len(),
+        drift_text(max_drift, 4)
     ))
+}
+
+/// A drift in percent at `digits` decimals, or in scientific notation
+/// when those decimals would print a nonzero drift as zero.
+fn drift_text(pct: f64, digits: usize) -> String {
+    if pct == 0.0 || pct >= 10f64.powi(-(digits as i32)) {
+        format!("{pct:.digits$}")
+    } else {
+        format!("{pct:.3e}")
+    }
 }
 
 /// Reads and parses one JSON report document.
@@ -733,204 +745,6 @@ pub(crate) fn scenario_merge(
     let merged = decarb_sim::merge_reports(expected.as_deref(), &docs)
         .map_err(|e| CliError::Failed(format!("scenario merge: {e}")))?;
     Ok(Value::Array(merged).pretty())
-}
-
-/// Resolves the revision key a history entry is recorded under:
-/// explicit `--rev`, then `$GITHUB_SHA` (the CI case), then the
-/// repository HEAD, then `unknown`.
-fn resolve_rev(explicit: Option<&str>) -> String {
-    if let Some(rev) = explicit {
-        return rev.to_string();
-    }
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.trim().is_empty() {
-            return sha.trim().to_string();
-        }
-    }
-    if let Ok(output) = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-    {
-        if output.status.success() {
-            let rev = String::from_utf8_lossy(&output.stdout).trim().to_string();
-            if !rev.is_empty() {
-                return rev;
-            }
-        }
-    }
-    "unknown".to_string()
-}
-
-/// Appends one run's per-scenario emissions to a JSONL history file
-/// (one object per line, keyed by git rev), creating the file when
-/// missing — the per-commit series behind `scenario history show`.
-pub(crate) fn scenario_history_append(
-    report_path: &str,
-    file: &str,
-    rev: Option<&str>,
-) -> Result<String, CliError> {
-    let pairs = report_fields(report_path)?
-        .into_iter()
-        .map(
-            |(name, fields)| match fields.into_iter().find(|(key, _)| key == "emissions_g") {
-                Some((_, emissions)) => Ok((name, emissions)),
-                None => Err(failed(
-                    report_path,
-                    format!("scenario `{name}` has no `emissions_g`"),
-                )),
-            },
-        )
-        .collect::<Result<Vec<_>, _>>()?;
-    let total: f64 = pairs.iter().map(|(_, g)| g).sum();
-    let rev = resolve_rev(rev);
-    let entry = Value::object([
-        ("rev", Value::from(rev.as_str())),
-        ("scenarios", Value::from(pairs.len() as f64)),
-        ("total_emissions_g", Value::from(total)),
-        (
-            "emissions",
-            Value::Object(
-                pairs
-                    .iter()
-                    .map(|(name, g)| (name.clone(), Value::from(*g)))
-                    .collect(),
-            ),
-        ),
-    ]);
-    use std::io::Write as _;
-    let mut handle = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(file)
-        .map_err(|e| failed(file, e))?;
-    writeln!(handle, "{entry}")?;
-    Ok(format!(
-        "recorded {rev}: {} scenarios, {total:.1} g·CO2eq total → {file}\n",
-        pairs.len()
-    ))
-}
-
-/// Parses a JSONL history file into `(rev, scenarios, total_g)` rows.
-fn read_history(file: &str) -> Result<Vec<(String, usize, f64)>, CliError> {
-    let text = std::fs::read_to_string(file).map_err(|e| failed(file, e))?;
-    let mut rows: Vec<(String, usize, f64)> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = format!("{file} line {}", i + 1);
-        let entry = decarb_json::parse(line).map_err(|e| failed(&at, e))?;
-        let (Some(Value::String(rev)), Some(Value::Number(scenarios)), Some(Value::Number(total))) = (
-            entry.get("rev"),
-            entry.get("scenarios"),
-            entry.get("total_emissions_g"),
-        ) else {
-            return Err(failed(
-                at,
-                "entry needs a `rev`, `scenarios` and `total_emissions_g`",
-            ));
-        };
-        rows.push((rev.clone(), *scenarios as usize, *total));
-    }
-    Ok(rows)
-}
-
-/// Renders the emissions-history series as a trend table: one row per
-/// recorded run with the total-emissions delta against the previous
-/// run, so gradual drift the per-commit golden gate cannot see becomes
-/// visible.
-pub(crate) fn scenario_history_show(file: &str, limit: usize) -> Result<String, CliError> {
-    let rows = read_history(file)?;
-    if rows.is_empty() {
-        return Ok(format!("{file}: no recorded runs\n"));
-    }
-    // Deltas are computed over the full series, then the tail is shown,
-    // so the first visible row still reports its drift.
-    let mut out = format!(
-        "{:<14} {:>9} {:>16} {:>9}\n",
-        "rev", "scenarios", "total g·CO2eq", "Δ total"
-    );
-    let skip = match limit {
-        0 => 0,
-        n => rows.len().saturating_sub(n),
-    };
-    for (i, (rev, scenarios, total)) in rows.iter().enumerate().skip(skip) {
-        let delta = if i == 0 {
-            "—".to_string()
-        } else {
-            let previous = rows[i - 1].2;
-            if previous.abs() > f64::EPSILON {
-                format!("{:+.3}%", (total - previous) / previous * 100.0)
-            } else {
-                "n/a".to_string()
-            }
-        };
-        let short: String = rev.chars().take(12).collect();
-        let _ = writeln!(out, "{short:<14} {scenarios:>9} {total:>16.1} {delta:>9}");
-    }
-    let _ = writeln!(
-        out,
-        "{} run{} recorded",
-        rows.len(),
-        if rows.len() == 1 { "" } else { "s" }
-    );
-    Ok(out)
-}
-
-/// The history-aware gate behind `scenario history check`: fails when
-/// the last `window` recorded runs drift *monotonically* (no
-/// commit-to-commit delta moves against the trend — plateaus count,
-/// since behavior-neutral commits append bit-identical totals) and the
-/// cumulative change across the window exceeds `max_drift_pct`
-/// percent. A per-commit golden diff cannot see this: each step can
-/// sit inside the golden tolerance while the series walks steadily
-/// away.
-pub(crate) fn scenario_history_check(
-    file: &str,
-    window: usize,
-    max_drift_pct: f64,
-) -> Result<String, CliError> {
-    let rows = read_history(file)?;
-    if rows.len() < 2 {
-        return Ok(format!(
-            "{file}: {} run(s) recorded, need at least 2 to check drift — pass
-",
-            rows.len()
-        ));
-    }
-    let tail = &rows[rows.len().saturating_sub(window)..];
-    let deltas: Vec<f64> = tail.windows(2).map(|w| w[1].2 - w[0].2).collect();
-    let first = tail.first().expect("tail has ≥ 2 rows").2;
-    let last = tail.last().expect("tail has ≥ 2 rows").2;
-    // Weak monotonicity with a nonzero net move: a plateau (a commit
-    // that reproduces emissions bit-identically) must not disarm the
-    // gate, but a flat-only window is no trend at all.
-    let monotonic_up = last > first && deltas.iter().all(|&d| d >= 0.0);
-    let monotonic_down = last < first && deltas.iter().all(|&d| d <= 0.0);
-    let drift_pct = if first.abs() > f64::EPSILON {
-        (last - first) / first * 100.0
-    } else if last.abs() > f64::EPSILON {
-        f64::INFINITY
-    } else {
-        0.0
-    };
-    let span = tail.len();
-    if (monotonic_up || monotonic_down) && drift_pct.abs() > max_drift_pct {
-        let direction = if monotonic_up { "rising" } else { "falling" };
-        return Err(CliError::Failed(format!(
-            "emissions history drifts monotonically over the last {span} runs \
-             ({direction} {drift_pct:+.3}% cumulative, threshold ±{max_drift_pct}%): \
-             {} → {} g·CO2eq — investigate before the trend compounds",
-            first, last
-        )));
-    }
-    Ok(format!(
-        "history check: last {span} of {} runs, cumulative drift {drift_pct:+.3}% \
-         (threshold ±{max_drift_pct}%, monotonic: {}) — pass
-",
-        rows.len(),
-        monotonic_up || monotonic_down,
-    ))
 }
 
 /// The trace of a zone named on the command line. An unknown code is a
@@ -1508,16 +1322,19 @@ mod tests {
             other => panic!("not an object: {other}"),
         };
         let one = decarb_json::parse(&out).unwrap();
-        let all = dispatch(&argv(&["run", "all", "--json"])).unwrap();
-        let Value::Array(runs) = decarb_json::parse(&all).unwrap() else {
-            panic!("`run all --json` prints an array");
+        // The golden is `run all --json` without its `elapsed_s` fields.
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/repro.json");
+        let golden = std::fs::read_to_string(golden).unwrap();
+        let Value::Array(runs) = decarb_json::parse(&golden).unwrap() else {
+            panic!("the golden `run all --json` report is an array");
         };
         let table1 = runs
             .iter()
             .find(|run| run.get("id") == Some(&Value::from("table1")))
             .expect("table1 in `run all`");
-        assert_eq!(keys(&one), keys(table1));
-        assert_eq!(keys(&one), ["id", "description", "elapsed_s", "tables"]);
+        let mut expected = keys(table1);
+        expected.insert(2, "elapsed_s".into());
+        assert_eq!(keys(&one), expected);
     }
 
     #[test]
@@ -1980,201 +1797,6 @@ regions = synthetic
     }
 
     #[test]
-    fn history_append_names_a_scenario_without_emissions() {
-        let report = temp_file(
-            "decarb_cli_test_history_no_emissions.json",
-            r#"[{"name": "a", "emissions_g": 100.0}, {"name": "b", "jobs": 3}]"#,
-        );
-        let history = std::env::temp_dir().join("decarb_cli_test_history_no_emissions.jsonl");
-        std::fs::remove_file(&history).ok();
-        let err = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "append",
-            "--report",
-            report.to_str().unwrap(),
-            "--file",
-            history.to_str().unwrap(),
-            "--rev",
-            "r1",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Failed(_)), "{err}");
-        assert!(
-            format!("{err}").contains("scenario `b` has no `emissions_g`"),
-            "{err}"
-        );
-        assert!(!history.exists(), "nothing appended");
-        std::fs::remove_file(report).ok();
-    }
-
-    #[test]
-    fn history_check_gates_monotonic_drift() {
-        let entry = |rev: &str, total: f64| -> String {
-            Value::object([
-                ("rev", Value::from(rev)),
-                ("scenarios", Value::from(2.0)),
-                ("total_emissions_g", Value::from(total)),
-                ("emissions", Value::object::<String>([])),
-            ])
-            .to_string()
-        };
-        // Monotonic rise beyond the threshold: fail.
-        let rising = temp_file(
-            "decarb-history-rising.jsonl",
-            &format!(
-                "{}
-{}
-{}
-{}
-",
-                entry("r1", 100.0),
-                entry("r2", 100.4),
-                entry("r3", 100.9),
-                entry("r4", 101.5),
-            ),
-        );
-        let err = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            rising.to_str().unwrap(),
-            "--window",
-            "4",
-            "--max-drift-pct",
-            "1.0",
-        ]))
-        .unwrap_err();
-        let text = format!("{err}");
-        assert!(text.contains("monotonically"), "{text}");
-        assert!(text.contains("rising"), "{text}");
-        // The same series passes under a looser threshold…
-        let ok = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            rising.to_str().unwrap(),
-            "--window",
-            "4",
-            "--max-drift-pct",
-            "5.0",
-        ]))
-        .unwrap();
-        assert!(ok.contains("pass"), "{ok}");
-        // A plateau (a behavior-neutral commit repeating the exact
-        // total) must not disarm the gate: the trend is still
-        // monotonic and the cumulative drift still exceeds the
-        // threshold.
-        let plateau = temp_file(
-            "decarb-history-plateau.jsonl",
-            &format!(
-                "{}\n{}\n{}\n{}\n{}\n",
-                entry("r1", 100.0),
-                entry("r2", 100.4),
-                entry("r3", 100.4),
-                entry("r4", 100.9),
-                entry("r5", 101.5),
-            ),
-        );
-        let err = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            plateau.to_str().unwrap(),
-            "--window",
-            "5",
-            "--max-drift-pct",
-            "0.5",
-        ]))
-        .unwrap_err();
-        assert!(format!("{err}").contains("monotonically"), "{err}");
-        // An entirely flat series is no trend and always passes.
-        let flat = temp_file(
-            "decarb-history-flat.jsonl",
-            &format!(
-                "{}\n{}\n{}\n",
-                entry("r1", 100.0),
-                entry("r2", 100.0),
-                entry("r3", 100.0)
-            ),
-        );
-        let ok = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            flat.to_str().unwrap(),
-            "--max-drift-pct",
-            "0",
-        ]))
-        .unwrap();
-        assert!(ok.contains("pass"), "{ok}");
-        std::fs::remove_file(&plateau).ok();
-        std::fs::remove_file(&flat).ok();
-        // …and a non-monotonic series passes even under a tight one.
-        let noisy = temp_file(
-            "decarb-history-noisy.jsonl",
-            &format!(
-                "{}
-{}
-{}
-{}
-",
-                entry("r1", 100.0),
-                entry("r2", 104.0),
-                entry("r3", 99.0),
-                entry("r4", 103.0),
-            ),
-        );
-        let ok = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            noisy.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(ok.contains("pass"), "{ok}");
-        // A window only sees the tail: the last 2 entries of the noisy
-        // series rise 99 → 103 (monotonic within the window).
-        let err = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            noisy.to_str().unwrap(),
-            "--window",
-            "2",
-            "--max-drift-pct",
-            "1.0",
-        ]))
-        .unwrap_err();
-        assert!(format!("{err}").contains("monotonically"), "{err}");
-        // Fewer than two runs trivially pass; bad arguments error.
-        let single = temp_file("decarb-history-single.jsonl", &entry("r1", 50.0));
-        let ok = dispatch(&argv(&[
-            "scenario",
-            "history",
-            "check",
-            "--file",
-            single.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(ok.contains("need at least 2"), "{ok}");
-        let err = dispatch(&argv(&[
-            "scenario", "history", "check", "--file", "x", "--window", "1",
-        ]))
-        .unwrap_err();
-        assert!(format!("{err}").contains("at least 2"), "{err}");
-        std::fs::remove_file(&rising).ok();
-        std::fs::remove_file(&noisy).ok();
-        std::fs::remove_file(&single).ok();
-    }
-
-    #[test]
     fn scenario_file_runs_against_imported_datasets() {
         // A two-zone `--data` import plus a scenario file deploying
         // exactly those zones: the sweep must run on the imported
@@ -2277,6 +1899,7 @@ regions = pair
         ]))
         .unwrap();
         assert!(out.contains("2 scenarios within"), "{out}");
+        assert!(out.contains("max drift 0.0000%"), "{out}");
         // Drift beyond tolerance fails with the offending scenario named.
         let drifted = temp_file(
             "decarb_cli_test_diff_drifted.json",
@@ -2308,7 +1931,29 @@ regions = pair
         ]))
         .unwrap();
         assert!(out.contains("max drift 3."), "{out}");
-        for path in [report, golden, drifted] {
+        // A drift the fixed-point digits would round to zero prints in
+        // scientific notation, both as a violation and as the maximum.
+        let tiny = temp_file(
+            "decarb_cli_test_diff_tiny.json",
+            r#"[{"name": "a", "emissions_g": 100.000001}, {"name": "b", "emissions_g": 50.0}]"#,
+        );
+        let tiny_diff = |tolerance: &str| {
+            dispatch(&argv(&[
+                "scenario",
+                "diff",
+                "--report",
+                tiny.to_str().unwrap(),
+                "--golden",
+                golden.to_str().unwrap(),
+                "--tolerance-pct",
+                tolerance,
+            ]))
+        };
+        let text = format!("{}", tiny_diff("1e-7").unwrap_err());
+        assert!(text.contains("(1.000e-6% > 0.0000001%)"), "{text}");
+        let out = tiny_diff("1e-5").unwrap();
+        assert!(out.contains("max drift 1.000e-6%"), "{out}");
+        for path in [report, golden, drifted, tiny] {
             std::fs::remove_file(path).ok();
         }
     }

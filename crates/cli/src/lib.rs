@@ -32,8 +32,7 @@ pub mod args;
 pub mod commands;
 
 pub use args::{
-    parse, usage, Command, DataCommand, HistoryCommand, MergeExpect, ParseError, ScenarioTarget,
-    ShardSpec,
+    parse, usage, Command, DataCommand, MergeExpect, ParseError, ScenarioTarget, ShardSpec,
 };
 use commands::failed;
 pub use commands::CliError;
@@ -157,7 +156,6 @@ impl Command {
                 | Command::Run { .. }
                 | Command::ScenarioList
                 | Command::ScenarioMerge { .. }
-                | Command::ScenarioHistory(_)
                 | Command::ScenarioDiff { .. }
                 | Command::AnalyzeWorkspace { .. }
                 | Command::Data(_)
@@ -218,17 +216,6 @@ pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Re
         Command::ScenarioMerge { reports, expect } => {
             commands::scenario_merge(reports, expect.as_ref())?
         }
-        Command::ScenarioHistory(HistoryCommand::Append { report, file, rev }) => {
-            commands::scenario_history_append(report, file, rev.as_deref())?
-        }
-        Command::ScenarioHistory(HistoryCommand::Show { file, limit }) => {
-            commands::scenario_history_show(file, *limit)?
-        }
-        Command::ScenarioHistory(HistoryCommand::Check {
-            file,
-            window,
-            max_drift_pct,
-        }) => commands::scenario_history_check(file, *window, *max_drift_pct)?,
         Command::ScenarioDiff {
             report,
             golden,

@@ -89,9 +89,6 @@ const SUBCOMMANDS: &[(&str, bool)] = &[
     ("scenario run", true),
     ("scenario check", true),
     ("scenario merge", true),
-    ("scenario history append", true),
-    ("scenario history show", true),
-    ("scenario history check", true),
     ("scenario diff", true),
     ("data pack", true),
     ("data probe", true),
@@ -654,15 +651,13 @@ fn four_shard_sweep_merges_to_the_single_process_report() {
 }
 
 #[test]
-fn scenario_history_appends_and_shows_the_emissions_trend() {
+fn scenario_history_is_an_unknown_subcommand_and_writes_nothing() {
     let dir = std::env::temp_dir();
     let report = dir.join("decarb_cli_e2e_history_report.json");
     let history = dir.join("decarb_cli_e2e_history.jsonl");
+    std::fs::write(&report, r#"{"name": "a", "emissions_g": 1.0}"#).unwrap();
     std::fs::remove_file(&history).ok();
-    let run = decarb_cli(&["scenario", "run", "batch-agnostic-europe", "--json"]);
-    assert!(run.status.success());
-    std::fs::write(&report, &run.stdout).unwrap();
-    let append = decarb_cli(&[
+    let out = decarb_cli(&[
         "scenario",
         "history",
         "append",
@@ -670,71 +665,16 @@ fn scenario_history_appends_and_shows_the_emissions_trend() {
         report.to_str().unwrap(),
         "--file",
         history.to_str().unwrap(),
-        "--rev",
-        "rev-one",
     ]);
-    assert!(append.status.success(), "{}", stderr(&append));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(out.stdout.is_empty(), "{}", stdout(&out));
     assert!(
-        stdout(&append).contains("recorded rev-one"),
+        stderr(&out).contains("unknown subcommand `history` for `scenario`"),
         "{}",
-        stdout(&append)
+        stderr(&out)
     );
-    // A second recorded run with far lower emissions must surface as a
-    // delta in the trend table.
-    std::fs::write(
-        &report,
-        r#"{"name": "batch-agnostic-europe", "emissions_g": 100.0}"#,
-    )
-    .unwrap();
-    let append = decarb_cli(&[
-        "scenario",
-        "history",
-        "append",
-        "--report",
-        report.to_str().unwrap(),
-        "--file",
-        history.to_str().unwrap(),
-        "--rev",
-        "rev-two",
-    ]);
-    assert!(append.status.success(), "{}", stderr(&append));
-    // The JSONL file holds one object per line, keyed by rev.
-    let raw = std::fs::read_to_string(&history).unwrap();
-    assert_eq!(raw.lines().count(), 2, "{raw}");
-    assert!(
-        raw.lines().next().unwrap().contains("\"rev\":\"rev-one\""),
-        "{raw}"
-    );
-    let show = decarb_cli(&[
-        "scenario",
-        "history",
-        "show",
-        "--file",
-        history.to_str().unwrap(),
-    ]);
-    assert!(show.status.success(), "{}", stderr(&show));
-    let text = stdout(&show);
-    assert!(text.contains("rev-one"), "{text}");
-    assert!(text.contains("rev-two"), "{text}");
-    assert!(text.contains("2 runs recorded"), "{text}");
-    // The second row's delta against the first is a large negative drop.
-    let row = text.lines().find(|l| l.starts_with("rev-two")).unwrap();
-    assert!(row.contains("-99.9"), "{row}");
-    // --limit trims to the newest entries but keeps their deltas.
-    let limited = decarb_cli(&[
-        "scenario",
-        "history",
-        "show",
-        "--file",
-        history.to_str().unwrap(),
-        "--limit",
-        "1",
-    ]);
-    let text = stdout(&limited);
-    assert!(!text.contains("rev-one "), "{text}");
-    assert!(text.contains("rev-two"), "{text}");
+    assert!(!history.exists(), "nothing may be written");
     std::fs::remove_file(&report).ok();
-    std::fs::remove_file(&history).ok();
 }
 
 #[test]
