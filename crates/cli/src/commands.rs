@@ -533,12 +533,12 @@ pub(crate) fn scenario_diff(
             };
             max_drift = max_drift.max(drift_pct);
             if drift_pct > tolerance_pct {
-                // `emissions_g` reads as "emissions 1.000 g".
+                // `emissions_g` reads as "emissions 1.5 g".
                 let (label, unit) = key
                     .strip_suffix("_g")
                     .map_or((key.as_str(), ""), |k| (k, " g"));
                 violations.push(format!(
-                    "  {name}: {label} {got:.3}{unit} vs golden {want:.3}{unit} \
+                    "  {name}: {label} {got}{unit} vs golden {want}{unit} \
                      ({}% > {tolerance_pct}%)",
                     drift_text(drift_pct, 3)
                 ));
@@ -1916,7 +1916,10 @@ regions = pair
         .unwrap_err();
         assert!(matches!(err, CliError::Failed(_)));
         let text = format!("{err}");
-        assert!(text.contains("a: emissions 103.000"), "{text}");
+        assert!(
+            text.contains("a: emissions 103 g vs golden 100 g"),
+            "{text}"
+        );
         assert!(!text.contains("b:"), "{text}");
         // A generous tolerance lets the same drift pass.
         let out = dispatch(&argv(&[
@@ -1951,6 +1954,12 @@ regions = pair
         };
         let text = format!("{}", tiny_diff("1e-7").unwrap_err());
         assert!(text.contains("(1.000e-6% > 0.0000001%)"), "{text}");
+        // Both sides print exactly, so they differ wherever the drift
+        // is below the printed decimals.
+        assert!(
+            text.contains("a: emissions 100.000001 g vs golden 100 g"),
+            "{text}"
+        );
         let out = tiny_diff("1e-5").unwrap();
         assert!(out.contains("max drift 1.000e-6%"), "{out}");
         for path in [report, golden, drifted, tiny] {

@@ -46,10 +46,12 @@ pub struct Placement {
 
 /// Finds the cheapest contiguous `slots`-window of `prefix` whose start
 /// index lies in `[first, last]` (§3.2.1's minimum k-element sub-array),
-/// in O(last − first) prefix queries. Ties resolve to the earliest
-/// start; the returned start is absolute. Both
-/// [`TemporalPlanner::best_deferred`] and planners over a forecast (which
-/// refill one scratch prefix per decision) scan through here.
+/// in O(last − first) time. Ties resolve to the earliest start; the
+/// returned start is absolute. Both [`TemporalPlanner::best_deferred`]
+/// and planners over a forecast (which refill one scratch prefix per
+/// decision) scan through here. The costs come from one
+/// [`ChunkedPrefix::window_sums`] pass, so each is bit for bit the
+/// [`ChunkedPrefix::sum`] of its window.
 ///
 /// # Panics
 ///
@@ -63,13 +65,19 @@ pub fn cheapest_window(
 ) -> Placement {
     let mut best_start = first;
     let mut best_cost = f64::INFINITY;
-    for s in first..=last {
-        let cost = prefix.sum(prefix.start().plus(s), slots);
-        if cost < best_cost {
-            best_cost = cost;
-            best_start = s;
-        }
-    }
+    let mut s = first;
+    prefix.window_sums(
+        prefix.start().plus(first),
+        slots,
+        (last + 1).saturating_sub(first),
+        |cost| {
+            if cost < best_cost {
+                best_cost = cost;
+                best_start = s;
+            }
+            s += 1;
+        },
+    );
     Placement {
         start: prefix.start().plus(best_start),
         cost_g: best_cost,
@@ -83,13 +91,12 @@ pub fn cheapest_window(
 /// arguments are slot counts. Callers with wall-clock inputs convert
 /// once at the edge (see `Job::length_slots_at` and friends) before
 /// querying. Window sums go through a shared [`ChunkedPrefix`] on every
-/// axis. The planner holds a [`TimeSeries`] clone, which shares the
-/// samples rather than copying them, so [`TemporalPlanner::for_region`]
-/// reads the dataset's own sample buffer and cached prefix and
-/// allocates neither.
+/// axis, and the planner reads its trace through that prefix, which
+/// shares the samples rather than copying them, so
+/// [`TemporalPlanner::for_region`] reads the dataset's own sample buffer
+/// and cached prefix and allocates neither.
 #[derive(Debug, Clone)]
 pub struct TemporalPlanner {
-    series: TimeSeries,
     prefix: Arc<ChunkedPrefix>,
     resolution: Resolution,
 }
@@ -103,34 +110,24 @@ impl TemporalPlanner {
     /// Builds a planner over `series` sampled at `resolution`, with a
     /// prefix of its own.
     pub fn with_resolution(series: &TimeSeries, resolution: Resolution) -> Self {
-        Self::with_prefix(series, resolution, Arc::new(series.chunked_prefix()))
+        Self {
+            prefix: Arc::new(series.chunked_prefix()),
+            resolution,
+        }
     }
 
     /// Builds the planner for region `id` of `traces`, sharing the
     /// dataset's cached prefix (panics on a foreign id).
     pub fn for_region(traces: &TraceSet, id: RegionId) -> Self {
-        Self::with_prefix(
-            traces.series_by_id(id),
-            traces.resolution(),
-            Arc::clone(traces.chunked_prefix_by_id(id)),
-        )
-    }
-
-    fn with_prefix(
-        series: &TimeSeries,
-        resolution: Resolution,
-        prefix: Arc<ChunkedPrefix>,
-    ) -> Self {
         Self {
-            series: series.clone(),
-            prefix,
-            resolution,
+            prefix: Arc::clone(traces.chunked_prefix_by_id(id)),
+            resolution: traces.resolution(),
         }
     }
 
     /// Returns the trace the planner reads.
     pub fn series(&self) -> &TimeSeries {
-        &self.series
+        self.prefix.series()
     }
 
     /// Returns the sample resolution of the planner's trace axis.
@@ -140,21 +137,21 @@ impl TemporalPlanner {
 
     /// Returns the first hour covered by the trace.
     pub fn trace_start(&self) -> Hour {
-        self.series.start()
+        self.prefix.start()
     }
 
     /// Returns the hour just past the end of the trace.
     pub fn trace_end(&self) -> Hour {
-        self.series.end()
+        self.series().end()
     }
 
     fn idx(&self, hour: Hour) -> usize {
         assert!(
-            hour >= self.series.start(),
+            hour >= self.trace_start(),
             "hour {hour} before trace start {}",
-            self.series.start()
+            self.trace_start()
         );
-        (hour.0 - self.series.start().0) as usize
+        (hour.0 - self.trace_start().0) as usize
     }
 
     /// Returns the carbon cost of running `slots` hours at `arrival`
@@ -166,7 +163,7 @@ impl TemporalPlanner {
     pub fn baseline_cost(&self, arrival: Hour, slots: usize) -> f64 {
         let i = self.idx(arrival);
         assert!(
-            i + slots <= self.series.len(),
+            i + slots <= self.prefix.len(),
             "job at {arrival} (+{slots}h) runs past trace end"
         );
         self.prefix.sum(arrival, slots)
@@ -174,7 +171,7 @@ impl TemporalPlanner {
 
     /// Returns the latest start the trace can accommodate for `slots`.
     fn last_start(&self, slots: usize) -> usize {
-        self.series.len().saturating_sub(slots)
+        self.prefix.len().saturating_sub(slots)
     }
 
     /// Finds the cheapest contiguous `slots`-window starting within
@@ -203,7 +200,7 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> (Vec<Hour>, f64) {
-        let values = self.series.values();
+        let values = self.series().values();
         let first = self.idx(arrival);
         let end = (first + slots + slack).min(values.len());
         assert!(
@@ -213,7 +210,7 @@ impl TemporalPlanner {
         let window = &values[first..end];
         let chosen = k_cheapest(window, slots);
         let cost = chosen.iter().map(|&i| window[i]).sum();
-        let start = self.series.start().plus(first);
+        let start = self.trace_start().plus(first);
         (chosen.into_iter().map(|i| start.plus(i)).collect(), cost)
     }
 
@@ -235,8 +232,9 @@ impl TemporalPlanner {
     }
 
     /// Sweeps every arrival in `[sweep_start, sweep_start + count)` and
-    /// returns the deferred cost per arrival, in O(n) total via a
-    /// monotonic deque over window costs.
+    /// returns the deferred cost per arrival, in O(n) total: one
+    /// [`ChunkedPrefix::window_sums`] pass over every candidate start,
+    /// then a monotonic deque over those window costs.
     ///
     /// # Panics
     ///
@@ -252,17 +250,21 @@ impl TemporalPlanner {
         let first = self.idx(sweep_start);
         let last_start = self.last_start(slots);
         assert!(first + count - 1 <= last_start, "sweep runs past trace end");
+        // `cost[s - first]` is the window cost of start `s`.
+        let starts = (first + count - 1 + slack).min(last_start) + 1 - first;
+        let mut cost = Vec::with_capacity(starts);
+        self.prefix
+            .window_sums(sweep_start, slots, starts, |c| cost.push(c));
         // Deque of start indices with increasing window cost.
         let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         let mut next_push = first;
         let mut out = Vec::with_capacity(count);
-        let window_cost = |s: usize| -> f64 { self.prefix.sum(self.series.start().plus(s), slots) };
         for a in first..first + count {
             let right = (a + slack).min(last_start);
             while next_push <= right {
-                let cost = window_cost(next_push);
+                let c = cost[next_push - first];
                 while let Some(&back) = deque.back() {
-                    if window_cost(back) >= cost {
+                    if cost[back - first] >= c {
                         deque.pop_back();
                     } else {
                         break;
@@ -281,7 +283,7 @@ impl TemporalPlanner {
             // `next_push <= right` always admits start `a` itself, so
             // the deque cannot be empty here; bail out cleanly anyway.
             let Some(&best) = deque.front() else { break };
-            out.push(window_cost(best));
+            out.push(cost[best - first]);
         }
         out
     }
@@ -300,7 +302,7 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> Vec<f64> {
-        let values = self.series.values();
+        let values = self.series().values();
         let first = self.idx(sweep_start);
         assert!(
             first + count - 1 + slots <= values.len(),
@@ -335,6 +337,7 @@ impl TemporalPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decarb_traces::TraceError;
 
     fn planner(values: &[f64]) -> TemporalPlanner {
         TemporalPlanner::new(&TimeSeries::new(Hour(0), values.to_vec()))
@@ -534,6 +537,230 @@ mod tests {
             shared.best_deferred(Hour(3), 6, 48),
             own.best_deferred(Hour(3), 6, 48)
         );
+    }
+
+    /// A dense prefix: one relative prefix per sample, accumulated in
+    /// the order `ChunkedPrefix`'s build uses. The oracle every strided
+    /// sum and scan must match bit for bit.
+    struct DensePrefix {
+        start: Hour,
+        len: usize,
+        block: Vec<f64>,
+        rel: Vec<f64>,
+    }
+
+    impl DensePrefix {
+        fn build(start: Hour, values: &[f64]) -> Self {
+            let n = values.len();
+            let (mut block, mut rel) = (Vec::new(), Vec::with_capacity(n + 1));
+            let (mut total, mut acc) = (0.0f64, 0.0f64);
+            for (i, &v) in values.iter().enumerate() {
+                if i % ChunkedPrefix::BLOCK == 0 {
+                    total += acc;
+                    block.push(total);
+                    acc = 0.0;
+                }
+                rel.push(acc);
+                acc += v;
+            }
+            if n.is_multiple_of(ChunkedPrefix::BLOCK) {
+                total += acc;
+                block.push(total);
+                acc = 0.0;
+            }
+            rel.push(acc);
+            Self {
+                start,
+                len: n,
+                block,
+                rel,
+            }
+        }
+
+        fn try_sum(&self, from: Hour, len: usize) -> Result<f64, TraceError> {
+            let i = from
+                .0
+                .checked_sub(self.start.0)
+                .ok_or(TraceError::OutOfRange { hour: from })? as usize;
+            if i + len > self.len {
+                return Err(TraceError::OutOfRange {
+                    hour: from.plus(len.saturating_sub(1)),
+                });
+            }
+            let j = i + len;
+            let b = ChunkedPrefix::BLOCK;
+            Ok((self.block[j / b] - self.block[i / b]) + (self.rel[j] - self.rel[i]))
+        }
+
+        fn sum(&self, from: Hour, len: usize) -> f64 {
+            self.try_sum(from, len).unwrap()
+        }
+
+        /// The scan `cheapest_window` ran over dense sums: strictly
+        /// cheaper wins, so ties go to the earliest start.
+        fn cheapest(&self, first: usize, last: usize, slots: usize) -> (Hour, f64) {
+            let mut best = (first, f64::INFINITY);
+            for s in first..=last {
+                let cost = self.sum(self.start.plus(s), slots);
+                if cost < best.1 {
+                    best = (s, cost);
+                }
+            }
+            (self.start.plus(best.0), best.1)
+        }
+    }
+
+    #[test]
+    fn strided_prefix_matches_the_dense_oracle_bit_for_bit() {
+        use decarb_traces::rng::Xoshiro256;
+
+        let (s, b) = (ChunkedPrefix::STRIDE, ChunkedPrefix::BLOCK);
+        let mut rng = Xoshiro256::seeded(0x5742_1de5);
+        // Lengths ≡ 0, 1 and STRIDE − 1 modulo STRIDE and modulo BLOCK,
+        // long → short → long so the reused prefix shrinks and regrows.
+        let mut lengths = vec![
+            3 * b,
+            0,
+            1,
+            s - 1,
+            s,
+            s + 1,
+            2 * b + s - 1,
+            4 * s - 1,
+            b - 1,
+            b,
+            2 * b + 1,
+            5 * s,
+            b + s - 1,
+            3 * b - 1,
+            1,
+        ];
+        lengths.extend((0..6).map(|_| rng.below(3 * b)));
+        let mut reused = ChunkedPrefix::default();
+        for (case, &n) in lengths.iter().enumerate() {
+            // Non-integers with negatives, zeros and negative zeros.
+            let values: Vec<f64> = (0..n)
+                .map(|_| match rng.below(10) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => -rng.uniform_in(0.0, 80.0),
+                    _ => rng.uniform_in(0.0, 900.0),
+                })
+                .collect();
+            let start = Hour(1 + rng.below(5000) as u32);
+            let dense = DensePrefix::build(start, &values);
+            let built = ChunkedPrefix::build(&TimeSeries::new(start, values.clone()));
+            reused.refill(start, |buf| buf.extend_from_slice(&values));
+            assert_eq!((reused.start(), reused.len()), (start, n), "case {case}");
+
+            // Windows ending exactly at `n`, crossing every block
+            // boundary, at every offset of the first stride, and at
+            // random; plus windows past either end.
+            let mut windows: Vec<(usize, usize)> = (0..=n.min(2 * s)).map(|k| (n - k, k)).collect();
+            windows.extend((0..=n.min(3 * s)).map(|k| (k, n - k)));
+            for edge in (b..n).step_by(b) {
+                for back in [1, s - 1, s, s + 1, 37] {
+                    let from = edge.saturating_sub(back);
+                    for len in [back, back + 1, back + s, b + 1] {
+                        windows.push((from, len.min(n - from)));
+                    }
+                }
+            }
+            for _ in 0..200.min(4 * n) {
+                let from = rng.below(n + 1);
+                windows.push((from, rng.below(n - from + 1)));
+            }
+            for (from, len) in windows {
+                let h = start.plus(from);
+                let want = dense.sum(h, len).to_bits();
+                assert_eq!(
+                    built.sum(h, len).to_bits(),
+                    want,
+                    "case {case} {from}+{len}"
+                );
+                assert_eq!(
+                    reused.sum(h, len).to_bits(),
+                    want,
+                    "case {case} {from}+{len}"
+                );
+                assert_eq!(
+                    built.try_sum(h, len).map(f64::to_bits),
+                    Ok(want),
+                    "case {case} {from}+{len}"
+                );
+            }
+            for (from, len) in [(Hour(start.0 - 1), 1), (start, n + 1), (start.plus(n), 1)] {
+                assert_eq!(
+                    reused.try_sum(from, len),
+                    dense.try_sum(from, len),
+                    "case {case} {from}+{len} out of range"
+                );
+            }
+
+            // Scans: the cheapest window over random start ranges, and
+            // the deferral sweep against a per-arrival dense scan.
+            if n == 0 {
+                continue;
+            }
+            let mut scans: Vec<(usize, usize, usize)> = (0..12)
+                .map(|_| {
+                    let slots = 1 + rng.below(n.min(3 * s + 2));
+                    let first = rng.below(n - slots + 1);
+                    (
+                        first,
+                        first + rng.below((n - slots - first).min(600) + 1),
+                        slots,
+                    )
+                })
+                .collect();
+            // The last window ends exactly at `n`; others straddle
+            // every block boundary with either edge.
+            let slots = 1 + rng.below(n.min(2 * s));
+            scans.push((
+                n - slots - rng.below(n - slots + 1).min(3 * s),
+                n - slots,
+                slots,
+            ));
+            for edge in (b..n.saturating_sub(3 * s)).step_by(b) {
+                let slots = 1 + rng.below(2 * s);
+                scans.push((edge - slots - s, edge + s, slots));
+            }
+            // An empty start range finds nothing, as the dense scan did.
+            scans.push((2, 0, 1));
+            for (first, last, slots) in scans {
+                let want = dense.cheapest(first, last, slots);
+                for prefix in [&built, &reused] {
+                    let got = cheapest_window(prefix, first, last, slots);
+                    assert_eq!(
+                        (got.start, got.cost_g.to_bits()),
+                        (want.0, want.1.to_bits()),
+                        "case {case} cheapest {first}..={last} x{slots}"
+                    );
+                }
+            }
+            let planner = TemporalPlanner::new(&TimeSeries::new(start, values.clone()));
+            for round in 0..4 {
+                let slots = 1 + rng.below(n.min(2 * s + 3));
+                let slack = rng.below(3 * s);
+                let mut first = rng.below(n - slots + 1);
+                if round == 0 && n > b + 3 * s {
+                    // Arrivals whose windows cross the first block end.
+                    first = b - slots - slack - s;
+                }
+                let count = 1 + rng.below((n - slots - first).min(400) + 1);
+                let sweep = planner.deferral_sweep(start.plus(first), count, slots, slack);
+                assert_eq!(sweep.len(), count);
+                for (k, got) in sweep.iter().enumerate() {
+                    let a = first + k;
+                    let want = dense.cheapest(a, (a + slack).min(n - slots), slots).1;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "case {case} sweep arrival {a} x{slots} slack {slack}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -139,16 +139,23 @@ fn render_seq(
             out.push(',');
         }
         if let Some(depth) = inner {
-            out.push('\n');
-            out.push_str(&"  ".repeat(depth));
+            push_indent(out, depth);
         }
         item(out, i, inner);
     }
     if let Some(depth) = indent {
-        out.push('\n');
-        out.push_str(&"  ".repeat(depth));
+        push_indent(out, depth);
     }
     out.push(close);
+}
+
+/// Starts a new line indented `depth` levels, writing straight into
+/// `out` rather than building the indentation first.
+fn push_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
 }
 
 fn render_number(n: f64, out: &mut String) {

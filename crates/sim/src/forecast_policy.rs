@@ -58,14 +58,13 @@ fn forecast_window<F: Forecaster>(
 /// job's origin, picks the cheapest contiguous window on the *predicted*
 /// trace, and commits to that start. Emissions are then paid on the true
 /// trace — the schedule-on-believed / account-on-truth protocol of §6.2.
-/// The prediction and its prefix live in buffers the policy reuses from
-/// job to job, so a decision allocates nothing once they have grown to
-/// the longest window seen.
+/// The forecaster predicts straight into the sample buffer of a prefix
+/// the policy reuses from job to job, so a decision allocates nothing
+/// once that prefix has grown to the longest window seen.
 pub struct ForecastDeferral<F> {
     forecaster: F,
-    /// The forecast of the window being planned.
-    predicted: Vec<f64>,
-    /// Prefix sums over `predicted`, anchored at the decision slot.
+    /// Prefix sums over the forecast of the window being planned,
+    /// anchored at the decision slot.
     prefix: ChunkedPrefix,
 }
 
@@ -74,7 +73,6 @@ impl<F: Forecaster> ForecastDeferral<F> {
     pub fn new(forecaster: F) -> Self {
         Self {
             forecaster,
-            predicted: Vec::new(),
             prefix: ChunkedPrefix::default(),
         }
     }
@@ -84,12 +82,12 @@ impl<F: Forecaster> ForecastDeferral<F> {
     /// forecast.
     // decarb-analyze: hot-path
     pub(crate) fn start_in(&mut self, job: &Job, region: RegionId, view: &CloudView<'_>) -> Hour {
-        let Some(slots) = forecast_window(&self.forecaster, job, region, view, &mut self.predicted)
-        else {
+        let Some(slots) = self.prefix.refill(view.now, |predicted| {
+            forecast_window(&self.forecaster, job, region, view, predicted)
+        }) else {
             return view.now;
         };
-        self.prefix.refill(view.now, &self.predicted);
-        cheapest_window(&self.prefix, 0, self.predicted.len() - slots, slots).start
+        cheapest_window(&self.prefix, 0, self.prefix.len() - slots, slots).start
     }
 }
 
@@ -373,7 +371,7 @@ mod tests {
                     policy.forecaster.name(),
                     traces.code(region)
                 );
-                longest = longest.max(policy.predicted.len());
+                longest = longest.max(policy.prefix.len());
             }
         }
         longest

@@ -3,8 +3,8 @@
 //! [`crate::policy::PlannedDeferral`] builds a fresh planner for
 //! *every* placement. A planner built by
 //! [`TemporalPlanner::for_region`] shares the dataset's samples and its
-//! cached prefix sums, so a build copies no trace: it is two reference
-//! count bumps, plus the prefix build for the first planner of a
+//! cached prefix sums, so a build copies no trace: it is one reference
+//! count bump, plus the prefix build for the first planner of a
 //! region. A [`PlannerCache`] is created once per `run_scenarios` call
 //! and shared by reference across the worker threads: each region's
 //! planner is built the first time any scenario needs it and reused by

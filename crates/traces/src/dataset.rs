@@ -31,10 +31,12 @@ pub struct TraceSet {
     /// in this dataset are slot indices on this axis.
     resolution: Resolution,
     /// Lazily built [`ChunkedPrefix`] accelerators, one slot per series.
-    /// Building one is O(series length), so every consumer that
-    /// window-sums a trace — the simulator's span accrual and the
-    /// temporal planners built by `TemporalPlanner::for_region` — shares
-    /// one build per region instead of paying for its own copy. The
+    /// A prefix reads its series' own samples and adds one `f64` per
+    /// [`ChunkedPrefix::STRIDE`] of them. Building one is O(series
+    /// length), so every consumer that window-sums a trace — the
+    /// simulator's span accrual and the temporal planners built by
+    /// `TemporalPlanner::for_region` — shares one build per region
+    /// instead of paying for its own copy. The
     /// `Arc` lets planners outlive a borrow of the set; `OnceLock` keeps
     /// the cache race-safe under the scenario engine's thread fan-out.
     prefix_cache: Vec<OnceLock<Arc<ChunkedPrefix>>>,

@@ -172,6 +172,23 @@ impl TimeSeries {
         }
     }
 
+    /// Replaces the samples with those `fill` appends to an empty
+    /// buffer, now starting at `start`. The buffer is reused when no
+    /// other clone shares it, so its capacity carries over.
+    fn refill<R>(&mut self, start: Hour, fill: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+        if Arc::get_mut(&mut self.buffer).is_none() {
+            self.buffer = Arc::new(Vec::new());
+        }
+        // Unique after the line above, so this clones nothing.
+        let buffer = Arc::make_mut(&mut self.buffer);
+        buffer.clear();
+        let out = fill(buffer);
+        self.start = start;
+        self.offset = 0;
+        self.len = buffer.len();
+        out
+    }
+
     /// Builds the [`ChunkedPrefix`] window-sum accelerator over this
     /// series.
     pub fn chunked_prefix(&self) -> ChunkedPrefix {
@@ -212,60 +229,81 @@ impl std::fmt::Debug for TimeSeries {
 /// differences are taken separately, a window sum carries the rounding
 /// of at most one block total rather than that of a monotonically
 /// growing global accumulator.
+///
+/// The relative prefix is stored only at every [`STRIDE`]-th position
+/// (an *anchor*), and the prefix reads the samples themselves through
+/// a [`TimeSeries`] clone that shares their buffer, so it adds one
+/// `f64` per `STRIDE` samples to the trace instead of one per sample.
+/// The relative prefix at any other position is its anchor plus at
+/// most `STRIDE − 1` samples, added in the order the build accumulated
+/// them, so every sum is the one a dense per-sample prefix would give,
+/// bit for bit. [`ChunkedPrefix::window_sums`] answers a run of
+/// consecutive starts, restarting from the stored anchor at each
+/// stride boundary.
+///
+/// [`STRIDE`]: ChunkedPrefix::STRIDE
 #[derive(Debug, Clone)]
 pub struct ChunkedPrefix {
-    start: Hour,
-    len: usize,
+    /// The samples, anchored at the first slot.
+    series: TimeSeries,
     /// `block[k]` is the exact sum of all samples before block `k`.
     block: Vec<f64>,
-    /// `rel[i]` is the sum of samples within `i`'s block up to and
-    /// including sample `i-1` of that block (0.0 at block starts);
-    /// laid out densely parallel to the samples, plus one tail entry
-    /// per block boundary folded into indexing below.
-    rel: Vec<f64>,
+    /// `anchor[m]` is the sum of the samples of position `m·STRIDE`'s
+    /// block strictly before that position (0.0 at block starts), one
+    /// entry for every position `0..=len` that is a multiple of
+    /// `STRIDE`.
+    anchor: Vec<f64>,
 }
 
 /// The prefix of an empty series at slot 0, ready to be
 /// [refilled](ChunkedPrefix::refill).
 impl Default for ChunkedPrefix {
     fn default() -> Self {
-        let mut prefix = Self {
-            start: Hour(0),
-            len: 0,
-            block: Vec::new(),
-            rel: Vec::new(),
-        };
-        prefix.refill(Hour(0), &[]);
-        prefix
+        Self::build(&TimeSeries::new(Hour(0), Vec::new()))
     }
 }
 
 impl ChunkedPrefix {
-    /// Samples per block: 4096 f64s = 32 kB of relative prefixes per
-    /// block, sized to L1/L2-friendly strides for sliding windows.
+    /// Samples per block: each block's relative prefixes restart at
+    /// 0.0, so no relative prefix grows past one block's sum.
     pub const BLOCK: usize = 4096;
 
-    /// Builds the two-level prefix over `series`.
+    /// Samples per stored anchor; divides [`ChunkedPrefix::BLOCK`], so
+    /// every block start is an anchor.
+    pub const STRIDE: usize = 8;
+
+    /// Builds the prefix over `series`, sharing its samples.
     pub fn build(series: &TimeSeries) -> Self {
-        let mut prefix = Self::default();
-        prefix.refill(series.start(), series.values());
+        let mut prefix = Self {
+            series: series.clone(),
+            block: Vec::new(),
+            anchor: Vec::new(),
+        };
+        prefix.index();
         prefix
     }
 
-    /// Rebuilds the prefix in place over `values`, the samples of slots
-    /// `start..start + values.len()`, reusing the block and relative
-    /// buffers' capacity, so a caller that plans window after window
-    /// allocates only when a window outgrows every earlier one.
-    pub fn refill(&mut self, start: Hour, values: &[f64]) {
+    /// Rebuilds the prefix in place over the samples `fill` appends to
+    /// an empty buffer, those of slots `start..`, and returns what
+    /// `fill` returns. The buffer and the prefix's own arrays keep
+    /// their capacity from one refill to the next (unless another clone
+    /// still shares the samples), so a caller that plans window after
+    /// window allocates only when a window outgrows every earlier one.
+    pub fn refill<R>(&mut self, start: Hour, fill: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+        let out = self.series.refill(start, fill);
+        self.index();
+        out
+    }
+
+    /// Recomputes the block totals and anchors over the samples.
+    fn index(&mut self) {
+        let values = self.series.values();
         let n = values.len();
-        // `rel` holds, for position i, the sum of `i`'s block's samples
-        // strictly before `i` — an (n+1)-entry array so a window ending
-        // exactly at `n` indexes cleanly.
-        let (block, rel) = (&mut self.block, &mut self.rel);
+        let (block, anchor) = (&mut self.block, &mut self.anchor);
         block.clear();
-        rel.clear();
-        block.reserve(n / Self::BLOCK + 2);
-        rel.reserve(n + 1);
+        anchor.clear();
+        block.reserve(n / Self::BLOCK + 1);
+        anchor.reserve(n / Self::STRIDE + 1);
         let mut total = 0.0f64;
         let mut acc = 0.0f64;
         for (i, &v) in values.iter().enumerate() {
@@ -274,7 +312,9 @@ impl ChunkedPrefix {
                 block.push(total);
                 acc = 0.0;
             }
-            rel.push(acc);
+            if i % Self::STRIDE == 0 {
+                anchor.push(acc);
+            }
             acc += v;
         }
         // Position `n` either opens a fresh block (exact multiple) or
@@ -284,27 +324,45 @@ impl ChunkedPrefix {
             block.push(total);
             acc = 0.0;
         }
-        rel.push(acc);
-        self.start = start;
-        self.len = n;
+        if n.is_multiple_of(Self::STRIDE) {
+            anchor.push(acc);
+        }
     }
 
     /// Returns the number of underlying samples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.series.len()
     }
 
     /// Returns `true` if there are no underlying samples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.series.is_empty()
     }
 
     /// Returns the start hour (slot) of the underlying series.
     #[inline]
     pub fn start(&self) -> Hour {
-        self.start
+        self.series.start()
+    }
+
+    /// Returns the samples the prefix sums.
+    #[inline]
+    pub fn series(&self) -> &TimeSeries {
+        &self.series
+    }
+
+    /// The sum of position `i`'s block's samples strictly before `i`:
+    /// its anchor plus the samples between, in build order.
+    #[inline]
+    fn rel(&self, i: usize) -> f64 {
+        let base = i - i % Self::STRIDE;
+        let mut acc = self.anchor[i / Self::STRIDE];
+        for &v in &self.series.values()[base..i] {
+            acc += v;
+        }
+        acc
     }
 
     /// Sum of samples `[i, j)`. The block and relative differences are
@@ -312,7 +370,7 @@ impl ChunkedPrefix {
     /// large absolute prefix.
     #[inline]
     fn span(&self, i: usize, j: usize) -> f64 {
-        (self.block[j / Self::BLOCK] - self.block[i / Self::BLOCK]) + (self.rel[j] - self.rel[i])
+        (self.block[j / Self::BLOCK] - self.block[i / Self::BLOCK]) + (self.rel(j) - self.rel(i))
     }
 
     /// Returns the sum of `len` samples starting at absolute slot
@@ -323,7 +381,7 @@ impl ChunkedPrefix {
     /// Panics if the window is out of range.
     #[inline]
     pub fn sum(&self, from: Hour, len: usize) -> f64 {
-        let i = (from.0 - self.start.0) as usize;
+        let i = (from.0 - self.start().0) as usize;
         self.span(i, i + len)
     }
 
@@ -331,14 +389,69 @@ impl ChunkedPrefix {
     pub fn try_sum(&self, from: Hour, len: usize) -> Result<f64, TraceError> {
         let i = from
             .0
-            .checked_sub(self.start.0)
+            .checked_sub(self.start().0)
             .ok_or(TraceError::OutOfRange { hour: from })? as usize;
-        if i + len > self.len {
+        if i + len > self.len() {
             return Err(TraceError::OutOfRange {
                 hour: from.plus(len.saturating_sub(1)),
             });
         }
         Ok(self.span(i, i + len))
+    }
+
+    /// Hands `each`, in order, the sums of the `len` samples starting
+    /// at slots `from`, `from + 1`, …, `from + count − 1`, each bit for
+    /// bit what [`ChunkedPrefix::sum`] returns for that window, at a
+    /// fraction of the cost of one `sum` per start: the relative
+    /// prefixes at the window starts and ends each run on by one sample
+    /// per step, restarting from the stored anchor at every stride
+    /// boundary. There the anchor equals the running value bit for bit,
+    /// except at a block start, where it is the 0.0 the block restarts
+    /// from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last window `[from + count − 1, +len)` is out of
+    /// range.
+    // decarb-analyze: hot-path
+    #[inline]
+    pub fn window_sums(&self, from: Hour, len: usize, count: usize, mut each: impl FnMut(f64)) {
+        let first = (from.0 - self.start().0) as usize;
+        if count == 0 {
+            return;
+        }
+        assert!(
+            first + count - 1 + len <= self.len(),
+            "windows from {from} (+{len}) run past the prefix"
+        );
+        let values = self.series.values();
+        let (mut i, mut j) = (first, first + len);
+        let (mut lo, mut hi) = (self.rel(i), self.rel(j));
+        let (mut block_lo, mut block_hi) =
+            (self.block[i / Self::BLOCK], self.block[j / Self::BLOCK]);
+        each((block_hi - block_lo) + (hi - lo));
+        let steps = count - 1;
+        for (&leaving, &entering) in values[i..i + steps].iter().zip(&values[j..j + steps]) {
+            lo += leaving;
+            hi += entering;
+            i += 1;
+            j += 1;
+            // Block starts are stride boundaries, so only a reload can
+            // move a window edge into the next block.
+            if i % Self::STRIDE == 0 {
+                lo = self.anchor[i / Self::STRIDE];
+                if i % Self::BLOCK == 0 {
+                    block_lo = self.block[i / Self::BLOCK];
+                }
+            }
+            if j % Self::STRIDE == 0 {
+                hi = self.anchor[j / Self::STRIDE];
+                if j % Self::BLOCK == 0 {
+                    block_hi = self.block[j / Self::BLOCK];
+                }
+            }
+            each((block_hi - block_lo) + (hi - lo));
+        }
     }
 }
 
@@ -633,12 +746,13 @@ mod tests {
         for (k, &n) in lengths.iter().enumerate() {
             let start = Hour(100 + 7 * k as u32);
             let window = &values[k..k + n];
-            reused.refill(start, window);
+            reused.refill(start, |buf| buf.extend_from_slice(window));
             let fresh = ChunkedPrefix::build(&TimeSeries::new(start, window.to_vec()));
             assert_eq!((reused.start(), reused.len()), (start, n), "n={n}");
             assert_eq!(reused.is_empty(), n == 0);
+            assert_eq!(reused.series(), fresh.series(), "samples n={n}");
             assert_eq!(bits(&reused.block), bits(&fresh.block), "block n={n}");
-            assert_eq!(bits(&reused.rel), bits(&fresh.rel), "rel n={n}");
+            assert_eq!(bits(&reused.anchor), bits(&fresh.anchor), "anchor n={n}");
             let mut windows = vec![(0, n), (n, 0)];
             for from in (0..n).step_by(509) {
                 for len in [0, 1, 7, b - 1, b, b + 1] {
