@@ -6,7 +6,6 @@
 use std::hint::black_box;
 
 use decarb_bench::Harness;
-use decarb_core::ksmallest::SlidingKSmallest;
 use decarb_core::temporal::TemporalPlanner;
 use decarb_sim::{CarbonAgnostic, SimConfig, Simulator, ThresholdSuspend};
 use decarb_stats::autocorr::autocorrelation;
@@ -72,7 +71,7 @@ fn bench_kernel_ksmallest(h: &Harness) {
     let slots = 24;
     let slack = 168;
     let count = values.len() - slots - slack;
-    h.bench("kernels/ksmallest/two_multiset_sliding", || {
+    h.bench("kernels/ksmallest/rank_count_tree", || {
         black_box(planner.interruptible_sweep(Hour(0), count, slots, slack))
     });
     h.bench("kernels/ksmallest/sort_per_window", || {
@@ -115,19 +114,11 @@ fn bench_kernel_period(h: &Harness) {
 }
 
 fn bench_sliding_structure_scaling(h: &Harness) {
-    let values = synthetic_trace(20_000);
+    let planner = TemporalPlanner::new(&TimeSeries::new(Hour(0), synthetic_trace(20_000)));
+    let count = 20_000 - 16 + 1;
     for window in [48usize, 336, 2048] {
         h.bench(&format!("kernels/sliding_scaling/k16/{window}"), || {
-            let mut s = SlidingKSmallest::new(16);
-            let mut acc = 0.0;
-            for i in 0..values.len() {
-                s.insert(values[i]);
-                if i >= window {
-                    s.remove(values[i - window]);
-                }
-                acc += s.k_sum();
-            }
-            black_box(acc)
+            black_box(planner.interruptible_sweep(Hour(0), count, 16, window - 16))
         });
     }
 }

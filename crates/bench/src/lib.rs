@@ -9,8 +9,8 @@
 //! * `extensions` — forecasting models, elastic scaling, flexible grid
 //!   load, merit-order dispatch, and the online simulator.
 //! * `kernels` — ablation benchmarks for the kernels' design choices:
-//!   sliding-window minimum vs naive rescan, the two-multiset k-smallest
-//!   structure vs per-window sorting, prefix sums vs direct summation,
+//!   sliding-window minimum vs naive rescan, the rank-indexed count tree
+//!   for k-smallest sums vs per-window sorting, prefix sums vs direct summation,
 //!   and FFT periodograms vs brute-force ACF — plus the simulator and
 //!   placement-service rows the regression gate watches.
 //!

@@ -7,7 +7,7 @@
 //!
 //! * [`temporal`] — deferral (minimum-cost contiguous window within the
 //!   slack) and interruptibility (k cheapest hours within the window),
-//!   §3.2.1 / §5.2, with O(n) all-start-times sweeps;
+//!   §3.2.1 / §5.2, with O(n) and O(n log n) all-start-times sweeps;
 //! * [`spatial`] — 1-migration (to the lowest-annual-mean region) and
 //!   clairvoyant ∞-migration (hourly hop to the instantaneous greenest),
 //!   §5.1.4;
@@ -52,11 +52,10 @@ pub use elastic::{elastic_plan, elasticity_curve, ElasticPlan};
 pub use embodied::{net_footprint_sweep, optimal_idle, EmbodiedParams, NetPoint};
 pub use flexload::{allocate_flexible, flat_allocation, FlexAllocation};
 pub use greener::greener_trace;
-pub use ksmallest::SlidingKSmallest;
 pub use latency::rtt_ms;
 pub use metrics::{absolute_reduction, relative_reduction};
 pub use pareto::{carbon_delay_frontier, pareto_filter, FrontierPoint};
 pub use rankings::{rank_stability, RankStability};
 pub use signals::{compare_signals, SignalComparison};
 pub use spatial::{inf_migration, one_migration, SpatialOutcome};
-pub use temporal::{cheapest_window, TemporalPlanner, TemporalPolicy};
+pub use temporal::{cheapest_window, TemporalPlanner};

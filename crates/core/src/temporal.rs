@@ -14,25 +14,15 @@
 //!
 //! Single-job queries run in O(window). The all-start-times sweeps the
 //! paper averages over (8760 arrivals per year) use a monotonic deque
-//! (deferral) and a two-multiset sliding structure (interruptibility) for
-//! O(n) / O(n log n) totals instead of O(n · window).
+//! (deferral) and a Fenwick tree of counts over the sweep's ranked
+//! samples (interruptibility) for O(n) / O(n log n) totals instead of
+//! O(n · window).
 
 use std::sync::Arc;
 
 use decarb_traces::{ChunkedPrefix, Hour, RegionId, Resolution, TimeSeries, TraceSet};
 
-use crate::ksmallest::{k_cheapest, SlidingKSmallest};
-
-/// The temporal flexibility a job is granted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TemporalPolicy {
-    /// Run at arrival (the carbon-agnostic baseline).
-    Immediate,
-    /// Defer the start within the slack, then run contiguously.
-    Deferred,
-    /// Defer and interrupt: run in the cheapest hours of the window.
-    DeferredInterruptible,
-}
+use crate::ksmallest::{k_cheapest, sliding_k_sums};
 
 /// The result of placing a single job.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,27 +204,11 @@ impl TemporalPlanner {
         (chosen.into_iter().map(|i| start.plus(i)).collect(), cost)
     }
 
-    /// Returns the cost of running under `policy` for a single job.
-    pub fn policy_cost(
-        &self,
-        policy: TemporalPolicy,
-        arrival: Hour,
-        slots: usize,
-        slack: usize,
-    ) -> f64 {
-        match policy {
-            TemporalPolicy::Immediate => self.baseline_cost(arrival, slots),
-            TemporalPolicy::Deferred => self.best_deferred(arrival, slots, slack).cost_g,
-            TemporalPolicy::DeferredInterruptible => {
-                self.best_interruptible(arrival, slots, slack).1
-            }
-        }
-    }
-
     /// Sweeps every arrival in `[sweep_start, sweep_start + count)` and
     /// returns the deferred cost per arrival, in O(n) total: one
     /// [`ChunkedPrefix::window_sums`] pass over every candidate start,
-    /// then a monotonic deque over those window costs.
+    /// then a monotonic deque over those window costs. An empty sweep
+    /// returns an empty `Vec`.
     ///
     /// # Panics
     ///
@@ -247,6 +221,10 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(count);
+        if count == 0 {
+            return out;
+        }
         let first = self.idx(sweep_start);
         let last_start = self.last_start(slots);
         assert!(first + count - 1 <= last_start, "sweep runs past trace end");
@@ -258,7 +236,6 @@ impl TemporalPlanner {
         // Deque of start indices with increasing window cost.
         let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         let mut next_push = first;
-        let mut out = Vec::with_capacity(count);
         for a in first..first + count {
             let right = (a + slack).min(last_start);
             while next_push <= right {
@@ -289,8 +266,12 @@ impl TemporalPlanner {
     }
 
     /// Sweeps every arrival in `[sweep_start, sweep_start + count)` and
-    /// returns the deferrable+interruptible cost per arrival, in
-    /// O(n log n) total via [`SlidingKSmallest`].
+    /// returns the deferrable+interruptible cost per arrival: the sum of
+    /// the `slots` cheapest hours of `[a, a + slots + slack)`, clamped at
+    /// trace end. The samples the sweep reads are ranked once, in
+    /// O(n log n); each arrival then costs O(log n) on a Fenwick tree of
+    /// the counts of the ranks in its window. An empty sweep returns an
+    /// empty `Vec`, and `slots = 0` returns zeros.
     ///
     /// # Panics
     ///
@@ -302,27 +283,15 @@ impl TemporalPlanner {
         slots: usize,
         slack: usize,
     ) -> Vec<f64> {
+        if count == 0 {
+            return Vec::new();
+        }
         let values = self.series().values();
         let first = self.idx(sweep_start);
-        assert!(
-            first + count - 1 + slots <= values.len(),
-            "sweep runs past trace end"
-        );
-        let mut set = SlidingKSmallest::new(slots);
-        let mut right = first;
-        let mut out = Vec::with_capacity(count);
-        for a in first..first + count {
-            let target_right = (a + slots + slack).min(values.len());
-            while right < target_right {
-                set.insert(values[right]);
-                right += 1;
-            }
-            if a > first {
-                set.remove(values[a - 1]);
-            }
-            out.push(set.k_sum());
-        }
-        out
+        let last = first + count - 1;
+        assert!(last + slots <= values.len(), "sweep runs past trace end");
+        let span = &values[first..(last + slots + slack).min(values.len())];
+        sliding_k_sums(span, count, slots, slots + slack)
     }
 
     /// Convenience: per-arrival baseline costs for a sweep.
@@ -415,13 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn policy_cost_dispatch() {
+    fn empty_sweeps_return_nothing() {
+        // Sweeps of no arrivals, from the trace start and from past its
+        // end, return empty vectors.
         let p = sawtooth();
-        let b = p.policy_cost(TemporalPolicy::Immediate, Hour(0), 2, 6);
-        let d = p.policy_cost(TemporalPolicy::Deferred, Hour(0), 2, 6);
-        let i = p.policy_cost(TemporalPolicy::DeferredInterruptible, Hour(0), 2, 6);
-        assert!(i <= d && d <= b);
-        assert!((b - 17.0).abs() < 1e-12);
+        for start in [Hour(0), Hour(40)] {
+            assert!(p.baseline_sweep(start, 0, 3).is_empty());
+            assert!(p.deferral_sweep(start, 0, 3, 2).is_empty());
+            assert!(p.interruptible_sweep(start, 0, 3, 2).is_empty());
+        }
+        // A job of no slots costs nothing at any arrival.
+        assert_eq!(p.interruptible_sweep(Hour(2), 5, 0, 4), vec![0.0; 5]);
+        assert_eq!(p.interruptible_sweep(Hour(10), 4, 0, 0), vec![0.0; 4]);
     }
 
     #[test]
@@ -465,6 +439,22 @@ mod tests {
             let i = p.best_interruptible(Hour(a as u32), slots, slack).1;
             assert!((deferred[a] - d).abs() < 1e-9);
             assert!((interrupt[a] - i).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn interruptible_sweep_from_mid_trace_clamps_at_trace_end() {
+        // A trace starting at hour 100, swept from hour 103 through the
+        // last arrival that fits: windows past the end keep what is left.
+        let values: Vec<f64> = (0..60).map(|i| ((i * 37) % 23) as f64 + 0.5).collect();
+        let p = TemporalPlanner::new(&TimeSeries::new(Hour(100), values.clone()));
+        let (slots, slack) = (4, 9);
+        let count = values.len() - slots + 1 - 3;
+        let sweep = p.interruptible_sweep(Hour(103), count, slots, slack);
+        assert_eq!(sweep.len(), count);
+        for (k, got) in sweep.iter().enumerate() {
+            let want = p.best_interruptible(Hour(103 + k as u32), slots, slack).1;
+            assert!((got - want).abs() < 1e-9, "arrival {}", 103 + k);
         }
     }
 

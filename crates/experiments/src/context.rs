@@ -108,16 +108,16 @@ impl Context {
         cell.get_or_init(|| {
             let start = year_start(EVAL_YEAR);
             let count = hours_in_year(EVAL_YEAR);
-            let pairs: Vec<_> = self.data.iter().collect();
-            let result: Vec<RegionTemporal> = decarb_par::par_map(&pairs, |(region, series)| {
-                let planner = TemporalPlanner::new(series);
+            let ids: Vec<_> = self.data.ids().collect();
+            let result: Vec<RegionTemporal> = decarb_par::par_map(&ids, |&id| {
+                let planner = TemporalPlanner::for_region(&self.data, id);
                 let baseline = planner.baseline_sweep(start, count, slots);
                 let deferred = planner.deferral_sweep(start, count, slots, slack);
                 let interruptible = planner.interruptible_sweep(start, count, slots, slack);
                 let n = count as f64;
                 let per_h = |total: f64| total / n / slots as f64;
                 RegionTemporal {
-                    code: region.code.clone(),
+                    code: self.data.code(id).to_owned(),
                     baseline_per_h: per_h(baseline.iter().sum()),
                     deferred_per_h: per_h(deferred.iter().sum()),
                     interruptible_per_h: per_h(interruptible.iter().sum()),

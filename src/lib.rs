@@ -44,7 +44,7 @@ pub use decarb_workloads as workloads;
 pub mod prelude {
     pub use decarb_core::metrics::{absolute_reduction, relative_reduction};
     pub use decarb_core::spatial::{inf_migration, one_migration};
-    pub use decarb_core::temporal::{TemporalPlanner, TemporalPolicy};
+    pub use decarb_core::temporal::TemporalPlanner;
     pub use decarb_forecast::{Forecaster, MIN_HISTORY_HOURS};
     pub use decarb_traces::{builtin_catalog, builtin_dataset, GeoGroup, Hour, TraceSet};
     pub use decarb_workloads::{Job, JobLengthDistribution, Slack};

@@ -3,7 +3,7 @@
 //! qualitative claims.
 
 use decarb::core::spatial::{envelope_planner, inf_migration, one_migration};
-use decarb::core::temporal::{TemporalPlanner, TemporalPolicy};
+use decarb::core::temporal::TemporalPlanner;
 use decarb::sim::{PlannedDeferral, SimConfig, Simulator};
 use decarb::traces::time::{hours_in_year, year_start};
 use decarb::traces::{builtin_dataset, csv, GLOBAL_AVG_CI};
@@ -22,10 +22,9 @@ fn policy_hierarchy_holds_across_catalog() {
         let planner = TemporalPlanner::new(series);
         for (slots, slack) in [(1usize, 24usize), (24, 24), (48, 168)] {
             let arrival = start.plus(1000 + i * 37);
-            let b = planner.policy_cost(TemporalPolicy::Immediate, arrival, slots, slack);
-            let d = planner.policy_cost(TemporalPolicy::Deferred, arrival, slots, slack);
-            let x =
-                planner.policy_cost(TemporalPolicy::DeferredInterruptible, arrival, slots, slack);
+            let b = planner.baseline_cost(arrival, slots);
+            let d = planner.best_deferred(arrival, slots, slack).cost_g;
+            let x = planner.best_interruptible(arrival, slots, slack).1;
             assert!(d <= b + 1e-9, "{}: deferred > baseline", region.code);
             assert!(x <= d + 1e-9, "{}: interruptible > deferred", region.code);
             assert!(x > 0.0, "{}: cost must be positive", region.code);

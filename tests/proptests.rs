@@ -11,7 +11,6 @@ mod common;
 use common::{Gen, CASES};
 use decarb::core::capacity::{water_filling, IdleCapacity};
 use decarb::core::greener::{greener_trace, ADDED_RENEWABLE_CI};
-use decarb::core::ksmallest::SlidingKSmallest;
 use decarb::core::temporal::TemporalPlanner;
 use decarb::stats::fft::{fft, ifft, Complex};
 use decarb::stats::kmeans::kmeans;
@@ -27,26 +26,6 @@ fn naive_k_sum(values: &[f64], k: usize) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
     sorted.iter().take(k).sum()
-}
-
-#[test]
-fn sliding_k_smallest_matches_oracle() {
-    for case in 0..CASES {
-        let mut g = Gen::new("sliding_k_smallest", case);
-        let values = trace(&mut g);
-        let k = g.usize_in(1, 8);
-        let window = g.usize_in(4, 40);
-        let mut s = SlidingKSmallest::new(k);
-        for i in 0..values.len() {
-            s.insert(values[i]);
-            if i >= window {
-                s.remove(values[i - window]);
-            }
-            let lo = (i + 1).saturating_sub(window);
-            let expected = naive_k_sum(&values[lo..=i], k);
-            assert!((s.k_sum() - expected).abs() < 1e-6, "case {case} index {i}");
-        }
-    }
 }
 
 #[test]
@@ -79,14 +58,22 @@ fn deferral_sweep_matches_naive() {
 fn interruptible_sweep_matches_naive() {
     for case in 0..CASES {
         let mut g = Gen::new("interruptible_sweep", case);
-        let values = trace(&mut g);
+        let mut values = trace(&mut g);
+        if case % 2 == 1 {
+            // Tie-heavy: integers from a small set.
+            let levels = g.usize_in(1, 5);
+            for v in &mut values {
+                *v = g.usize_in(0, levels) as f64;
+            }
+        }
         let slots = g.usize_in(1, 6);
         let slack = g.usize_in(0, 30);
         let series = TimeSeries::new(Hour(0), values.clone());
         let planner = TemporalPlanner::new(&series);
-        let count = values.len() - slots;
+        let count = values.len() + 1 - slots;
         let sweep = planner.interruptible_sweep(Hour(0), count, slots, slack);
-        for a in (0..count).step_by(7) {
+        assert_eq!(sweep.len(), count, "case {case}");
+        for a in 0..count {
             let end = (a + slots + slack).min(values.len());
             let expected = naive_k_sum(&values[a..end], slots);
             assert!(
