@@ -159,9 +159,10 @@ impl TemporalPlanner {
         self.prefix.sum(arrival, slots)
     }
 
-    /// Returns the latest start the trace can accommodate for `slots`.
-    fn last_start(&self, slots: usize) -> usize {
-        self.prefix.len().saturating_sub(slots)
+    /// Returns the latest start the trace can accommodate for `slots`,
+    /// or `None` when `slots` is longer than the whole trace.
+    fn last_start(&self, slots: usize) -> Option<usize> {
+        self.prefix.len().checked_sub(slots)
     }
 
     /// Finds the cheapest contiguous `slots`-window starting within
@@ -172,11 +173,12 @@ impl TemporalPlanner {
     // decarb-analyze: hot-path
     pub fn best_deferred(&self, arrival: Hour, slots: usize, slack: usize) -> Placement {
         let first = self.idx(arrival);
-        let last = (first + slack).min(self.last_start(slots));
+        let last_start = self.last_start(slots).filter(|&last| first <= last);
         assert!(
-            first <= last,
+            last_start.is_some(),
             "job at {arrival} (+{slots}h) cannot fit before trace end"
         );
+        let last = last_start.map_or(first, |last| (first + slack).min(last));
         cheapest_window(&self.prefix, first, last, slots)
     }
 
@@ -226,8 +228,11 @@ impl TemporalPlanner {
             return out;
         }
         let first = self.idx(sweep_start);
-        let last_start = self.last_start(slots);
-        assert!(first + count - 1 <= last_start, "sweep runs past trace end");
+        let last_start = self
+            .last_start(slots)
+            .filter(|&last| first + count - 1 <= last);
+        assert!(last_start.is_some(), "sweep runs past trace end");
+        let last_start = last_start.unwrap_or(first);
         // `cost[s - first]` is the window cost of start `s`.
         let starts = (first + count - 1 + slack).min(last_start) + 1 - first;
         let mut cost = Vec::with_capacity(starts);
@@ -381,6 +386,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A job longer than the whole trace: each query stops at its own
+    /// fit check instead of reading past the prefix.
+    #[test]
+    #[should_panic(expected = "cannot fit before trace end")]
+    fn deferred_rejects_a_job_longer_than_the_trace() {
+        sawtooth().best_deferred(Hour(0), 20, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep runs past trace end")]
+    fn deferral_sweep_rejects_a_job_longer_than_the_trace() {
+        sawtooth().deferral_sweep(Hour(0), 1, 20, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep runs past trace end")]
+    fn interruptible_sweep_rejects_a_job_longer_than_the_trace() {
+        sawtooth().interruptible_sweep(Hour(0), 1, 20, 4);
     }
 
     #[test]

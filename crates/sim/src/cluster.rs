@@ -8,6 +8,12 @@ use decarb_workloads::Job;
 pub struct RunningJob {
     /// The job being executed.
     pub job: Job,
+    /// The job's length in slots of the trace axis it was admitted on:
+    /// `Job::length_slots_at`, worked out once at admission.
+    pub length_slots: usize,
+    /// The slot by which the job must finish: its arrival plus
+    /// `Job::window_slots_at`, worked out once at admission.
+    pub deadline: Hour,
     /// Slots of work still to perform (hours on an hourly axis).
     pub remaining_slots: usize,
     /// Sum of the carbon-intensity samples over every executed slot.
@@ -32,10 +38,17 @@ pub struct RunningJob {
 impl RunningJob {
     /// Creates a freshly admitted (not yet running) instance on a trace
     /// axis sampled at `resolution`: the remaining work is the job's
-    /// length in *slots* of that axis.
+    /// length in *slots* of that axis, and the job's shape on that axis
+    /// (length and deadline) is stored so the engine never converts it
+    /// again.
     pub fn admitted(job: Job, resolution: Resolution) -> Self {
+        let length_slots = job.length_slots_at(resolution);
         Self {
-            remaining_slots: job.length_slots_at(resolution),
+            length_slots,
+            deadline: job
+                .arrival
+                .plus(job.slack_slots_at(resolution) + length_slots),
+            remaining_slots: length_slots,
             job,
             ci_sum: 0.0,
             suspended: true,
@@ -182,6 +195,27 @@ mod tests {
         assert_eq!(rj.ci_sum, 0.0);
         let fine = RunningJob::admitted(job, Resolution::from_minutes(5).unwrap());
         assert_eq!(fine.remaining_slots, 36);
+    }
+
+    #[test]
+    fn admission_stores_the_job_shape_on_its_axis() {
+        let arrival = Hour(100);
+        let jobs = [
+            Job::interactive(1, RegionId(0), arrival),
+            Job::batch(2, RegionId(0), arrival, 8.0, Slack::Day),
+            Job::batch(3, RegionId(0), arrival, 2.5, Slack::TenX).with_interruptible(),
+        ];
+        for resolution in [Resolution::HOURLY, Resolution::from_minutes(5).unwrap()] {
+            for job in &jobs {
+                let rj = RunningJob::admitted(job.clone(), resolution);
+                assert_eq!(rj.length_slots, job.length_slots_at(resolution));
+                assert_eq!(rj.remaining_slots, rj.length_slots);
+                assert_eq!(
+                    rj.deadline,
+                    job.arrival.plus(job.window_slots_at(resolution))
+                );
+            }
+        }
     }
 
     #[test]

@@ -161,8 +161,9 @@ impl<'a> Simulator<'a> {
     /// for [`Simulator::run`], one for the slot-stepped test oracle.
     ///
     /// * **Slot domain** — `config.start`/`horizon`, arrivals, planned
-    ///   starts, and deadlines are slot indices; wall-clock job shapes
-    ///   convert once via `Job::{length,slack,window}_slots_at`.
+    ///   starts, and deadlines are slot indices; a job's wall-clock
+    ///   shape converts once, at admission, into
+    ///   [`RunningJob::length_slots`] and [`RunningJob::deadline`].
     /// * **Hourly decision cadence** — `Policy::should_run` is consulted
     ///   at hour boundaries (every slot on hourly data) and once at
     ///   admission, its verdict cached on the [`RunningJob`] and replayed
@@ -222,7 +223,6 @@ impl<'a> Simulator<'a> {
         let mut dc_emissions: Vec<f64> = vec![0.0; dc_count];
         let mut verdicts: Vec<bool> = Vec::with_capacity(self.config.capacity_per_region * 2);
         let mut finished: Vec<usize> = Vec::with_capacity(self.config.capacity_per_region * 2);
-        let deadline_of = |job: &Job| -> Hour { job.arrival.plus(job.window_slots_at(resolution)) };
 
         // Trace-coverage edges, ascending; `next_edge` walks past the
         // ones behind `now`.
@@ -333,18 +333,12 @@ impl<'a> Simulator<'a> {
                             return true;
                         }
                         if hour_boundary || rj.decision_pending {
-                            policy.should_run(
-                                &rj.job,
-                                rj.remaining_slots,
-                                deadline_of(&rj.job),
-                                &view,
-                            )
+                            policy.should_run(&rj.job, rj.remaining_slots, rj.deadline, &view)
                         } else {
                             rj.cached_decision
                         }
                     }));
                 }
-                let ci_here = dc_series[k].and_then(|s| s.at(now)).unwrap_or(0.0);
                 let dc = &mut self.datacenters[k];
                 let mut running = 0usize;
                 let mut suspends = 0usize;
@@ -353,7 +347,7 @@ impl<'a> Simulator<'a> {
                     let want_run = if rj.job.interruptible {
                         rj.cached_decision = verdict;
                         rj.decision_pending = false;
-                        verdict || now.plus(rj.remaining_slots) >= deadline_of(&rj.job)
+                        verdict || now.plus(rj.remaining_slots) >= rj.deadline
                     } else {
                         true
                     };
@@ -376,6 +370,7 @@ impl<'a> Simulator<'a> {
                 let kwh = suspends as f64 * self.config.overheads.suspend_kwh
                     + resumes as f64 * self.config.overheads.resume_kwh;
                 if kwh > 0.0 {
+                    let ci_here = dc_series[k].and_then(|s| s.at(now)).unwrap_or(0.0);
                     report.overhead_kwh += kwh;
                     report.overhead_g += kwh * ci_here;
                     report.total_energy_kwh += kwh;
@@ -414,9 +409,7 @@ impl<'a> Simulator<'a> {
                             // A suspended job's forced-deadline flip is
                             // predictable: remaining stays constant, so
                             // it fires at deadline − remaining.
-                            let flip = deadline_of(&rj.job)
-                                .0
-                                .saturating_sub(rj.remaining_slots as u32);
+                            let flip = rj.deadline.0.saturating_sub(rj.remaining_slots as u32);
                             if flip > now.0 {
                                 next = next.min(flip);
                             }
@@ -469,8 +462,7 @@ impl<'a> Simulator<'a> {
                 for &i in finished.iter().rev() {
                     let rj = dc.jobs.swap_remove(i);
                     interruptible -= usize::from(rj.job.interruptible);
-                    let slots = rj.job.length_slots_at(resolution) as f64;
-                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots;
+                    let emitted = (rj.ci_sum * rj.job.length_hours) / rj.length_slots as f64;
                     let energy = rj.job.length_hours;
                     report.total_energy_kwh += energy;
                     report.total_emissions_g += emitted;
@@ -481,7 +473,7 @@ impl<'a> Simulator<'a> {
                         started: rj.started.unwrap_or(now),
                         finished: finished_at,
                         emitted_g: emitted,
-                        missed_deadline: finished_at >= deadline_of(&rj.job),
+                        missed_deadline: finished_at >= rj.deadline,
                         job: rj.job,
                     });
                 }
@@ -494,11 +486,11 @@ impl<'a> Simulator<'a> {
         // over the slots actually executed.
         for (k, dc) in self.datacenters.iter().enumerate() {
             for rj in &dc.jobs {
-                let slots = rj.job.length_slots_at(resolution);
-                let run = slots - rj.remaining_slots;
+                let slots = rj.length_slots as f64;
+                let run = rj.length_slots - rj.remaining_slots;
                 if run > 0 {
-                    let energy = (run as f64 * rj.job.length_hours) / slots as f64;
-                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots as f64;
+                    let energy = (run as f64 * rj.job.length_hours) / slots;
+                    let emitted = (rj.ci_sum * rj.job.length_hours) / slots;
                     report.total_energy_kwh += energy;
                     report.total_emissions_g += emitted;
                     dc_emissions[k] += emitted;

@@ -79,12 +79,23 @@ impl Synthesizer {
     pub fn generate(&self, region: &Region) -> TimeSeries {
         let (start, total) = self.horizon();
         let raw = self.raw_shape(region, start, total);
-        let scaled = calibrate(region, start, &raw);
+        let scaled = calibrate(region, self.years(), raw);
         let values = rescale_annual_means(region, start, scaled, self.config.last_year);
         TimeSeries::new(start, values)
     }
 
+    /// The configured calendar years, in order.
+    fn years(&self) -> std::ops::RangeInclusive<i32> {
+        self.config.first_year..=self.config.last_year
+    }
+
     /// Generates the dimensionless shape signal before calibration.
+    ///
+    /// The walk goes year by year and day by day, so the terms that
+    /// vary only by day (the seasonal cycle and the weekend flag) and
+    /// only by hour of day (the solar dip and the demand profile) are
+    /// worked out once rather than per sample. Each sample still goes
+    /// through the same float operations in the same order.
     fn raw_shape(&self, region: &Region, start: Hour, total: usize) -> Vec<f64> {
         let mut rng = Xoshiro256::from_label(&region.code, self.config.seed);
         let solar_share = region.mix.share(crate::mix::Source::Solar);
@@ -96,32 +107,36 @@ impl Synthesizer {
         let w_noise = 0.5 * wind_share + 0.10 + 0.30 * (1.0 - region.periodicity);
         // Local solar time offset from UTC, derived from longitude.
         let solar_offset = (region.lon / 15.0).round() as i64;
-        let southern = region.lat < 0.0;
+        // Every year starts at midnight UTC, so a sample's UTC hour of
+        // day is its position within the day.
+        let local_hour: [usize; HOURS_PER_DAY] = std::array::from_fn(|hour| {
+            (hour as i64 + solar_offset).rem_euclid(HOURS_PER_DAY as i64) as usize
+        });
+        let dip = local_hour.map(solar_dip);
+        let demand = local_hour.map(|h| DEMAND_PROFILE[h]);
+        // Annual cycle: CI peaks in local winter (heating demand).
+        let season_phase = if region.lat < 0.0 { 0.5 } else { 0.0 };
 
+        let mut day_start = start;
         let mut raw = Vec::with_capacity(total);
         let mut ar = 0.0f64;
         let ar_innovation = (1.0 - AR_RHO * AR_RHO).sqrt();
-        for i in 0..total {
-            let hour = start.plus(i);
-            let local_hour = (hour.hour_of_day() as i64 + solar_offset).rem_euclid(24) as usize;
-            let doy = hour.day_of_year() as f64;
-            let days = time::days_in_year(hour.year()) as f64;
-
-            // Annual cycle: CI peaks in local winter (heating demand).
-            let season_phase = if southern { 0.5 } else { 0.0 };
-            let season = (std::f64::consts::TAU * (doy / days - season_phase)).cos();
-
-            // Solar output is stronger in local summer.
-            let solar_season = 1.0 + 0.5 * -season;
-            let solar = solar_dip(local_hour) * solar_season;
-
-            let demand = DEMAND_PROFILE[local_hour];
-            let weekly = if hour.is_weekend() { -1.0 } else { 0.4 };
-
-            ar = AR_RHO * ar + ar_innovation * rng.normal();
-
-            let periodic = w_solar * solar + w_demand * demand + W_WEEKLY * weekly;
-            raw.push(region.periodicity * periodic + w_noise * ar + W_SEASONAL * season);
+        for year in self.years() {
+            let days = time::days_in_year(year);
+            for doy in 0..days {
+                let season =
+                    (std::f64::consts::TAU * (doy as f64 / days as f64 - season_phase)).cos();
+                // Solar output is stronger in local summer.
+                let solar_season = 1.0 + 0.5 * -season;
+                let weekly = if day_start.is_weekend() { -1.0 } else { 0.4 };
+                for hour in 0..HOURS_PER_DAY {
+                    let solar = dip[hour] * solar_season;
+                    ar = AR_RHO * ar + ar_innovation * rng.normal();
+                    let periodic = w_solar * solar + w_demand * demand[hour] + W_WEEKLY * weekly;
+                    raw.push(region.periodicity * periodic + w_noise * ar + W_SEASONAL * season);
+                }
+                day_start = day_start.plus(HOURS_PER_DAY);
+            }
         }
         raw
     }
@@ -146,16 +161,23 @@ fn solar_dip(local_hour: usize) -> f64 {
     raw + 2.0 / std::f64::consts::PI / 2.0
 }
 
-/// Scales the raw shape so the realized average daily CV matches the
-/// region's target, and applies the drifting annual mean.
-fn calibrate(region: &Region, start: Hour, raw: &[f64]) -> Vec<f64> {
-    let mean = raw.iter().sum::<f64>() / raw.len() as f64;
-    let centered: Vec<f64> = raw.iter().map(|v| v - mean).collect();
+/// Scales the raw shape of the calendar `years` so the realized average
+/// daily CV matches the region's target, and applies the drifting
+/// annual mean, in place.
+fn calibrate(
+    region: &Region,
+    years: std::ops::RangeInclusive<i32>,
+    mut shape: Vec<f64>,
+) -> Vec<f64> {
+    let mean = shape.iter().sum::<f64>() / shape.len() as f64;
+    for v in &mut shape {
+        *v -= mean;
+    }
 
     // Average intra-day standard deviation of the centered shape.
     let mut acc_std = 0.0;
     let mut days = 0usize;
-    for day in centered.chunks_exact(HOURS_PER_DAY) {
+    for day in shape.chunks_exact(HOURS_PER_DAY) {
         let m: f64 = day.iter().sum::<f64>() / HOURS_PER_DAY as f64;
         let var: f64 = day.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / HOURS_PER_DAY as f64;
         acc_std += var.sqrt();
@@ -168,27 +190,37 @@ fn calibrate(region: &Region, start: Hour, raw: &[f64]) -> Vec<f64> {
         0.0
     };
 
-    centered
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            let m = drifting_mean(region, start.plus(i));
-            (m * (1.0 + k * c)).max(CI_FLOOR)
-        })
-        .collect()
+    let mut rest = shape.as_mut_slice();
+    for year in years {
+        let hours = time::hours_in_year(year);
+        let (chunk, tail) = rest.split_at_mut(hours);
+        let means = [
+            region.mean_ci(year - 1),
+            region.mean_ci(year),
+            region.mean_ci(year + 1),
+        ];
+        for (hour, c) in chunk.iter_mut().enumerate() {
+            let m = drifting_mean(means, hour, hours);
+            *c = (m * (1.0 + k * *c)).max(CI_FLOOR);
+        }
+        rest = tail;
+    }
+    shape
 }
 
 /// Smooth annual-mean trajectory: the catalog's per-year means anchored at
-/// year centers with linear interpolation between them.
-fn drifting_mean(region: &Region, hour: Hour) -> f64 {
-    let year = hour.year();
-    let frac = hour.hour_of_year() as f64 / time::hours_in_year(year) as f64;
+/// year centers with linear interpolation between them. `means` holds
+/// the previous, current and next year's means; `hour` counts from the
+/// start of the current year, which is `hours` long.
+#[inline]
+fn drifting_mean([prev, this, next]: [f64; 3], hour: usize, hours: usize) -> f64 {
+    let frac = hour as f64 / hours as f64;
     if frac < 0.5 {
         let w = frac + 0.5;
-        region.mean_ci(year - 1) * (1.0 - w) + region.mean_ci(year) * w
+        prev * (1.0 - w) + this * w
     } else {
         let w = frac - 0.5;
-        region.mean_ci(year) * (1.0 - w) + region.mean_ci(year + 1) * w
+        this * (1.0 - w) + next * w
     }
 }
 
@@ -403,6 +435,135 @@ mod tests {
         let va: f64 = a.iter().map(|x| (x - ma) * (x - ma)).sum();
         let vb: f64 = b.iter().map(|y| (y - mb) * (y - mb)).sum();
         cov / (va.sqrt() * vb.sqrt())
+    }
+
+    /// The per-sample synthesis the calendar walk replaced: every sample
+    /// works out its year, day of year, seasonal cosine and drifting
+    /// mean from its hour index. Kept as the oracle the walk must match
+    /// bit for bit.
+    fn oracle_generate(config: &SynthConfig, region: &Region) -> TimeSeries {
+        let synth = Synthesizer::new(config.clone());
+        let (start, total) = synth.horizon();
+        let mut rng = Xoshiro256::from_label(&region.code, config.seed);
+        let solar_share = region.mix.share(crate::mix::Source::Solar);
+        let wind_share = region.mix.share(crate::mix::Source::Wind);
+        let fossil_share = region.mix.fossil_share();
+        let w_solar = 1.5 * solar_share + 0.05;
+        let w_demand = 0.6 * fossil_share + 0.20;
+        let w_noise = 0.5 * wind_share + 0.10 + 0.30 * (1.0 - region.periodicity);
+        let solar_offset = (region.lon / 15.0).round() as i64;
+        let southern = region.lat < 0.0;
+        let mut raw = Vec::with_capacity(total);
+        let mut ar = 0.0f64;
+        let ar_innovation = (1.0 - AR_RHO * AR_RHO).sqrt();
+        for i in 0..total {
+            let hour = start.plus(i);
+            let local_hour = (hour.hour_of_day() as i64 + solar_offset).rem_euclid(24) as usize;
+            let doy = hour.day_of_year() as f64;
+            let days = time::days_in_year(hour.year()) as f64;
+            let season_phase = if southern { 0.5 } else { 0.0 };
+            let season = (std::f64::consts::TAU * (doy / days - season_phase)).cos();
+            let solar_season = 1.0 + 0.5 * -season;
+            let solar = solar_dip(local_hour) * solar_season;
+            let demand = DEMAND_PROFILE[local_hour];
+            let weekly = if hour.is_weekend() { -1.0 } else { 0.4 };
+            ar = AR_RHO * ar + ar_innovation * rng.normal();
+            let periodic = w_solar * solar + w_demand * demand + W_WEEKLY * weekly;
+            raw.push(region.periodicity * periodic + w_noise * ar + W_SEASONAL * season);
+        }
+
+        let mean = raw.iter().sum::<f64>() / raw.len() as f64;
+        let centered: Vec<f64> = raw.iter().map(|v| v - mean).collect();
+        let mut acc_std = 0.0;
+        let mut days = 0usize;
+        for day in centered.chunks_exact(HOURS_PER_DAY) {
+            let m: f64 = day.iter().sum::<f64>() / HOURS_PER_DAY as f64;
+            let var: f64 =
+                day.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / HOURS_PER_DAY as f64;
+            acc_std += var.sqrt();
+            days += 1;
+        }
+        let avg_daily_std = acc_std / days.max(1) as f64;
+        let k = if avg_daily_std > 1e-12 {
+            region.daily_cv / avg_daily_std
+        } else {
+            0.0
+        };
+        let scaled = centered
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let hour = start.plus(i);
+                let year = hour.year();
+                let frac = hour.hour_of_year() as f64 / time::hours_in_year(year) as f64;
+                let m = if frac < 0.5 {
+                    let w = frac + 0.5;
+                    region.mean_ci(year - 1) * (1.0 - w) + region.mean_ci(year) * w
+                } else {
+                    let w = frac - 0.5;
+                    region.mean_ci(year) * (1.0 - w) + region.mean_ci(year + 1) * w
+                };
+                (m * (1.0 + k * c)).max(CI_FLOOR)
+            })
+            .collect();
+        let values = rescale_annual_means(region, start, scaled, config.last_year);
+        TimeSeries::new(start, values)
+    }
+
+    #[test]
+    fn calendar_walk_matches_per_sample_oracle_bit_for_bit() {
+        let regions = catalog::builtin_catalog();
+        // The walk's per-day and per-hour-of-day tables must hold for
+        // both hemispheres' seasonal phases and for every solar offset.
+        assert!(regions.iter().any(|r| r.lat < 0.0));
+        assert!(regions.iter().any(|r| (r.lon / 15.0).round() < 0.0));
+        assert!(regions.iter().any(|r| (r.lon / 15.0).round() > 0.0));
+        let configs = [
+            SynthConfig {
+                seed: 1,
+                first_year: 2021,
+                last_year: 2023,
+            },
+            SynthConfig {
+                first_year: 2022,
+                last_year: 2022,
+                ..SynthConfig::default()
+            },
+            SynthConfig {
+                first_year: 2023,
+                last_year: 2023,
+                ..SynthConfig::default()
+            },
+        ];
+        for config in &configs {
+            let synth = Synthesizer::new(config.clone());
+            for region in regions {
+                let walked = synth.generate(region);
+                let oracle = oracle_generate(config, region);
+                assert_eq!(walked.start(), oracle.start());
+                assert_eq!(walked.len(), oracle.len());
+                let differs = walked
+                    .values()
+                    .iter()
+                    .zip(oracle.values())
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                assert_eq!(differs, None, "{} under {config:?}", region.code);
+            }
+        }
+    }
+
+    #[test]
+    fn builtin_dataset_packs_to_its_pinned_hash() {
+        // `data pack builtin` prints this hash; any change to the
+        // synthesized samples, their order or the container layout
+        // moves it.
+        let bytes = crate::container::encode(&crate::builtin_dataset()).unwrap();
+        let info = crate::container::probe(&bytes, "<builtin>").unwrap();
+        assert_eq!(
+            info.content_hash, 0x40b8_b50e_9e24_f3a9,
+            "fnv1a64:{:016x}",
+            info.content_hash
+        );
     }
 
     #[test]
