@@ -295,12 +295,15 @@ fn bench_trace_container(h: &Harness) {
 /// ≥500-scenario matrix sweep through the scenario engine (which shares
 /// one cache across every scenario and worker thread).
 fn bench_planner_cache(h: &Harness) {
-    use decarb_sim::scenario::{OverheadKind, PolicyKind, RegionSet, ScenarioMatrix};
+    use decarb_sim::scenario::{OverheadKind, PolicyKind, RegionSet, RegionSpec, ScenarioMatrix};
+    use decarb_sim::sweep::{merge_reports, SweepPlan};
     use decarb_sim::{CachedDeferral, PlannedDeferral, PlannerCache};
     use decarb_workloads::{Arrival, WorkloadSpec};
 
     let data = builtin_dataset();
-    let regions: Vec<RegionId> = RegionSet::Europe.resolve(&data);
+    let regions: Vec<RegionId> = RegionSpec::from(RegionSet::Europe)
+        .try_resolve(&data)
+        .expect("builtin region set resolves");
     let start = year_start(2022);
     let spec = WorkloadSpec::Batch {
         per_origin: 12,
@@ -346,7 +349,8 @@ fn bench_planner_cache(h: &Harness) {
         scenarios.len()
     );
     h.bench("kernels/sim/matrix_540_shared_cache", || {
-        black_box(decarb_sim::run_scenarios(&data, &scenarios))
+        let plan = SweepPlan::plan(&data, scenarios.clone()).expect("plan validates");
+        black_box(plan.execute(&data))
     });
 
     // The sweep pipeline's non-simulation stages at the same 540-entry
@@ -354,7 +358,6 @@ fn bench_planner_cache(h: &Harness) {
     // into 8 shards, and merging 4 shard report documents. These are
     // the per-process overheads a sharded multi-process sweep pays on
     // top of raw simulation time.
-    use decarb_sim::sweep::{merge_reports, SweepPlan};
     h.bench("kernels/sweep/plan_540", || {
         black_box(SweepPlan::plan(&data, scenarios.clone()).expect("plan validates"))
     });

@@ -123,16 +123,11 @@ pub enum Command {
     },
     /// `data pack|probe|append` — manage binary trace containers.
     Data(DataCommand),
-    /// `serve [--data FILE [--regions FILE]] [--addr HOST:PORT]
-    /// [--threads N]` — run the carbon-aware placement service (an
-    /// HTTP/1.1 daemon answering live `POST /v1/place` queries; see
-    /// docs/API.md).
+    /// `serve [--addr HOST:PORT] [--threads N] [--capacity-per-hour N]`
+    /// — run the carbon-aware placement service (an HTTP/1.1 daemon
+    /// answering live `POST /v1/place` queries; see docs/API.md) over
+    /// the global `--data` dataset or the built-in one.
     Serve {
-        /// Dataset to serve: a CSV or a binary container (reloaded
-        /// from this path on `POST /v1/reload`); built-in when absent.
-        data: Option<String>,
-        /// Optional `[region CODE]` metadata sidecar (CSV data only).
-        regions: Option<String>,
         /// Bind address; port 0 picks an ephemeral port.
         addr: String,
         /// Worker threads in the accept pool.
@@ -680,23 +675,11 @@ pub static COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         path: "serve",
-        synopsis: "[--data FILE [--regions FILE]] [--addr HOST:PORT] [--threads N] \
-                   [--capacity-per-hour N]",
+        synopsis: "[--addr HOST:PORT] [--threads N] [--capacity-per-hour N]",
         help: "run the placement service (HTTP API, docs/API.md)",
-        flags: &[
-            Value("data"),
-            Value("regions"),
-            Value("addr"),
-            Value("threads"),
-            Value("capacity-per-hour"),
-        ],
+        flags: &[Value("addr"), Value("threads"), Value("capacity-per-hour")],
         positionals: 0,
         build: |a| {
-            let data = a.string("data");
-            let regions = a.string("regions");
-            if regions.is_some() && data.is_none() {
-                return Err("`serve --regions` needs a `--data` CSV to describe".into());
-            }
             let capacity_per_hour = a.optional("capacity-per-hour")?;
             if capacity_per_hour == Some(0) {
                 return Err(
@@ -704,8 +687,6 @@ pub static COMMANDS: &[CommandSpec] = &[
                 );
             }
             Ok(Command::Serve {
-                data,
-                regions,
                 addr: a.value("addr").unwrap_or(DEFAULT_SERVE_ADDR).into(),
                 threads: a.count("threads", 4)?,
                 capacity_per_hour,
@@ -894,8 +875,6 @@ mod tests {
         assert_eq!(
             parse(&argv(&["serve"])).unwrap(),
             Command::Serve {
-                data: None,
-                regions: None,
                 addr: DEFAULT_SERVE_ADDR.into(),
                 threads: 4,
                 capacity_per_hour: None,
@@ -904,8 +883,6 @@ mod tests {
         assert_eq!(
             parse(&argv(&[
                 "serve",
-                "--data",
-                "traces.dct",
                 "--addr",
                 "0.0.0.0:9000",
                 "--threads",
@@ -915,28 +892,9 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve {
-                data: Some("traces.dct".into()),
-                regions: None,
                 addr: "0.0.0.0:9000".into(),
                 threads: 8,
                 capacity_per_hour: Some(16),
-            }
-        );
-        assert_eq!(
-            parse(&argv(&[
-                "serve",
-                "--data",
-                "t.csv",
-                "--regions",
-                "meta.toml"
-            ]))
-            .unwrap(),
-            Command::Serve {
-                data: Some("t.csv".into()),
-                regions: Some("meta.toml".into()),
-                addr: DEFAULT_SERVE_ADDR.into(),
-                threads: 4,
-                capacity_per_hour: None,
             }
         );
     }
@@ -946,6 +904,7 @@ mod tests {
         assert!(parse(&argv(&["serve", "--threads", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--threads", "many"])).is_err());
         assert!(parse(&argv(&["serve", "--regions", "meta.toml"])).is_err());
+        assert!(parse(&argv(&["serve", "--data", "traces.dct"])).is_err());
         assert!(parse(&argv(&["serve", "--port", "80"])).is_err());
         assert!(parse(&argv(&["serve", "extra"])).is_err());
         assert!(parse(&argv(&["serve", "--capacity-per-hour", "0"])).is_err());

@@ -72,37 +72,30 @@ pub(crate) fn failed(what: impl std::fmt::Display, why: impl std::fmt::Display) 
     CliError::Failed(format!("{what}: {why}"))
 }
 
-/// `serve`: builds the placement service over the dataset at `data`
-/// (its `--data` path, optional `--regions` sidecar path, and the set
-/// already imported from them, if any) or the built-in one, prints the
-/// bound address, and blocks in the accept loop. An imported set is
-/// moved into the service, not loaded a second time, so a reload frees
-/// it. The daemon re-imports `--data` from its path on every `POST
-/// /v1/reload`, so a repacked container or refreshed CSV is picked up
-/// without a restart.
+/// `serve`: builds the placement service over the imported `--data`
+/// set (with its `--data` path and optional `--regions` sidecar path)
+/// or the built-in one, prints the bound address, and blocks in the
+/// accept loop. The imported set is moved into the service, not loaded
+/// a second time, so a reload frees it. The daemon re-imports `--data`
+/// from its path on every `POST /v1/reload`, so a repacked container or
+/// refreshed CSV is picked up without a restart.
 pub(crate) fn serve_cmd(
     out: &mut dyn io::Write,
-    data: Option<(String, Option<String>, Option<TraceSet>)>,
+    data: crate::ImportedData,
     addr: &str,
     threads: usize,
     capacity_per_hour: Option<usize>,
 ) -> Result<(), CliError> {
     use std::sync::Arc;
     let (traces, loader): (Arc<TraceSet>, decarb_serve::Loader) = match data {
-        Some((data_path, regions_path, imported)) => {
-            let set = match imported {
-                Some(set) => set,
-                None => crate::load_dataset(&data_path, regions_path.as_deref())?,
-            };
-            (
-                Arc::new(set),
-                Box::new(move || {
-                    crate::load_dataset(&data_path, regions_path.as_deref())
-                        .map(Arc::new)
-                        .map_err(|e| e.to_string())
-                }),
-            )
-        }
+        Some((data_path, regions_path, set)) => (
+            Arc::new(set),
+            Box::new(move || {
+                crate::load_dataset(&data_path, regions_path.as_deref())
+                    .map(Arc::new)
+                    .map_err(|e| e.to_string())
+            }),
+        ),
         None => (
             decarb_traces::builtin_dataset(),
             Box::new(|| Ok(decarb_traces::builtin_dataset())),

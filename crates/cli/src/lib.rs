@@ -223,28 +223,11 @@ pub fn execute(command: &Command, data: ImportedData, out: &mut dyn Write) -> Re
         } => commands::scenario_diff(report, golden, *tolerance_pct)?,
         Command::Data(cmd) => commands::data_cmd(cmd)?,
         Command::AnalyzeWorkspace { path, json } => commands::analyze_workspace_cmd(path, *json)?,
-        // `serve` takes its dataset as the global leading `--data` or as
-        // its own option; either spelling reloads from that path on
-        // `POST /v1/reload`.
         Command::Serve {
-            data: serve_data,
-            regions,
             addr,
             threads,
             capacity_per_hour,
-        } => {
-            let data = match (data, serve_data) {
-                (Some(_), Some(_)) => {
-                    return Err(CliError::Parse(ParseError(
-                        "--data given twice (global and `serve --data`); pass it once".into(),
-                    )))
-                }
-                (Some((path, sidecar, set)), None) => Some((path, sidecar, Some(set))),
-                (None, Some(path)) => Some((path.clone(), regions.clone(), None)),
-                (None, None) => None,
-            };
-            return commands::serve_cmd(out, data, addr, *threads, *capacity_per_hour);
-        }
+        } => return commands::serve_cmd(out, data, addr, *threads, *capacity_per_hour),
     };
     writeln!(out, "{text}")?;
     Ok(())

@@ -127,6 +127,10 @@ fn every_subcommand_rejects_an_unknown_flag_with_its_usage_line() {
     let workers = decarb_cli(&["scenario", "run", "all", "--workers", "2"]);
     let err = assert_usage_error(&workers, "scenario run");
     assert!(err.contains("unknown option `--workers`"), "{err}");
+    // A dataset is given once, as the global leading `--data`.
+    let data = decarb_cli(&["serve", "--data", "x"]);
+    let err = assert_usage_error(&data, "serve");
+    assert!(err.contains("unknown option `--data` for `serve`"), "{err}");
 }
 
 #[test]
@@ -1133,6 +1137,65 @@ fn serve_answers_every_endpoint_and_place_is_stable_across_reload() {
     });
     let _ = child.kill();
     let _ = child.wait();
+    if let Err(panic) = result {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+#[test]
+fn serve_under_global_data_reloads_from_that_path() {
+    let dir = std::env::temp_dir();
+    let packed = dir.join("decarb_cli_e2e_serve.dct");
+    let pack = |csv: &std::path::Path, out: &std::path::Path| {
+        let done = decarb_cli(&[
+            "data",
+            "pack",
+            csv.to_str().unwrap(),
+            "-o",
+            out.to_str().unwrap(),
+        ]);
+        assert!(done.status.success(), "{}", stderr(&done));
+    };
+    let two = write_fixture_csv("decarb_cli_e2e_serve_two.csv", 0, 48);
+    pack(&two, &packed);
+    let (mut child, addr) = spawn_serve(&[
+        "--data",
+        packed.to_str().unwrap(),
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--threads",
+        "1",
+    ]);
+    let result = std::panic::catch_unwind(|| {
+        let (status, health) = http_request(&addr, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200, "{health}");
+        assert!(health.contains("\"regions\": 2"), "{health}");
+
+        // Repack the same path with a third zone; the reload must read it.
+        let three = dir.join("decarb_cli_e2e_serve_three.csv");
+        let mut text = std::fs::read_to_string(&two).unwrap();
+        for i in 0..48 {
+            text.push_str(&format!("FR,{},{}\n", 17544 + i, 50 + i));
+        }
+        std::fs::write(&three, text).unwrap();
+        let next = dir.join("decarb_cli_e2e_serve_next.dct");
+        pack(&three, &next);
+        std::fs::rename(&next, &packed).unwrap();
+
+        let (status, reload) = http_request(&addr, "POST", "/v1/reload", "");
+        assert_eq!(status, 200, "{reload}");
+        assert!(reload.contains("\"generation\": 2"), "{reload}");
+        assert!(reload.contains("\"regions\": 3"), "{reload}");
+        let (status, health) = http_request(&addr, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200, "{health}");
+        assert!(health.contains("\"regions\": 3"), "{health}");
+        std::fs::remove_file(&three).ok();
+    });
+    let _ = child.kill();
+    let _ = child.wait();
+    std::fs::remove_file(&packed).ok();
+    std::fs::remove_file(&two).ok();
     if let Err(panic) = result {
         std::panic::resume_unwind(panic);
     }

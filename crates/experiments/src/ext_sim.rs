@@ -110,7 +110,7 @@ pub fn run(ctx: &Context) -> ExtSim {
         transitions: agnostic.suspends + agnostic.resumes,
     }];
 
-    let mut add = |name: &'static str, report: SimReport| {
+    let mut add = |name: &'static str, report: &SimReport| {
         policies.push(PolicyRow {
             policy: name,
             avg_ci: report.average_ci(),
@@ -120,74 +120,56 @@ pub fn run(ctx: &Context) -> ExtSim {
         });
     };
 
-    add(
-        "threshold suspend (online)",
-        run_policy(
-            ctx,
-            &mut ThresholdSuspend::default(),
-            &jobs,
-            OverheadModel::ZERO,
-        ),
+    // The zero-overhead suspending runs feed both tables.
+    let threshold = run_policy(
+        ctx,
+        &mut ThresholdSuspend::default(),
+        &jobs,
+        OverheadModel::ZERO,
     );
+    let forecast_suspend = run_policy(
+        ctx,
+        &mut ForecastSuspend::new(SeasonalNaive::daily()),
+        &jobs,
+        OverheadModel::ZERO,
+    );
+    add("threshold suspend (online)", &threshold);
     add(
         "forecast deferral (template)",
-        run_policy(
+        &run_policy(
             ctx,
             &mut ForecastDeferral::new(DiurnalTemplate::default()),
             &jobs,
             OverheadModel::ZERO,
         ),
     );
-    add(
-        "forecast suspend (seasonal)",
-        run_policy(
-            ctx,
-            &mut ForecastSuspend::new(SeasonalNaive::daily()),
-            &jobs,
-            OverheadModel::ZERO,
-        ),
-    );
+    add("forecast suspend (seasonal)", &forecast_suspend);
     add(
         "clairvoyant deferral (bound)",
-        run_policy(ctx, &mut PlannedDeferral, &jobs, OverheadModel::ZERO),
+        &run_policy(ctx, &mut PlannedDeferral, &jobs, OverheadModel::ZERO),
     );
 
     // --- Overhead sensitivity for the two suspending policies.
-    let mut overheads = Vec::new();
     let realistic = OverheadModel::realistic();
-    for (name, ideal, costed) in [
-        (
-            "threshold suspend",
-            run_policy(
-                ctx,
-                &mut ThresholdSuspend::default(),
-                &jobs,
-                OverheadModel::ZERO,
-            ),
-            run_policy(ctx, &mut ThresholdSuspend::default(), &jobs, realistic),
-        ),
-        (
-            "forecast suspend",
-            run_policy(
-                ctx,
-                &mut ForecastSuspend::new(SeasonalNaive::daily()),
-                &jobs,
-                OverheadModel::ZERO,
-            ),
-            run_policy(
+    let overheads = vec![
+        OverheadRow {
+            policy: "threshold suspend",
+            ideal_g: threshold.total_emissions_g,
+            realistic_g: run_policy(ctx, &mut ThresholdSuspend::default(), &jobs, realistic)
+                .total_emissions_g,
+        },
+        OverheadRow {
+            policy: "forecast suspend",
+            ideal_g: forecast_suspend.total_emissions_g,
+            realistic_g: run_policy(
                 ctx,
                 &mut ForecastSuspend::new(SeasonalNaive::daily()),
                 &jobs,
                 realistic,
-            ),
-        ),
-    ] {
-        overheads.push(OverheadRow {
-            policy: name,
-            ideal_g: ideal.total_emissions_g,
-            realistic_g: costed.total_emissions_g,
-        });
-    }
+            )
+            .total_emissions_g,
+        },
+    ];
 
     ExtSim {
         policies,

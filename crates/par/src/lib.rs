@@ -111,16 +111,6 @@ where
     run_ordered(workers, lookahead, items, f, sink);
 }
 
-/// Runs `f` over `(index, item)` pairs in parallel purely for effects.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let indices: Vec<usize> = (0..items.len()).collect();
-    par_map(&indices, |&i| f(i, &items[i]));
-}
-
 /// The one scheduling loop: `workers` scoped threads claim indices from
 /// a shared cursor, each index starting only inside the window
 /// `emitted..emitted + lookahead`, while the calling thread hands the
@@ -307,17 +297,6 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 257);
         assert_eq!(out.len(), 257);
-    }
-
-    #[test]
-    fn par_for_each_sees_correct_pairs() {
-        let items = vec![10u32, 20, 30];
-        let sum = AtomicU32::new(0);
-        par_for_each(&items, |i, &x| {
-            assert_eq!(x, (i as u32 + 1) * 10);
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 60);
     }
 
     #[test]

@@ -29,16 +29,10 @@ impl CompletedJob {
         (self.started.0.saturating_sub(self.job.arrival.0)) as usize
     }
 
-    /// The job's slowdown: elapsed residence time over its pure execution
-    /// time (1.0 means it ran immediately and uninterrupted). Assumes the
-    /// hourly axis; use [`CompletedJob::slowdown_at`] on sub-hourly runs.
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown_at(Resolution::HOURLY)
-    }
-
-    /// [`CompletedJob::slowdown`] on the axis the run stepped on:
-    /// elapsed and execution time are both counted in `resolution`
-    /// slots, so the ratio is axis-independent.
+    /// The job's slowdown on the axis the run stepped on: elapsed
+    /// residence time over its pure execution time, both counted in
+    /// `resolution` slots (1.0 means it ran immediately and
+    /// uninterrupted).
     pub fn slowdown_at(&self, resolution: Resolution) -> f64 {
         let elapsed = (self.finished.0 - self.job.arrival.0 + 1) as f64;
         elapsed / self.job.length_slots_at(resolution) as f64
@@ -198,7 +192,7 @@ mod tests {
             missed_deadline: false,
         };
         assert_eq!(c.wait_hours(), 3);
-        assert!((c.slowdown() - 3.5).abs() < 1e-12);
+        assert!((c.slowdown_at(Resolution::HOURLY) - 3.5).abs() < 1e-12);
         let mut report = SimReport::default();
         report.completed.push(c);
         assert!((report.mean_wait_hours() - 3.0).abs() < 1e-12);

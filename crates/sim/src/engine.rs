@@ -656,7 +656,7 @@ mod tests {
         let c = &report.completed[0];
         assert!(c.started >= start);
         assert_eq!(c.wait_hours() as u32, c.started.0 - start.0);
-        assert!(c.slowdown() >= 1.0);
+        assert!(c.slowdown_at(report.resolution) >= 1.0);
         assert!(report.mean_slowdown() >= 1.0);
     }
 

@@ -16,8 +16,12 @@
 //! 3. **Capacity effects** — queueing and blocking under finite capacity,
 //!    which the analytic model only approximates.
 //!
-//! Time advances in one-hour steps (the resolution of carbon traces), with
-//! an event calendar for arrivals and planned starts.
+//! Time runs on the dataset's slot axis (one slot per hour on hourly
+//! data, twelve on a 5-minute axis) through one event-driven loop. The
+//! engine jumps from one boundary to the next (an arrival, a planned
+//! start from its event calendar, a completion, an hour boundary for
+//! policy decisions) and accrues each skipped span's emissions in one
+//! prefix-sum query per running job (see [`engine`]).
 
 pub mod accounting;
 pub mod cluster;
@@ -45,9 +49,8 @@ pub use policy::{
 };
 pub use routing::LatencyAwareRouter;
 pub use scenario::{
-    builtin_matrix, builtin_scenarios, find_scenario, run_scenarios, run_scenarios_with,
-    ForecasterKind, OverheadKind, PolicyKind, RegionSet, RegionSpec, Scenario, ScenarioMatrix,
-    ScenarioReport,
+    builtin_matrix, builtin_scenarios, find_scenario, ForecasterKind, OverheadKind, PolicyKind,
+    RegionSet, RegionSpec, Scenario, ScenarioMatrix, ScenarioReport,
 };
 pub use scenario_check::{check_file, check_scenarios};
 pub use scenario_file::{

@@ -5,14 +5,15 @@
 //! [`TemporalPlanner::for_region`] shares the dataset's samples and its
 //! cached prefix sums, so a build copies no trace: it is one reference
 //! count bump, plus the prefix build for the first planner of a
-//! region. A [`PlannerCache`] is created once per `run_scenarios` call
-//! and shared by reference across the worker threads: each region's
-//! planner is built the first time any scenario needs it and reused by
-//! every later placement. With builds this cheap the cache saves
-//! little. Its remaining users are the sweep ([`crate::sweep`] and
-//! [`crate::Scenario::run_cached`]) and the benchmark's serial replay;
-//! the serving [`crate::Snapshot`] holds a plain planner per region
-//! instead. Deleting the cache is an open item.
+//! region. A [`PlannerCache`] is created once per
+//! [`crate::SweepPlan::execute_with`] call and shared by reference
+//! across the worker threads: each region's planner is built the first
+//! time any scenario needs it and reused by every later placement.
+//! With builds this cheap the cache saves little. Its remaining users
+//! are the sweep ([`crate::sweep`] and [`crate::Scenario::run_cached`])
+//! and the benchmark's serial replay; the serving [`crate::Snapshot`]
+//! holds a plain planner per region instead. Deleting the cache is an
+//! open item.
 //!
 //! A planner spans a region's entire stored trace, so the cache is a
 //! dense [`RegionId`]-indexed slot table — scenario horizons never

@@ -7,11 +7,12 @@
 //! combination declaratively (workload spec, policy, region set,
 //! overheads, capacity, horizon); a [`ScenarioMatrix`] expands the
 //! cartesian product — including overhead-model and capacity axes —
-//! into named scenarios; [`run_scenarios_with`] fans them out across
-//! threads with `decarb_par` against one shared dataset and a shared
-//! [`PlannerCache`], handing each condensed [`ScenarioReport`] to a
-//! sink in input order as soon as it and every report before it are
-//! done, so thousand-scenario sweeps stream instead of buffering.
+//! into named scenarios; [`crate::sweep::SweepPlan`] validates them and
+//! fans them out across threads with `decarb_par` against one shared
+//! dataset and a shared [`PlannerCache`], handing each condensed
+//! [`ScenarioReport`] to a sink in input order as soon as it and every
+//! report before it are done, so thousand-scenario sweeps stream
+//! instead of buffering.
 //! Reports serialize with `decarb_json` for machine consumers
 //! (`decarb-cli scenario run all --json`, the CI emissions-regression
 //! gate).
@@ -78,20 +79,6 @@ impl RegionSet {
                 "SE", "DE", "GB", "US-CA", "US-TX", "IN-WE", "JP-TK", "AU-NSW", "BR-S", "ZA",
             ],
         }
-    }
-
-    /// Resolves the set against a dataset's region table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset lacks one of the set's zones (the built-in
-    /// dataset covers all of them).
-    pub fn resolve(self, data: &TraceSet) -> Vec<RegionId> {
-        self.codes()
-            .iter()
-            // decarb-analyze: allow(no-panic) -- documented panicking API; `try_resolve` is the fallible sibling
-            .map(|code| data.id_of(code).expect("built-in region set resolves"))
-            .collect()
     }
 
     /// Parses a built-in region-set label.
@@ -760,56 +747,10 @@ pub fn find_scenario(name: &str) -> Option<Scenario> {
     builtin_scenarios().into_iter().find(|s| s.name == name)
 }
 
-/// Runs `scenarios` against `data`, fanning out across threads over a
-/// shared planner cache; reports come back in input order.
-///
-/// A thin convenience over the sweep pipeline ([`crate::sweep`]): the
-/// scenarios are planned (pre-validated, content-addressed) and the
-/// whole plan executes as a single shard.
-///
-/// # Panics
-///
-/// Panics at plan time — before any worker thread starts — when a
-/// scenario's region set does not resolve against `data` (listing every
-/// invalid scenario) or when two scenarios share a name (their reports
-/// would be indistinguishable). Use [`crate::sweep::SweepPlan::plan`]
-/// directly to handle those cases as errors.
-pub fn run_scenarios(data: &TraceSet, scenarios: &[Scenario]) -> Vec<ScenarioReport> {
-    let mut reports = Vec::with_capacity(scenarios.len());
-    run_scenarios_with(data, scenarios, |report| {
-        reports.push(report);
-        true
-    });
-    reports
-}
-
-/// Streaming variant of [`run_scenarios`]: executes the scenarios in
-/// parallel on one work-stealing thread scope and hands every report
-/// to `sink` in input order as soon as it and every report before it
-/// are done, so thousand-scenario sweeps emit incrementally instead of
-/// buffering a matrix-sized `Vec`. A `false` return from `sink` aborts
-/// the sweep (e.g. the consumer's pipe closed): no further scenario
-/// starts, and the call returns once the running ones finish. All
-/// scenarios in one call share one [`PlannerCache`].
-///
-/// # Panics
-///
-/// As [`run_scenarios`]: invalid or duplicate-named scenarios panic at
-/// plan time with the full collected list.
-pub fn run_scenarios_with(
-    data: &TraceSet,
-    scenarios: &[Scenario],
-    sink: impl FnMut(ScenarioReport) -> bool,
-) {
-    let plan =
-        // decarb-analyze: allow(no-panic) -- documented: invalid scenarios panic at plan time with the collected list
-        crate::sweep::SweepPlan::plan(data, scenarios.to_vec()).unwrap_or_else(|e| panic!("{e}"));
-    plan.execute_with(data, sink);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepPlan;
     use decarb_traces::builtin_dataset;
 
     #[test]
@@ -887,7 +828,7 @@ mod tests {
     fn region_sets_resolve_against_builtin_dataset() {
         let data = builtin_dataset();
         for set in RegionSet::ALL {
-            let regions = set.resolve(&data);
+            let regions = RegionSpec::from(set).try_resolve(&data).unwrap();
             assert_eq!(regions.len(), set.codes().len());
             assert!(!regions.is_empty());
         }
@@ -1001,16 +942,13 @@ mod tests {
     #[test]
     fn carbon_aware_policies_do_not_exceed_the_baseline() {
         let data = builtin_dataset();
-        let reports = run_scenarios(
-            &data,
-            &builtin_scenarios()
-                .into_iter()
-                .filter(|s| {
-                    s.workload.label() == "batch"
-                        && s.regions == RegionSpec::Named(RegionSet::Europe)
-                })
-                .collect::<Vec<_>>(),
-        );
+        let scenarios = builtin_scenarios()
+            .into_iter()
+            .filter(|s| {
+                s.workload.label() == "batch" && s.regions == RegionSpec::Named(RegionSet::Europe)
+            })
+            .collect();
+        let reports = SweepPlan::plan(&data, scenarios).unwrap().execute(&data);
         let ci_of = |policy: &str| {
             reports
                 .iter()
@@ -1038,10 +976,12 @@ mod tests {
     }
 
     #[test]
-    fn run_scenarios_preserves_input_order() {
+    fn sweep_plan_preserves_input_order() {
         let data = builtin_dataset();
         let scenarios: Vec<Scenario> = builtin_scenarios().into_iter().take(5).collect();
-        let reports = run_scenarios(&data, &scenarios);
+        let reports = SweepPlan::plan(&data, scenarios.clone())
+            .unwrap()
+            .execute(&data);
         assert_eq!(reports.len(), 5);
         for (s, r) in scenarios.iter().zip(&reports) {
             assert_eq!(s.name, r.name);
@@ -1056,7 +996,8 @@ mod tests {
             .filter(|s| s.regions == RegionSpec::Named(RegionSet::UnitedStates))
             .collect();
         let mut seen = Vec::new();
-        run_scenarios_with(&data, &scenarios, |report| {
+        let plan = SweepPlan::plan(&data, scenarios.clone()).unwrap();
+        plan.execute_with(&data, |report| {
             seen.push(report.name.clone());
             true
         });
@@ -1069,7 +1010,8 @@ mod tests {
         let data = builtin_dataset();
         let scenarios = builtin_scenarios();
         let mut delivered = 0usize;
-        run_scenarios_with(&data, &scenarios, |_| {
+        let plan = SweepPlan::plan(&data, scenarios.clone()).unwrap();
+        plan.execute_with(&data, |_| {
             delivered += 1;
             delivered < 3
         });

@@ -514,7 +514,7 @@ pub fn parse_scenario_file_full(text: &str) -> Result<ScenarioFile, ScenarioFile
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run_scenarios;
+    use crate::sweep::SweepPlan;
     use decarb_traces::builtin_dataset;
 
     const EXAMPLE: &str = "\
@@ -588,7 +588,9 @@ overheads = zero, realistic
             .take(3)
             .cloned()
             .collect();
-        let reports = run_scenarios(&data, &subset);
+        let reports = SweepPlan::plan(&data, subset.clone())
+            .unwrap()
+            .execute(&data);
         assert_eq!(reports.len(), subset.len());
         for report in &reports {
             assert!(report.completed > 0, "{}", report.name);
@@ -753,7 +755,9 @@ horizon = 480
         let data = builtin_dataset();
         let scenarios = parse_scenario_file(text).unwrap();
         assert_eq!(scenarios.len(), 1);
-        let reports = run_scenarios(&data, &scenarios);
+        let reports = SweepPlan::plan(&data, scenarios.clone())
+            .unwrap()
+            .execute(&data);
         assert_eq!(reports[0].jobs, 6 * 8);
         assert!(reports[0].completed > 0);
         // The recipe is part of the content address.
@@ -904,7 +908,9 @@ horizon = 240
             decarb_traces::SynthConfig::default(),
         );
         assert_eq!(extended.len(), data.len() + 2);
-        let reports = run_scenarios(&extended, &file.scenarios);
+        let reports = SweepPlan::plan(&extended, file.scenarios.clone())
+            .unwrap()
+            .execute(&extended);
         assert_eq!(reports.len(), 2);
         for report in &reports {
             assert_eq!(report.completed, report.jobs, "{}", report.name);

@@ -1,9 +1,9 @@
 //! The sharded sweep pipeline: **plan → partition → execute → merge**.
 //!
-//! Every sweep, including [`crate::run_scenarios`], runs through these
-//! stages. Keeping them apart lets a bad zone code fail the plan before
-//! any scenario runs, and lets large sweeps be partitioned across
-//! processes (and machines) and recombined:
+//! Every sweep runs through these stages. Keeping them apart lets a bad
+//! zone code fail the plan before any scenario runs, and lets large
+//! sweeps be partitioned across processes (and machines) and
+//! recombined:
 //!
 //! 1. **Plan** — [`SweepPlan::plan`] turns a scenario list (a matrix
 //!    expansion or a scenario file) into a deterministic, stably-ordered

@@ -50,20 +50,14 @@ impl TraceSet {
     /// Panics on duplicate region codes.
     pub fn synthesize(regions: Vec<Region>, config: SynthConfig) -> Self {
         let synth = Synthesizer::new(config);
-        let mut set = Self {
-            table: RegionTable::new(),
-            series: Vec::with_capacity(regions.len()),
-            resolution: Resolution::HOURLY,
-            prefix_cache: Vec::new(),
-        };
-        for region in regions {
-            let series = synth.generate(&region);
-            // decarb-analyze: allow(no-panic) -- documented panicking constructor (header: # Panics on duplicate codes)
-            set.table.intern(region).expect("unique region codes");
-            set.series.push(series);
-            set.prefix_cache.push(OnceLock::new());
-        }
-        set
+        let pairs = regions
+            .into_iter()
+            .map(|region| {
+                let series = synth.generate(&region);
+                (region, series)
+            })
+            .collect();
+        Self::from_series(pairs)
     }
 
     /// Builds a trace set from explicit `(region, series)` pairs.
