@@ -1,6 +1,6 @@
 //! Elastic (CarbonScaler-style) workload scaling.
 //!
-//! The paper's related work (its reference [22], CarbonScaler) exploits a
+//! The paper's related work (its reference \[22\], CarbonScaler) exploits a
 //! third flexibility dimension beyond deferral and interruption: *scaling*.
 //! An elastic job with `work` replica-hours of total computation can run
 //! more replicas when energy is clean and fewer (or none) when it is

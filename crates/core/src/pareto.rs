@@ -1,7 +1,7 @@
 //! The carbon–performance frontier of temporal shifting.
 //!
 //! Every gram a deferring scheduler saves is bought with waiting: §5.2's
-//! bounds trade slack for carbon, and the paper's related work ([21],
+//! bounds trade slack for carbon, and the paper's related work (\[21\],
 //! "the war of the efficiencies") studies exactly this tension. This
 //! module sweeps the slack budget and reports, per point, the mean
 //! carbon cost *and* the mean delay the optimal deferring schedule

@@ -3,7 +3,7 @@
 //!
 //! The paper's upper bounds assume *perfect* knowledge of future
 //! carbon-intensity (§3.2) and then probe sensitivity with a uniform random
-//! error (§6.2). Its related-work section points at CarbonCast [28], a
+//! error (§6.2). Its related-work section points at CarbonCast \[28\], a
 //! multi-day forecaster with a 4.80–13.93 % MAPE, as the practical source
 //! of that signal. This crate provides the forecasting substrate the paper
 //! references but does not implement:
@@ -18,7 +18,7 @@
 //!   on lagged values and calendar harmonics, the closest linear stand-in
 //!   for CarbonCast's learned model;
 //! * [`metrics`] — MAPE / RMSE / MAE / bias and per-lead-day profiles;
-//! * [`backtest`] — rolling-origin evaluation and
+//! * [`backtest`](mod@backtest) — rolling-origin evaluation and
 //!   [`backtest::rolling_forecast_trace`], which stitches day-ahead
 //!   forecasts into the "believed" trace that
 //!   `decarb_core::forecast::temporal_increase_pct` consumes, replacing

@@ -6,7 +6,7 @@
 //! --json` and the other `--json` outputs) through a [`Value`] tree
 //! with escaping and compact and pretty rendering; the CI
 //! emissions-regression gate also reads reports back through
-//! [`parse`].
+//! [`parse()`].
 //!
 //! # Examples
 //!

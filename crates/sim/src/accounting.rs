@@ -121,7 +121,11 @@ impl SimReport {
     }
 
     /// Mean slowdown over completed jobs (1.0 = no delay, no interruption),
-    /// computed on the run's own axis so it is resolution-independent.
+    /// computed on the run's own axis. A job whose length is a whole
+    /// number of slots reads the same on every axis; a shorter one is
+    /// rounded up to one slot, so its ratio depends on the resolution
+    /// (a 0.01 h job after a two-hour wait reads 3 hourly and 25 at
+    /// 5 minutes).
     pub fn mean_slowdown(&self) -> f64 {
         if self.completed.is_empty() {
             return 0.0;
@@ -197,5 +201,28 @@ mod tests {
         report.completed.push(c);
         assert!((report.mean_wait_hours() - 3.0).abs() < 1e-12);
         assert!((report.mean_slowdown() - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slowdown_is_axis_independent_only_for_whole_slot_jobs() {
+        let five = Resolution::from_minutes(5).unwrap();
+        let run = |length_hours: f64, start: u32, finish: u32| CompletedJob {
+            job: Job::batch(1, RegionId(0), Hour(0), length_hours, Slack::Day),
+            region: RegionId(0),
+            started: Hour(start),
+            finished: Hour(finish),
+            emitted_g: 1.0,
+            missed_deadline: false,
+        };
+        // A 2 h job that waits one hour: slots 1..=2 hourly, 12..=35 at
+        // 5 minutes. Both axes read 3/2.
+        let hourly = run(2.0, 1, 2).slowdown_at(Resolution::HOURLY);
+        let fine = run(2.0, 12, 35).slowdown_at(five);
+        assert_eq!(hourly, 1.5);
+        assert_eq!(fine, hourly);
+        // A 0.01 h job that waits two hours occupies one slot on either
+        // axis, so elapsed slots over one slot differ: 3 vs 25.
+        assert_eq!(run(0.01, 2, 2).slowdown_at(Resolution::HOURLY), 3.0);
+        assert_eq!(run(0.01, 24, 24).slowdown_at(five), 25.0);
     }
 }

@@ -20,1806 +20,30 @@
 //!
 //! Values are drawn from public knowledge of each grid's generation mix and
 //! rounded; they are calibration targets, not measurements.
+//!
+//! The table itself is `catalog.sidecar` next to this file: one
+//! `[region CODE]` section per zone, embedded at build time and parsed
+//! once by [`crate::sidecar::parse_region_sidecar`], the parser user
+//! metadata sidecars go through.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::mix::EnergyMix;
-use crate::region::{GeoGroup, Providers, Region};
+use crate::region::Region;
+use crate::sidecar::parse_region_sidecar;
 
-const G: Providers = Providers::GCP;
-const AZ: Providers = Providers::AZURE;
-const AW: Providers = Providers::AWS;
-const IB: Providers = Providers::IBM;
-const AL: Providers = Providers::ALIBABA;
-const NONE: Providers = Providers::NONE;
-
-/// Compact constructor used by the static table below.
-#[allow(clippy::too_many_arguments)]
-fn r(
-    code: &'static str,
-    name: &'static str,
-    group: GeoGroup,
-    lat: f64,
-    lon: f64,
-    providers: Providers,
-    // [coal, gas, oil, nuclear, hydro, wind, solar, geothermal, biomass]
-    mix: [f64; 9],
-    mean_ci_2022: f64,
-    ci_delta_2020_2022: f64,
-    daily_cv: f64,
-    periodicity: f64,
-    hyperscale_set: bool,
-) -> Region {
-    Region {
-        code: code.to_string(),
-        name: name.to_string(),
-        group,
-        lat,
-        lon,
-        providers,
-        mix: EnergyMix::new(mix),
-        mean_ci_2022,
-        ci_delta_2020_2022,
-        daily_cv,
-        periodicity,
-        hyperscale_set,
-    }
-}
-
-fn build() -> Vec<Region> {
-    use GeoGroup::*;
-    let p = |a: Providers, b: Providers| a.union(b);
-    let _ = p; // Helper kept for readability of older revisions.
-    vec![
-        // ------------------------------ Europe ------------------------------
-        r(
-            "SE",
-            "Sweden",
-            Europe,
-            59.3,
-            18.1,
-            AZ | AW,
-            [0.0, 0.01, 0.0, 0.30, 0.41, 0.19, 0.01, 0.0, 0.08],
-            16.0,
-            -2.0,
-            0.06,
-            0.9,
-            true,
-        ),
-        r(
-            "NO",
-            "Norway",
-            Europe,
-            59.9,
-            10.8,
-            NONE,
-            [0.0, 0.01, 0.0, 0.0, 0.89, 0.09, 0.0, 0.0, 0.01],
-            29.0,
-            -1.0,
-            0.04,
-            0.8,
-            false,
-        ),
-        r(
-            "FI",
-            "Finland",
-            Europe,
-            60.2,
-            24.9,
-            G,
-            [0.04, 0.05, 0.0, 0.34, 0.18, 0.14, 0.01, 0.0, 0.24],
-            79.0,
-            -35.0,
-            0.10,
-            0.9,
-            true,
-        ),
-        r(
-            "DK",
-            "Denmark",
-            Europe,
-            55.7,
-            12.6,
-            NONE,
-            [0.10, 0.05, 0.01, 0.0, 0.0, 0.54, 0.06, 0.0, 0.24],
-            180.0,
-            -45.0,
-            0.24,
-            0.95,
-            false,
-        ),
-        r(
-            "IS",
-            "Iceland",
-            Europe,
-            64.1,
-            -21.9,
-            NONE,
-            [0.0, 0.0, 0.0, 0.0, 0.70, 0.0, 0.0, 0.30, 0.0],
-            28.0,
-            0.0,
-            0.02,
-            0.3,
-            false,
-        ),
-        r(
-            "IE",
-            "Ireland",
-            Europe,
-            53.3,
-            -6.3,
-            AZ | AW,
-            [0.08, 0.48, 0.01, 0.0, 0.02, 0.35, 0.01, 0.0, 0.05],
-            331.0,
-            -28.0,
-            0.19,
-            0.95,
-            true,
-        ),
-        r(
-            "GB",
-            "Great Britain",
-            Europe,
-            51.5,
-            -0.1,
-            G | AZ | AW | IB,
-            [0.02, 0.38, 0.0, 0.15, 0.02, 0.27, 0.04, 0.0, 0.12],
-            238.0,
-            -18.0,
-            0.16,
-            0.95,
-            true,
-        ),
-        r(
-            "FR",
-            "France",
-            Europe,
-            48.9,
-            2.3,
-            G | AZ | AW,
-            [0.01, 0.07, 0.01, 0.63, 0.11, 0.08, 0.04, 0.0, 0.05],
-            85.0,
-            17.0,
-            0.09,
-            0.9,
-            true,
-        ),
-        r(
-            "ES",
-            "Spain",
-            Europe,
-            40.4,
-            -3.7,
-            G,
-            [0.02, 0.25, 0.01, 0.21, 0.07, 0.23, 0.14, 0.0, 0.07],
-            206.0,
-            -34.0,
-            0.14,
-            0.95,
-            true,
-        ),
-        r(
-            "PT",
-            "Portugal",
-            Europe,
-            38.7,
-            -9.1,
-            NONE,
-            [0.0, 0.28, 0.0, 0.0, 0.24, 0.27, 0.10, 0.0, 0.11],
-            166.0,
-            -42.0,
-            0.15,
-            0.9,
-            false,
-        ),
-        r(
-            "IT",
-            "Italy",
-            Europe,
-            45.5,
-            9.2,
-            G | AW,
-            [0.06, 0.48, 0.03, 0.0, 0.15, 0.08, 0.10, 0.02, 0.08],
-            372.0,
-            -8.0,
-            0.11,
-            0.9,
-            true,
-        ),
-        r(
-            "DE",
-            "Germany",
-            Europe,
-            50.1,
-            8.7,
-            G | AZ | AW | IB | AL,
-            [0.31, 0.14, 0.01, 0.06, 0.03, 0.25, 0.11, 0.0, 0.09],
-            385.0,
-            11.0,
-            0.17,
-            0.95,
-            true,
-        ),
-        r(
-            "NL",
-            "Netherlands",
-            Europe,
-            52.4,
-            4.9,
-            G | AZ,
-            [0.13, 0.46, 0.01, 0.03, 0.0, 0.19, 0.13, 0.0, 0.05],
-            430.0,
-            -22.0,
-            0.12,
-            0.9,
-            true,
-        ),
-        r(
-            "BE",
-            "Belgium",
-            Europe,
-            50.8,
-            4.4,
-            G,
-            [0.01, 0.25, 0.0, 0.47, 0.01, 0.14, 0.08, 0.0, 0.04],
-            139.0,
-            -14.0,
-            0.09,
-            0.9,
-            true,
-        ),
-        r(
-            "LU",
-            "Luxembourg",
-            Europe,
-            49.6,
-            6.1,
-            NONE,
-            [0.0, 0.25, 0.0, 0.0, 0.25, 0.25, 0.15, 0.0, 0.10],
-            150.0,
-            -5.0,
-            0.07,
-            0.85,
-            false,
-        ),
-        r(
-            "CH",
-            "Switzerland",
-            Europe,
-            47.4,
-            8.5,
-            G | AZ,
-            [0.0, 0.01, 0.0, 0.36, 0.57, 0.01, 0.04, 0.0, 0.02],
-            46.0,
-            -2.0,
-            0.05,
-            0.8,
-            true,
-        ),
-        r(
-            "AT",
-            "Austria",
-            Europe,
-            48.2,
-            16.4,
-            NONE,
-            [0.02, 0.13, 0.0, 0.0, 0.60, 0.12, 0.04, 0.0, 0.09],
-            118.0,
-            -12.0,
-            0.09,
-            0.9,
-            false,
-        ),
-        r(
-            "PL",
-            "Poland",
-            Europe,
-            52.2,
-            21.0,
-            G,
-            [0.70, 0.10, 0.01, 0.0, 0.01, 0.11, 0.04, 0.0, 0.03],
-            657.0,
-            -27.0,
-            0.06,
-            0.85,
-            true,
-        ),
-        r(
-            "CZ",
-            "Czechia",
-            Europe,
-            50.1,
-            14.4,
-            NONE,
-            [0.42, 0.08, 0.0, 0.37, 0.03, 0.01, 0.04, 0.0, 0.05],
-            415.0,
-            -18.0,
-            0.07,
-            0.85,
-            false,
-        ),
-        r(
-            "SK",
-            "Slovakia",
-            Europe,
-            48.1,
-            17.1,
-            NONE,
-            [0.07, 0.08, 0.01, 0.60, 0.15, 0.0, 0.02, 0.0, 0.07],
-            140.0,
-            -8.0,
-            0.06,
-            0.8,
-            false,
-        ),
-        r(
-            "HU",
-            "Hungary",
-            Europe,
-            47.5,
-            19.0,
-            NONE,
-            [0.09, 0.25, 0.01, 0.46, 0.01, 0.02, 0.12, 0.0, 0.04],
-            222.0,
-            -10.0,
-            0.10,
-            0.85,
-            false,
-        ),
-        r(
-            "RO",
-            "Romania",
-            Europe,
-            44.4,
-            26.1,
-            NONE,
-            [0.17, 0.17, 0.01, 0.20, 0.28, 0.12, 0.04, 0.0, 0.01],
-            250.0,
-            -12.0,
-            0.11,
-            0.85,
-            false,
-        ),
-        r(
-            "BG",
-            "Bulgaria",
-            Europe,
-            42.7,
-            23.3,
-            NONE,
-            [0.39, 0.05, 0.0, 0.34, 0.09, 0.04, 0.08, 0.0, 0.01],
-            400.0,
-            -20.0,
-            0.09,
-            0.8,
-            false,
-        ),
-        r(
-            "GR",
-            "Greece",
-            Europe,
-            38.0,
-            23.7,
-            NONE,
-            [0.11, 0.38, 0.09, 0.0, 0.10, 0.20, 0.11, 0.0, 0.01],
-            340.0,
-            -52.0,
-            0.12,
-            0.9,
-            false,
-        ),
-        r(
-            "HR",
-            "Croatia",
-            Europe,
-            45.8,
-            16.0,
-            NONE,
-            [0.08, 0.21, 0.01, 0.0, 0.44, 0.16, 0.02, 0.0, 0.08],
-            210.0,
-            -15.0,
-            0.09,
-            0.8,
-            false,
-        ),
-        r(
-            "SI",
-            "Slovenia",
-            Europe,
-            46.1,
-            14.5,
-            NONE,
-            [0.24, 0.03, 0.0, 0.37, 0.31, 0.0, 0.04, 0.0, 0.01],
-            230.0,
-            -5.0,
-            0.07,
-            0.8,
-            false,
-        ),
-        r(
-            "RS",
-            "Serbia",
-            Europe,
-            44.8,
-            20.5,
-            NONE,
-            [0.64, 0.05, 0.01, 0.0, 0.27, 0.01, 0.01, 0.0, 0.01],
-            560.0,
-            26.0,
-            0.05,
-            0.75,
-            false,
-        ),
-        r(
-            "EE",
-            "Estonia",
-            Europe,
-            59.4,
-            24.8,
-            NONE,
-            [0.0, 0.06, 0.54, 0.0, 0.02, 0.17, 0.05, 0.0, 0.16],
-            460.0,
-            -60.0,
-            0.09,
-            0.8,
-            false,
-        ),
-        r(
-            "LV",
-            "Latvia",
-            Europe,
-            56.9,
-            24.1,
-            NONE,
-            [0.0, 0.26, 0.0, 0.0, 0.54, 0.04, 0.01, 0.0, 0.15],
-            120.0,
-            -10.0,
-            0.08,
-            0.8,
-            false,
-        ),
-        r(
-            "LT",
-            "Lithuania",
-            Europe,
-            54.7,
-            25.3,
-            NONE,
-            [0.0, 0.27, 0.02, 0.0, 0.14, 0.36, 0.07, 0.0, 0.14],
-            160.0,
-            -15.0,
-            0.09,
-            0.8,
-            false,
-        ),
-        r(
-            "UA",
-            "Ukraine",
-            Europe,
-            50.5,
-            30.5,
-            NONE,
-            [0.26, 0.07, 0.01, 0.51, 0.07, 0.02, 0.05, 0.0, 0.01],
-            240.0,
-            5.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "CY",
-            "Cyprus",
-            Europe,
-            35.2,
-            33.4,
-            NONE,
-            [0.0, 0.0, 0.83, 0.0, 0.0, 0.04, 0.12, 0.0, 0.01],
-            590.0,
-            -15.0,
-            0.06,
-            0.8,
-            false,
-        ),
-        r(
-            "MT",
-            "Malta",
-            Europe,
-            35.9,
-            14.5,
-            NONE,
-            [0.0, 0.82, 0.03, 0.0, 0.0, 0.0, 0.14, 0.0, 0.01],
-            450.0,
-            -10.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "ME",
-            "Montenegro",
-            Europe,
-            42.4,
-            19.3,
-            NONE,
-            [0.45, 0.0, 0.0, 0.0, 0.45, 0.09, 0.0, 0.0, 0.01],
-            400.0,
-            26.0,
-            0.08,
-            0.75,
-            false,
-        ),
-        r(
-            "MK",
-            "North Macedonia",
-            Europe,
-            42.0,
-            21.4,
-            NONE,
-            [0.60, 0.12, 0.01, 0.0, 0.20, 0.04, 0.02, 0.0, 0.01],
-            560.0,
-            27.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "BA",
-            "Bosnia & Herzegovina",
-            Europe,
-            43.9,
-            18.4,
-            NONE,
-            [0.62, 0.0, 0.0, 0.0, 0.35, 0.02, 0.01, 0.0, 0.0],
-            550.0,
-            26.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "AL",
-            "Albania",
-            Europe,
-            41.3,
-            19.8,
-            NONE,
-            [0.0, 0.0, 0.01, 0.0, 0.97, 0.0, 0.02, 0.0, 0.0],
-            24.0,
-            0.0,
-            0.04,
-            0.6,
-            false,
-        ),
-        r(
-            "MD",
-            "Moldova",
-            Europe,
-            47.0,
-            28.9,
-            NONE,
-            [0.04, 0.88, 0.0, 0.0, 0.04, 0.02, 0.01, 0.0, 0.01],
-            480.0,
-            27.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "XK",
-            "Kosovo",
-            Europe,
-            42.7,
-            21.2,
-            NONE,
-            [0.93, 0.0, 0.01, 0.0, 0.04, 0.01, 0.01, 0.0, 0.0],
-            760.0,
-            27.0,
-            0.03,
-            0.7,
-            false,
-        ),
-        r(
-            "TR",
-            "Turkey",
-            Europe,
-            41.0,
-            28.9,
-            NONE,
-            [0.33, 0.22, 0.0, 0.0, 0.20, 0.10, 0.05, 0.08, 0.02],
-            440.0,
-            -5.0,
-            0.07,
-            0.8,
-            false,
-        ),
-        r(
-            "RU",
-            "Russia",
-            Europe,
-            55.8,
-            37.6,
-            NONE,
-            [0.16, 0.46, 0.01, 0.19, 0.17, 0.0, 0.0, 0.0, 0.01],
-            360.0,
-            8.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        // --------------------------- North America --------------------------
-        r(
-            "CA-ON",
-            "Ontario",
-            NorthAmerica,
-            43.7,
-            -79.4,
-            G | AZ,
-            [0.0, 0.07, 0.0, 0.57, 0.24, 0.08, 0.02, 0.0, 0.02],
-            30.0,
-            -2.0,
-            0.05,
-            0.9,
-            true,
-        ),
-        r(
-            "CA-QC",
-            "Quebec",
-            NorthAmerica,
-            45.5,
-            -73.6,
-            G | AZ | AW,
-            [0.0, 0.0, 0.0, 0.0, 0.94, 0.05, 0.0, 0.0, 0.01],
-            28.0,
-            -1.0,
-            0.03,
-            0.8,
-            true,
-        ),
-        r(
-            "CA-BC",
-            "British Columbia",
-            NorthAmerica,
-            49.3,
-            -123.1,
-            NONE,
-            [0.0, 0.03, 0.0, 0.0, 0.91, 0.02, 0.0, 0.0, 0.04],
-            40.0,
-            -2.0,
-            0.04,
-            0.8,
-            false,
-        ),
-        r(
-            "CA-AB",
-            "Alberta",
-            NorthAmerica,
-            51.0,
-            -114.1,
-            NONE,
-            [0.15, 0.62, 0.0, 0.0, 0.03, 0.13, 0.03, 0.0, 0.04],
-            540.0,
-            -60.0,
-            0.09,
-            0.85,
-            false,
-        ),
-        r(
-            "CA-MB",
-            "Manitoba",
-            NorthAmerica,
-            49.9,
-            -97.1,
-            NONE,
-            [0.0, 0.01, 0.0, 0.0, 0.96, 0.03, 0.0, 0.0, 0.0],
-            23.0,
-            0.0,
-            0.02,
-            0.6,
-            false,
-        ),
-        r(
-            "CA-SK",
-            "Saskatchewan",
-            NorthAmerica,
-            50.4,
-            -104.6,
-            NONE,
-            [0.40, 0.40, 0.0, 0.0, 0.14, 0.05, 0.01, 0.0, 0.0],
-            640.0,
-            -30.0,
-            0.05,
-            0.8,
-            false,
-        ),
-        r(
-            "CA-NS",
-            "Nova Scotia",
-            NorthAmerica,
-            44.6,
-            -63.6,
-            NONE,
-            [0.48, 0.17, 0.02, 0.0, 0.10, 0.16, 0.0, 0.0, 0.07],
-            390.0,
-            -30.0,
-            0.08,
-            0.8,
-            false,
-        ),
-        r(
-            "US-CA",
-            "California",
-            NorthAmerica,
-            34.1,
-            -118.2,
-            G | AZ | AW,
-            [0.0, 0.40, 0.0, 0.08, 0.10, 0.10, 0.25, 0.05, 0.02],
-            250.0,
-            -26.0,
-            0.16,
-            1.0,
-            true,
-        ),
-        r(
-            "US-WA",
-            "Washington",
-            NorthAmerica,
-            47.6,
-            -122.3,
-            AZ,
-            [0.0, 0.12, 0.0, 0.05, 0.70, 0.09, 0.02, 0.0, 0.02],
-            92.0,
-            -6.0,
-            0.08,
-            1.0,
-            true,
-        ),
-        r(
-            "US-OR",
-            "Oregon",
-            NorthAmerica,
-            45.5,
-            -122.7,
-            G | AW,
-            [0.02, 0.24, 0.0, 0.0, 0.55, 0.14, 0.03, 0.01, 0.01],
-            130.0,
-            -10.0,
-            0.09,
-            0.95,
-            true,
-        ),
-        r(
-            "US-NV",
-            "Nevada",
-            NorthAmerica,
-            36.2,
-            -115.1,
-            G,
-            [0.02, 0.58, 0.0, 0.0, 0.04, 0.01, 0.24, 0.10, 0.01],
-            340.0,
-            -27.0,
-            0.12,
-            0.95,
-            true,
-        ),
-        r(
-            "US-AZ",
-            "Arizona",
-            NorthAmerica,
-            33.4,
-            -112.1,
-            AZ,
-            [0.11, 0.43, 0.0, 0.27, 0.05, 0.01, 0.12, 0.0, 0.01],
-            350.0,
-            -15.0,
-            0.12,
-            0.95,
-            true,
-        ),
-        r(
-            "US-UT",
-            "Utah",
-            NorthAmerica,
-            40.8,
-            -111.9,
-            G,
-            [0.56, 0.26, 0.0, 0.0, 0.02, 0.02, 0.12, 0.02, 0.0],
-            700.0,
-            -12.0,
-            0.05,
-            0.9,
-            true,
-        ),
-        r(
-            "US-TX",
-            "Texas",
-            NorthAmerica,
-            32.8,
-            -96.8,
-            G | AZ | IB,
-            [0.16, 0.42, 0.0, 0.08, 0.0, 0.25, 0.08, 0.0, 0.01],
-            420.0,
-            -18.0,
-            0.14,
-            0.95,
-            true,
-        ),
-        r(
-            "US-OK",
-            "Oklahoma",
-            NorthAmerica,
-            35.5,
-            -97.5,
-            NONE,
-            [0.06, 0.45, 0.0, 0.0, 0.04, 0.43, 0.01, 0.0, 0.01],
-            370.0,
-            -26.0,
-            0.13,
-            0.9,
-            false,
-        ),
-        r(
-            "US-IA",
-            "Iowa",
-            NorthAmerica,
-            41.6,
-            -93.6,
-            G | AZ,
-            [0.22, 0.11, 0.0, 0.0, 0.02, 0.62, 0.02, 0.0, 0.01],
-            340.0,
-            -45.0,
-            0.18,
-            0.95,
-            true,
-        ),
-        r(
-            "US-NE",
-            "Nebraska",
-            NorthAmerica,
-            41.3,
-            -96.0,
-            NONE,
-            [0.49, 0.05, 0.0, 0.15, 0.03, 0.27, 0.01, 0.0, 0.0],
-            480.0,
-            -15.0,
-            0.10,
-            0.9,
-            false,
-        ),
-        r(
-            "US-IL",
-            "Illinois",
-            NorthAmerica,
-            41.9,
-            -87.6,
-            AZ,
-            [0.19, 0.12, 0.0, 0.54, 0.0, 0.13, 0.01, 0.0, 0.01],
-            280.0,
-            -10.0,
-            0.07,
-            0.9,
-            false,
-        ),
-        r(
-            "US-OH",
-            "Ohio",
-            NorthAmerica,
-            40.0,
-            -83.0,
-            AW,
-            [0.36, 0.44, 0.01, 0.14, 0.0, 0.02, 0.02, 0.0, 0.01],
-            530.0,
-            -28.0,
-            0.06,
-            0.9,
-            false,
-        ),
-        r(
-            "US-VA",
-            "Virginia",
-            NorthAmerica,
-            39.0,
-            -77.5,
-            G | AZ | AW | IB,
-            [0.04, 0.56, 0.0, 0.30, 0.01, 0.0, 0.05, 0.0, 0.04],
-            350.0,
-            -16.0,
-            0.11,
-            0.95,
-            true,
-        ),
-        r(
-            "US-NC",
-            "North Carolina",
-            NorthAmerica,
-            35.2,
-            -80.8,
-            NONE,
-            [0.13, 0.33, 0.0, 0.34, 0.04, 0.0, 0.09, 0.0, 0.07],
-            330.0,
-            -20.0,
-            0.08,
-            0.9,
-            false,
-        ),
-        r(
-            "US-SC",
-            "South Carolina",
-            NorthAmerica,
-            32.8,
-            -79.9,
-            G,
-            [0.13, 0.22, 0.0, 0.55, 0.02, 0.0, 0.03, 0.0, 0.05],
-            300.0,
-            -12.0,
-            0.07,
-            0.9,
-            true,
-        ),
-        r(
-            "US-GA",
-            "Georgia (US)",
-            NorthAmerica,
-            33.7,
-            -84.4,
-            NONE,
-            [0.16, 0.46, 0.0, 0.26, 0.03, 0.0, 0.05, 0.0, 0.04],
-            400.0,
-            -15.0,
-            0.08,
-            0.9,
-            false,
-        ),
-        r(
-            "US-FL",
-            "Florida",
-            NorthAmerica,
-            25.8,
-            -80.2,
-            NONE,
-            [0.07, 0.74, 0.01, 0.12, 0.0, 0.0, 0.05, 0.0, 0.01],
-            410.0,
-            -12.0,
-            0.07,
-            0.9,
-            false,
-        ),
-        r(
-            "US-NY",
-            "New York",
-            NorthAmerica,
-            40.7,
-            -74.0,
-            NONE,
-            [0.0, 0.46, 0.01, 0.22, 0.22, 0.04, 0.04, 0.0, 0.01],
-            220.0,
-            -8.0,
-            0.08,
-            0.9,
-            false,
-        ),
-        r(
-            "US-PA",
-            "Pennsylvania",
-            NorthAmerica,
-            40.0,
-            -75.2,
-            NONE,
-            [0.12, 0.52, 0.0, 0.32, 0.01, 0.02, 0.01, 0.0, 0.0],
-            350.0,
-            -14.0,
-            0.06,
-            0.85,
-            false,
-        ),
-        r(
-            "US-MO",
-            "Missouri",
-            NorthAmerica,
-            39.1,
-            -94.6,
-            NONE,
-            [0.70, 0.09, 0.0, 0.11, 0.02, 0.07, 0.01, 0.0, 0.0],
-            620.0,
-            -18.0,
-            0.07,
-            0.85,
-            false,
-        ),
-        r(
-            "US-WY",
-            "Wyoming",
-            NorthAmerica,
-            41.1,
-            -104.8,
-            NONE,
-            [0.73, 0.04, 0.0, 0.0, 0.02, 0.20, 0.01, 0.0, 0.0],
-            720.0,
-            -15.0,
-            0.08,
-            0.85,
-            false,
-        ),
-        r(
-            "MX",
-            "Mexico",
-            NorthAmerica,
-            19.4,
-            -99.1,
-            NONE,
-            [0.07, 0.58, 0.10, 0.03, 0.08, 0.06, 0.06, 0.01, 0.01],
-            450.0,
-            28.0,
-            0.06,
-            0.8,
-            false,
-        ),
-        // --------------------------- South America --------------------------
-        r(
-            "BR-CS",
-            "Brazil Central-South",
-            SouthAmerica,
-            -23.6,
-            -46.6,
-            G | AZ | AW | IB,
-            [0.02, 0.09, 0.01, 0.02, 0.65, 0.09, 0.05, 0.0, 0.07],
-            98.0,
-            -35.0,
-            0.08,
-            0.9,
-            true,
-        ),
-        r(
-            "BR-NE",
-            "Brazil North-East",
-            SouthAmerica,
-            -3.7,
-            -38.5,
-            NONE,
-            [0.02, 0.10, 0.01, 0.0, 0.30, 0.44, 0.10, 0.0, 0.03],
-            90.0,
-            -40.0,
-            0.14,
-            0.85,
-            false,
-        ),
-        r(
-            "BR-S",
-            "Brazil South",
-            SouthAmerica,
-            -30.0,
-            -51.2,
-            NONE,
-            [0.05, 0.06, 0.01, 0.0, 0.74, 0.10, 0.02, 0.0, 0.02],
-            120.0,
-            -20.0,
-            0.09,
-            0.85,
-            false,
-        ),
-        r(
-            "BR-N",
-            "Brazil North",
-            SouthAmerica,
-            -3.1,
-            -60.0,
-            NONE,
-            [0.01, 0.22, 0.06, 0.0, 0.66, 0.01, 0.01, 0.0, 0.03],
-            135.0,
-            5.0,
-            0.06,
-            0.7,
-            false,
-        ),
-        r(
-            "CL-SEN",
-            "Chile (SEN)",
-            SouthAmerica,
-            -33.4,
-            -70.7,
-            G,
-            [0.17, 0.18, 0.02, 0.0, 0.26, 0.10, 0.20, 0.01, 0.06],
-            300.0,
-            -55.0,
-            0.16,
-            0.95,
-            true,
-        ),
-        r(
-            "AR",
-            "Argentina",
-            SouthAmerica,
-            -34.6,
-            -58.4,
-            NONE,
-            [0.01, 0.55, 0.05, 0.06, 0.21, 0.09, 0.02, 0.0, 0.01],
-            350.0,
-            26.0,
-            0.08,
-            0.8,
-            false,
-        ),
-        r(
-            "UY",
-            "Uruguay",
-            SouthAmerica,
-            -34.9,
-            -56.2,
-            NONE,
-            [0.0, 0.02, 0.02, 0.0, 0.45, 0.32, 0.04, 0.0, 0.17],
-            70.0,
-            -15.0,
-            0.19,
-            0.85,
-            false,
-        ),
-        r(
-            "PY",
-            "Paraguay",
-            SouthAmerica,
-            -25.3,
-            -57.6,
-            NONE,
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            25.0,
-            0.0,
-            0.02,
-            0.5,
-            false,
-        ),
-        r(
-            "PE",
-            "Peru",
-            SouthAmerica,
-            -12.0,
-            -77.0,
-            NONE,
-            [0.01, 0.37, 0.01, 0.0, 0.54, 0.04, 0.02, 0.0, 0.01],
-            240.0,
-            -10.0,
-            0.07,
-            0.8,
-            false,
-        ),
-        r(
-            "CO",
-            "Colombia",
-            SouthAmerica,
-            4.7,
-            -74.1,
-            NONE,
-            [0.09, 0.15, 0.01, 0.0, 0.72, 0.0, 0.01, 0.0, 0.02],
-            170.0,
-            28.0,
-            0.08,
-            0.8,
-            false,
-        ),
-        // ------------------------------- Asia --------------------------------
-        r(
-            "IN-WE",
-            "India West (Mumbai)",
-            Asia,
-            19.1,
-            72.9,
-            G | AZ | AW,
-            [0.73, 0.04, 0.0, 0.02, 0.08, 0.06, 0.06, 0.0, 0.01],
-            690.0,
-            30.0,
-            0.04,
-            0.8,
-            true,
-        ),
-        r(
-            "IN-SO",
-            "India South",
-            Asia,
-            13.0,
-            77.6,
-            AZ | AW,
-            [0.60, 0.05, 0.0, 0.03, 0.10, 0.10, 0.11, 0.0, 0.01],
-            630.0,
-            26.0,
-            0.05,
-            0.8,
-            true,
-        ),
-        r(
-            "IN-NO",
-            "India North (Delhi)",
-            Asia,
-            28.6,
-            77.2,
-            G,
-            [0.70, 0.04, 0.0, 0.02, 0.12, 0.03, 0.08, 0.0, 0.01],
-            660.0,
-            27.0,
-            0.04,
-            0.8,
-            true,
-        ),
-        r(
-            "IN-EA",
-            "India East",
-            Asia,
-            22.6,
-            88.4,
-            NONE,
-            [0.83, 0.03, 0.0, 0.01, 0.09, 0.01, 0.02, 0.0, 0.01],
-            710.0,
-            32.0,
-            0.03,
-            0.75,
-            false,
-        ),
-        r(
-            "CN-NORTH",
-            "China North (Beijing)",
-            Asia,
-            39.9,
-            116.4,
-            AL,
-            [0.64, 0.09, 0.0, 0.02, 0.10, 0.08, 0.06, 0.0, 0.01],
-            580.0,
-            -12.0,
-            0.04,
-            0.8,
-            false,
-        ),
-        r(
-            "CN-EAST",
-            "China East (Shanghai)",
-            Asia,
-            31.2,
-            121.5,
-            AL,
-            [0.62, 0.10, 0.0, 0.05, 0.10, 0.07, 0.05, 0.0, 0.01],
-            560.0,
-            -10.0,
-            0.04,
-            0.8,
-            false,
-        ),
-        r(
-            "CN-SOUTH",
-            "China South (Shenzhen)",
-            Asia,
-            22.5,
-            114.1,
-            AL,
-            [0.58, 0.10, 0.0, 0.07, 0.14, 0.05, 0.05, 0.0, 0.01],
-            540.0,
-            -15.0,
-            0.05,
-            0.8,
-            false,
-        ),
-        r(
-            "CN-SW",
-            "China Southwest (Chengdu)",
-            Asia,
-            30.7,
-            104.1,
-            AL,
-            [0.17, 0.03, 0.0, 0.0, 0.74, 0.03, 0.02, 0.0, 0.01],
-            240.0,
-            -20.0,
-            0.06,
-            0.8,
-            false,
-        ),
-        r(
-            "JP-TK",
-            "Japan Tokyo",
-            Asia,
-            35.7,
-            139.7,
-            G | AZ | AW | IB | AL,
-            [0.28, 0.38, 0.03, 0.05, 0.08, 0.01, 0.12, 0.0, 0.05],
-            510.0,
-            -10.0,
-            0.07,
-            0.9,
-            true,
-        ),
-        r(
-            "JP-KN",
-            "Japan Kansai",
-            Asia,
-            34.7,
-            135.5,
-            G | AW,
-            [0.24, 0.34, 0.03, 0.15, 0.09, 0.01, 0.10, 0.0, 0.04],
-            480.0,
-            -12.0,
-            0.08,
-            0.9,
-            true,
-        ),
-        r(
-            "KR",
-            "South Korea",
-            Asia,
-            37.6,
-            127.0,
-            G | AZ | AW,
-            [0.33, 0.28, 0.01, 0.29, 0.01, 0.01, 0.05, 0.0, 0.02],
-            450.0,
-            -6.0,
-            0.06,
-            0.85,
-            true,
-        ),
-        r(
-            "TW",
-            "Taiwan",
-            Asia,
-            25.0,
-            121.6,
-            G,
-            [0.42, 0.39, 0.02, 0.09, 0.02, 0.01, 0.04, 0.0, 0.01],
-            560.0,
-            -8.0,
-            0.05,
-            0.85,
-            true,
-        ),
-        r(
-            "HK",
-            "Hong Kong",
-            Asia,
-            22.3,
-            114.2,
-            G | AW | AL,
-            [0.50, 0.46, 0.01, 0.0, 0.0, 0.0, 0.02, 0.0, 0.01],
-            640.0,
-            2.0,
-            0.012,
-            0.0,
-            true,
-        ),
-        r(
-            "SG",
-            "Singapore",
-            Asia,
-            1.35,
-            103.8,
-            G | AZ | AW | AL,
-            [0.01, 0.94, 0.01, 0.0, 0.0, 0.0, 0.03, 0.0, 0.01],
-            470.0,
-            -4.0,
-            0.02,
-            0.5,
-            true,
-        ),
-        r(
-            "MY",
-            "Malaysia",
-            Asia,
-            3.1,
-            101.7,
-            AL,
-            [0.44, 0.36, 0.01, 0.0, 0.16, 0.0, 0.02, 0.0, 0.01],
-            550.0,
-            26.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "TH",
-            "Thailand",
-            Asia,
-            13.8,
-            100.5,
-            NONE,
-            [0.19, 0.60, 0.01, 0.0, 0.06, 0.02, 0.07, 0.0, 0.05],
-            480.0,
-            26.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "VN",
-            "Vietnam",
-            Asia,
-            21.0,
-            105.8,
-            NONE,
-            [0.45, 0.10, 0.01, 0.0, 0.30, 0.02, 0.11, 0.0, 0.01],
-            470.0,
-            32.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "PH",
-            "Philippines",
-            Asia,
-            14.6,
-            121.0,
-            NONE,
-            [0.58, 0.17, 0.02, 0.0, 0.08, 0.02, 0.03, 0.09, 0.01],
-            590.0,
-            27.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "ID",
-            "Indonesia",
-            Asia,
-            -6.2,
-            106.8,
-            G | AW | AL,
-            [0.62, 0.17, 0.03, 0.0, 0.07, 0.0, 0.0, 0.05, 0.06],
-            680.0,
-            15.0,
-            0.01,
-            0.0,
-            true,
-        ),
-        r(
-            "BD",
-            "Bangladesh",
-            Asia,
-            23.8,
-            90.4,
-            NONE,
-            [0.08, 0.76, 0.10, 0.0, 0.02, 0.0, 0.03, 0.0, 0.01],
-            560.0,
-            30.0,
-            0.03,
-            0.6,
-            false,
-        ),
-        r(
-            "PK",
-            "Pakistan",
-            Asia,
-            24.9,
-            67.1,
-            NONE,
-            [0.18, 0.31, 0.09, 0.08, 0.28, 0.02, 0.02, 0.0, 0.02],
-            380.0,
-            -10.0,
-            0.06,
-            0.7,
-            false,
-        ),
-        r(
-            "LK",
-            "Sri Lanka",
-            Asia,
-            6.9,
-            79.9,
-            NONE,
-            [0.32, 0.0, 0.24, 0.0, 0.32, 0.05, 0.04, 0.0, 0.03],
-            450.0,
-            5.0,
-            0.07,
-            0.7,
-            false,
-        ),
-        r(
-            "KZ",
-            "Kazakhstan",
-            Asia,
-            43.2,
-            76.9,
-            NONE,
-            [0.62, 0.20, 0.01, 0.0, 0.12, 0.02, 0.02, 0.0, 0.01],
-            620.0,
-            28.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "AE",
-            "United Arab Emirates",
-            Asia,
-            25.2,
-            55.3,
-            AZ,
-            [0.0, 0.80, 0.01, 0.12, 0.0, 0.0, 0.07, 0.0, 0.0],
-            430.0,
-            -26.0,
-            0.03,
-            0.6,
-            true,
-        ),
-        r(
-            "SA",
-            "Saudi Arabia",
-            Asia,
-            24.7,
-            46.7,
-            NONE,
-            [0.0, 0.60, 0.39, 0.0, 0.0, 0.0, 0.01, 0.0, 0.0],
-            560.0,
-            -5.0,
-            0.03,
-            0.6,
-            false,
-        ),
-        r(
-            "QA",
-            "Qatar",
-            Asia,
-            25.3,
-            51.5,
-            NONE,
-            [0.0, 0.995, 0.0, 0.0, 0.0, 0.0, 0.005, 0.0, 0.0],
-            480.0,
-            -3.0,
-            0.02,
-            0.5,
-            false,
-        ),
-        r(
-            "BH",
-            "Bahrain",
-            Asia,
-            26.2,
-            50.6,
-            AW,
-            [0.0, 0.99, 0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            490.0,
-            -4.0,
-            0.02,
-            0.5,
-            false,
-        ),
-        r(
-            "KW",
-            "Kuwait",
-            Asia,
-            29.4,
-            48.0,
-            NONE,
-            [0.0, 0.62, 0.37, 0.0, 0.0, 0.0, 0.01, 0.0, 0.0],
-            570.0,
-            5.0,
-            0.03,
-            0.5,
-            false,
-        ),
-        r(
-            "IL",
-            "Israel",
-            Asia,
-            32.1,
-            34.8,
-            G,
-            [0.22, 0.67, 0.01, 0.0, 0.0, 0.01, 0.09, 0.0, 0.0],
-            530.0,
-            -15.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        // ----------------------------- Oceania -------------------------------
-        r(
-            "AU-NSW",
-            "Australia New South Wales",
-            Oceania,
-            -33.9,
-            151.2,
-            G | AZ | AW | IB,
-            [0.63, 0.03, 0.01, 0.0, 0.06, 0.09, 0.16, 0.0, 0.02],
-            520.0,
-            -42.0,
-            0.15,
-            0.95,
-            true,
-        ),
-        r(
-            "AU-VIC",
-            "Australia Victoria",
-            Oceania,
-            -37.8,
-            145.0,
-            G,
-            [0.66, 0.02, 0.01, 0.0, 0.06, 0.13, 0.11, 0.0, 0.01],
-            610.0,
-            -50.0,
-            0.14,
-            0.95,
-            true,
-        ),
-        r(
-            "AU-QLD",
-            "Australia Queensland",
-            Oceania,
-            -27.5,
-            153.0,
-            NONE,
-            [0.64, 0.10, 0.01, 0.0, 0.03, 0.04, 0.17, 0.0, 0.01],
-            640.0,
-            -35.0,
-            0.13,
-            0.9,
-            false,
-        ),
-        r(
-            "AU-SA",
-            "Australia South Australia",
-            Oceania,
-            -34.9,
-            138.6,
-            NONE,
-            [0.0, 0.32, 0.0, 0.0, 0.0, 0.43, 0.24, 0.0, 0.01],
-            200.0,
-            -80.0,
-            0.30,
-            0.95,
-            false,
-        ),
-        r(
-            "AU-WA",
-            "Australia Western Australia",
-            Oceania,
-            -32.0,
-            115.9,
-            NONE,
-            [0.26, 0.43, 0.02, 0.0, 0.0, 0.13, 0.15, 0.0, 0.01],
-            490.0,
-            -28.0,
-            0.16,
-            0.9,
-            false,
-        ),
-        r(
-            "AU-TAS",
-            "Australia Tasmania",
-            Oceania,
-            -42.9,
-            147.3,
-            NONE,
-            [0.0, 0.04, 0.0, 0.0, 0.81, 0.14, 0.01, 0.0, 0.0],
-            120.0,
-            -10.0,
-            0.10,
-            0.85,
-            false,
-        ),
-        r(
-            "NZ",
-            "New Zealand",
-            Oceania,
-            -36.8,
-            174.8,
-            NONE,
-            [0.03, 0.09, 0.0, 0.0, 0.56, 0.06, 0.01, 0.19, 0.06],
-            105.0,
-            -8.0,
-            0.07,
-            0.85,
-            false,
-        ),
-        // ------------------------------ Africa -------------------------------
-        r(
-            "ZA",
-            "South Africa",
-            Africa,
-            -26.2,
-            28.0,
-            G | AW,
-            [0.84, 0.0, 0.02, 0.04, 0.02, 0.04, 0.03, 0.0, 0.01],
-            720.0,
-            5.0,
-            0.04,
-            0.8,
-            true,
-        ),
-        r(
-            "EG",
-            "Egypt",
-            Africa,
-            30.0,
-            31.2,
-            NONE,
-            [0.0, 0.78, 0.09, 0.0, 0.07, 0.03, 0.03, 0.0, 0.0],
-            470.0,
-            26.0,
-            0.04,
-            0.7,
-            false,
-        ),
-        r(
-            "NG",
-            "Nigeria",
-            Africa,
-            6.5,
-            3.4,
-            NONE,
-            [0.0, 0.76, 0.01, 0.0, 0.22, 0.0, 0.01, 0.0, 0.0],
-            410.0,
-            5.0,
-            0.03,
-            0.6,
-            false,
-        ),
-        r(
-            "KE",
-            "Kenya",
-            Africa,
-            -1.3,
-            36.8,
-            NONE,
-            [0.0, 0.0, 0.09, 0.0, 0.25, 0.16, 0.04, 0.45, 0.01],
-            90.0,
-            -10.0,
-            0.06,
-            0.7,
-            false,
-        ),
-        r(
-            "GH",
-            "Ghana",
-            Africa,
-            5.6,
-            -0.2,
-            NONE,
-            [0.0, 0.58, 0.06, 0.0, 0.35, 0.0, 0.01, 0.0, 0.0],
-            300.0,
-            26.0,
-            0.05,
-            0.7,
-            false,
-        ),
-        r(
-            "MA",
-            "Morocco",
-            Africa,
-            33.6,
-            -7.6,
-            NONE,
-            [0.60, 0.13, 0.07, 0.0, 0.03, 0.12, 0.04, 0.0, 0.01],
-            630.0,
-            -15.0,
-            0.08,
-            0.8,
-            false,
-        ),
-        r(
-            "TN",
-            "Tunisia",
-            Africa,
-            36.8,
-            10.2,
-            NONE,
-            [0.0, 0.95, 0.0, 0.0, 0.01, 0.02, 0.02, 0.0, 0.0],
-            470.0,
-            5.0,
-            0.04,
-            0.7,
-            false,
-        ),
-    ]
-}
-
-/// Returns the built-in 123-region catalog.
+/// Returns the built-in 123-region catalog, in `catalog.sidecar` order.
 pub fn builtin_catalog() -> &'static [Region] {
     static CATALOG: OnceLock<Vec<Region>> = OnceLock::new();
-    CATALOG.get_or_init(build)
+    CATALOG.get_or_init(|| {
+        parse_region_sidecar(include_str!("catalog.sidecar"))
+            // decarb-analyze: allow(no-panic) -- the embedded file is fixed at build time; every catalog test parses it
+            .expect("catalog.sidecar parses")
+    })
 }
 
 /// Returns the region with the given zone code, if present.
 pub fn region(code: &str) -> Option<&'static Region> {
-    static INDEX: OnceLock<HashMap<&'static str, usize>> = OnceLock::new();
-    let index = INDEX.get_or_init(|| {
-        builtin_catalog()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.code.as_str(), i))
-            .collect()
-    });
-    index.get(code).map(|&i| &builtin_catalog()[i])
+    builtin_catalog().iter().find(|r| r.code == code)
 }
 
 /// Returns the 40 regions in the paper's Fig. 4 hyperscale set, ordered by
@@ -1833,18 +57,17 @@ pub fn hyperscale_regions() -> Vec<&'static Region> {
     regions
 }
 
-/// Returns all regions in a geographical grouping.
-pub fn regions_in_group(group: GeoGroup) -> Vec<&'static Region> {
-    builtin_catalog()
-        .iter()
-        .filter(|r| r.group == group)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::Providers;
+    use crate::region::{GeoGroup, Providers};
+
+    fn regions_in_group(group: GeoGroup) -> Vec<&'static Region> {
+        builtin_catalog()
+            .iter()
+            .filter(|r| r.group == group)
+            .collect()
+    }
 
     #[test]
     fn has_123_regions_with_unique_codes() {

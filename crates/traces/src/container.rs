@@ -147,7 +147,7 @@ fn fnv1a64_words(bytes: &[u8]) -> u64 {
 }
 
 /// The container content hash: FNV-1a over the concatenated
-/// little-endian [`fnv1a64_words`] digests of each 1 MiB chunk of
+/// little-endian `fnv1a64_words` digests of each 1 MiB chunk of
 /// `bytes`.
 ///
 /// The two-level construction lets the chunk digests run in parallel on

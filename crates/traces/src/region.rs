@@ -119,6 +119,32 @@ impl Providers {
     pub const fn count(self) -> u32 {
         self.0.count_ones()
     }
+
+    /// Parses a comma-separated provider list (`gcp, azure, aws, ibm,
+    /// alibaba`, case-insensitive); an empty list is [`Providers::NONE`].
+    pub fn parse(text: &str) -> Result<Providers, String> {
+        const LABELS: [(&str, Providers); 5] = [
+            ("gcp", Providers::GCP),
+            ("azure", Providers::AZURE),
+            ("aws", Providers::AWS),
+            ("ibm", Providers::IBM),
+            ("alibaba", Providers::ALIBABA),
+        ];
+        let mut providers = Providers::NONE;
+        for label in text.split(',').map(str::trim).filter(|l| !l.is_empty()) {
+            let needle = label.to_lowercase();
+            let (_, flag) = LABELS
+                .iter()
+                .find(|(name, _)| *name == needle)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown cloud provider `{label}` (valid: gcp, azure, aws, ibm, alibaba)"
+                    )
+                })?;
+            providers = providers | *flag;
+        }
+        Ok(providers)
+    }
 }
 
 impl std::ops::BitOr for Providers {
@@ -217,13 +243,17 @@ impl Region {
         "daily_cv",
         "periodicity",
         "mix",
+        "providers",
+        "hyperscale",
     ];
 
     /// Builds a region from `key = value` pairs (metadata sidecars and
     /// scenario-file `[region CODE]` sections). Every key is optional on
     /// top of the [`Region::user`] defaults: `name`, `group`, `lat`,
-    /// `lon`, `mean_ci`, `ci_delta`, `daily_cv`, `periodicity`, and
-    /// `mix` (a `source:share` list, e.g. `mix = hydro:0.6, wind:0.4`).
+    /// `lon`, `mean_ci`, `ci_delta`, `daily_cv`, `periodicity`, `mix`
+    /// (a `source:share` list, e.g. `mix = hydro:0.6, wind:0.4`),
+    /// `providers` (e.g. `providers = gcp, aws`) and `hyperscale`
+    /// (`true` for a member of the paper's Fig. 4 set).
     /// Unknown keys and unparseable values are errors.
     pub fn from_pairs(code: &str, pairs: &[(String, String)]) -> Result<Region, String> {
         let mut region = Region::user(code);
@@ -263,6 +293,12 @@ impl Region {
                     region.periodicity = v;
                 }
                 "mix" => region.mix = parse_mix(raw)?,
+                "providers" => region.providers = Providers::parse(raw)?,
+                "hyperscale" => {
+                    region.hyperscale_set = raw.trim().parse().map_err(|_| {
+                        format!("invalid value `{raw}` for region key `{key}` (use true or false)")
+                    })?
+                }
                 other => {
                     return Err(format!(
                         "unknown region key `{other}` (valid: {})",
@@ -275,8 +311,10 @@ impl Region {
     }
 }
 
-/// Parses `source:share` lists into an [`EnergyMix`], normalizing the
-/// shares to sum to one.
+/// Parses `source:share` lists into an [`EnergyMix`]. The shares are
+/// left as written: [`EnergyMix::new`] normalizes them once, so a mix
+/// listed in sum-to-one shares keeps the bits of the same array passed
+/// to [`EnergyMix::new`] directly.
 fn parse_mix(raw: &str) -> Result<EnergyMix, String> {
     let mut shares = [0.0f64; 9];
     for part in raw.split(',') {
@@ -300,8 +338,8 @@ fn parse_mix(raw: &str) -> Result<EnergyMix, String> {
     if total <= 0.0 {
         return Err("`mix` must list at least one positive share".into());
     }
-    for share in &mut shares {
-        *share /= total;
+    if !total.is_finite() {
+        return Err("`mix` shares overflow when summed".into());
     }
     Ok(EnergyMix::new(shares))
 }
@@ -424,6 +462,8 @@ mod tests {
                 ("daily_cv", "0.03"),
                 ("periodicity", "0.4"),
                 ("mix", "hydro:0.8, wind:0.2"),
+                ("providers", "GCP, aws"),
+                ("hyperscale", "true"),
             ]),
         )
         .unwrap();
@@ -435,6 +475,32 @@ mod tests {
         assert!((r.mix.share(Source::Hydro) - 0.8).abs() < 1e-9);
         assert!((r.mix.share(Source::Wind) - 0.2).abs() < 1e-9);
         assert_eq!(r.mix.share(Source::Coal), 0.0);
+        assert_eq!(r.providers, Providers::GCP | Providers::AWS);
+        assert!(r.hyperscale_set);
+        let defaults = Region::from_pairs("XX", &[]).unwrap();
+        assert_eq!(defaults.providers, Providers::NONE);
+        assert!(!defaults.hyperscale_set);
+    }
+
+    #[test]
+    fn from_pairs_mix_is_normalized_once() {
+        // Sweden's catalog mix: normalizing a second time would move bits.
+        let r = Region::from_pairs(
+            "SE",
+            &pairs(&[(
+                "mix",
+                "gas:0.01, nuclear:0.30, hydro:0.41, wind:0.19, solar:0.01, biomass:0.08",
+            )]),
+        )
+        .unwrap();
+        let direct = EnergyMix::new([0.0, 0.01, 0.0, 0.30, 0.41, 0.19, 0.01, 0.0, 0.08]);
+        for source in Source::ALL {
+            assert_eq!(
+                r.mix.share(source).to_bits(),
+                direct.share(source).to_bits(),
+                "{source:?}"
+            );
+        }
     }
 
     #[test]
@@ -456,6 +522,9 @@ mod tests {
             (vec![("mix", "coal")], "source:share"),
             (vec![("mix", "coal:-1")], "invalid mix share"),
             (vec![("mix", "coal:0")], "at least one positive share"),
+            (vec![("mix", "coal:1e308, gas:1e308")], "overflow"),
+            (vec![("providers", "oracle")], "unknown cloud provider"),
+            (vec![("hyperscale", "yes")], "true or false"),
             (vec![("flux", "1")], "unknown region key"),
         ] {
             let err = Region::from_pairs("XX", &pairs(&kv)).unwrap_err();

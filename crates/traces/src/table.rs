@@ -7,9 +7,9 @@
 //! regions into dense `u16` ids: string lookups happen once at the API
 //! edge ([`RegionTable::id`]), and everything downstream — trace
 //! storage, datacenters, planners, routing, job origins — indexes flat
-//! `Vec`s by id. The built-in catalog is just one pre-interned table
-//! ([`RegionTable::builtin`]); imported datasets and scenario files
-//! build their own.
+//! `Vec`s by id. Every dataset builds its own table from its regions,
+//! whether they come from the built-in catalog, an imported dataset or
+//! a scenario file.
 //!
 //! Ids are *per-table*: `RegionId(3)` names different zones in
 //! different tables, so an id is only meaningful next to the table (or
@@ -17,9 +17,7 @@
 //! stable: interning never reorders or invalidates earlier ids.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
-use crate::catalog;
 use crate::error::TraceError;
 use crate::region::Region;
 
@@ -66,16 +64,6 @@ impl RegionTable {
             table.intern(region)?;
         }
         Ok(table)
-    }
-
-    /// The built-in 123-zone catalog as a shared, pre-interned table.
-    pub fn builtin() -> &'static RegionTable {
-        static BUILTIN: OnceLock<RegionTable> = OnceLock::new();
-        BUILTIN.get_or_init(|| {
-            RegionTable::from_regions(catalog::builtin_catalog().to_vec())
-                // decarb-analyze: allow(no-panic) -- catalog code uniqueness is pinned by the catalog tests
-                .expect("catalog codes are unique")
-        })
     }
 
     /// Interns `region`, returning its new id. Codes are unique per
@@ -183,7 +171,8 @@ mod tests {
 
     #[test]
     fn round_trip_code_to_id_to_region() {
-        let table = RegionTable::builtin();
+        let catalog = crate::catalog::builtin_catalog();
+        let table = RegionTable::from_regions(catalog.to_vec()).unwrap();
         assert_eq!(table.len(), 123);
         for (id, region) in table.iter() {
             assert_eq!(table.id(&region.code), Some(id), "{}", region.code);
@@ -199,11 +188,12 @@ mod tests {
 
     #[test]
     fn builtin_table_is_shared_and_matches_catalog_order() {
-        let a = RegionTable::builtin();
-        let b = RegionTable::builtin();
+        let a = crate::catalog::builtin_catalog();
+        let b = crate::catalog::builtin_catalog();
         assert!(std::ptr::eq(a, b));
-        for (i, region) in catalog::builtin_catalog().iter().enumerate() {
-            assert_eq!(a.id(&region.code), Some(RegionId(i as u16)));
+        let table = RegionTable::from_regions(a.to_vec()).unwrap();
+        for (i, region) in a.iter().enumerate() {
+            assert_eq!(table.id(&region.code), Some(RegionId(i as u16)));
         }
     }
 
