@@ -179,6 +179,7 @@ fn scan_par_safety(file: &str, tokens: &[Token<'_>], test: &[bool], out: &mut Ve
             && (tok.is_ident("par_map")
                 || tok.is_ident("par_map_with")
                 || tok.is_ident("par_map_ordered_with")
+                || tok.is_ident("par_map_owned")
                 || tok.is_ident("par_for_each"))
             && matches!(tokens.get(i + 1), Some(t) if t.is_punct(b'('));
         if !is_call {
@@ -377,7 +378,11 @@ mod tests {
 
     #[test]
     fn par_safety_flags_shared_mutability_in_closures() {
-        for call in ["par_map(xs, ", "par_map_ordered_with(2, xs, "] {
+        for call in [
+            "par_map(xs, ",
+            "par_map_ordered_with(2, xs, ",
+            "par_map_owned(xs, ",
+        ] {
             let src = format!("fn f(xs: &[u8]) {{\n    let m = std::sync::Mutex::new(0);\n    {call}|x| {{ *m.lock().unwrap() += 1; x }});\n}}\n");
             let diags = lint_source("f.rs", &src, &BIN);
             assert_eq!(rules_of(&diags), vec!["par-safety"], "{call}");

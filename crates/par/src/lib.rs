@@ -19,6 +19,10 @@
 //! - [`par_map`] / [`par_map_with`] collect every result, so they are
 //!   a drop-in replacement for a serial `iter().map().collect()`.
 //!
+//! [`par_map_owned`] is the one fan-out beside that loop: it moves each
+//! item onto a thread of its own, for items that carry disjoint `&mut`
+//! borrows a shared `&T` cannot hand out.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,18 +46,24 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// `i < emitted + LOOKAHEAD_PER_WORKER * workers`.
 const LOOKAHEAD_PER_WORKER: usize = 4;
 
-/// Returns the worker count used by [`par_map`]: the machine's
-/// available parallelism, overridable via the `DECARB_THREADS`
+/// Returns the worker count used by [`par_map`]: the number of CPUs the
+/// calling thread may run on, capped by the `DECARB_THREADS`
 /// environment variable (values are clamped to at least 1).
+///
+/// On Linux the CPU count honours the calling thread's affinity mask,
+/// so a thread pinned to one CPU fans out on one worker.
 pub fn thread_count() -> usize {
-    if let Ok(raw) = std::env::var("DECARB_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    capped(std::env::var("DECARB_THREADS").ok().as_deref(), available)
+}
+
+/// The worker count for a `DECARB_THREADS` value over `available`
+/// CPUs: the value caps the CPU count and never raises it; a missing or
+/// unparsable value leaves it as is.
+fn capped(requested: Option<&str>, available: usize) -> usize {
+    requested
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .map_or(available, |n| n.min(available).max(1))
 }
 
 /// Maps `f` over `items` on up to [`thread_count`] scoped threads and
@@ -88,6 +98,40 @@ where
         true
     });
     results
+}
+
+/// Moves each item onto a scoped thread of its own, runs `f` on it and
+/// collects the results in input order. The first item runs on the
+/// calling thread, so a single item spawns nothing.
+///
+/// The caller sizes `items`, and with it the thread count. This serves
+/// fan-outs whose items own disjoint `&mut` borrows, which [`par_map`]
+/// cannot hand out through a shared `&T`. A panic in `f` propagates to
+/// the caller.
+pub fn par_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        let mut results = Vec::with_capacity(rest.len() + 1);
+        results.push(f(first));
+        for handle in rest {
+            results.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    })
 }
 
 /// Maps `f` over `items` on `workers` scoped threads and hands each
@@ -314,6 +358,42 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn decarb_threads_caps_the_cpu_count_and_never_raises_it() {
+        assert_eq!(capped(None, 2), 2);
+        assert_eq!(capped(Some("1"), 2), 1);
+        assert_eq!(capped(Some(" 2 "), 2), 2);
+        assert_eq!(capped(Some("8"), 2), 2);
+        assert_eq!(capped(Some("8"), 1), 1);
+        assert_eq!(capped(Some("0"), 4), 1);
+        assert_eq!(capped(Some("many"), 4), 4);
+    }
+
+    #[test]
+    fn owned_map_moves_each_item_onto_its_own_thread_in_order() {
+        let mut buf = vec![0u32; 10];
+        let parts: Vec<(u32, &mut [u32])> =
+            buf.chunks_mut(3).zip(1..).map(|(c, k)| (k, c)).collect();
+        let lens = par_map_owned(parts, |(k, part)| {
+            part.fill(k);
+            part.len()
+        });
+        assert_eq!(lens, vec![3, 3, 3, 1]);
+        assert_eq!(buf, vec![1, 1, 1, 2, 2, 2, 3, 3, 3, 4]);
+        assert!(par_map_owned(Vec::<u8>::new(), |x| x).is_empty());
+        let caller = std::thread::current().id();
+        assert_eq!(
+            par_map_owned(vec![()], |()| std::thread::current().id()),
+            vec![caller]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn owned_map_worker_panics_propagate() {
+        par_map_owned((0..4).collect(), |x: u32| assert!(x != 2, "boom"));
     }
 
     /// Sleeps an uneven, deterministic number of microseconds per item.

@@ -3,7 +3,8 @@
 //! CSV is the interchange format, but parsing `zone,hour,value` rows is
 //! the dominant cost of every process start on year-scale multi-grid
 //! datasets. This module defines a versioned binary layout that loads
-//! in one streaming pass with no string work past the metadata block:
+//! in one pass over its bytes, split across the usable cores, with no
+//! string work past the metadata block:
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────┐
@@ -39,12 +40,15 @@
 //! trailer hash — history is never re-encoded. [`decode`] concatenates
 //! the segments per region into one contiguous series.
 //!
-//! Every reader runs one parser. It pulls the file in 1 MiB pieces,
-//! hashes each piece as it arrives and converts value blocks straight
-//! into each region's final, pre-sized sample buffer, so loading a
-//! container never holds the whole file next to the decoded samples.
-//! Header counts are checked against the bytes that follow before
-//! anything is allocated for them.
+//! Every reader runs one parser. It reads the header, metadata block
+//! and segment headers ahead to plan the layout, then splits the body
+//! into runs of whole 1 MiB hash chunks, one per usable CPU. Each
+//! worker reads its run once, in 64 KiB positional reads, folds each
+//! chunk's digest and converts the same bytes straight into each
+//! region's final sample buffer, so loading a container never holds
+//! the whole file next to the decoded samples. Header counts are
+//! checked against the bytes that follow before anything is allocated
+//! for them.
 //!
 //! The trailing hash makes a container self-verifying: [`decode`],
 //! [`load_file`], [`probe`], and [`append`] all reject a file whose
@@ -53,7 +57,10 @@
 //! comparing inputs across sweep hosts.
 
 use std::fs::File;
-use std::io::Read;
+use std::io;
+use std::os::unix::fs::FileExt;
+
+use decarb_par::thread_count;
 
 use crate::dataset::TraceSet;
 use crate::error::TraceError;
@@ -99,13 +106,17 @@ const PROVIDER_WIRE: [Providers; 5] = [
 /// hash, the sweep pipeline's content-addressed ids and
 /// [`crate::rng::Xoshiro256::from_label`] seeds.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for &byte in bytes {
         hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
+
+/// The FNV-1a 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Bytes per content-hash chunk.
 const HASH_CHUNK: usize = 1 << 20;
@@ -130,20 +141,49 @@ fn array_from<const N: usize>(slice: &[u8]) -> [u8; N] {
 /// mix keeps a short chunk from colliding with its zero-padded
 /// extension.
 fn fnv1a64_words(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut words = bytes.chunks_exact(8);
-    for word in words.by_ref() {
-        hash ^= u64::from_le_bytes(array_from(word));
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+    let mut hash = WordHash::new();
+    hash.update(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a64_words`] folded one piece at a time, so a chunk's digest
+/// needs no copy of the chunk. Every piece but a chunk's last must hold
+/// whole words.
+struct WordHash {
+    hash: u64,
+    /// The last piece's trailing partial word, zero-padded.
+    tail: u64,
+    len: usize,
+}
+
+impl WordHash {
+    const fn new() -> Self {
+        Self {
+            hash: FNV_OFFSET,
+            tail: 0,
+            len: 0,
+        }
     }
-    let mut tail = 0u64;
-    for (i, &byte) in words.remainder().iter().enumerate() {
-        tail |= u64::from(byte) << (8 * i);
+
+    // decarb-analyze: hot-path
+    fn update(&mut self, piece: &[u8]) {
+        let mut hash = self.hash;
+        let mut words = piece.chunks_exact(8);
+        for word in words.by_ref() {
+            hash ^= u64::from_le_bytes(array_from(word));
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        for (i, &byte) in words.remainder().iter().enumerate() {
+            self.tail |= u64::from(byte) << (8 * i);
+        }
+        self.hash = hash;
+        self.len += piece.len();
     }
-    hash ^= tail;
-    hash = hash.wrapping_mul(0x100_0000_01b3);
-    hash ^= bytes.len() as u64;
-    hash.wrapping_mul(0x100_0000_01b3)
+
+    fn finish(self) -> u64 {
+        let hash = (self.hash ^ self.tail).wrapping_mul(FNV_PRIME);
+        (hash ^ self.len as u64).wrapping_mul(FNV_PRIME)
+    }
 }
 
 /// The container content hash: FNV-1a over the concatenated
@@ -329,274 +369,133 @@ fn put_str(out: &mut Vec<u8>, text: &str) {
 /// strings' length prefixes, three flag bytes and fifteen `f64`s.
 const MIN_REGION_META: usize = 2 + 2 + 3 + 15 * 8;
 
-/// The container body (every byte before the trailer), pulled from its
-/// source in [`HASH_CHUNK`] pieces. Each piece is folded into the
-/// content hash as it arrives, so the whole file is never held: values
-/// go straight from a piece into their final buffers. The source is a
-/// `File` for [`load_file`] and [`probe_file`], and a byte slice for
-/// [`decode`], [`probe`] and [`append`].
-struct Body<'a, R> {
-    src: R,
-    label: &'a str,
-    /// Body length in bytes: the file length minus the trailer.
-    len: usize,
-    /// The current piece and the read position inside it.
-    chunk: Vec<u8>,
-    pos: usize,
-    /// Body bytes pulled from the source so far.
-    pulled: usize,
-    /// The little-endian [`fnv1a64_words`] digest of every piece pulled.
-    digests: Vec<u8>,
+/// Bytes per positional read. Each decode worker holds one piece at a
+/// time; a piece divides [`HASH_CHUNK`], so it never spans two chunk
+/// digests.
+const PIECE: usize = 64 << 10;
+
+/// Where a container's bytes come from. Reads are positional, so each
+/// decode worker reads its own run of the body: a `File` for
+/// [`load_file`] and [`probe_file`], a byte slice for [`decode`],
+/// [`probe`] and [`append`].
+trait Bytes: Sync {
+    /// The `len` bytes at offset `at`: a slice of the source when it is
+    /// held in memory, otherwise read into `buf`.
+    fn read_at<'s>(&'s self, at: usize, len: usize, buf: &'s mut Vec<u8>) -> io::Result<&'s [u8]>;
 }
 
-impl<'a, R: Read> Body<'a, R> {
-    /// Opens the body of a `file_len`-byte container and checks its
-    /// magic. Files too short for the fixed header and trailer are
-    /// rejected here, before anything is hashed.
-    fn open(mut src: R, file_len: u64, label: &'a str) -> Result<Self, TraceError> {
-        let len = usize::try_from(file_len)
-            .map_err(|_| bad(label, "file length exceeds the address space"))?;
-        if len < HEADER_LEN + TRAILER_LEN {
-            let mut head = Vec::with_capacity(MAGIC.len());
-            (&mut src)
-                .take(MAGIC.len() as u64)
-                .read_to_end(&mut head)
-                .map_err(|e| io(label, e))?;
-            if !is_container(&head) {
-                return Err(bad_magic(label));
-            }
-            return Err(bad(
-                label,
-                format!(
-                    "truncated header: the file holds {len} bytes but the fixed header and \
-                     hash trailer need {}",
-                    HEADER_LEN + TRAILER_LEN
-                ),
-            ));
+impl Bytes for [u8] {
+    fn read_at<'s>(&'s self, at: usize, len: usize, _: &'s mut Vec<u8>) -> io::Result<&'s [u8]> {
+        at.checked_add(len)
+            .and_then(|end| self.get(at..end))
+            .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+    }
+}
+
+impl Bytes for File {
+    fn read_at<'s>(&'s self, at: usize, len: usize, buf: &'s mut Vec<u8>) -> io::Result<&'s [u8]> {
+        if buf.len() < len {
+            buf.resize(len, 0);
         }
-        let mut body = Self {
-            src,
-            label,
-            len: len - TRAILER_LEN,
-            chunk: Vec::new(),
-            pos: 0,
-            pulled: 0,
-            digests: Vec::new(),
-        };
-        body.next_chunk()?;
-        if !is_container(&body.chunk) {
-            return Err(bad_magic(label));
-        }
-        body.pos = MAGIC.len();
-        Ok(body)
-    }
-
-    /// Body bytes not yet consumed.
-    fn remaining(&self) -> usize {
-        self.len - self.pulled + (self.chunk.len() - self.pos)
-    }
-
-    /// Replaces the consumed piece with the next one and folds it into
-    /// the hash. Callers check [`Body::remaining`] first.
-    fn next_chunk(&mut self) -> Result<(), TraceError> {
-        let n = HASH_CHUNK.min(self.len - self.pulled);
-        self.chunk.resize(n, 0);
-        self.src
-            .read_exact(&mut self.chunk)
-            .map_err(|e| io(self.label, e))?;
-        self.digests
-            .extend_from_slice(&fnv1a64_words(&self.chunk).to_le_bytes());
-        self.pulled += n;
-        self.pos = 0;
-        Ok(())
-    }
-
-    /// Fails unless `n` more body bytes exist.
-    fn need(&self, n: usize, what: &str) -> Result<(), TraceError> {
-        if n <= self.remaining() {
-            return Ok(());
-        }
-        Err(bad(
-            self.label,
-            format!(
-                "truncated {what}: needed {n} bytes at offset {} but the file holds {}; \
-                 the file was cut short — re-pack it from the source CSV",
-                self.len - self.remaining(),
-                self.len
-            ),
-        ))
-    }
-
-    /// Feeds the next `n` body bytes to `take`, one piece-bounded
-    /// slice at a time.
-    fn consume(
-        &mut self,
-        n: usize,
-        what: &str,
-        mut take: impl FnMut(&[u8]),
-    ) -> Result<(), TraceError> {
-        self.need(n, what)?;
-        let mut left = n;
-        while left > 0 {
-            if self.pos == self.chunk.len() {
-                self.next_chunk()?;
-            }
-            let step = left.min(self.chunk.len() - self.pos);
-            take(&self.chunk[self.pos..self.pos + step]);
-            self.pos += step;
-            left -= step;
-        }
-        Ok(())
-    }
-
-    /// Fills `out` from the body, across piece edges.
-    fn read(&mut self, out: &mut [u8], what: &str) -> Result<(), TraceError> {
-        let mut filled = 0;
-        self.consume(out.len(), what, |piece| {
-            out[filled..filled + piece.len()].copy_from_slice(piece);
-            filled += piece.len();
-        })
-    }
-
-    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceError> {
-        let mut out = [0u8; N];
-        self.read(&mut out, what)?;
+        let out = &mut buf[..len];
+        self.read_exact_at(out, at as u64)?;
         Ok(out)
     }
-
-    fn byte(&mut self, what: &str) -> Result<u8, TraceError> {
-        Ok(self.array::<1>(what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.array(what)?))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.array(what)?))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.array(what)?))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, TraceError> {
-        Ok(f64::from_le_bytes(self.array(what)?))
-    }
-
-    /// Reads a u16-length-prefixed UTF-8 string.
-    fn str(&mut self, what: &str) -> Result<String, TraceError> {
-        let len = self.u16(what)? as usize;
-        self.need(len, what)?;
-        let mut raw = vec![0u8; len];
-        self.read(&mut raw, what)?;
-        String::from_utf8(raw).map_err(|_| bad(self.label, format!("{what} is not UTF-8")))
-    }
-
-    /// Appends `n` little-endian `f64`s to `out`, converting each piece
-    /// in place; only a word that straddles two pieces is copied first.
-    // decarb-analyze: hot-path
-    fn f64s(&mut self, n: usize, out: &mut Vec<f64>, what: &str) -> Result<(), TraceError> {
-        self.need(n.saturating_mul(8), what)?;
-        let mut left = n;
-        while left > 0 {
-            if self.pos == self.chunk.len() {
-                self.next_chunk()?;
-            }
-            let words = left.min((self.chunk.len() - self.pos) / 8);
-            if words == 0 {
-                out.push(f64::from_le_bytes(self.array(what)?));
-                left -= 1;
-                continue;
-            }
-            let end = self.pos + words * 8;
-            out.extend(
-                self.chunk[self.pos..end]
-                    .chunks_exact(8)
-                    .map(|word| f64::from_le_bytes(array_from(word))),
-            );
-            self.pos = end;
-            left -= words;
-        }
-        Ok(())
-    }
-
-    /// Hashes whatever body is left unread, then checks the total
-    /// against the trailer and returns it.
-    fn finish(mut self) -> Result<u64, TraceError> {
-        let rest = self.remaining();
-        self.consume(rest, "body", |_| ())?;
-        let mut trailer = [0u8; TRAILER_LEN];
-        self.src
-            .read_exact(&mut trailer)
-            .map_err(|e| io(self.label, e))?;
-        let recorded = u64::from_le_bytes(trailer);
-        let actual = fnv1a64(&self.digests);
-        if recorded != actual {
-            return Err(bad(
-                self.label,
-                format!(
-                    "content hash mismatch: trailer records fnv1a64:{recorded:016x} but the \
-                     bytes hash to fnv1a64:{actual:016x}; the file is corrupt or was \
-                     modified in place — re-pack it from the source CSV"
-                ),
-            ));
-        }
-        Ok(recorded)
-    }
 }
 
-fn bad_magic(label: &str) -> TraceError {
-    bad(
-        label,
-        "bad magic: not a decarb trace container (pack one with `data pack`)",
-    )
+/// What the calling thread reads ahead of the pass to plan it: the
+/// header, the metadata block and each segment header.
+struct Plan<'h> {
+    /// The bytes read ahead from offset 0: the header, plus the
+    /// metadata block once the header checks out.
+    head: &'h [u8],
+    /// The layout, or the first structural error, held until the hash
+    /// has matched.
+    layout: Result<Layout, TraceError>,
 }
 
-fn io(label: &str, err: std::io::Error) -> TraceError {
-    TraceError::Io(format!("{label}: {err}"))
-}
-
-/// What one walk over a container yields.
-struct Walk {
-    /// The header facts; `content_hash` is set by [`walk`] once the
-    /// trailer has matched.
+/// Where everything sits in a container's body.
+struct Layout {
+    /// The header facts; `content_hash` is set once the trailer has
+    /// matched.
     info: ContainerInfo,
     regions: Vec<Region>,
-    /// Each region's samples, in metadata order; empty unless the walk
-    /// was asked to keep them.
-    values: Vec<Vec<f64>>,
+    /// One entry per value segment, in file order.
+    segments: Vec<Segment>,
 }
 
-/// The one parser under every reader: walks a `file_len`-byte container
-/// from `src` in a single pass, hashing as it goes, and decodes each
-/// region's samples into a pre-sized buffer when `keep_values` is set.
-///
-/// A structural error is held until the rest of the body has been
-/// hashed, so the error order is fixed: bad magic, truncated header,
-/// hash mismatch, then whatever the structure broke. Nothing is
-/// returned before the trailer matches.
-fn walk<R: Read>(
-    src: R,
-    file_len: u64,
+/// One value segment: `hours` samples per region, its region blocks
+/// back to back from body offset `at`.
+struct Segment {
+    /// Body offset of the first value byte, just past the segment's
+    /// 8-byte header.
+    at: usize,
+    hours: usize,
+    /// Samples per region in the segments before this one.
+    covered: usize,
+}
+
+/// Reads the header, metadata block and segment headers of a
+/// `len`-byte container from `src` and plans the pass over its body.
+/// Bad magic and a truncated header fail here; a structural error is
+/// held in the plan, so that the hash is checked first.
+fn plan<'h, S: Bytes + ?Sized>(
+    src: &'h S,
+    len: usize,
     label: &str,
-    keep_values: bool,
-) -> Result<Walk, TraceError> {
-    let mut body = Body::open(src, file_len, label)?;
-    let parsed = parse(&mut body, keep_values);
-    let content_hash = body.finish()?;
-    let mut walk = parsed?;
-    walk.info.content_hash = content_hash;
-    Ok(walk)
+    buf: &'h mut Vec<u8>,
+) -> Result<Plan<'h>, TraceError> {
+    if len < HEADER_LEN + TRAILER_LEN {
+        let head = src
+            .read_at(0, MAGIC.len().min(len), buf)
+            .map_err(|e| io(label, e))?;
+        if !is_container(head) {
+            return Err(bad_magic(label));
+        }
+        return Err(bad(
+            label,
+            format!(
+                "truncated header: the file holds {len} bytes but the fixed header and \
+                 hash trailer need {}",
+                HEADER_LEN + TRAILER_LEN
+            ),
+        ));
+    }
+    let header: [u8; HEADER_LEN] =
+        array_from(src.read_at(0, HEADER_LEN, buf).map_err(|e| io(label, e))?);
+    if !is_container(&header) {
+        return Err(bad_magic(label));
+    }
+    let body_len = len - TRAILER_LEN;
+    let fields = parse_header(&header, len, label);
+    let meta_len = fields.as_ref().map_or(0, |(_, meta_len)| *meta_len);
+    let head = src
+        .read_at(0, HEADER_LEN + meta_len, buf)
+        .map_err(|e| io(label, e))?;
+    let layout = fields.and_then(|(info, meta_len)| {
+        let regions = decode_metadata(&head[HEADER_LEN..], info.regions, label)?;
+        let segments = plan_segments(src, &info, HEADER_LEN + meta_len, body_len, label)?;
+        Ok(Layout {
+            info,
+            regions,
+            segments,
+        })
+    });
+    Ok(Plan { head, layout })
 }
 
-/// Parses the header, metadata block and value segments from `body`.
-/// Every allocation is checked against the bytes the body still holds
-/// before it is made, so a header claiming more than the file carries
-/// is an error, never an allocation.
-fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, TraceError> {
-    let label = body.label;
-    let version = body.u16("header")?;
+/// Parses the fixed header of a `len`-byte container into its facts and
+/// the metadata block length. The counts are checked against the bytes
+/// that follow, so a header claiming more than the file carries is an
+/// error, never an allocation.
+fn parse_header(
+    header: &[u8; HEADER_LEN],
+    len: usize,
+    label: &str,
+) -> Result<(ContainerInfo, usize), TraceError> {
+    let u16_at = |at: usize| u16::from_le_bytes(array_from(&header[at..]));
+    let u32_at = |at: usize| u32::from_le_bytes(array_from(&header[at..]));
+    let version = u16_at(8);
     if version != VERSION {
         return Err(bad(
             label,
@@ -606,23 +505,23 @@ fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, Tra
             ),
         ));
     }
-    let regions = body.u16("header")? as usize;
-    let resolution_minutes = body.u32("header")?;
-    let start = Hour(body.u32("header")?);
-    let hours = body.u64("header")?;
-    let segments = body.u32("header")? as usize;
-    let meta_len = body.u32("header")? as usize;
+    let regions = u16_at(10) as usize;
+    let resolution_minutes = u32_at(12);
+    let start = Hour(u32_at(16));
+    let hours = u64::from_le_bytes(array_from(&header[20..]));
+    let segments = u32_at(28) as usize;
+    let meta_len = u32_at(32) as usize;
+    let after = len - TRAILER_LEN - HEADER_LEN;
     let promised = (regions as u64)
         .checked_mul(hours)
         .and_then(|n| n.checked_mul(8))
         .and_then(|n| n.checked_add(meta_len as u64));
-    if promised.is_none_or(|n| n > body.remaining() as u64) {
+    if promised.is_none_or(|n| n > after as u64) {
         return Err(bad(
             label,
             format!(
                 "header promises {regions} regions of {hours} samples and a {meta_len}-byte \
-                 metadata block, more than the {} bytes after the header",
-                body.remaining()
+                 metadata block, more than the {after} bytes after the header"
             ),
         ));
     }
@@ -638,26 +537,48 @@ fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, Tra
             ),
         ));
     }
-    let meta_start = body.remaining();
-    let stored = decode_metadata(body, regions)?;
-    let parsed = meta_start - body.remaining();
-    if parsed != meta_len {
-        return Err(bad(
+    let info = ContainerInfo {
+        version,
+        regions,
+        start,
+        hours,
+        resolution_minutes,
+        segments,
+        content_hash: 0,
+        file_bytes: len,
+    };
+    Ok((info, meta_len))
+}
+
+/// Reads the segment headers from body offset `at` on and checks that
+/// the segments tile the rest of the `body_len`-byte body.
+fn plan_segments<S: Bytes + ?Sized>(
+    src: &S,
+    info: &ContainerInfo,
+    mut at: usize,
+    body_len: usize,
+    label: &str,
+) -> Result<Vec<Segment>, TraceError> {
+    let need = |at: usize, n: usize, what: &str| {
+        if n <= body_len - at {
+            return Ok(());
+        }
+        Err(bad(
             label,
             format!(
-                "region metadata block length mismatch: header says {meta_len} bytes, \
-                 parsed {parsed}"
+                "truncated {what}: needed {n} bytes at offset {at} but the file holds \
+                 {body_len}; the file was cut short — re-pack it from the source CSV"
             ),
-        ));
-    }
-    let mut values: Vec<Vec<f64>> = if keep_values {
-        (0..regions).map(|_| Vec::with_capacity(hours)).collect()
-    } else {
-        Vec::new()
+        ))
     };
+    let hours = info.hours;
+    let mut segments = Vec::new();
+    let mut word = Vec::new();
     let mut covered = 0usize;
-    for _ in 0..segments {
-        let seg_hours = usize::try_from(body.u64("segment header")?)
+    for _ in 0..info.segments {
+        need(at, 8, "segment header")?;
+        let raw = src.read_at(at, 8, &mut word).map_err(|e| io(label, e))?;
+        let seg_hours = usize::try_from(u64::from_le_bytes(array_from(raw)))
             .ok()
             .filter(|&n| n <= hours - covered)
             .ok_or_else(|| {
@@ -666,13 +587,16 @@ fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, Tra
                     format!("segment hours run past the {hours} the header promises"),
                 )
             })?;
-        if keep_values {
-            for out in &mut values {
-                body.f64s(seg_hours, out, "value block")?;
-            }
-        } else {
-            body.consume(regions * seg_hours * 8, "value block", |_| ())?;
-        }
+        at += 8;
+        // No overflow: the header's regions × hours × 8 fit the body.
+        let values = info.regions * seg_hours * 8;
+        need(at, values, "value block")?;
+        segments.push(Segment {
+            at,
+            hours: seg_hours,
+            covered,
+        });
+        at += values;
         covered += seg_hours;
     }
     if covered != hours {
@@ -681,33 +605,76 @@ fn parse<R: Read>(body: &mut Body<'_, R>, keep_values: bool) -> Result<Walk, Tra
             format!("segment hours sum to {covered} but the header promises {hours}"),
         ));
     }
-    if body.remaining() != 0 {
+    if at != body_len {
         return Err(bad(
             label,
             format!(
                 "{} trailing bytes after the last value block",
-                body.remaining()
+                body_len - at
             ),
         ));
     }
-    Ok(Walk {
-        info: ContainerInfo {
-            version,
-            regions,
-            start,
-            hours,
-            resolution_minutes,
-            segments,
-            content_hash: 0,
-            file_bytes: body.len + TRAILER_LEN,
-        },
-        regions: stored,
-        values,
-    })
+    Ok(segments)
+}
+
+/// A cursor over the metadata block.
+struct Meta<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    label: &'a str,
+}
+
+impl<'a> Meta<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
+        let bytes = self.bytes;
+        let out = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| bytes.get(self.pos..end))
+            .ok_or_else(|| {
+                bad(
+                    self.label,
+                    format!(
+                        "region metadata block length mismatch: header says {} bytes, but \
+                         the {what} at offset {} needs {n} more",
+                        bytes.len(),
+                        HEADER_LEN + self.pos
+                    ),
+                )
+            })?;
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceError> {
+        Ok(array_from(self.take(N, what)?))
+    }
+
+    fn byte(&mut self, what: &str) -> Result<u8, TraceError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64, TraceError> {
+        Ok(f64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Reads a u16-length-prefixed UTF-8 string.
+    fn str(&mut self, what: &str) -> Result<String, TraceError> {
+        let len = u16::from_le_bytes(self.array(what)?) as usize;
+        let raw = self.take(len, what)?;
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| bad(self.label, format!("{what} is not UTF-8")))
+    }
 }
 
 /// Parses the region metadata block into owned [`Region`]s.
-fn decode_metadata<R: Read>(r: &mut Body<'_, R>, count: usize) -> Result<Vec<Region>, TraceError> {
+fn decode_metadata(block: &[u8], count: usize, label: &str) -> Result<Vec<Region>, TraceError> {
+    let mut r = Meta {
+        bytes: block,
+        pos: 0,
+        label,
+    };
     let mut regions = Vec::with_capacity(count);
     for _ in 0..count {
         let code = r.str("region code")?;
@@ -715,7 +682,7 @@ fn decode_metadata<R: Read>(r: &mut Body<'_, R>, count: usize) -> Result<Vec<Reg
         let group_byte = r.byte("region group")? as usize;
         let group = *GROUP_WIRE.get(group_byte).ok_or_else(|| {
             bad(
-                r.label,
+                label,
                 format!("region {code}: unknown geo-group byte {group_byte}"),
             )
         })?;
@@ -739,7 +706,7 @@ fn decode_metadata<R: Read>(r: &mut Body<'_, R>, count: usize) -> Result<Vec<Reg
         }
         if shares.iter().any(|&s| s.is_nan() || s < 0.0) || shares.iter().sum::<f64>() <= 0.0 {
             return Err(bad(
-                r.label,
+                label,
                 format!("region {code}: invalid generation-mix shares"),
             ));
         }
@@ -758,17 +725,410 @@ fn decode_metadata<R: Read>(r: &mut Body<'_, R>, count: usize) -> Result<Vec<Reg
             hyperscale_set,
         });
     }
+    if r.pos != block.len() {
+        return Err(bad(
+            label,
+            format!(
+                "region metadata block length mismatch: header says {} bytes, parsed {}",
+                block.len(),
+                r.pos
+            ),
+        ));
+    }
     Ok(regions)
+}
+
+impl Plan<'_> {
+    /// Whether the read-ahead bytes that overlap the piece at body
+    /// offset `at` equal the piece's copy of them.
+    fn matches(&self, at: usize, piece: &[u8]) -> bool {
+        let end = at + piece.len();
+        let head = self.head.get(at..end.min(self.head.len())).unwrap_or(&[]);
+        if !piece.starts_with(head) {
+            return false;
+        }
+        let Ok(layout) = &self.layout else {
+            return true;
+        };
+        let first = layout.segments.partition_point(|seg| seg.at <= at);
+        layout.segments[first..]
+            .iter()
+            .take_while(|seg| seg.at - 8 < end)
+            .all(|seg| {
+                let header = (seg.hours as u64).to_le_bytes();
+                let (from, to) = (at.max(seg.at - 8), end.min(seg.at));
+                piece[from - at..to - at] == header[from + 8 - seg.at..to + 8 - seg.at]
+            })
+    }
+}
+
+impl Layout {
+    /// Body offset just past the segment's last value byte.
+    fn end(&self, seg: &Segment) -> usize {
+        seg.at + self.info.regions * seg.hours * 8
+    }
+
+    /// The value word that straddles body offset `x`, if one does: its
+    /// first byte's offset, its region and its sample index.
+    fn word_across(&self, x: usize) -> Option<(usize, usize, usize)> {
+        let seg = self
+            .segments
+            .get(self.segments.partition_point(|seg| self.end(seg) <= x))?;
+        let into = x.checked_sub(seg.at).filter(|&n| n % 8 != 0)?;
+        let k = into / 8;
+        Some((x - into % 8, k / seg.hours, seg.covered + k % seg.hours))
+    }
+
+    /// The samples of `region` whose words lie wholly in body offsets
+    /// `lo..hi`: `first..last` (samples ascend with their offsets).
+    fn samples_in(&self, region: usize, lo: usize, hi: usize) -> (usize, usize) {
+        let (mut first, mut last) = (0, 0);
+        for seg in &self.segments {
+            let block = seg.at + region * seg.hours * 8;
+            first += lo.saturating_sub(block).div_ceil(8).min(seg.hours);
+            last += (hi.saturating_sub(block) / 8).min(seg.hours);
+        }
+        (first, last)
+    }
+
+    /// Hands each run of `spans` its regions. A region whose samples
+    /// all lie in one run is built by that run. Every other region gets
+    /// one zeroed buffer in `shared`, and each run writes its samples
+    /// through a disjoint slice of it; that is at most `runs − 1`
+    /// regions of a single-segment body.
+    fn assign<'a>(&self, spans: &[(usize, usize)], shared: &'a mut Vec<Vec<f64>>) -> Vec<Run<'a>> {
+        let hours = self.info.hours;
+        let mut runs: Vec<Run<'a>> = spans
+            .iter()
+            .map(|&(lo, hi)| Run {
+                lo,
+                hi,
+                outs: Vec::with_capacity(self.info.regions),
+            })
+            .collect();
+        let bounds: Vec<Vec<(usize, usize)>> = (0..self.info.regions)
+            .map(|r| {
+                let samples = |&(lo, hi): &(usize, usize)| self.samples_in(r, lo, hi);
+                spans.iter().map(samples).collect()
+            })
+            .collect();
+        let owner = |b: &[(usize, usize)]| b.iter().position(|&span| span == (0, hours));
+        shared.clear();
+        shared.extend(bounds.iter().map(|b| match owner(b) {
+            Some(_) => Vec::new(),
+            None => vec![0.0; hours],
+        }));
+        for (buffer, b) in shared.iter_mut().zip(&bounds) {
+            let owned = owner(b);
+            let mut rest: &'a mut [f64] = buffer;
+            let mut cursor = 0;
+            for (w, (run, &(first, last))) in runs.iter_mut().zip(b).enumerate() {
+                run.outs.push(match owned {
+                    Some(owner) if owner == w => Out::Own(Vec::new()),
+                    Some(_) => Out::Part {
+                        first,
+                        slice: &mut [],
+                    },
+                    None => {
+                        // The word between two runs' slices straddles
+                        // their boundary; the calling thread fills it.
+                        let (_, tail) = std::mem::take(&mut rest).split_at_mut(first - cursor);
+                        let (part, tail) = tail.split_at_mut(last - first);
+                        rest = tail;
+                        cursor = last;
+                        Out::Part { first, slice: part }
+                    }
+                });
+            }
+        }
+        runs
+    }
+
+    /// Converts the value words that lie wholly inside the piece at
+    /// body offset `at` into `outs`.
+    fn convert(&self, at: usize, piece: &[u8], outs: &mut [Out<'_>]) {
+        let end = at + piece.len();
+        let first = self.segments.partition_point(|seg| self.end(seg) <= at);
+        for seg in self.segments[first..].iter().take_while(|seg| seg.at < end) {
+            let (from, to) = (at.max(seg.at), end.min(self.end(seg)));
+            let k0 = (from - seg.at).div_ceil(8);
+            let k1 = to.saturating_sub(seg.at) / 8;
+            if k0 < k1 {
+                let bytes = &piece[seg.at + 8 * k0 - at..seg.at + 8 * k1 - at];
+                Self::emit(seg, k0, bytes, outs);
+            }
+        }
+    }
+
+    /// Stores the words `bytes`, word `k` of `seg` onwards, as samples
+    /// of their regions.
+    fn emit(seg: &Segment, mut k: usize, mut bytes: &[u8], outs: &mut [Out<'_>]) {
+        while !bytes.is_empty() {
+            let (region, j) = (k / seg.hours, k % seg.hours);
+            let n = (bytes.len() / 8).min(seg.hours - j);
+            let (now, rest) = bytes.split_at(8 * n);
+            if let Some(out) = outs.get_mut(region) {
+                out.put(seg.covered + j, now);
+            }
+            k += n;
+            bytes = rest;
+        }
+    }
+}
+
+/// One worker's share of the pass: a run of whole hash chunks.
+struct Run<'a> {
+    /// Body offsets `lo..hi`; `lo` opens a chunk.
+    lo: usize,
+    hi: usize,
+    /// Where each region's samples go; empty when the walk keeps none.
+    outs: Vec<Out<'a>>,
+}
+
+/// Where one region's samples from one run go.
+enum Out<'a> {
+    /// Every sample of the region lies in this run: the run builds the
+    /// region's buffer.
+    Own(Vec<f64>),
+    /// Samples `first..first + slice.len()` of a buffer shared with
+    /// other runs.
+    Part { first: usize, slice: &'a mut [f64] },
+}
+
+impl Out<'_> {
+    /// Stores the words `bytes` as samples `sample..`.
+    // decarb-analyze: hot-path
+    fn put(&mut self, sample: usize, bytes: &[u8]) {
+        let values = bytes
+            .chunks_exact(8)
+            .map(|word| f64::from_le_bytes(array_from(word)));
+        match self {
+            Out::Own(samples) => samples.extend(values),
+            Out::Part { first, slice } => {
+                let dst = sample.checked_sub(*first).and_then(|i| slice.get_mut(i..));
+                for (dst, value) in dst.into_iter().flatten().zip(values) {
+                    *dst = value;
+                }
+            }
+        }
+    }
+}
+
+/// What one run hands back.
+struct Done {
+    /// The digest of each chunk in the run, in order.
+    digests: Vec<u64>,
+    /// The samples of the regions the run built, by region index.
+    owned: Vec<(usize, Vec<f64>)>,
+    /// The run's first eight bytes and its last piece's last eight, for
+    /// the words that straddle a run boundary.
+    first8: [u8; 8],
+    last8: [u8; 8],
+    /// Whether a read-ahead byte differed from the copy hashed here.
+    changed: bool,
+}
+
+impl Run<'_> {
+    /// Reads the run one piece at a time, folding each chunk's digest,
+    /// checking the read-ahead bytes and converting the values in the
+    /// same piece.
+    fn pass<S: Bytes + ?Sized>(mut self, src: &S, plan: &Plan<'_>) -> io::Result<Done> {
+        let layout = plan.layout.as_ref().ok().filter(|_| !self.outs.is_empty());
+        if let Some(layout) = layout {
+            for out in &mut self.outs {
+                if let Out::Own(samples) = out {
+                    samples.reserve_exact(layout.info.hours);
+                }
+            }
+        }
+        let mut done = Done {
+            digests: Vec::with_capacity((self.hi - self.lo).div_ceil(HASH_CHUNK)),
+            owned: Vec::new(),
+            first8: [0; 8],
+            last8: [0; 8],
+            changed: false,
+        };
+        let mut buf = Vec::new();
+        let mut chunk = WordHash::new();
+        let mut at = self.lo;
+        while at < self.hi {
+            let piece = src.read_at(at, PIECE.min(self.hi - at), &mut buf)?;
+            chunk.update(piece);
+            done.changed |= !plan.matches(at, piece);
+            if at == self.lo {
+                done.first8 = array_from(piece);
+            } else if let Some((start, region, sample)) = layout.and_then(|l| l.word_across(at)) {
+                let word = straddled(at - start, &done.last8, piece);
+                if let Some(out) = self.outs.get_mut(region) {
+                    out.put(sample, &word);
+                }
+            }
+            if let Some(layout) = layout {
+                layout.convert(at, piece, &mut self.outs);
+            }
+            done.last8 = array_from(&piece[piece.len().saturating_sub(8)..]);
+            at += piece.len();
+            if at.is_multiple_of(HASH_CHUNK) || at == self.hi {
+                done.digests.push(chunk.finish());
+                chunk = WordHash::new();
+            }
+        }
+        for (region, out) in self.outs.into_iter().enumerate() {
+            if let Out::Own(samples) = out {
+                done.owned.push((region, samples));
+            }
+        }
+        Ok(done)
+    }
+}
+
+/// The word whose first `split` bytes end `before` and whose rest opens
+/// `after`.
+fn straddled(split: usize, before: &[u8; 8], after: &[u8]) -> [u8; 8] {
+    let mut word = [0u8; 8];
+    word[..split].copy_from_slice(&before[8 - split..]);
+    word[split..].copy_from_slice(&after[..8 - split]);
+    word
+}
+
+/// Splits a `body_len`-byte body into at most `workers` runs of whole
+/// hash chunks. Each run holds a full chunk, so no word spans more than
+/// two runs.
+fn runs(body_len: usize, workers: usize) -> Vec<(usize, usize)> {
+    let chunks = body_len.div_ceil(HASH_CHUNK);
+    let count = workers.min(body_len / HASH_CHUNK).max(1);
+    let edge = |w: usize| (w * chunks / count * HASH_CHUNK).min(body_len);
+    (0..count).map(|w| (edge(w), edge(w + 1))).collect()
+}
+
+fn bad_magic(label: &str) -> TraceError {
+    bad(
+        label,
+        "bad magic: not a decarb trace container (pack one with `data pack`)",
+    )
+}
+
+fn io(label: &str, err: io::Error) -> TraceError {
+    TraceError::Io(format!("{label}: {err}"))
+}
+
+/// What one walk over a container yields.
+struct Walk {
+    /// The header facts, with the content hash the trailer recorded.
+    info: ContainerInfo,
+    regions: Vec<Region>,
+    /// Each region's samples, in metadata order; empty unless the walk
+    /// was asked to keep them.
+    values: Vec<Vec<f64>>,
+}
+
+/// The one parser under every reader. It reads the header, metadata
+/// block and segment headers ahead to plan the layout, then splits the
+/// body into runs of whole hash chunks, one per worker (at most
+/// `workers`). Each worker reads its run once with positional reads,
+/// folds each chunk's digest and, when `keep_values` is set, converts
+/// the same bytes into the sample buffers. The calling thread then
+/// joins the digests in chunk order, checks the trailer and fills in
+/// the words that straddle two runs.
+///
+/// A structural error is held until the whole body has been hashed, so
+/// the error order is fixed: bad magic, truncated header, hash
+/// mismatch, then whatever the structure broke. Nothing is returned
+/// before the trailer matches, and the read-ahead bytes must equal
+/// their hashed copy.
+fn walk<S: Bytes + ?Sized>(
+    src: &S,
+    file_len: u64,
+    label: &str,
+    keep_values: bool,
+    workers: usize,
+) -> Result<Walk, TraceError> {
+    let len = usize::try_from(file_len)
+        .map_err(|_| bad(label, "file length exceeds the address space"))?;
+    let mut head = Vec::new();
+    let plan = plan(src, len, label, &mut head)?;
+    let body_len = len - TRAILER_LEN;
+    let spans = runs(body_len, workers);
+    let mut shared = Vec::new();
+    let runs = match &plan.layout {
+        Ok(layout) if keep_values => layout.assign(&spans, &mut shared),
+        _ => spans
+            .iter()
+            .map(|&(lo, hi)| Run {
+                lo,
+                hi,
+                outs: Vec::new(),
+            })
+            .collect(),
+    };
+    let done = decarb_par::par_map_owned(runs, |run| run.pass(src, &plan));
+    let done = done
+        .into_iter()
+        .collect::<io::Result<Vec<Done>>>()
+        .map_err(|e| io(label, e))?;
+    let mut digests = Vec::with_capacity(body_len.div_ceil(HASH_CHUNK) * 8);
+    for digest in done.iter().flat_map(|run| &run.digests) {
+        digests.extend_from_slice(&digest.to_le_bytes());
+    }
+    let mut trailer = Vec::new();
+    let recorded = u64::from_le_bytes(array_from(
+        src.read_at(body_len, TRAILER_LEN, &mut trailer)
+            .map_err(|e| io(label, e))?,
+    ));
+    let actual = fnv1a64(&digests);
+    if recorded != actual {
+        return Err(bad(
+            label,
+            format!(
+                "content hash mismatch: trailer records fnv1a64:{recorded:016x} but the \
+                 bytes hash to fnv1a64:{actual:016x}; the file is corrupt or was \
+                 modified in place — re-pack it from the source CSV"
+            ),
+        ));
+    }
+    let mut layout = plan.layout?;
+    if done.iter().any(|run| run.changed) {
+        return Err(bad(
+            label,
+            "the file changed while it was read: its header, metadata or segment headers \
+             differ from the bytes that were hashed",
+        ));
+    }
+    layout.info.content_hash = recorded;
+    if keep_values {
+        for (pair, &(_, edge)) in done.windows(2).zip(&spans) {
+            if let Some((start, region, sample)) = layout.word_across(edge) {
+                let word = straddled(edge - start, &pair[0].last8, &pair[1].first8);
+                if let Some(value) = shared.get_mut(region).and_then(|v| v.get_mut(sample)) {
+                    *value = f64::from_le_bytes(word);
+                }
+            }
+        }
+        for (region, samples) in done.into_iter().flat_map(|run| run.owned) {
+            if let Some(slot) = shared.get_mut(region) {
+                *slot = samples;
+            }
+        }
+    }
+    Ok(Walk {
+        info: layout.info,
+        regions: layout.regions,
+        values: shared,
+    })
 }
 
 /// Decodes a container held in memory into a [`TraceSet`].
 ///
 /// `label` names the source in errors (the file path at the CLI edge).
-/// This is the same single pass as [`load_file`]: strings exist only in
-/// the metadata block, and each region's samples are converted from the
-/// fixed-width segments straight into one pre-sized `Vec<f64>`.
+/// This is the same pass as [`load_file`], reading by slicing instead
+/// of by positional reads: strings exist only in the metadata block,
+/// and each region's samples are converted from the fixed-width
+/// segments straight into one `Vec<f64>`.
 pub fn decode(bytes: &[u8], label: &str) -> Result<TraceSet, TraceError> {
-    into_trace_set(walk(bytes, bytes.len() as u64, label, true)?, label)
+    into_trace_set(
+        walk(bytes, bytes.len() as u64, label, true, thread_count())?,
+        label,
+    )
 }
 
 /// Builds the dataset from a walk that kept its values.
@@ -789,7 +1149,7 @@ fn into_trace_set(walk: Walk, label: &str) -> Result<TraceSet, TraceError> {
 /// the dataset: the same walk as [`decode`], with the values hashed and
 /// skipped rather than kept.
 pub fn probe(bytes: &[u8], label: &str) -> Result<ContainerInfo, TraceError> {
-    Ok(walk(bytes, bytes.len() as u64, label, false)?.info)
+    Ok(walk(bytes, bytes.len() as u64, label, false, thread_count())?.info)
 }
 
 // ---------------------------------------------------------------------
@@ -819,7 +1179,7 @@ pub fn append(
         info: header,
         regions: stored,
         ..
-    } = walk(bytes, bytes.len() as u64, label, false)?;
+    } = walk(bytes, bytes.len() as u64, label, false, thread_count())?;
     if update.resolution().minutes() != header.resolution_minutes {
         return Err(bad(
             label,
@@ -947,18 +1307,19 @@ pub fn write_file(set: &TraceSet, path: &str) -> Result<(), TraceError> {
     write_bytes_atomic(path, &bytes)
 }
 
-/// Streams a container file through [`decode`]'s single pass. The file
-/// is read one 1 MiB piece at a time, so a load holds about one
-/// copy of the samples, not the file and the samples side by side.
+/// Loads a container file through [`decode`]'s pass, on up to
+/// [`thread_count`] workers. Each worker reads its run of the file
+/// 64 KiB at a time, so a load holds about one copy of the samples,
+/// not the file and the samples side by side.
 pub fn load_file(path: &str) -> Result<TraceSet, TraceError> {
     let (file, len) = open(path)?;
-    into_trace_set(walk(file, len, path, true)?, path)
+    into_trace_set(walk(&file, len, path, true, thread_count())?, path)
 }
 
-/// Streams a container file through [`probe`]'s walk.
+/// Verifies a container file through [`probe`]'s pass.
 pub fn probe_file(path: &str) -> Result<ContainerInfo, TraceError> {
     let (file, len) = open(path)?;
-    Ok(walk(file, len, path, false)?.info)
+    Ok(walk(&file, len, path, false, thread_count())?.info)
 }
 
 fn open(path: &str) -> Result<(File, u64), TraceError> {
@@ -1400,6 +1761,253 @@ mod tests {
             };
             assert!(format!("{err}").contains(expected), "{cut}: {err}");
         }
+    }
+
+    /// A seeded container of `regions` zones with raw random sample bits,
+    /// one segment per entry of `parts` (each that many samples).
+    /// Region 0's name is `pad` bytes long, so the metadata length — and
+    /// with it where value words fall against pieces, chunks and runs —
+    /// moves with it.
+    fn seeded(seed: u64, regions: usize, pad: usize, parts: &[usize]) -> (TraceSet, Vec<u8>) {
+        let mut rng = crate::rng::Xoshiro256::seeded(seed);
+        let hours: usize = parts.iter().sum();
+        let full: Vec<(Region, TimeSeries)> = (0..regions)
+            .map(|k| {
+                let mut region = Region::user(&format!("XX-S{k}"));
+                region.name = if k == 0 {
+                    "n".repeat(pad)
+                } else {
+                    format!("Seeded {k}")
+                };
+                let values = (0..hours).map(|_| f64::from_bits(rng.next_u64())).collect();
+                (region, TimeSeries::new(Hour(7), values))
+            })
+            .collect();
+        let part = |from: usize, len: usize| {
+            let pairs = full
+                .iter()
+                .map(|(r, s)| (r.clone(), s.slice(Hour(7 + from as u32), len).unwrap()));
+            TraceSet::from_series(pairs.collect())
+        };
+        let mut bytes = encode(&part(0, parts[0])).unwrap();
+        let mut from = parts[0];
+        for &len in &parts[1..] {
+            bytes = append(&bytes, "test", &part(from, len), false).unwrap().0;
+            from += len;
+        }
+        (TraceSet::from_series(full), bytes)
+    }
+
+    /// The name pad that puts the first value word of a [`seeded`]
+    /// container with `regions` zones at `residue` modulo 8, and that
+    /// word's offset.
+    fn padded(regions: usize, residue: usize) -> (usize, usize) {
+        // Each record is 127 fixed bytes plus its 5-byte code and its
+        // name: 8 bytes for the zones after the first.
+        let unpadded = HEADER_LEN + 132 + (regions - 1) * 140 + 8;
+        let pad = 8 + (residue + 8 - unpadded % 8) % 8;
+        (pad, unpadded + pad)
+    }
+
+    /// Body offset of the first value word.
+    fn value_start(bytes: &[u8]) -> usize {
+        HEADER_LEN + u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize + 8
+    }
+
+    #[test]
+    fn runs_tile_the_body_in_whole_chunks() {
+        for body_len in [
+            44,
+            HASH_CHUNK - 1,
+            HASH_CHUNK,
+            HASH_CHUNK + 3,
+            5 * HASH_CHUNK + 7,
+            9 * HASH_CHUNK,
+        ] {
+            for workers in 1..=6 {
+                let spans = runs(body_len, workers);
+                assert_eq!(spans.len(), workers.min(body_len / HASH_CHUNK).max(1));
+                assert_eq!(spans[0].0, 0);
+                assert_eq!(spans.last().unwrap().1, body_len);
+                for pair in spans.windows(2) {
+                    assert_eq!(pair[0].1, pair[1].0);
+                }
+                for &(lo, hi) in &spans {
+                    assert_eq!(lo % HASH_CHUNK, 0);
+                    assert!(
+                        hi - lo >= HASH_CHUNK.min(body_len),
+                        "{body_len}/{workers}: {lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn the_parallel_pass_decodes_bit_for_bit_at_every_worker_count() {
+        let dir = std::env::temp_dir().join(format!("decarb-runs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // (seed, regions, first value word's offset modulo 8, segments):
+        // across the cases value words straddle piece, chunk and run
+        // edges at every offset, and case 4 ends region 0's first block
+        // exactly on the first chunk edge.
+        let aligned = (HASH_CHUNK - padded(3, 0).1) / 8;
+        let cases: [(u64, usize, usize, Vec<usize>); 8] = [
+            (1, 3, 3, vec![40]),
+            (2, 2, 5, vec![30, 9, 1]),
+            (3, 3, 1, vec![230_000]),
+            (4, 3, 0, vec![aligned, 100_000]),
+            (5, 2, 6, vec![170_000, 1, 2]),
+            (6, 5, 2, vec![60_000, 40_000, 37_000]),
+            (7, 1, 7, vec![400_000]),
+            (8, 4, 4, vec![20_000, 90_001]),
+        ];
+        let mut starts = Vec::new();
+        for (seed, regions, residue, parts) in cases {
+            let (pad, start) = padded(regions, residue);
+            let (set, bytes) = seeded(seed, regions, pad, &parts);
+            assert_eq!(value_start(&bytes), start);
+            starts.push(start % 8);
+            let path = dir.join(format!("seeded-{seed}.dctr"));
+            let path = path.to_str().unwrap();
+            write_bytes_atomic(path, &bytes).unwrap();
+            let (file, len) = open(path).unwrap();
+            let reference = walk(&bytes[..], len, "test", false, 1).unwrap().info;
+            assert_eq!(reference.segments, parts.len());
+            assert_eq!(reference.file_bytes, bytes.len());
+            let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+            assert_eq!(
+                reference.content_hash,
+                u64::from_le_bytes(trailer.try_into().unwrap())
+            );
+            for workers in 1..=5 {
+                let from_bytes = walk(&bytes[..], len, "test", true, workers).unwrap();
+                assert_eq!(from_bytes.info, reference, "seed {seed}, {workers} workers");
+                assert_set_eq(&set, &into_trace_set(from_bytes, "test").unwrap());
+                let from_file = walk(&file, len, path, true, workers).unwrap();
+                assert_set_eq(&set, &into_trace_set(from_file, path).unwrap());
+                assert_eq!(
+                    walk(&file, len, path, false, workers).unwrap().info,
+                    reference
+                );
+            }
+            assert_eq!(probe(&bytes, "test").unwrap(), reference);
+            assert_eq!(probe_file(path).unwrap(), reference);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        starts.sort_unstable();
+        starts.dedup();
+        assert_eq!(starts, (0..8).collect::<Vec<_>>(), "value-start residues");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_flipped_byte_in_any_run_fails_the_hash() {
+        let (_, bytes) = seeded(11, 3, padded(3, 1).0, &[150_000, 80_000]);
+        let body_len = bytes.len() - TRAILER_LEN;
+        for workers in 2..=5 {
+            for (k, (lo, hi)) in runs(body_len, workers).into_iter().enumerate() {
+                let mut flipped = bytes.clone();
+                flipped[lo + (k * 7919 + workers * 104_729) % (hi - lo)] ^= 0x08;
+                let len = flipped.len() as u64;
+                for keep in [true, false] {
+                    let err = walk(&flipped[..], len, "test", keep, workers)
+                        .err()
+                        .unwrap();
+                    assert!(
+                        format!("{err}").contains("content hash mismatch"),
+                        "{workers}/{k}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The multi-run pass on in-memory bytes, small enough for Miri,
+    /// which skips the seeded tests above.
+    #[test]
+    fn two_runs_split_a_multi_chunk_body_held_in_memory() {
+        let bytes = straddling_container();
+        let one = into_trace_set(
+            walk(&bytes[..], bytes.len() as u64, "test", true, 1).unwrap(),
+            "test",
+        );
+        for workers in [2, 3] {
+            let many = walk(&bytes[..], bytes.len() as u64, "test", true, workers).unwrap();
+            assert_set_eq(
+                one.as_ref().unwrap(),
+                &into_trace_set(many, "test").unwrap(),
+            );
+        }
+    }
+
+    /// Serves every read shorter than the whole body from `stale`, the
+    /// rest from `fresh`: on a file smaller than one piece, the
+    /// read-ahead sees `stale` and the pass sees `fresh`, as if the file
+    /// changed in between.
+    struct ChangedUnderfoot {
+        fresh: Vec<u8>,
+        stale: Vec<u8>,
+    }
+
+    impl Bytes for ChangedUnderfoot {
+        fn read_at<'s>(
+            &'s self,
+            at: usize,
+            len: usize,
+            buf: &'s mut Vec<u8>,
+        ) -> io::Result<&'s [u8]> {
+            let whole = len >= self.fresh.len() - TRAILER_LEN;
+            let image = if whole { &self.fresh } else { &self.stale };
+            image.read_at(at, len, buf)
+        }
+    }
+
+    /// Walks `fresh` with the read-ahead seeing `stale`.
+    fn walk_changed(fresh: &[u8], stale: Vec<u8>) -> Result<Walk, TraceError> {
+        let len = fresh.len() as u64;
+        let source = ChangedUnderfoot {
+            fresh: fresh.to_vec(),
+            stale,
+        };
+        walk(&source, len, "test", true, 1)
+    }
+
+    #[test]
+    fn read_ahead_bytes_must_equal_their_hashed_copy() {
+        let full = tiny_set(48);
+        let part = |from: u32, len: usize| {
+            let pairs = full
+                .iter()
+                .map(|(r, s)| (r.clone(), s.slice(Hour(from), len).unwrap()));
+            TraceSet::from_series(pairs.collect())
+        };
+        let first = encode(&part(10, 30)).unwrap();
+        let (bytes, _) = append(&first, "test", &part(40, 18), false).unwrap();
+        assert!(walk_changed(&bytes, bytes.clone()).is_ok());
+        // A metadata byte: the first zone's name starts after its code.
+        let name_at = HEADER_LEN + 2 + 2 + 2;
+        assert_eq!(bytes[name_at], b'S');
+        let mut stale = bytes.clone();
+        stale[name_at] = b'T';
+        let err = walk_changed(&bytes, stale).err().unwrap();
+        assert!(
+            format!("{err}").contains("changed while it was read"),
+            "{err}"
+        );
+        // Segment headers that still tile the body: 20 + 28 hours where
+        // the hashed bytes hold 30 + 18.
+        let first_header = value_start(&bytes) - 8;
+        let mut stale = bytes.clone();
+        stale[first_header..first_header + 8].copy_from_slice(&20u64.to_le_bytes());
+        let second_header = first_header + 8 + 3 * 20 * 8;
+        stale[second_header..second_header + 8].copy_from_slice(&28u64.to_le_bytes());
+        let err = walk_changed(&bytes, stale).err().unwrap();
+        assert!(
+            format!("{err}").contains("changed while it was read"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,40 +2,45 @@
 //! holds must be rejected with a typed error before anything is
 //! allocated for the promise.
 //!
-//! A counting global allocator records the peak bytes this thread holds
-//! while a decode runs, so the test fails if a header count reaches an
-//! allocation, not only if the allocation aborts the process. The same
-//! count pins that loading a file holds about one copy of it.
+//! A counting global allocator records the peak bytes the process holds
+//! while a decode runs, on every thread, so the test fails if a header
+//! count reaches an allocation, not only if the allocation aborts the
+//! process. The same count pins that loading a file holds about one
+//! copy of it, with the decode workers' buffers included. The tests
+//! take one lock, so no other test of this file allocates while a count
+//! is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use decarb_traces::container::{self, content_hash, decode, encode, probe};
 use decarb_traces::{catalog, Hour, Region, TimeSeries, TraceError, TraceSet};
 
 struct Counting;
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
+static ARMED: AtomicBool = AtomicBool::new(false);
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Held by every test of this file for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn note(delta: isize) {
-    let _ = ARMED.try_with(|armed| {
-        if armed.get() {
-            LIVE.with(|live| {
-                live.set(live.get() + delta);
-                PEAK.with(|peak| peak.set(peak.get().max(live.get())));
-            });
-        }
-    });
+    if ARMED.load(Ordering::SeqCst) {
+        let live = LIVE.fetch_add(delta, Ordering::SeqCst) + delta;
+        PEAK.fetch_max(live, Ordering::SeqCst);
+    }
 }
 
 // SAFETY: every method forwards its caller's arguments unchanged to
 // `System`, so `System`'s own contract covers each call; the
-// bookkeeping in `note` only touches const-initialized thread-local
-// cells and never allocates.
+// bookkeeping in `note` only touches static atomics and never
+// allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size() as isize);
@@ -61,15 +66,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` and returns its result with the peak bytes it held on this
-/// thread.
+/// Runs `f` and returns its result with the peak bytes the process
+/// held, on any thread, while it ran. Callers hold [`serial`].
 fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LIVE.with(|live| live.set(0));
-    PEAK.with(|peak| peak.set(0));
-    ARMED.with(|armed| armed.set(true));
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     let out = f();
-    ARMED.with(|armed| armed.set(false));
-    (out, PEAK.with(Cell::get).max(0) as usize)
+    ARMED.store(false, Ordering::SeqCst);
+    (out, PEAK.load(Ordering::SeqCst).max(0) as usize)
 }
 
 fn packed() -> Vec<u8> {
@@ -109,8 +114,8 @@ const REGIONS_AT: usize = 10;
 const HOURS_AT: usize = 20;
 
 /// Decodes and probes `bytes`; both must fail with a container error
-/// mentioning `expected`, holding at most twice the file size (the
-/// body piece plus the metadata block) while they run.
+/// mentioning `expected`, holding at most twice the file size while
+/// they run (a file read ahead holds its metadata block at most).
 fn assert_rejected_within_file_size(bytes: &[u8], expected: &str) {
     let (decoded, decode_peak) = peak_bytes(|| decode(bytes, "hostile").map(|_| ()));
     let (probed, probe_peak) = peak_bytes(|| probe(bytes, "hostile").map(|_| ()));
@@ -134,6 +139,7 @@ fn assert_rejected_within_file_size(bytes: &[u8], expected: &str) {
 
 #[test]
 fn header_promising_2_to_the_40_hours_is_a_typed_error() {
+    let _serial = serial();
     for hours in [1u64 << 40, u64::MAX] {
         let fields: &[(usize, &[u8])] = &[(HOURS_AT, &hours.to_le_bytes())];
         assert_rejected_within_file_size(&patched(fields, false), "hash mismatch");
@@ -143,6 +149,7 @@ fn header_promising_2_to_the_40_hours_is_a_typed_error() {
 
 #[test]
 fn header_promising_more_regions_than_the_metadata_holds_is_a_typed_error() {
+    let _serial = serial();
     for regions in [5u16, u16::MAX] {
         let regions = regions.to_le_bytes();
         // With the hours kept, the value blocks overrun the file; with
@@ -159,6 +166,7 @@ fn header_promising_more_regions_than_the_metadata_holds_is_a_typed_error() {
 
 #[test]
 fn load_file_holds_about_one_copy_of_the_file() {
+    let _serial = serial();
     // 4 regions of 2^18 samples: an 8 MiB body, eight hash pieces.
     let hours = 1 << 18;
     let set = TraceSet::from_series(
@@ -184,8 +192,8 @@ fn load_file_holds_about_one_copy_of_the_file() {
         loaded.series("PL").unwrap().values(),
         set.series("PL").unwrap().values()
     );
-    // The samples plus one 1 MiB piece; reading the file whole before
-    // decoding it would hold twice the file.
+    // The samples plus one 64 KiB piece per decode worker; reading the
+    // file whole before decoding it would hold twice the file.
     assert!(
         peak <= file_len + file_len / 4,
         "load held {peak} bytes for a {file_len}-byte file"
