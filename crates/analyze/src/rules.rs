@@ -95,7 +95,10 @@ fn scan_hot_path(
                 "`format!` allocates inside a hot-path region",
             ));
         }
-        if (tok.is_ident("clone") || tok.is_ident("to_string") || tok.is_ident("to_owned"))
+        if (tok.is_ident("clone")
+            || tok.is_ident("to_string")
+            || tok.is_ident("to_owned")
+            || tok.is_ident("to_vec"))
             && i > 0
             && tokens[i - 1].is_punct(b'.')
             && matches!(tokens.get(i + 1), Some(t) if t.is_punct(b'('))
@@ -359,6 +362,15 @@ mod tests {
         let diags = lint_source("f.rs", src, &BIN);
         assert_eq!(rules_of(&diags), vec!["hot-path"; 4]);
         assert!(diags.iter().all(|d| d.line >= 4));
+    }
+
+    #[test]
+    fn hot_path_flags_to_vec_copies() {
+        let src = "// decarb-analyze: hot-path\nfn hot(xs: &[u8]) -> usize {\n    let mut v = xs.to_vec();\n    v.sort();\n    let to_vec = v.len();\n    to_vec\n}\nfn cold(xs: &[u8]) -> Vec<u8> { xs.to_vec() }\n";
+        let diags = lint_source("f.rs", src, &BIN);
+        assert_eq!(rules_of(&diags), vec!["hot-path"]);
+        assert_eq!(diags[0].line, 3);
+        assert!(diags[0].message.contains("`.to_vec()`"));
     }
 
     #[test]

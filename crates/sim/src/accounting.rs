@@ -47,10 +47,12 @@ pub struct SimReport {
     /// Jobs still unfinished when the horizon ended.
     pub unfinished: usize,
     /// Job-hours in which an admitted, non-suspended job could not
-    /// execute because its region's trace had no sample for the hour
+    /// execute because its region's trace had no sample for the slot
     /// (trace coverage ended before the simulated horizon). Non-zero
     /// values mean the horizon outruns the data and completion counts
-    /// understate the workload.
+    /// understate the workload. The engine counts stalled job-slots and
+    /// reports them in hours on every axis, a part-hour rounded up, so
+    /// any stall reads as at least one hour.
     pub stalled_hours: usize,
     /// Total emissions across completed and partial work (g·CO2eq).
     pub total_emissions_g: f64,

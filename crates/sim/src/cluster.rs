@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn admitted_jobs_have_not_run() {
         let job = Job::batch(1, RegionId(0), Hour(0), 3.0, Slack::None);
-        let rj = RunningJob::admitted(job.clone(), Resolution::HOURLY);
+        let rj = RunningJob::admitted(job, Resolution::HOURLY);
         assert!(rj.suspended);
         assert!(!rj.has_run());
         assert_eq!(rj.remaining_slots, 3);
@@ -207,7 +207,7 @@ mod tests {
         ];
         for resolution in [Resolution::HOURLY, Resolution::from_minutes(5).unwrap()] {
             for job in &jobs {
-                let rj = RunningJob::admitted(job.clone(), resolution);
+                let rj = RunningJob::admitted(*job, resolution);
                 assert_eq!(rj.length_slots, job.length_slots_at(resolution));
                 assert_eq!(rj.remaining_slots, rj.length_slots);
                 assert_eq!(

@@ -4,9 +4,15 @@
 //! slot per hour on hourly data, twelve on a 5-minute axis. Every axis
 //! goes through the same event-driven loop. Each step processes, in
 //! order: arrivals → planned starts → run-set selection (capacity and
-//! suspend decisions) → execution and accounting. Planned starts live in
-//! an event calendar keyed by slot, so deferring policies cost nothing
-//! until their chosen start arrives.
+//! suspend decisions) → execution and accounting.
+//!
+//! Jobs move through the loop by index into the caller's slice: the
+//! arrival order is a list of job indices walked by a cursor, and a
+//! placement that defers its start puts a compact entry in an event
+//! calendar keyed by slot, so deferring policies cost nothing
+//! until their chosen start arrives. Placements that start at once skip
+//! the calendar. A job is copied once, when it is admitted to a
+//! datacenter.
 //!
 //! Between steps the engine jumps straight to the next structural
 //! boundary — arrival, planned start, completion, policy decision point
@@ -19,8 +25,10 @@
 //! a dense slice (ordered lexicographically by zone code so accounting
 //! order is deterministic), region→datacenter resolution is a flat
 //! id-indexed table, and per-region emissions accumulate into a dense
-//! buffer — the step loop performs no string hashing at all.
+//! buffer — the step loop performs no string hashing at all. Each step
+//! visits only the datacenters that hold jobs, still in that order.
 
+use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
@@ -69,13 +77,13 @@ impl SimConfig {
     }
 }
 
-/// A calendar entry: a job admitted to `region` that should start at
-/// `start`.
+/// A calendar entry: the job placed `seq`-th in the run, admitted to
+/// `region` once `start` arrives. `seq` is the job's position in the
+/// run's arrival order, so it also names the job.
 #[derive(Debug)]
 struct PlannedStart {
     start: Hour,
-    seq: u64,
-    job: Job,
+    seq: usize,
     region: RegionId,
 }
 
@@ -97,8 +105,101 @@ impl Ord for PlannedStart {
     }
 }
 
-/// The simulator: datacenters, an event calendar, and a policy-driven run
-/// loop.
+/// The datacenters that hold at least one job, as a bitset over their
+/// indices. The step loop visits only these, in ascending index order,
+/// without allocating, for any datacenter count.
+struct Occupied(Vec<u64>);
+
+impl Occupied {
+    fn new(len: usize) -> Self {
+        Self(vec![0; len.div_ceil(64)])
+    }
+
+    fn insert(&mut self, k: usize) {
+        self.0[k / 64] |= 1 << (k % 64);
+    }
+
+    fn remove(&mut self, k: usize) {
+        self.0[k / 64] &= !(1 << (k % 64));
+    }
+}
+
+/// A walk over an [`Occupied`] set in ascending order. It holds no
+/// borrow, so the loop body may remove members it has passed.
+struct Members {
+    word: usize,
+    bits: u64,
+}
+
+impl Members {
+    fn of(set: &Occupied) -> Self {
+        Self {
+            word: 0,
+            bits: set.0.first().copied().unwrap_or(0),
+        }
+    }
+
+    fn next(&mut self, set: &Occupied) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *set.0.get(self.word)?;
+        }
+        let k = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(k)
+    }
+}
+
+/// The order `Simulator::run` places jobs in, as indices into `jobs`:
+/// ascending `(arrival, id)`, equal pairs in reverse input order.
+///
+/// Arrivals are integer slots spanning about the horizon, so a stable
+/// counting sort on the arrival slot does most of the work in linear
+/// time; each slot's bucket, in input order, then needs sorting only
+/// when its ids are out of order. A workload whose arrivals span far
+/// more slots than it has jobs falls back to a comparison sort.
+fn arrival_order(jobs: &[Job]) -> Vec<usize> {
+    let key = |i: usize| (jobs[i].arrival, jobs[i].id, Reverse(i));
+    let arrivals = || jobs.iter().map(|job| job.arrival.0);
+    let (Some(lo), Some(hi)) = (arrivals().min(), arrivals().max()) else {
+        return Vec::new();
+    };
+    // Counting costs a pass over every slot in the span: keep it within
+    // a few times the job count.
+    let slots = (hi - lo) as usize + 1;
+    if slots > 4 * jobs.len() + 64 {
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| key(i));
+        return order;
+    }
+    // `ends[b]` becomes the end of slot `lo + b`'s bucket.
+    let mut ends = vec![0usize; slots];
+    for job in jobs {
+        ends[(job.arrival.0 - lo) as usize] += 1;
+    }
+    let mut total = 0;
+    for end in &mut ends {
+        total += *end;
+        *end = total - *end;
+    }
+    let mut order = vec![0usize; jobs.len()];
+    for (i, job) in jobs.iter().enumerate() {
+        let end = &mut ends[(job.arrival.0 - lo) as usize];
+        order[*end] = i;
+        *end += 1;
+    }
+    let mut from = 0;
+    for &to in &ends {
+        let bucket = &mut order[from..to];
+        if !bucket.is_sorted_by_key(|&i| key(i)) {
+            bucket.sort_by_key(|&i| key(i));
+        }
+        from = to;
+    }
+    order
+}
+
+/// The simulator: datacenters and a policy-driven run loop.
 pub struct Simulator<'a> {
     traces: &'a TraceSet,
     config: SimConfig,
@@ -106,8 +207,6 @@ pub struct Simulator<'a> {
     datacenters: Vec<Datacenter>,
     /// [`RegionId::index`]-indexed map into `datacenters`.
     slot_of: Vec<Option<u16>>,
-    calendar: BinaryHeap<PlannedStart>,
-    seq: u64,
 }
 
 impl<'a> Simulator<'a> {
@@ -134,13 +233,13 @@ impl<'a> Simulator<'a> {
             config,
             datacenters,
             slot_of,
-            calendar: BinaryHeap::new(),
-            seq: 0,
         }
     }
 
     /// Runs `jobs` (sorted or unsorted by arrival) under `policy` and
-    /// returns the aggregate report.
+    /// returns the aggregate report. Every run starts from empty
+    /// datacenters: jobs an earlier run left unfinished do not carry
+    /// over.
     ///
     /// Jobs whose arrival lies outside the simulated horizon are counted
     /// as unfinished, as are jobs whose planned start lands at or past
@@ -164,6 +263,15 @@ impl<'a> Simulator<'a> {
     ///   starts, and deadlines are slot indices; a job's wall-clock
     ///   shape converts once, at admission, into
     ///   [`RunningJob::length_slots`] and [`RunningJob::deadline`].
+    /// * **Jobs by index** — arrivals are placed in ascending
+    ///   `(arrival, id)` order, equal pairs in reverse input order, by a
+    ///   cursor over the job indices [`arrival_order`] sorts. A placement
+    ///   that starts later goes into the event calendar as a
+    ///   [`PlannedStart`]; one that starts now goes on a due list.
+    ///   Admission takes the calendar's due entries first, then the due
+    ///   list, which is calendar order: spans stop at the calendar's
+    ///   earliest start, so every calendar entry due now was placed in
+    ///   an earlier step.
     /// * **Hourly decision cadence** — `Policy::should_run` is consulted
     ///   at hour boundaries (every slot on hourly data) and once at
     ///   admission, its verdict cached on the [`RunningJob`] and replayed
@@ -183,6 +291,10 @@ impl<'a> Simulator<'a> {
     ///   flip of a suspended job, trace-coverage edge, or horizon end.
     ///   Run sets are provably stable between those boundaries, so the
     ///   skipped slots differ only by accrual, done in O(1) per job.
+    /// * **Occupied datacenters only** — run-set selection, the boundary
+    ///   scan and execution visit the datacenters holding jobs, in
+    ///   ascending order, so per-step work follows occupancy rather
+    ///   than the deployment's size.
     // decarb-analyze: hot-path
     fn simulate<P: Policy + ?Sized>(
         &mut self,
@@ -193,13 +305,21 @@ impl<'a> Simulator<'a> {
         let resolution = self.traces.resolution();
         let mut report = SimReport {
             resolution,
+            completed: Vec::with_capacity(jobs.len()),
             ..SimReport::default()
         };
-        let mut arrivals: Vec<Job> = jobs.to_vec();
-        arrivals.sort_by_key(|j| std::cmp::Reverse((j.arrival, j.id)));
+        for dc in &mut self.datacenters {
+            dc.jobs.clear();
+        }
+        let order = arrival_order(jobs);
+        let mut next_arrival = 0usize;
+        let mut calendar: BinaryHeap<PlannedStart> = BinaryHeap::with_capacity(64);
+        let mut due: Vec<(usize, RegionId)> = Vec::with_capacity(64);
         let end = self.config.start.plus(self.config.horizon);
         let mut never_admitted = 0usize;
+        let mut stalled_slots = 0usize;
         let dc_count = self.datacenters.len();
+        let mut occupied = Occupied::new(dc_count);
         let sph = resolution.slots_per_hour() as u32;
 
         let dc_series: Vec<Option<&TimeSeries>> = self
@@ -238,10 +358,16 @@ impl<'a> Simulator<'a> {
         let mut interruptible = 0usize;
         let mut now = self.config.start;
         while now < end {
-            let hour_boundary = now.0.is_multiple_of(sph);
+            let hour_boundary = sph == 1 || now.0.is_multiple_of(sph);
 
             // 1. Place arrivals due now.
-            while let Some(job) = arrivals.pop_if(|j| j.arrival <= now) {
+            while let Some(&index) = order
+                .get(next_arrival)
+                .filter(|&&index| jobs[index].arrival <= now)
+            {
+                let seq = next_arrival;
+                next_arrival += 1;
+                let job = &jobs[index];
                 let placement = {
                     let view = CloudView {
                         datacenters: &self.datacenters,
@@ -249,7 +375,7 @@ impl<'a> Simulator<'a> {
                         traces: self.traces,
                         now,
                     };
-                    policy.place(&job, &view)
+                    policy.place(job, &view)
                 };
                 let region = if slot_in(&self.slot_of, placement.region).is_some() {
                     placement.region
@@ -259,66 +385,66 @@ impl<'a> Simulator<'a> {
                 let start = placement.start.max(now);
                 if start >= end {
                     never_admitted += 1;
-                    continue;
+                } else if start == now {
+                    due.push((index, region));
+                } else {
+                    calendar.push(PlannedStart { start, seq, region });
                 }
-                self.seq += 1;
-                self.calendar.push(PlannedStart {
-                    start,
-                    seq: self.seq,
-                    job,
-                    region,
-                });
             }
 
-            // 2. Admit planned starts due now; migrations (destination ≠
-            // origin) pay the state-copy overhead at the origin's current
-            // CI — the state leaves the origin's servers.
-            while let Some(top) = self.calendar.peek_mut() {
-                if top.start > now {
-                    break;
-                }
-                let planned = PeekMut::pop(top);
-                if planned.region != planned.job.origin {
+            // 2. Admit planned starts due now, calendar first; migrations
+            // (destination ≠ origin) pay the state-copy overhead at the
+            // origin's current CI — the state leaves the origin's servers.
+            let mut admit = |index: usize, region: RegionId| {
+                let job = &jobs[index];
+                if region != job.origin {
                     report.migrations += 1;
                     let kwh = self.config.overheads.migration_kwh();
                     if kwh > 0.0 {
                         let ci = self
                             .traces
-                            .try_series_by_id(planned.job.origin)
+                            .try_series_by_id(job.origin)
                             .and_then(|s| s.at(now))
                             .or_else(|| {
-                                self.traces
-                                    .try_series_by_id(planned.region)
-                                    .and_then(|s| s.at(now))
+                                self.traces.try_series_by_id(region).and_then(|s| s.at(now))
                             })
                             .unwrap_or(0.0);
                         report.overhead_kwh += kwh;
                         report.overhead_g += kwh * ci;
                         report.total_energy_kwh += kwh;
                         report.total_emissions_g += kwh * ci;
-                        *report.per_region_g.entry(planned.job.origin).or_insert(0.0) += kwh * ci;
+                        *report.per_region_g.entry(job.origin).or_insert(0.0) += kwh * ci;
                     }
                 }
                 // Placement is validated at arrival time, so a missing
                 // slot here means an inconsistent table; count the job
                 // unfinished rather than crashing the whole shard.
-                let Some(slot) = slot_in(&self.slot_of, planned.region) else {
+                let Some(slot) = slot_in(&self.slot_of, region) else {
                     never_admitted += 1;
-                    continue;
+                    return;
                 };
-                interruptible += usize::from(planned.job.interruptible);
+                interruptible += usize::from(job.interruptible);
+                occupied.insert(slot);
                 self.datacenters[slot]
                     .jobs
-                    .push(RunningJob::admitted(planned.job, resolution));
+                    .push(RunningJob::admitted(*job, resolution));
+            };
+            while let Some(top) = calendar.peek_mut() {
+                if top.start > now {
+                    break;
+                }
+                let planned = PeekMut::pop(top);
+                admit(order[planned.seq], planned.region);
+            }
+            for (index, region) in due.drain(..) {
+                admit(index, region);
             }
 
             // 3. Select the run set. Interruptible verdicts refresh at
             // hour boundaries (and at admission), replay otherwise; the
             // forced-deadline check keeps slot precision either way.
-            for k in 0..dc_count {
-                if self.datacenters[k].jobs.is_empty() {
-                    continue;
-                }
+            let mut members = Members::of(&occupied);
+            while let Some(k) = members.next(&occupied) {
                 verdicts.clear();
                 {
                     let dc = &self.datacenters[k];
@@ -328,10 +454,7 @@ impl<'a> Simulator<'a> {
                         traces: self.traces,
                         now,
                     };
-                    verdicts.extend(dc.jobs.iter().map(|rj| {
-                        if !rj.job.interruptible {
-                            return true;
-                        }
+                    verdicts.extend(dc.jobs.iter().filter(|rj| rj.job.interruptible).map(|rj| {
                         if hour_boundary || rj.decision_pending {
                             policy.should_run(&rj.job, rj.remaining_slots, rj.deadline, &view)
                         } else {
@@ -343,8 +466,11 @@ impl<'a> Simulator<'a> {
                 let mut running = 0usize;
                 let mut suspends = 0usize;
                 let mut resumes = 0usize;
-                for (rj, &verdict) in dc.jobs.iter_mut().zip(&verdicts) {
+                // One verdict per interruptible job, in job order.
+                let mut verdict_of = verdicts.iter();
+                for rj in &mut dc.jobs {
                     let want_run = if rj.job.interruptible {
+                        let verdict = verdict_of.next().copied().unwrap_or(true);
                         rj.cached_decision = verdict;
                         rj.decision_pending = false;
                         verdict || now.plus(rj.remaining_slots) >= rj.deadline
@@ -365,6 +491,9 @@ impl<'a> Simulator<'a> {
                         rj.suspended = true;
                     }
                 }
+                if suspends + resumes == 0 {
+                    continue;
+                }
                 report.suspends += suspends;
                 report.resumes += resumes;
                 let kwh = suspends as f64 * self.config.overheads.suspend_kwh
@@ -384,15 +513,19 @@ impl<'a> Simulator<'a> {
             // hour boundary is the next slot (every slot on hourly data)
             // and interruptible jobs are admitted, the span is one slot
             // and the scan can be skipped.
-            let next_hour = now.0 - now.0 % sph + sph;
+            let next_hour = if sph == 1 {
+                now.0 + 1
+            } else {
+                now.0 - now.0 % sph + sph
+            };
             let span = if max_span == 1 || (interruptible > 0 && next_hour == now.0 + 1) {
                 1
             } else {
                 let mut next = end.0;
-                if let Some(job) = arrivals.last() {
-                    next = next.min(job.arrival.0.max(now.0 + 1));
+                if let Some(&index) = order.get(next_arrival) {
+                    next = next.min(jobs[index].arrival.0.max(now.0 + 1));
                 }
-                if let Some(top) = self.calendar.peek() {
+                if let Some(top) = calendar.peek() {
                     next = next.min(top.start.0.max(now.0 + 1));
                 }
                 while edges.get(next_edge).is_some_and(|&e| e <= now.0) {
@@ -401,8 +534,9 @@ impl<'a> Simulator<'a> {
                 if let Some(&edge) = edges.get(next_edge) {
                     next = next.min(edge);
                 }
-                for dc in &self.datacenters {
-                    for rj in &dc.jobs {
+                let mut members = Members::of(&occupied);
+                while let Some(k) = members.next(&occupied) {
+                    for rj in &self.datacenters[k].jobs {
                         if !rj.suspended {
                             next = next.min(now.0 + rj.remaining_slots as u32);
                         } else if rj.job.interruptible && !rj.cached_decision {
@@ -423,14 +557,11 @@ impl<'a> Simulator<'a> {
             };
 
             // 5. Execute the span and account completions.
-            for k in 0..dc_count {
+            let mut members = Members::of(&occupied);
+            while let Some(k) = members.next(&occupied) {
                 let dc = &mut self.datacenters[k];
-                if dc.jobs.is_empty() {
-                    continue;
-                }
                 let Some(ci_now) = dc_series[k].and_then(|s| s.at(now)) else {
-                    report.stalled_hours +=
-                        span * dc.jobs.iter().filter(|rj| !rj.suspended).count();
+                    stalled_slots += span * dc.jobs.iter().filter(|rj| !rj.suspended).count();
                     continue;
                 };
                 // A covered slot implies the series — and therefore the
@@ -477,6 +608,9 @@ impl<'a> Simulator<'a> {
                         job: rj.job,
                     });
                 }
+                if dc.jobs.is_empty() {
+                    occupied.remove(k);
+                }
             }
 
             now = now.plus(span);
@@ -507,14 +641,17 @@ impl<'a> Simulator<'a> {
             }
         }
 
+        // Stalls are counted in slots and reported in job-hours; a
+        // part-hour rounds up, so any stall reads as at least one hour.
+        report.stalled_hours = stalled_slots.div_ceil(sph as usize);
         report.unfinished = self
             .datacenters
             .iter()
             .map(|dc| dc.jobs.len())
             .sum::<usize>()
-            + self.calendar.len()
+            + calendar.len()
             + never_admitted
-            + arrivals.len();
+            + (order.len() - next_arrival);
         report
     }
 
@@ -567,6 +704,44 @@ mod tests {
 
     fn ids(traces: &TraceSet, codes: &[&str]) -> Vec<RegionId> {
         codes.iter().map(|c| traces.id_of(c).unwrap()).collect()
+    }
+
+    #[test]
+    fn arrival_order_matches_a_stable_reverse_sort() {
+        // The order the engine always placed jobs in: a stable sort by
+        // descending `(arrival, id)`, popped from the back.
+        fn reference(jobs: &[Job]) -> Vec<usize> {
+            let mut stack: Vec<usize> = (0..jobs.len()).collect();
+            stack.sort_by_key(|&i| std::cmp::Reverse((jobs[i].arrival, jobs[i].id)));
+            stack.reverse();
+            stack
+        }
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..200u64 {
+            let len = next(60) as usize;
+            // Narrow spans take the counting path, wide ones the
+            // comparison fallback; few ids force duplicate pairs.
+            let span = if case % 3 == 0 {
+                1_000_000
+            } else {
+                1 + next(40)
+            };
+            let ids = 1 + next(8);
+            let jobs: Vec<Job> = (0..len)
+                .map(|_| {
+                    let arrival = Hour(5 + next(span) as u32);
+                    Job::batch(next(ids), RegionId(0), arrival, 1.0, Slack::None)
+                })
+                .collect();
+            assert_eq!(arrival_order(&jobs), reference(&jobs), "case {case}");
+        }
+        assert!(arrival_order(&[]).is_empty());
     }
 
     #[test]
@@ -814,6 +989,52 @@ mod tests {
     }
 
     #[test]
+    fn stalls_are_reported_in_job_hours_on_a_five_minute_axis() {
+        // The 5-minute replica of the short-trace test: 60 covered
+        // slots of a 120-slot horizon, so the 96-slot job runs 60 slots
+        // and stalls for the other 60, five hours.
+        let fine = Resolution::from_minutes(5).unwrap();
+        let start = Hour(year_start(2022).0 * 12);
+        let short = TimeSeries::new(start, vec![100.0; 60]);
+        let se = decarb_traces::catalog::region("SE").unwrap().clone();
+        let traces = TraceSet::from_series(vec![(se, short)]).with_resolution(fine);
+        let rs = ids(&traces, &["SE"]);
+        let job = Job::batch(1, rs[0], start, 8.0, Slack::None);
+        let mut sim = Simulator::new(&traces, &rs, SimConfig::new(start, 120, 4));
+        let report = sim.run(&mut CarbonAgnostic, std::slice::from_ref(&job));
+        assert_eq!(report.completed_count(), 0);
+        assert_eq!(report.unfinished, 1);
+        assert!((report.total_energy_kwh - 5.0).abs() < 1e-9);
+        assert_eq!(report.stalled_hours, 5);
+        // A part-hour stall rounds up: one slot past coverage reads as
+        // one job-hour.
+        let mut sim = Simulator::new(&traces, &rs, SimConfig::new(start, 61, 4));
+        let report = sim.run(&mut CarbonAgnostic, &[job]);
+        assert_eq!(report.stalled_hours, 1);
+    }
+
+    #[test]
+    fn a_second_run_starts_from_empty_datacenters() {
+        // An 8-hour job in a 4-hour horizon is still running when the
+        // first run ends; the second run, with no jobs, must not
+        // complete or account it.
+        let traces = builtin_dataset();
+        let rs = ids(&traces, &["SE"]);
+        let start = year_start(2022);
+        let mut sim = Simulator::new(&traces, &rs, config(4));
+        let first = sim.run(
+            &mut CarbonAgnostic,
+            &[Job::batch(1, rs[0], start, 8.0, Slack::None)],
+        );
+        assert_eq!(first.unfinished, 1);
+        let second = sim.run(&mut CarbonAgnostic, &[]);
+        assert_eq!(second.completed_count(), 0);
+        assert_eq!(second.unfinished, 0);
+        assert_eq!(second.total_energy_kwh, 0.0);
+        assert!(sim.datacenter(rs[0]).unwrap().jobs.is_empty());
+    }
+
+    #[test]
     fn full_coverage_runs_report_no_stalls() {
         let traces = builtin_dataset();
         let rs = ids(&traces, &["SE"]);
@@ -986,7 +1207,7 @@ mod tests {
     fn jobs_at_5min(jobs: &[Job]) -> Vec<Job> {
         jobs.iter()
             .map(|job| {
-                let mut fine = job.clone();
+                let mut fine = *job;
                 fine.arrival = Hour(job.arrival.0 * 12);
                 fine
             })

@@ -205,8 +205,8 @@ mod tests {
         // Start mid-year so the forecaster has history to look at.
         let arrival = year_start(2022).plus(120 * 24);
         let job = Job::batch(1, id("US-CA"), arrival, 4.0, Slack::Day);
-        let agnostic = run_one(&mut CarbonAgnostic, job.clone(), 24 * 10);
-        let clairvoyant = run_one(&mut PlannedDeferral, job.clone(), 24 * 10);
+        let agnostic = run_one(&mut CarbonAgnostic, job, 24 * 10);
+        let clairvoyant = run_one(&mut PlannedDeferral, job, 24 * 10);
         let forecast = run_one(
             &mut ForecastDeferral::new(DiurnalTemplate::default()),
             job,
@@ -228,7 +228,7 @@ mod tests {
     fn forecast_deferral_with_no_history_runs_immediately() {
         let arrival = year_start(2020); // Trace start: nothing visible.
         let job = Job::batch(2, id("DE"), arrival, 3.0, Slack::Day);
-        let forecast = run_one(&mut ForecastDeferral::new(Persistence), job.clone(), 24 * 5);
+        let forecast = run_one(&mut ForecastDeferral::new(Persistence), job, 24 * 5);
         let agnostic = run_one(&mut CarbonAgnostic, job, 24 * 5);
         assert!((forecast - agnostic).abs() < 1e-9);
     }

@@ -95,7 +95,7 @@ impl Slack {
 }
 
 /// A schedulable unit of work.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Unique identifier.
     pub id: u64,

@@ -533,7 +533,7 @@ fn online_policies_never_beat_the_clairvoyant_bound() {
                 slack_slots,
             );
             let interruptible_bound = cheapest * job.length_hours / slots as f64;
-            let flexible = job.clone().with_interruptible();
+            let flexible = job.with_interruptible();
             for (name, emitted) in [
                 (
                     "threshold",
