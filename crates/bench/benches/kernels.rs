@@ -97,6 +97,16 @@ fn bench_kernel_prefix(h: &Harness) {
         }
         black_box(acc)
     });
+    // What a snapshot or a dataset's prefix cache pays per region at
+    // build: every hourly builtin series indexed once (block totals,
+    // anchors and chunk minima in one pass).
+    let data = builtin_dataset();
+    let all: Vec<&TimeSeries> = data.ids().map(|id| data.series_by_id(id)).collect();
+    h.bench("kernels/prefix/build_123_hourly", || {
+        for series in &all {
+            black_box(series.chunked_prefix());
+        }
+    });
 }
 
 fn bench_kernel_period(h: &Harness) {
@@ -422,6 +432,24 @@ fn bench_serve(h: &Harness) {
                 .place(&queries[i % queries.len()])
                 .expect("in bounds"),
         )
+    });
+
+    // A week of slack with a 500 ms SLO admits nearly every region, so
+    // this row prices the candidate scan itself: the 24 h row above
+    // caps each region's window scan at 25 starts, this one at 169.
+    let week: Vec<PlaceRequest> = (0..64)
+        .map(|i| PlaceRequest {
+            origin: origins[i % origins.len()],
+            arrival: start.plus((i * 131) % 8000),
+            duration_hours: 1 + i % 12,
+            slack_hours: 168,
+            slo_ms: 500.0,
+        })
+        .collect();
+    h.bench("kernels/serve/place_week_slack", || {
+        let i = cursor.get();
+        cursor.set(i + 1);
+        black_box(snapshot.place(&week[i % week.len()]).expect("in bounds"))
     });
 
     let service = PlacementService::new(std::sync::Arc::clone(&data));

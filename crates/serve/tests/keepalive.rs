@@ -189,6 +189,30 @@ fn placement_answers_match_the_checked_in_golden_over_keep_alive() {
     assert_eq!(body, golden, "close-per-request answer drifted from golden");
 }
 
+/// A week of slack and a 500 ms SLO from a fossil origin: nearly every
+/// region clears the SLO, and all but one or two are skipped by their
+/// floor before any window scan; `tests/golden/serve_place_week.json`
+/// pins the answer the exhaustive scan gave.
+const WEEK_QUERY: &str =
+    r#"{"origin":"PL","duration_hours":6,"slack_hours":168,"slo_ms":500,"arrival_hour":19704}"#;
+
+#[test]
+fn week_slack_answer_matches_the_checked_in_golden() {
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/serve_place_week.json"),
+    )
+    .expect("golden file");
+    let addr = boot(|s| s);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(place_request(WEEK_QUERY, "close").as_bytes())
+        .unwrap();
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, 200);
+    assert_eq!(body, golden, "week-slack answer drifted from golden");
+}
+
 #[test]
 fn batch_answers_equal_sequential_singles_over_the_wire() {
     let addr = boot(|s| s);
