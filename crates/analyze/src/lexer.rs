@@ -364,6 +364,29 @@ pub fn test_mask(tokens: &[Token<'_>]) -> Vec<bool> {
     mask
 }
 
+/// Names the out-of-line modules (`mod name;`) that a file declares at
+/// its top level inside test-masked tokens, such as
+/// `#[cfg(test)] mod name;`: their files hold test code only. `test` is
+/// [`test_mask`] of the same tokens.
+pub fn test_modules<'a>(tokens: &[Token<'a>], test: &[bool]) -> Vec<&'a str> {
+    let mut names = Vec::new();
+    let mut depth = 0usize;
+    for (i, tok) in tokens.iter().enumerate() {
+        if tok.is_punct(b'{') {
+            depth += 1;
+        } else if tok.is_punct(b'}') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0 && test[i] && tok.is_ident("mod") {
+            if let [name, semi, ..] = &tokens[i + 1..] {
+                if name.kind == TokenKind::Ident && semi.is_punct(b';') {
+                    names.push(name.text);
+                }
+            }
+        }
+    }
+    names
+}
+
 /// `cfg ( test )` (possibly inside `cfg(all(test, ...))`) or a bare
 /// `test` attribute. `cfg(not(test))` is explicitly NOT a test attr.
 fn is_test_attr(attr: &[Token<'_>]) -> bool {
@@ -508,6 +531,14 @@ mod tests {
                 assert!(masked, "{} not masked", tok.text);
             }
         }
+    }
+
+    #[test]
+    fn test_modules_names_only_top_level_test_declarations() {
+        let src = "mod live;\n#[cfg(test)]\nmod pinned;\n#[cfg(all(test, unix))]\npub(crate) mod other;\n#[cfg(test)]\nmod inline { mod nested; }\n#[cfg(not(test))]\nmod shipping;\n";
+        let lexed = lex(src);
+        let mask = test_mask(&lexed.tokens);
+        assert_eq!(test_modules(&lexed.tokens, &mask), vec!["pinned", "other"]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod workspace;
 
 use decarb_json::Value;
 
-pub use rules::{lint_source, LintConfig};
+pub use rules::{lint_source, lint_test_source, LintConfig};
 pub use workspace::{analyze_tree, analyze_workspace, AnalyzeOutcome, LIBRARY_CRATES};
 
 /// One finding, pointing at a file and 1-based line.

@@ -24,8 +24,24 @@ impl Default for LintConfig {
 
 /// Lints one source file. `file` is the label used in diagnostics.
 pub fn lint_source(file: &str, source: &str, config: &LintConfig) -> Vec<Diagnostic> {
+    lint_file(file, source, config, false)
+}
+
+/// Lints one source file that holds test code only, the body of a
+/// module its parent declares as `#[cfg(test)] mod name;`: every token
+/// counts as test code, as it would inside an inline `#[cfg(test)]`
+/// module.
+pub fn lint_test_source(file: &str, source: &str, config: &LintConfig) -> Vec<Diagnostic> {
+    lint_file(file, source, config, true)
+}
+
+fn lint_file(file: &str, source: &str, config: &LintConfig, all_test: bool) -> Vec<Diagnostic> {
     let lexed = lexer::lex(source);
-    let test = lexer::test_mask(&lexed.tokens);
+    let test = if all_test {
+        vec![true; lexed.tokens.len()]
+    } else {
+        lexer::test_mask(&lexed.tokens)
+    };
     let hot = lexer::hot_mask(&lexed.tokens, &lexed.directives);
     let mut findings = Vec::new();
     if config.no_panic {

@@ -2,9 +2,10 @@
 
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_source, LintConfig};
+use crate::lexer;
+use crate::rules::{lint_source, lint_test_source, LintConfig};
 use crate::Diagnostic;
 
 /// Crates whose code runs inside sweep workers / library callers and
@@ -82,12 +83,55 @@ pub fn analyze_tree(
     Ok(outcome)
 }
 
+/// Lints every `.rs` file under `dir`. A file that holds the body of
+/// a module declared `#[cfg(test)] mod name;` (as `name.rs` or
+/// `name/mod.rs` beside its parent's file, or its parent's own
+/// directory for `lib.rs`, `main.rs` and `mod.rs`), and every file
+/// below such a module's directory, is linted as test code.
 fn scan_dir(
     dir: &Path,
     label_root: &Path,
     config: &LintConfig,
     outcome: &mut AnalyzeOutcome,
 ) -> io::Result<()> {
+    let mut files = Vec::new();
+    collect_rs(dir, &mut files)?;
+    let mut sources = Vec::with_capacity(files.len());
+    let mut test_roots: Vec<PathBuf> = Vec::new();
+    for path in files {
+        let source = fs::read_to_string(&path)?;
+        let lexed = lexer::lex(&source);
+        let mask = lexer::test_mask(&lexed.tokens);
+        let names = lexer::test_modules(&lexed.tokens, &mask);
+        if !names.is_empty() {
+            let children = module_dir(&path);
+            for name in names {
+                test_roots.push(children.join(format!("{name}.rs")));
+                test_roots.push(children.join(name));
+            }
+        }
+        sources.push((path, source));
+    }
+    for (path, source) in sources {
+        let label = path
+            .strip_prefix(label_root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .into_owned();
+        outcome.files += 1;
+        let diagnostics = if test_roots.iter().any(|root| path.starts_with(root)) {
+            lint_test_source(&label, &source, config)
+        } else {
+            lint_source(&label, &source, config)
+        };
+        outcome.diagnostics.extend(diagnostics);
+    }
+    Ok(())
+}
+
+/// Appends every `.rs` file under `dir` to `out`, in sorted path order
+/// (a missing `dir` holds none).
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -99,21 +143,23 @@ fn scan_dir(
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            scan_dir(&path, label_root, config, outcome)?;
+            collect_rs(&path, out)?;
         } else if path.extension().is_some_and(|ext| ext == "rs") {
-            let source = fs::read_to_string(&path)?;
-            let label = path
-                .strip_prefix(label_root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .into_owned();
-            outcome.files += 1;
-            outcome
-                .diagnostics
-                .extend(lint_source(&label, &source, config));
+            out.push(path);
         }
     }
     Ok(())
+}
+
+/// The directory holding the files of the modules `file` declares:
+/// its own directory for `lib.rs`, `main.rs` and `mod.rs`, otherwise a
+/// directory named after it beside it.
+fn module_dir(file: &Path) -> PathBuf {
+    let parent = file.parent().unwrap_or(Path::new(""));
+    match file.file_stem().and_then(|stem| stem.to_str()) {
+        Some("lib" | "main" | "mod") | None => parent.to_path_buf(),
+        Some(stem) => parent.join(stem),
+    }
 }
 
 #[cfg(test)]

@@ -130,3 +130,22 @@ fn analyze_tree_totals_match_the_per_fixture_counts() {
     .sum();
     assert_eq!(outcome.diagnostics.len(), per_file);
 }
+
+#[test]
+fn a_test_module_in_its_own_file_is_linted_as_test_code() {
+    // `lib.rs` declares `#[cfg(test)] mod pinned;`: `pinned.rs` and the
+    // `pinned/deeper.rs` it declares hold test code only, so their
+    // `.expect`/`.unwrap` are not findings; `live.rs` is library code.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/module_fixtures");
+    let outcome = analyze_tree(&dir, &dir, &LIB).expect("fixture tree scans");
+    assert_eq!(outcome.files, 4);
+    let found: Vec<(String, String, usize)> = outcome
+        .diagnostics
+        .into_iter()
+        .map(|d| (d.file, d.rule, d.line))
+        .collect();
+    assert_eq!(
+        found,
+        vec![("live.rs".to_string(), "no-panic".to_string(), 4)]
+    );
+}

@@ -172,14 +172,39 @@ impl TemporalPlanner {
     /// earliest start.
     // decarb-analyze: hot-path
     pub fn best_deferred(&self, arrival: Hour, slots: usize, slack: usize) -> Placement {
+        let (first, last) = self.deferred_starts(arrival, slots, slack);
+        cheapest_window(&self.prefix, first, last, slots)
+    }
+
+    /// The start indices `first..=last` a deferred `slots`-slot job
+    /// arriving at `arrival` may take: `slack` past arrival, clamped at
+    /// the trace horizon.
+    fn deferred_starts(&self, arrival: Hour, slots: usize, slack: usize) -> (usize, usize) {
         let first = self.idx(arrival);
         let last_start = self.last_start(slots).filter(|&last| first <= last);
         assert!(
             last_start.is_some(),
             "job at {arrival} (+{slots}h) cannot fit before trace end"
         );
-        let last = last_start.map_or(first, |last| (first + slack).min(last));
-        cheapest_window(&self.prefix, first, last, slots)
+        (
+            first,
+            last_start.map_or(first, |last| (first + slack).min(last)),
+        )
+    }
+
+    /// Returns a value no greater than
+    /// `best_deferred(arrival, slots, slack).cost_g`, from the chunk
+    /// minima of the planner's prefix alone (see
+    /// [`ChunkedPrefix::window_floor`]), at a cost that grows with the
+    /// chunks the window span touches rather than its starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`TemporalPlanner::best_deferred`] would.
+    // decarb-analyze: hot-path
+    pub fn deferred_floor(&self, arrival: Hour, slots: usize, slack: usize) -> f64 {
+        let (first, last) = self.deferred_starts(arrival, slots, slack);
+        self.prefix.window_floor(arrival, slots, last + 1 - first)
     }
 
     /// Finds the `slots` cheapest hours within

@@ -7,9 +7,15 @@
 //! touch — the interned region table and dense series (`Arc<TraceSet>`),
 //! a prebuilt `RttTable`, one [`TemporalPlanner`] per region (sharing
 //! the dataset's samples), and, only when a same-hour admission limit
-//! is set, an `HourlyLedger` behind a mutex — so a query is a plain
-//! scan over table lookups and planners, with no allocation and, when
-//! admission control is off, no locking on the read path.
+//! is set, an `HourlyLedger` behind a mutex — so a query is a scan
+//! over table lookups and planners, with no allocation past a
+//! per-thread buffer's high-water mark and, when admission control is
+//! off, no locking on the read path. The scan is bound-first: each
+//! remote region inside the SLO gets a lower bound on its cheapest
+//! window from its prefix's chunk minima, regions run their window
+//! scans smallest bound first, and a region whose bound exceeds the
+//! best cost found so far is never scanned. The answer is the one an
+//! exhaustive scan gives, bit for bit (see [`Snapshot::place`]).
 //! `decarb-serve` keeps the current snapshot behind an atomically
 //! swapped `Arc`, so `POST /v1/reload` never stalls in-flight readers.
 //!
@@ -22,6 +28,9 @@
 //! are skipped), so a malformed query becomes an HTTP 4xx, never a
 //! worker-thread panic.
 
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use decarb_core::temporal::TemporalPlanner;
@@ -115,6 +124,42 @@ pub struct Snapshot {
     generation: u64,
 }
 
+thread_local! {
+    /// This thread's queue buffer for [`Snapshot::place`], taken for a
+    /// query and put back after it, so a placement allocates only when
+    /// it queues more regions than any before it on the same thread.
+    static QUEUE: Cell<Vec<Queued>> = const { Cell::new(Vec::new()) };
+}
+
+/// A remote region waiting for its window scan in [`Snapshot::place`],
+/// ordered so that a max-heap pops the smallest floor first. Floors are
+/// never NaN ([`TemporalPlanner::deferred_floor`] reads −∞ instead).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    floor: f64,
+    id: RegionId,
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.floor.total_cmp(&self.floor)
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Queued {}
+
 /// Same-hour admission control: a region stops winning placements once
 /// `limit` of them land in one wall-clock hour.
 #[derive(Debug)]
@@ -203,8 +248,41 @@ impl Snapshot {
     /// window among deployed regions within the SLO, falling back to
     /// the origin. Deterministic — ties break to the lexicographically
     /// first zone code, like the online router.
+    ///
+    /// The origin's window scan runs first. Every remote region that
+    /// clears admission, the SLO and the trace fit then gets a floor,
+    /// [`TemporalPlanner::deferred_floor`]: a proven lower bound on its
+    /// cheapest window cost, read off its prefix's chunk minima. The
+    /// regions whose floor does not exceed the best cost so far queue
+    /// smallest floor first, and the scan runs their window scans in
+    /// that order until the next floor exceeds the best cost; the rest
+    /// are never scanned.
+    ///
+    /// The answer is the one an exhaustive scan in deployed order
+    /// gives, bit for bit. The keep rule ("cost lower, or cost equal
+    /// and code first") is a strict total order on (cost, zone-code
+    /// rank): window costs are never NaN (a scan keeps a window only
+    /// if it costs less than the best so far, from +∞) and zone codes
+    /// are distinct. So the kept region is the least of the scanned
+    /// ones under that order, whatever order they are scanned in. A
+    /// region left out has a floor strictly greater than a cost
+    /// already held, so its own cost is greater too: it could neither
+    /// win nor tie, and the least element is the same with or without
+    /// it. The winner's `start` and cost come from its own window scan,
+    /// the same call the exhaustive scan makes.
     // decarb-analyze: hot-path
     pub fn place(&self, req: &PlaceRequest) -> Result<PlaceDecision, PlaceError> {
+        self.place_scanning(req, |_| {})
+    }
+
+    /// [`Snapshot::place`], handing `scanned` each remote region whose
+    /// window scan it runs, in scan order.
+    // decarb-analyze: hot-path
+    fn place_scanning(
+        &self,
+        req: &PlaceRequest,
+        mut scanned: impl FnMut(RegionId),
+    ) -> Result<PlaceDecision, PlaceError> {
         if req.duration_hours == 0 {
             return Err(PlaceError::ZeroDuration);
         }
@@ -230,6 +308,8 @@ impl Snapshot {
         // regions must clear admission, RTT, and fit.
         let mut best_region = req.origin;
         let mut best = origin_planner.best_deferred(req.arrival, slots, slack);
+        let mut queue = QUEUE.take();
+        queue.clear();
         for &id in &self.deployed {
             if id == req.origin {
                 continue;
@@ -245,6 +325,17 @@ impl Snapshot {
             if rtt > req.slo_ms || self.fits(id, req.arrival, slots).is_err() {
                 continue;
             }
+            let floor = self.planner(id).deferred_floor(req.arrival, slots, slack);
+            if floor <= best.cost_g {
+                queue.push(Queued { floor, id });
+            }
+        }
+        let mut queue = BinaryHeap::from(queue);
+        while let Some(Queued { floor, id }) = queue.pop() {
+            if floor > best.cost_g {
+                break;
+            }
+            scanned(id);
             let candidate = self.planner(id).best_deferred(req.arrival, slots, slack);
             if candidate.cost_g < best.cost_g
                 || (candidate.cost_g == best.cost_g && self.rtt.code_before(id, best_region))
@@ -253,6 +344,7 @@ impl Snapshot {
                 best = candidate;
             }
         }
+        QUEUE.set(queue.into_vec());
         if let Some((_, mut ledger)) = admission {
             ledger.record(best_region);
         }
@@ -291,8 +383,12 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decarb_traces::builtin_dataset;
+    use decarb_traces::rng::Xoshiro256;
     use decarb_traces::time::year_start;
+    use decarb_traces::{builtin_dataset, Resolution, TimeSeries};
+    use decarb_workloads::{Job, Slack};
+
+    use crate::{PlannedDeferral, SimConfig, Simulator};
 
     fn snapshot() -> Snapshot {
         Snapshot::build(builtin_dataset(), 1)
@@ -567,5 +663,302 @@ mod tests {
         assert!(results[0].is_ok());
         assert_eq!(results[1], Err(PlaceError::ZeroDuration));
         assert!(results[2].is_ok());
+    }
+
+    /// The exhaustive scan [`Snapshot::place`] replaced: every remote
+    /// region that clears admission, the SLO and the fit gets its
+    /// window scan, in deployed order. The oracle the pruned scan must
+    /// match bit for bit.
+    fn place_exhaustive(snap: &Snapshot, req: &PlaceRequest) -> Result<PlaceDecision, PlaceError> {
+        if req.duration_hours == 0 {
+            return Err(PlaceError::ZeroDuration);
+        }
+        let sph = snap.traces.resolution().slots_per_hour();
+        let slots = req.duration_hours * sph;
+        let slack = req.slack_hours * sph;
+        snap.fits(req.origin, req.arrival, slots)?;
+        let origin_planner = snap.planner(req.origin);
+        let naive_g = origin_planner.baseline_cost(req.arrival, slots) / sph as f64;
+        let admission = snap.admission.as_ref().map(|a| {
+            let mut ledger = a.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            ledger.roll(req.arrival);
+            (a.limit, ledger)
+        });
+        let mut best_region = req.origin;
+        let mut best = origin_planner.best_deferred(req.arrival, slots, slack);
+        for &id in &snap.deployed {
+            if id == req.origin {
+                continue;
+            }
+            if let Some((limit, ledger)) = &admission {
+                if ledger.placed(id) >= *limit {
+                    continue;
+                }
+            }
+            let Some(rtt) = snap.rtt.get(req.origin, id) else {
+                continue;
+            };
+            if rtt > req.slo_ms || snap.fits(id, req.arrival, slots).is_err() {
+                continue;
+            }
+            let candidate = snap.planner(id).best_deferred(req.arrival, slots, slack);
+            if candidate.cost_g < best.cost_g
+                || (candidate.cost_g == best.cost_g && snap.rtt.code_before(id, best_region))
+            {
+                best_region = id;
+                best = candidate;
+            }
+        }
+        if let Some((_, mut ledger)) = admission {
+            ledger.record(best_region);
+        }
+        let rtt_ms = snap.rtt.get(req.origin, best_region).unwrap_or(0.0);
+        let cost_g = best.cost_g / sph as f64;
+        Ok(PlaceDecision {
+            region: best_region,
+            start: best.start,
+            cost_g,
+            naive_g,
+            saved_g: naive_g - cost_g,
+            rtt_ms,
+        })
+    }
+
+    /// Every bit of an answer: `PartialEq` on `f64` would equate 0.0
+    /// with −0.0 and fail NaN against itself.
+    fn bits(
+        answer: &Result<PlaceDecision, PlaceError>,
+    ) -> Result<(RegionId, Hour, [u64; 4]), PlaceError> {
+        answer.clone().map(|d| {
+            let f = [d.cost_g, d.naive_g, d.saved_g, d.rtt_ms].map(f64::to_bits);
+            (d.region, d.start, f)
+        })
+    }
+
+    /// `count` seeded requests from random origins: arrivals anywhere a
+    /// job of up to `max_hours` fits, slack `0..=max_slack` hours, SLO
+    /// 0, ∞ or `0..600` ms.
+    fn seeded_requests(
+        snap: &Snapshot,
+        seed: u64,
+        count: usize,
+        max_hours: usize,
+        max_slack: usize,
+    ) -> Vec<PlaceRequest> {
+        let mut rng = Xoshiro256::seeded(seed);
+        let ids: Vec<RegionId> = snap.traces().ids().collect();
+        let sph = snap.traces().resolution().slots_per_hour();
+        (0..count)
+            .map(|_| {
+                let origin = ids[rng.below(ids.len())];
+                let series = snap.traces().series_by_id(origin);
+                let room = series.len().saturating_sub(max_hours * sph).max(1);
+                PlaceRequest {
+                    origin,
+                    arrival: series.start().plus(rng.below(room)),
+                    duration_hours: 1 + rng.below(max_hours),
+                    slack_hours: rng.below(max_slack + 1),
+                    slo_ms: match rng.below(4) {
+                        0 => 0.0,
+                        1 => f64::INFINITY,
+                        _ => rng.uniform_in(0.0, 600.0),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn assert_matches_the_exhaustive_scan(snap: &Snapshot, requests: &[PlaceRequest]) {
+        for (k, r) in requests.iter().enumerate() {
+            assert_eq!(
+                bits(&snap.place(r)),
+                bits(&place_exhaustive(snap, r)),
+                "request {k}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_exhaustive_scan_on_the_hourly_builtin() {
+        let snap = snapshot();
+        let requests = seeded_requests(&snap, 0x5eed_0001, 400, 48, 500);
+        assert_matches_the_exhaustive_scan(&snap, &requests);
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_exhaustive_scan_at_five_minutes() {
+        let fine = builtin_dataset()
+            .resample_to(Resolution::from_minutes(5).unwrap())
+            .unwrap();
+        let snap = Snapshot::build(Arc::new(fine), 1);
+        let requests = seeded_requests(&snap, 0x5eed_0005, 40, 48, 500);
+        assert_matches_the_exhaustive_scan(&snap, &requests);
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_exhaustive_scan_under_admission_control() {
+        // Two identical snapshots with a one-job limit take the same
+        // burst of same-hour requests, so each answer also depends on
+        // the admissions before it.
+        let pruned = Snapshot::build(builtin_dataset(), 1).with_capacity_per_hour(1);
+        let oracle = Snapshot::build(builtin_dataset(), 1).with_capacity_per_hour(1);
+        let mut requests = seeded_requests(&pruned, 0x5eed_00ad, 60, 12, 168);
+        for r in &mut requests {
+            r.arrival = year_start(2022).plus(500);
+        }
+        for (k, r) in requests.iter().enumerate() {
+            assert_eq!(
+                bits(&pruned.place(r)),
+                bits(&place_exhaustive(&oracle, r)),
+                "request {k}: {r:?}"
+            );
+        }
+    }
+
+    /// Datasets built to break a careless pruning rule, with the arrival
+    /// their requests share. The first has regions of zeros and of one
+    /// constant that tie exactly, so the code order decides, plus
+    /// regions holding NaN and +∞. The second has a region near 1e15
+    /// whose window sums the prefix rounds by hundreds, so the
+    /// rounding margin decides.
+    fn adversarial() -> [(Snapshot, Hour); 2] {
+        let start = year_start(2022);
+        let n = 4000;
+        let c = 1e15 + 200.0;
+        let big = TimeSeries::new(start, vec![c; n]).chunked_prefix();
+        // A one-slot window whose sum the prefix rounds well below `c`.
+        let (deep, low) = (3000..n - 1)
+            .map(|i| (i, big.sum(start.plus(i), 1)))
+            .find(|&(_, sum)| sum < c - 1.0)
+            .unwrap();
+        let arrival = start.plus(deep);
+        let mut nan = vec![90.0; n];
+        nan[deep + 2] = f64::NAN;
+        nan[deep + 30] = f64::NAN;
+        let mut inf = vec![95.0; n];
+        inf[deep + 1] = f64::INFINITY;
+        let constant =
+            |code: &str, v: f64| (Region::user(code), TimeSeries::new(start, vec![v; n]));
+        let ties = TraceSet::from_series(vec![
+            constant("ZZ-ORIGIN", 0.0),
+            constant("MM-ZERO", 0.0),
+            constant("AA-ZERO", 0.0),
+            constant("QQ-FLAT", 100.0),
+            constant("BB-FLAT", 100.0),
+            (Region::user("EE-NAN"), TimeSeries::new(start, nan)),
+            (Region::user("FF-INF"), TimeSeries::new(start, inf)),
+            constant("GG-ALLNAN", f64::NAN),
+        ]);
+        let rounding = TraceSet::from_series(vec![
+            (Region::user("CC-BIG"), big.series().clone()),
+            // Starts at the arrival, so its one-slot sums are its
+            // samples exactly: between the rounded `CC-BIG` sum and `c`.
+            (
+                Region::user("DD-MID"),
+                TimeSeries::new(arrival, vec![(low + c) / 2.0; 10]),
+            ),
+            constant("ZZ-FLAT", c),
+        ]);
+        [ties, rounding].map(|set| (Snapshot::build(Arc::new(set), 1), arrival))
+    }
+
+    #[test]
+    fn pruned_scan_matches_the_exhaustive_scan_on_adversarial_traces() {
+        for (snap, arrival) in adversarial() {
+            let mut requests = Vec::new();
+            for origin in snap.traces().ids() {
+                for (hours, slack) in [(1, 0), (1, 5), (3, 0), (4, 20), (24, 100)] {
+                    for slo_ms in [0.0, f64::INFINITY] {
+                        requests.push(PlaceRequest {
+                            origin,
+                            arrival,
+                            duration_hours: hours,
+                            slack_hours: slack,
+                            slo_ms,
+                        });
+                    }
+                }
+            }
+            assert_matches_the_exhaustive_scan(&snap, &requests);
+        }
+    }
+
+    #[test]
+    fn exact_ties_and_rounded_sums_are_not_pruned() {
+        let [(ties, arrival), (rounding, _)] = adversarial();
+        let request = |snap: &Snapshot, origin: &str| PlaceRequest {
+            origin: snap.traces().id_of(origin).unwrap(),
+            arrival,
+            duration_hours: 1,
+            slack_hours: 0,
+            slo_ms: f64::INFINITY,
+        };
+        // Zeros tie exactly at a floor of exactly 0: the first code
+        // wins, so a region whose floor equals the best cost is scanned.
+        let tied = ties.place(&request(&ties, "ZZ-ORIGIN")).unwrap();
+        assert_eq!(ties.traces().code(tied.region), "AA-ZERO");
+        // Only the rounding margin keeps `CC-BIG`, whose one-slot sum
+        // reads below `DD-MID`'s sample though its samples lie above
+        // it, from being skipped.
+        let rounded = rounding.place(&request(&rounding, "DD-MID")).unwrap();
+        assert_eq!(rounding.traces().code(rounded.region), "CC-BIG");
+    }
+
+    #[test]
+    fn the_scan_runs_smallest_floor_first_and_skips_most_regions() {
+        // The perfbench request shape at its widest: a week of slack and
+        // a 500 ms SLO admit ~60 remote regions per request, and the
+        // exhaustive scan ran a window scan on every one of them.
+        let snap = snapshot();
+        let mut requests = seeded_requests(&snap, 0x5eed_0168, 200, 12, 0);
+        for r in &mut requests {
+            r.slack_hours = 168;
+            r.slo_ms = 500.0;
+        }
+        let mut scans = 0;
+        for r in &requests {
+            let mut floors = Vec::new();
+            snap.place_scanning(r, |id| {
+                let planner = snap.planner(id);
+                floors.push(planner.deferred_floor(r.arrival, r.duration_hours, r.slack_hours));
+            })
+            .unwrap();
+            assert!(floors.is_sorted(), "{r:?}: floors {floors:?}");
+            scans += floors.len();
+        }
+        // 374 window scans on this seed, 1.9 per request.
+        assert!(scans <= 5 * requests.len() / 2, "{scans} window scans");
+    }
+
+    #[test]
+    fn zero_slo_answers_the_planned_deferral_start() {
+        // Pinned to its origin, a placement is the start the
+        // clairvoyant deferral policy runs the same job at in an
+        // uncapacitated simulation.
+        let snap = snapshot();
+        let data = builtin_dataset();
+        let mut rng = Xoshiro256::seeded(0x5eed_0000);
+        let ids: Vec<RegionId> = data.ids().collect();
+        for k in 0..24 {
+            let origin = ids[rng.below(ids.len())];
+            let arrival = year_start(2021).plus(rng.below(8000));
+            let hours = 1 + rng.below(24);
+            let slack = [Slack::None, Slack::Day, Slack::Week, Slack::TenX][k % 4];
+            let job = Job::batch(k as u64, origin, arrival, hours as f64, slack);
+            let mut sim = Simulator::new(&data, &[origin], SimConfig::new(arrival, 24 * 20, 1000));
+            let report = sim.run(&mut PlannedDeferral, &[job]);
+            assert_eq!(report.completed_count(), 1);
+            let answer = snap
+                .place(&PlaceRequest {
+                    origin,
+                    arrival,
+                    duration_hours: hours,
+                    slack_hours: job.slack_hours(),
+                    slo_ms: 0.0,
+                })
+                .unwrap();
+            assert_eq!(answer.region, origin);
+            assert_eq!(answer.start, report.completed[0].started, "job {k}");
+        }
     }
 }

@@ -330,6 +330,18 @@ mod tests {
     }
 
     #[test]
+    fn dataset_admits_non_finite_samples() {
+        // `f64::from_str` reads these spellings, and no check after it
+        // rejects them, so window sums and the prefix's floor must cope
+        // with NaN and ±∞ (`ChunkedPrefix::window_floor`).
+        let input = "zone,hour,ci\nZZ-ODD,0,NaN\nZZ-ODD,1,inf\nZZ-ODD,2,-infinity\n";
+        let set = read_dataset(input.as_bytes()).unwrap();
+        let values = set.series("ZZ-ODD").unwrap().values();
+        assert!(values[0].is_nan());
+        assert_eq!(values[1..], [f64::INFINITY, f64::NEG_INFINITY]);
+    }
+
+    #[test]
     fn dataset_accepts_unknown_zones_with_default_metadata() {
         let input = "zone,hour,ci\nZZ-NOWHERE,0,100.0\nZZ-NOWHERE,1,120.0\nSE,0,16.0\n";
         let set = read_dataset(input.as_bytes()).unwrap();

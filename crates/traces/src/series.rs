@@ -241,7 +241,17 @@ impl std::fmt::Debug for TimeSeries {
 /// consecutive starts, restarting from the stored anchor at each
 /// stride boundary.
 ///
+/// The same pass keeps the smallest sample of every [`CHUNK`]-sample
+/// chunk, so [`ChunkedPrefix::window_floor`] bounds the cheapest of a
+/// run of windows from below without reading the samples. All told
+/// the prefix holds one `f64` per `STRIDE` samples (an anchor), one
+/// per `CHUNK` samples (a chunk minimum) and one per [`BLOCK`] samples
+/// (a block total) besides the samples it shares: about 1.03 bytes
+/// per sample, an eighth of the samples' own 8.
+///
 /// [`STRIDE`]: ChunkedPrefix::STRIDE
+/// [`CHUNK`]: ChunkedPrefix::CHUNK
+/// [`BLOCK`]: ChunkedPrefix::BLOCK
 #[derive(Debug, Clone)]
 pub struct ChunkedPrefix {
     /// The samples, anchored at the first slot.
@@ -253,6 +263,15 @@ pub struct ChunkedPrefix {
     /// entry for every position `0..=len` that is a multiple of
     /// `STRIDE`.
     anchor: Vec<f64>,
+    /// `low[c]` is the smallest sample of chunk `c`, positions
+    /// `c·CHUNK .. (c+1)·CHUNK` (NaN samples skipped; +∞ for a chunk
+    /// of NaNs only).
+    low: Vec<f64>,
+    /// The sum of all samples, as the build accumulated it.
+    total: f64,
+    /// `Σ max(−low[c], 0)`: with `total`, bounds `Σ|v|` (see
+    /// [`ChunkedPrefix::window_floor`]).
+    negative: f64,
 }
 
 /// The prefix of an empty series at slot 0, ready to be
@@ -272,12 +291,19 @@ impl ChunkedPrefix {
     /// every block start is an anchor.
     pub const STRIDE: usize = 8;
 
+    /// Samples per stored chunk minimum; a multiple of
+    /// [`ChunkedPrefix::STRIDE`] that divides [`ChunkedPrefix::BLOCK`].
+    pub const CHUNK: usize = 256;
+
     /// Builds the prefix over `series`, sharing its samples.
     pub fn build(series: &TimeSeries) -> Self {
         let mut prefix = Self {
             series: series.clone(),
             block: Vec::new(),
             anchor: Vec::new(),
+            low: Vec::new(),
+            total: 0.0,
+            negative: 0.0,
         };
         prefix.index();
         prefix
@@ -295,27 +321,59 @@ impl ChunkedPrefix {
         out
     }
 
-    /// Recomputes the block totals and anchors over the samples.
+    /// Recomputes the block totals, anchors and chunk minima over the
+    /// samples in one pass, chunk by chunk and stride by stride, in the
+    /// order the samples lie.
     fn index(&mut self) {
         let values = self.series.values();
         let n = values.len();
-        let (block, anchor) = (&mut self.block, &mut self.anchor);
+        let (block, anchor, low) = (&mut self.block, &mut self.anchor, &mut self.low);
         block.clear();
         anchor.clear();
+        low.clear();
         block.reserve(n / Self::BLOCK + 1);
         anchor.reserve(n / Self::STRIDE + 1);
+        low.reserve(n.div_ceil(Self::CHUNK));
         let mut total = 0.0f64;
         let mut acc = 0.0f64;
-        for (i, &v) in values.iter().enumerate() {
-            if i % Self::BLOCK == 0 {
+        let mut negative = 0.0f64;
+        for (c, chunk) in values.chunks(Self::CHUNK).enumerate() {
+            if (c * Self::CHUNK).is_multiple_of(Self::BLOCK) {
                 total += acc;
                 block.push(total);
                 acc = 0.0;
             }
-            if i % Self::STRIDE == 0 {
+            // Four running minima, two samples of a stride each, beside
+            // the running sum rather than after it; `b < a` skips NaN
+            // samples. Short windows (a forecast refill is one chunk)
+            // pay no more than the sum's own chain for them.
+            const { assert!(Self::STRIDE == 8) };
+            let lesser = |a: f64, b: f64| if b < a { b } else { a };
+            let [mut l0, mut l1, mut l2, mut l3] = [f64::INFINITY; 4];
+            let mut strides = chunk.chunks_exact(Self::STRIDE);
+            for s in &mut strides {
                 anchor.push(acc);
+                for &v in s {
+                    acc += v;
+                }
+                l0 = lesser(lesser(l0, s[0]), s[4]);
+                l1 = lesser(lesser(l1, s[1]), s[5]);
+                l2 = lesser(lesser(l2, s[2]), s[6]);
+                l3 = lesser(lesser(l3, s[3]), s[7]);
             }
-            acc += v;
+            let rest = strides.remainder();
+            if !rest.is_empty() {
+                anchor.push(acc);
+                for &v in rest {
+                    acc += v;
+                    l0 = lesser(l0, v);
+                }
+            }
+            let least = lesser(lesser(l0, l1), lesser(l2, l3));
+            if least < 0.0 {
+                negative -= least;
+            }
+            low.push(least);
         }
         // Position `n` either opens a fresh block (exact multiple) or
         // tails off the current one.
@@ -327,6 +385,19 @@ impl ChunkedPrefix {
         if n.is_multiple_of(Self::STRIDE) {
             anchor.push(acc);
         }
+        self.total = total + acc;
+        self.negative = negative;
+    }
+
+    /// How far below the exact sum of its samples a window sum of this
+    /// prefix can lie (see [`ChunkedPrefix::window_floor`]); NaN or +∞
+    /// when the samples are not all finite. `Σ|v| = Σv + 2·Σmax(−v, 0)`,
+    /// and a chunk's negative part is at most `CHUNK` times its
+    /// minimum's, so the chunk minima bound `Σ|v|` without a second
+    /// pass over the samples.
+    fn slop(&self) -> f64 {
+        let magnitude = self.total.abs() + 2.0 * Self::CHUNK as f64 * self.negative;
+        (Self::BLOCK + self.block.len() + 4) as f64 * f64::EPSILON * magnitude
     }
 
     /// Returns the number of underlying samples.
@@ -397,6 +468,85 @@ impl ChunkedPrefix {
             });
         }
         Ok(self.span(i, i + len))
+    }
+
+    /// Returns a value no greater than any sample of slots
+    /// `[from, from + len)`: the least stored minimum of the chunks the
+    /// range touches, read without touching the samples (+∞ for an
+    /// empty range; NaN samples are skipped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    #[inline]
+    pub fn floor(&self, from: Hour, len: usize) -> f64 {
+        let i = (from.0 - self.start().0) as usize;
+        assert!(
+            i + len <= self.len(),
+            "range {from} (+{len}) runs past the prefix"
+        );
+        if len == 0 {
+            return f64::INFINITY;
+        }
+        self.low[i / Self::CHUNK..=(i + len - 1) / Self::CHUNK]
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Returns a value no greater than any of the sums
+    /// [`ChunkedPrefix::window_sums`] hands out for the same
+    /// arguments (+∞ when `count` is zero), or −∞ when the samples are
+    /// not all finite.
+    ///
+    /// Each window holds `len` samples no smaller than
+    /// `m = floor(from, count − 1 + len)`, so its exact sum is at least
+    /// `len · m`. What the prefix returns can lie below the exact sum
+    /// by rounding only, and the `slop` subtracted here bounds that
+    /// rounding for every window. With `u = ε/2` the unit roundoff,
+    /// `S = Σ|v|` over the whole series and `B` the number of stored
+    /// block totals, a window sum is
+    /// `(block[j] − block[i]) + (rel(j) − rel(i))`, and
+    /// - the block difference is the within-block recursive sums of
+    ///   the blocks it spans (each off by at most `(BLOCK − 1)·u` times
+    ///   its block's `Σ|v|`) plus one rounded addition per block
+    ///   crossed (each at most `u·S`), then one rounded subtraction;
+    /// - each relative prefix is a within-block recursive sum, off by
+    ///   at most `(BLOCK − 1)·u` times its block's `Σ|v|`, then one
+    ///   rounded subtraction;
+    /// - one rounded addition joins the two.
+    ///
+    /// The window's first block is counted at most twice, so the error
+    /// is below `(2·BLOCK + B + 1)·u·S` to first order, and the
+    /// prefix's `(BLOCK + B + 4)·ε·S` is at least twice that, leaving
+    /// room for the higher-order terms, for the rounding of `len · m`
+    /// (covered by a further `ε·|len · m|`) and for the bound on `S`
+    /// read off the chunk minima. The floor is thus a proven lower
+    /// bound, not an estimate: a caller may discard a run of windows
+    /// whose floor exceeds a sum it already holds and lose nothing.
+    ///
+    /// The samples can hold NaN or ±∞: a CSV value parses through
+    /// `f64::from_str`, which reads `NaN` and `inf`, and a container
+    /// stores raw bits. A NaN anywhere makes the slop NaN, an infinity
+    /// makes it +∞, and either way the floor is −∞, which discards
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last window `[from + count − 1, +len)` is out of
+    /// range.
+    #[inline]
+    pub fn window_floor(&self, from: Hour, len: usize, count: usize) -> f64 {
+        if count == 0 {
+            return f64::INFINITY;
+        }
+        let least = len as f64 * self.floor(from, count - 1 + len);
+        let floor = least - (self.slop() + least.abs() * f64::EPSILON);
+        if floor.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            floor
+        }
     }
 
     /// Hands `each`, in order, the sums of the `len` samples starting
@@ -753,6 +903,10 @@ mod tests {
             assert_eq!(reused.series(), fresh.series(), "samples n={n}");
             assert_eq!(bits(&reused.block), bits(&fresh.block), "block n={n}");
             assert_eq!(bits(&reused.anchor), bits(&fresh.anchor), "anchor n={n}");
+            assert_eq!(bits(&reused.low), bits(&fresh.low), "low n={n}");
+            assert_eq!(reused.total.to_bits(), fresh.total.to_bits(), "total n={n}");
+            assert_eq!(reused.negative.to_bits(), fresh.negative.to_bits(), "n={n}");
+            assert_eq!(reused.low.len(), n.div_ceil(ChunkedPrefix::CHUNK), "n={n}");
             let mut windows = vec![(0, n), (n, 0)];
             for from in (0..n).step_by(509) {
                 for len in [0, 1, 7, b - 1, b, b + 1] {
@@ -778,5 +932,131 @@ mod tests {
                 assert_eq!(err, fresh.try_sum(from, len), "n={n} {from}+{len}");
             }
         }
+    }
+
+    /// Seeded samples in `[lo, lo + span)`.
+    fn noise(n: usize, seed: u64, lo: f64, span: f64) -> Vec<f64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                lo + span * ((x >> 11) as f64 / (1u64 << 53) as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn floor_is_at_most_every_sample_of_its_range() {
+        // Ranges that start and end on chunk edges, one past and one
+        // short of them, inside one chunk, across a block, and into a
+        // partial last chunk: the floor never exceeds the range's least
+        // sample, and equals it when the range is whole chunks.
+        let c = ChunkedPrefix::CHUNK;
+        for n in [
+            1,
+            c - 1,
+            c,
+            c + 1,
+            3 * c + 17,
+            ChunkedPrefix::BLOCK + 5 * c + 3,
+        ] {
+            let values = noise(n, 0x5eed ^ n as u64, -50.0, 900.0);
+            let p = TimeSeries::new(Hour(3), values.clone()).chunked_prefix();
+            let mut ranges = vec![(0, n), (n - 1, 1), (0, 1), (n, 0)];
+            for edge in (0..=n).step_by(c) {
+                for from in [edge.saturating_sub(1), edge, edge + 1] {
+                    for len in [1, 2, c - 1, c, c + 1, 2 * c] {
+                        if from + len <= n {
+                            ranges.push((from, len));
+                        }
+                    }
+                }
+            }
+            for (from, len) in ranges {
+                let floor = p.floor(Hour(3 + from as u32), len);
+                let least = values[from..from + len]
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                assert!(floor <= least, "n={n} {from}+{len}: {floor} > {least}");
+                if from % c == 0 && (len % c == 0 || from + len == n) {
+                    assert_eq!(floor, least, "n={n} {from}+{len}: whole chunks");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floors_of_an_empty_series_and_empty_ranges() {
+        let empty = ChunkedPrefix::default();
+        assert!(empty.low.is_empty());
+        assert_eq!(empty.slop(), 0.0);
+        assert_eq!(empty.floor(Hour(0), 0), f64::INFINITY);
+        assert_eq!(empty.window_floor(Hour(0), 0, 0), f64::INFINITY);
+        let p = TimeSeries::new(Hour(0), vec![5.0; 10]).chunked_prefix();
+        assert_eq!(p.floor(Hour(4), 0), f64::INFINITY);
+        assert_eq!(p.window_floor(Hour(4), 3, 0), f64::INFINITY);
+        assert!(p.window_floor(Hour(4), 0, 2) <= 0.0);
+    }
+
+    #[test]
+    fn window_floor_is_at_most_every_window_sum() {
+        // Ordinary carbon intensities, negative samples, and samples
+        // near 1e15 whose window sums the prefix rounds by hundreds.
+        for (seed, lo, span) in [(1, 20.0, 880.0), (2, -400.0, 500.0), (3, 1e15, 1e13)] {
+            let n = 2 * ChunkedPrefix::BLOCK + 300;
+            let values = noise(n, seed, lo, span);
+            let p = TimeSeries::new(Hour(0), values).chunked_prefix();
+            for (from, len, count) in [
+                (0, 1, n),
+                (ChunkedPrefix::BLOCK - 7, 1, 40),
+                (100, 24, 169),
+                (ChunkedPrefix::BLOCK - 300, 48, 600),
+                (n - 500, 300, 201),
+                (ChunkedPrefix::CHUNK, ChunkedPrefix::CHUNK, 1),
+            ] {
+                let floor = p.window_floor(Hour(from as u32), len, count);
+                p.window_sums(Hour(from as u32), len, count, |sum| {
+                    assert!(
+                        floor <= sum,
+                        "seed {seed} {from}+{len}x{count}: {floor} > {sum}"
+                    );
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn window_floor_covers_prefix_rounding_below_the_exact_sum() {
+        // A constant 1e15 + 200 deep into a block: the relative
+        // prefixes reach 4e18, whose spacing is 512, so some one-slot
+        // sum reads below its sample. `len · min` alone would exceed
+        // that sum; the slop brings the floor under it.
+        let c = 1e15 + 200.0;
+        let p = TimeSeries::new(Hour(0), vec![c; 4000]).chunked_prefix();
+        let low = (3000..3999u32)
+            .map(|i| p.sum(Hour(i), 1))
+            .find(|&sum| sum < c)
+            .expect("some one-slot sum rounds below its sample");
+        assert!(p.window_floor(Hour(3000), 1, 999) <= low);
+    }
+
+    #[test]
+    fn non_finite_samples_give_a_floor_of_minus_infinity() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut values = vec![100.0; 600];
+            values[300] = bad;
+            let p = TimeSeries::new(Hour(0), values).chunked_prefix();
+            // Far from the bad sample too: one bad sample poisons the
+            // slop of the whole prefix.
+            assert_eq!(p.window_floor(Hour(0), 4, 10), f64::NEG_INFINITY, "{bad}");
+            assert_eq!(p.window_floor(Hour(290), 4, 20), f64::NEG_INFINITY, "{bad}");
+        }
+        // A chunk of NaNs only has no least sample.
+        let p = TimeSeries::new(Hour(0), vec![f64::NAN; 300]).chunked_prefix();
+        assert_eq!(p.floor(Hour(0), 10), f64::INFINITY);
+        assert_eq!(p.window_floor(Hour(0), 10, 5), f64::NEG_INFINITY);
     }
 }
