@@ -12,7 +12,7 @@
 //!
 //! | rule | what it flags |
 //! |------|---------------|
-//! | `no-panic` | `.unwrap()`, `.expect(...)`, `panic!`, `todo!`, `unimplemented!` in library crates outside `#[cfg(test)]` |
+//! | `no-panic` | `.unwrap()`, `.expect(...)`, `panic!`, `todo!`, `unimplemented!` in library crates outside `#[cfg(test)]` (an item, or the file of a module declared `#[cfg(test)] mod name;`) |
 //! | `hot-path` | `format!`, `.clone()`, `Vec::new`, `String::new`, `.to_string()`, `.to_owned()`, `.to_vec()`, and `String`-keyed map types inside code annotated `decarb-analyze: hot-path` |
 //! | `par-safety` | `Mutex`, `RefCell`, or `static mut` captured inside `decarb_par::par_map` / `par_map_with` / `par_map_ordered_with` / `par_map_owned` / `par_for_each` call arguments |
 //!

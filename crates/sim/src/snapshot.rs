@@ -263,13 +263,14 @@ impl Snapshot {
     /// and code first") is a strict total order on (cost, zone-code
     /// rank): window costs are never NaN (a scan keeps a window only
     /// if it costs less than the best so far, from +∞) and zone codes
-    /// are distinct. So the kept region is the least of the scanned
-    /// ones under that order, whatever order they are scanned in. A
-    /// region left out has a floor strictly greater than a cost
-    /// already held, so its own cost is greater too: it could neither
-    /// win nor tie, and the least element is the same with or without
-    /// it. The winner's `start` and cost come from its own window scan,
-    /// the same call the exhaustive scan makes.
+    /// are distinct (the region table rejects duplicates). So the kept
+    /// region is the least of the scanned ones under that order,
+    /// whatever order they are scanned in. A region left out has a
+    /// floor strictly greater than a cost already held, so its own cost
+    /// is greater too: it could neither win nor tie, and the least
+    /// element is the same with or without it. The winner's `start` and
+    /// cost come from its own window scan, the same call the exhaustive
+    /// scan makes.
     // decarb-analyze: hot-path
     pub fn place(&self, req: &PlaceRequest) -> Result<PlaceDecision, PlaceError> {
         self.place_scanning(req, |_| {})
