@@ -524,11 +524,11 @@ fn parse_place_job<'a>(
     let slack_hours = optional_whole(body, "slack_hours", 0)?;
     let slo_ms = match body.get("slo_ms") {
         None => 0.0,
-        Some(Value::Number(n)) if *n >= 0.0 => *n,
+        Some(Value::Number(n)) if *n >= 0.0 && n.is_finite() => *n,
         Some(_) => {
             return Err(ApiError::bad_request(
                 "bad-parameter",
-                "slo_ms must be a non-negative number",
+                "slo_ms must be a finite non-negative number",
             ))
         }
     };
@@ -788,6 +788,13 @@ mod tests {
             ),
             (
                 r#"{"origin":"DE","duration_hours":1,"slo_ms":"fast"}"#,
+                400,
+                "bad-parameter",
+            ),
+            // 1e400 parses to +inf, which used to answer 200 and echo
+            // `"slo_ms": null`.
+            (
+                r#"{"origin":"DE","duration_hours":1,"slo_ms":1e400}"#,
                 400,
                 "bad-parameter",
             ),
