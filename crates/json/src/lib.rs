@@ -6,7 +6,9 @@
 //! --json` and the other `--json` outputs) through a [`Value`] tree
 //! with escaping and compact and pretty rendering; the CI
 //! emissions-regression gate also reads reports back through
-//! [`parse()`].
+//! [`parse()`]. Hot paths skip the tree: [`Reader`] pulls a document's
+//! values one at a time without allocating, and [`write_number`] and
+//! [`write_string`] append the exact text a [`Value`] renders.
 //!
 //! # Examples
 //!
@@ -28,7 +30,7 @@ pub mod parse;
 
 pub use envelope::diagnostic_object;
 pub use merge::merge_keyed;
-pub use parse::{parse, JsonParseError};
+pub use parse::{parse, JsonParseError, JsonStr, Reader, Token};
 
 /// A JSON value: the full JSON data model.
 ///
@@ -96,8 +98,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => render_number(*n, out),
-            Value::String(s) => render_string(s, out),
+            Value::Number(n) => write_number(out, *n),
+            Value::String(s) => write_string(out, s),
             Value::Array(items) => {
                 render_seq(out, indent, '[', ']', items.len(), |out, i, inner| {
                     items[i].render(out, inner);
@@ -106,7 +108,7 @@ impl Value {
             Value::Object(pairs) => {
                 render_seq(out, indent, '{', '}', pairs.len(), |out, i, inner| {
                     let (key, value) = &pairs[i];
-                    render_string(key, out);
+                    write_string(out, key);
                     out.push(':');
                     if inner.is_some() {
                         out.push(' ');
@@ -158,33 +160,62 @@ fn push_indent(out: &mut String, depth: usize) {
     }
 }
 
-fn render_number(n: f64, out: &mut String) {
+/// Appends `n` as [`Value::Number`] renders it: `null` when not
+/// finite, whole numbers below 1e15 in magnitude as integers (digit by
+/// digit, `-0` as `0`), and every other value through `f64`'s `Display`.
+pub fn write_number(out: &mut String, n: f64) {
     use fmt::Write as _;
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        // |n| < 1e15: at most 15 digits and a sign.
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        let mut rest = (n as i64).unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.extend(digits[at..].iter().map(|&d| char::from(d)));
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string, escaping `"`, `\` and control
+/// characters; runs that need no escape are copied whole.
+pub fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `at` indexes an ASCII byte, so both slices end on a char
+        // boundary.
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", byte);
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -282,6 +313,70 @@ mod tests {
         assert_eq!(Value::from(8760usize).to_string(), "8760");
         assert_eq!(Value::from(-3.0).to_string(), "-3");
         assert_eq!(Value::from(1e20).to_string(), "100000000000000000000");
+    }
+
+    #[test]
+    fn number_writer_matches_display_formatting() {
+        use fmt::Write as _;
+        // The pre-digit-loop rendering: `i64` Display for whole values.
+        let reference = |n: f64| {
+            let mut out = String::new();
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n == n.trunc() && n.abs() < 1e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+            out
+        };
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            19704.0,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            0.5,
+            -2.5,
+            87.01605273648602,
+            1e-7,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let bits = f64::from_bits(state);
+            let scaled = (state >> 11) as f64 / (1u64 << 53) as f64 * 2e15 - 1e15;
+            cases.extend([bits, scaled, scaled.trunc(), (scaled / 1e9).trunc()]);
+        }
+        for n in cases {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, reference(n), "{n:e}");
+        }
+    }
+
+    #[test]
+    fn string_writer_copies_runs_and_escapes_the_rest() {
+        let mut out = String::from("x");
+        write_string(&mut out, "grön \u{1f} \"q\" a\\b\r\n\t😀");
+        assert_eq!(out, "x\"grön \\u001f \\\"q\\\" a\\\\b\\r\\n\\t😀\"");
+        out.clear();
+        write_string(&mut out, "");
+        assert_eq!(out, "\"\"");
     }
 
     #[test]
