@@ -14,17 +14,21 @@
 //! [`decarb_sim::PlaceError`] pre-validates the planner's panicking
 //! preconditions. The error body shape is documented in `docs/API.md`.
 
+use std::borrow::Cow;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use decarb_forecast::{visible_history, Forecaster, Persistence, SeasonalNaive, HISTORY_HOURS};
-use decarb_json::Value;
+use decarb_json::{write_number, write_string, JsonParseError, JsonStr, Reader, Token, Value};
 use decarb_sim::{PlaceDecision, PlaceError, PlaceRequest, Snapshot};
 use decarb_traces::time::{EPOCH_YEAR, LAST_YEAR};
 use decarb_traces::{Hour, TraceSet};
 
 use crate::http::{HttpError, Request};
 use crate::metrics::{Endpoint, Metrics};
+
+#[cfg(test)]
+mod oracle;
 
 /// Longest forecast horizon served, hours (two weeks).
 pub const MAX_FORECAST_HOURS: usize = 336;
@@ -56,15 +60,24 @@ impl ApiError {
         Self::new(400, code, message)
     }
 
-    /// Renders the documented error envelope.
-    pub fn body(&self) -> Value {
-        Value::object([(
-            "error",
-            Value::object([
-                ("code", Value::from(self.code)),
-                ("message", Value::from(self.message.as_str())),
-            ]),
-        )])
+    /// Writes the documented error envelope, pretty-printed as the
+    /// object at `depth` (0 for a whole response body).
+    pub fn write_body(&self, out: &mut String, depth: usize) {
+        out.push('{');
+        field(out, depth + 1, "\"error\": {");
+        field(out, depth + 2, "\"code\": ");
+        write_string(out, self.code);
+        out.push(',');
+        field(out, depth + 2, "\"message\": ");
+        write_string(out, &self.message);
+        newline(out, depth + 1);
+        out.push('}');
+        newline(out, depth);
+        out.push('}');
+    }
+
+    fn bad_json(e: JsonParseError) -> Self {
+        Self::bad_request("bad-json", format!("body is not JSON: {e}"))
     }
 }
 
@@ -170,13 +183,17 @@ impl PlacementService {
         out.clear();
         let endpoint = Endpoint::of(req.path());
         let started = Instant::now();
-        let status = match self.dispatch(endpoint, req) {
-            Ok(value) => {
-                value.pretty_into(out);
-                200
-            }
+        let answered = match (endpoint, req.method()) {
+            (Endpoint::Place, "POST") => self.place_into(req, out),
+            _ => self
+                .dispatch(endpoint, req)
+                .map(|value| value.pretty_into(out)),
+        };
+        let status = match answered {
+            Ok(()) => 200,
             Err(e) => {
-                e.body().pretty_into(out);
+                out.clear();
+                e.write_body(out, 0);
                 e.status
             }
         };
@@ -201,7 +218,9 @@ impl PlacementService {
     pub fn handle_http_error(&self, e: &HttpError) -> (u16, String) {
         let api: ApiError = e.into();
         self.metrics.record(Endpoint::Other, api.status);
-        (api.status, api.body().pretty())
+        let mut body = String::new();
+        api.write_body(&mut body, 0);
+        (api.status, body)
     }
 
     fn dispatch(&self, endpoint: Endpoint, req: &Request) -> Result<Value, ApiError> {
@@ -211,7 +230,6 @@ impl PlacementService {
             (Endpoint::Regions, "GET") => Ok(self.regions()),
             (Endpoint::Rankings, "GET") => self.rankings(req),
             (Endpoint::Forecast, "GET") => self.forecast(req),
-            (Endpoint::Place, "POST") => self.place(req),
             (Endpoint::Metrics, "GET") => Ok(self.metrics_payload()),
             (Endpoint::Reload, "POST") => {
                 let snap = self.reload()?;
@@ -394,138 +412,247 @@ impl PlacementService {
         ]))
     }
 
-    fn place(&self, req: &Request) -> Result<Value, ApiError> {
+    /// Answers `POST /v1/place` straight into `out`: the body is read
+    /// with a pull reader into borrowed fields and the answer written
+    /// with static key fragments, so a well-formed request allocates
+    /// nothing. The whole body must be valid JSON before any field is
+    /// judged, so a syntax error anywhere answers `bad-json`.
+    fn place_into(&self, req: &Request, out: &mut String) -> Result<(), ApiError> {
         let text = std::str::from_utf8(req.body())
             .map_err(|_| ApiError::bad_request("bad-body", "request body is not valid UTF-8"))?;
-        let body = decarb_json::parse(text)
-            .map_err(|e| ApiError::bad_request("bad-json", format!("body is not JSON: {e}")))?;
+        let mut reader = Reader::new(text);
+        let token = reader.value().map_err(ApiError::bad_json)?;
         let snap = self.snapshot();
-        match &body {
-            // An array of job objects is a batch; a single object keeps
-            // the original one-job contract bit for bit.
-            Value::Array(jobs) => self.place_many(&snap, jobs),
-            _ => {
-                let (query, origin_code) = parse_place_job(&snap, &body)?;
-                let decision = snap.place(&query)?;
-                Ok(render_place_decision(&snap, origin_code, &query, &decision))
-            }
+        // An array of job objects is a batch; a single object keeps
+        // the original one-job contract bit for bit.
+        if token == Token::Array {
+            return self.place_many_into(&snap, reader, out);
         }
+        let job = decode_job(&mut reader, token)
+            .and_then(|job| reader.finish().map(|()| job))
+            .map_err(ApiError::bad_json)?;
+        let (query, origin) = job_request(&snap, job)?;
+        let decision = snap.place(&query)?;
+        write_decision(out, 0, &snap, &origin, &query, &decision);
+        Ok(())
     }
 
     /// Answers a batch of placement jobs: every job gets a result slot
     /// in input order (a decision object, or the documented error
     /// envelope for that job alone), plus an aggregate summary.
     ///
-    /// Valid jobs are evaluated in input order through
-    /// [`Snapshot::place_batch`], so the answers are bit-identical to
-    /// N sequential single-job calls.
-    fn place_many(&self, snap: &Snapshot, jobs: &[Value]) -> Result<Value, ApiError> {
-        if jobs.is_empty() {
+    /// A first pass validates the whole body and counts its jobs
+    /// without building them; the second decodes, places and writes
+    /// one job at a time. Valid jobs are placed in input order, so the
+    /// answers are bit-identical to N sequential single-job calls.
+    fn place_many_into(
+        &self,
+        snap: &Snapshot,
+        mut reader: Reader<'_>,
+        out: &mut String,
+    ) -> Result<(), ApiError> {
+        // The first pass picks up inside the array the caller opened;
+        // the second starts over from the copy taken here.
+        let mut second = reader.clone();
+        let jobs = count_jobs(&mut reader).map_err(ApiError::bad_json)?;
+        if jobs == 0 {
             return Err(ApiError::bad_request(
                 "empty-batch",
                 "batch must contain at least one job",
             ));
         }
-        if jobs.len() > MAX_BATCH_JOBS {
+        if jobs > MAX_BATCH_JOBS {
             return Err(ApiError::new(
                 413,
                 "batch-too-large",
-                format!(
-                    "batch of {} jobs exceeds the {MAX_BATCH_JOBS}-job limit",
-                    jobs.len()
-                ),
+                format!("batch of {jobs} jobs exceeds the {MAX_BATCH_JOBS}-job limit"),
             ));
         }
-        self.metrics.record_batch(jobs.len() as u64);
-        let parsed: Vec<Result<(PlaceRequest, &str), ApiError>> =
-            jobs.iter().map(|job| parse_place_job(snap, job)).collect();
-        // Only well-formed jobs reach the planner — exactly the calls
-        // N sequential single-job requests would have made.
-        let queries: Vec<PlaceRequest> = parsed
-            .iter()
-            .filter_map(|p| p.as_ref().ok().map(|(query, _)| *query))
-            .collect();
-        let mut decisions = snap.place_batch(&queries).into_iter();
-        let mut ok = 0u64;
-        let mut failed = 0u64;
-        let mut total_saved_g = 0.0;
-        let results: Vec<Value> = parsed
-            .into_iter()
-            .map(|slot| match slot {
-                Ok((query, origin_code)) => match decisions.next().expect("one decision per job") {
-                    Ok(decision) => {
-                        ok += 1;
-                        total_saved_g += decision.saved_g;
-                        render_place_decision(snap, origin_code, &query, &decision)
-                    }
-                    Err(e) => {
-                        failed += 1;
-                        ApiError::from(e).body()
-                    }
-                },
+        self.metrics.record_batch(jobs as u64);
+        out.push('{');
+        field(out, 1, "\"count\": ");
+        write_number(out, jobs as f64);
+        out.push(',');
+        field(out, 1, "\"results\": [");
+        let (mut ok, mut failed, mut total_saved_g) = (0u64, 0u64, 0.0);
+        while second.item().map_err(ApiError::bad_json)? {
+            if ok + failed > 0 {
+                out.push(',');
+            }
+            newline(out, 2);
+            let job = second
+                .value()
+                .and_then(|token| decode_job(&mut second, token))
+                .map_err(ApiError::bad_json)?;
+            let placed = job_request(snap, job).and_then(|(query, origin)| {
+                let decision = snap.place(&query)?;
+                Ok((query, origin, decision))
+            });
+            match placed {
+                Ok((query, origin, decision)) => {
+                    ok += 1;
+                    total_saved_g += decision.saved_g;
+                    write_decision(out, 2, snap, &origin, &query, &decision);
+                }
                 Err(e) => {
                     failed += 1;
-                    e.body()
+                    e.write_body(out, 2);
                 }
-            })
-            .collect();
-        Ok(Value::object([
-            ("count", Value::from(results.len() as f64)),
-            ("results", Value::Array(results)),
-            (
-                "summary",
-                Value::object([
-                    ("ok", Value::from(ok as f64)),
-                    ("failed", Value::from(failed as f64)),
-                    ("total_saved_g", Value::from(total_saved_g)),
-                    ("generation", Value::from(snap.generation() as f64)),
-                ]),
-            ),
-        ]))
+            }
+        }
+        newline(out, 1);
+        out.push_str("],");
+        field(out, 1, "\"summary\": {");
+        field(out, 2, "\"ok\": ");
+        write_number(out, ok as f64);
+        for (key, n) in [
+            ("\"failed\": ", failed as f64),
+            ("\"total_saved_g\": ", total_saved_g),
+            ("\"generation\": ", snap.generation() as f64),
+        ] {
+            out.push(',');
+            field(out, 2, key);
+            write_number(out, n);
+        }
+        newline(out, 1);
+        out.push('}');
+        newline(out, 0);
+        out.push('}');
+        Ok(())
     }
 }
 
-/// Validates one job object into a [`PlaceRequest`], returning the
-/// origin zone code alongside for the response echo. Shared by the
-/// single-job and batch paths so both reject with identical codes.
-fn parse_place_job<'a>(
+/// Counts the items left in the array `reader` is inside, validating
+/// them without building them, then ends the document.
+fn count_jobs(reader: &mut Reader<'_>) -> Result<usize, JsonParseError> {
+    let mut jobs = 0;
+    while reader.item()? {
+        let job = reader.value()?;
+        reader.skip(job)?;
+        jobs += 1;
+    }
+    reader.finish()?;
+    Ok(jobs)
+}
+
+/// One value of a job object as the decoder found it, borrowed from
+/// the body.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Field<'a> {
+    #[default]
+    Absent,
+    Str(JsonStr<'a>),
+    Number(f64),
+    /// `null`, a boolean, an object or an array: present, never valid.
+    Other,
+}
+
+/// The fields of one job object: the first value of each known key.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct JobFields<'a> {
+    origin: Field<'a>,
+    duration_hours: Field<'a>,
+    slack_hours: Field<'a>,
+    slo_ms: Field<'a>,
+    arrival_hour: Field<'a>,
+}
+
+/// Reads the job value whose head `token` the reader just returned:
+/// the job's fields, or `None` when it is not an object. Keys may come
+/// in any order, the first of a duplicate key wins, and the values of
+/// unknown keys are validated and skipped without being built.
+// decarb-analyze: hot-path
+fn decode_job<'a>(
+    reader: &mut Reader<'a>,
+    token: Token<'a>,
+) -> Result<Option<JobFields<'a>>, JsonParseError> {
+    if token != Token::Object {
+        reader.skip(token)?;
+        return Ok(None);
+    }
+    let mut job = JobFields::default();
+    while let Some(key) = reader.key()? {
+        let slot = if key.eq_str("origin") {
+            &mut job.origin
+        } else if key.eq_str("duration_hours") {
+            &mut job.duration_hours
+        } else if key.eq_str("slack_hours") {
+            &mut job.slack_hours
+        } else if key.eq_str("slo_ms") {
+            &mut job.slo_ms
+        } else if key.eq_str("arrival_hour") {
+            &mut job.arrival_hour
+        } else {
+            let value = reader.value()?;
+            reader.skip(value)?;
+            continue;
+        };
+        let value = reader.value()?;
+        let field = match value {
+            Token::String(s) => Field::Str(s),
+            Token::Number(n) => Field::Number(n),
+            other => {
+                reader.skip(other)?;
+                Field::Other
+            }
+        };
+        if *slot == Field::Absent {
+            *slot = field;
+        }
+    }
+    Ok(Some(job))
+}
+
+/// Validates one decoded job into a [`PlaceRequest`], returning the
+/// decoded origin zone code alongside for the response echo. Shared by
+/// the single-job and batch paths so both reject with identical codes;
+/// fields are judged in a fixed order whatever order their keys came in.
+fn job_request<'a>(
     snap: &Snapshot,
-    body: &'a Value,
-) -> Result<(PlaceRequest, &'a str), ApiError> {
-    if !matches!(body, Value::Object(_)) {
+    job: Option<JobFields<'a>>,
+) -> Result<(PlaceRequest, Cow<'a, str>), ApiError> {
+    let Some(job) = job else {
         return Err(ApiError::bad_request(
             "bad-parameter",
             "each job must be a JSON object",
         ));
-    }
-    let origin_code = match body.get("origin") {
-        Some(Value::String(code)) => code.as_str(),
-        Some(_) => {
-            return Err(ApiError::bad_request(
-                "bad-parameter",
-                "origin must be a zone-code string",
-            ))
-        }
-        None => {
+    };
+    let origin_code = match job.origin {
+        Field::Str(code) => code.decoded(),
+        Field::Absent => {
             return Err(ApiError::bad_request(
                 "missing-parameter",
                 "origin is required",
             ))
         }
+        _ => {
+            return Err(ApiError::bad_request(
+                "bad-parameter",
+                "origin must be a zone-code string",
+            ))
+        }
     };
-    let origin = snap.traces().id_of(origin_code).map_err(|_| {
+    let origin = snap.traces().id_of(&origin_code).map_err(|_| {
         ApiError::new(
             404,
             "unknown-region",
             format!("no trace for origin `{origin_code}`"),
         )
     })?;
-    let duration_hours = require_whole(body, "duration_hours")?;
-    let slack_hours = optional_whole(body, "slack_hours", 0)?;
-    let slo_ms = match body.get("slo_ms") {
-        None => 0.0,
-        Some(Value::Number(n)) if *n >= 0.0 && n.is_finite() => *n,
-        Some(_) => {
+    let duration_hours = match job.duration_hours {
+        Field::Absent => {
+            return Err(ApiError::bad_request(
+                "missing-parameter",
+                "duration_hours is required",
+            ))
+        }
+        value => whole(value, "duration_hours")?,
+    };
+    let slack_hours = optional_whole(job.slack_hours, "slack_hours", 0)?;
+    let slo_ms = match job.slo_ms {
+        Field::Absent => 0.0,
+        Field::Number(n) if n >= 0.0 && n.is_finite() => n,
+        _ => {
             return Err(ApiError::bad_request(
                 "bad-parameter",
                 "slo_ms must be a finite non-negative number",
@@ -533,11 +660,11 @@ fn parse_place_job<'a>(
         }
     };
     let origin_start = snap.traces().series_by_id(origin).start();
-    let arrival = Hour(optional_whole(body, "arrival_hour", u64::from(origin_start.0))? as u32);
+    let arrival = optional_whole(job.arrival_hour, "arrival_hour", origin_start.0.into())?;
     Ok((
         PlaceRequest {
             origin,
-            arrival,
+            arrival: Hour(arrival as u32),
             duration_hours: duration_hours as usize,
             slack_hours: slack_hours as usize,
             slo_ms,
@@ -546,39 +673,95 @@ fn parse_place_job<'a>(
     ))
 }
 
-/// Renders one placement decision as the documented response object —
+/// An optional non-negative whole number with a default.
+fn optional_whole(value: Field<'_>, key: &str, default: u64) -> Result<u64, ApiError> {
+    match value {
+        Field::Absent => Ok(default),
+        value => whole(value, key),
+    }
+}
+
+fn whole(value: Field<'_>, key: &str) -> Result<u64, ApiError> {
+    match value {
+        Field::Number(n) if n >= 0.0 && n.fract() == 0.0 && n <= u32::MAX as f64 => Ok(n as u64),
+        _ => Err(ApiError::bad_request(
+            "bad-parameter",
+            format!("{key} must be a non-negative whole number"),
+        )),
+    }
+}
+
+/// A newline and enough indentation for the deepest pretty-printed
+/// field the service writes (a batch slot's error envelope, depth 4).
+const INDENT: &str = "\n          ";
+
+/// Starts a new line indented `depth` levels.
+fn newline(out: &mut String, depth: usize) {
+    out.push_str(INDENT.get(..1 + 2 * depth).unwrap_or(INDENT));
+}
+
+/// Starts a pretty object member at `depth`: a new line, then `key`, a
+/// static fragment holding the quoted key and its `": "` (the caller
+/// writes any comma before it).
+fn field(out: &mut String, depth: usize, key: &str) {
+    newline(out, depth);
+    out.push_str(key);
+}
+
+/// Writes one placement decision as the documented response object at
+/// `depth`, byte for byte what the pretty [`Value`] renderer printed:
 /// the same shape whether it answers a single call or fills one batch
 /// result slot.
-fn render_place_decision(
+// decarb-analyze: hot-path
+fn write_decision(
+    out: &mut String,
+    depth: usize,
     snap: &Snapshot,
     origin_code: &str,
     query: &PlaceRequest,
     decision: &PlaceDecision,
-) -> Value {
+) {
     let saved_pct = if decision.naive_g > 0.0 {
         decision.saved_g / decision.naive_g * 100.0
     } else {
         0.0
     };
-    Value::object([
-        ("origin", Value::from(origin_code)),
-        ("arrival_hour", Value::from(f64::from(query.arrival.0))),
-        ("duration_hours", Value::from(query.duration_hours as f64)),
-        ("slack_hours", Value::from(query.slack_hours as f64)),
-        ("slo_ms", Value::from(query.slo_ms)),
-        ("region", Value::from(snap.traces().code(decision.region))),
-        ("start_hour", Value::from(f64::from(decision.start.0))),
+    let inner = depth + 1;
+    out.push('{');
+    field(out, inner, "\"origin\": ");
+    write_string(out, origin_code);
+    for (key, n) in [
+        ("\"arrival_hour\": ", f64::from(query.arrival.0)),
+        ("\"duration_hours\": ", query.duration_hours as f64),
+        ("\"slack_hours\": ", query.slack_hours as f64),
+        ("\"slo_ms\": ", query.slo_ms),
+    ] {
+        out.push(',');
+        field(out, inner, key);
+        write_number(out, n);
+    }
+    out.push(',');
+    field(out, inner, "\"region\": ");
+    write_string(out, snap.traces().code(decision.region));
+    for (key, n) in [
+        ("\"start_hour\": ", f64::from(decision.start.0)),
         (
-            "wait_hours",
-            Value::from(f64::from(decision.start.0 - query.arrival.0)),
+            "\"wait_hours\": ",
+            f64::from(decision.start.0 - query.arrival.0),
         ),
-        ("cost_g", Value::from(decision.cost_g)),
-        ("naive_g", Value::from(decision.naive_g)),
-        ("saved_g", Value::from(decision.saved_g)),
-        ("saved_pct", Value::from(saved_pct)),
-        ("rtt_ms", Value::from(decision.rtt_ms)),
-        ("generation", Value::from(snap.generation() as f64)),
-    ])
+        ("\"cost_g\": ", decision.cost_g),
+        ("\"naive_g\": ", decision.naive_g),
+        ("\"saved_g\": ", decision.saved_g),
+        ("\"saved_pct\": ", saved_pct),
+        ("\"rtt_ms\": ", decision.rtt_ms),
+        ("\"generation\": ", snap.generation() as f64),
+    ] {
+        out.push(',');
+        field(out, inner, key);
+        write_number(out, n);
+    }
+    newline(out, depth);
+    out.push('}');
 }
 
 /// Parses an integer query parameter with a default.
@@ -591,35 +774,6 @@ fn parse_query(req: &Request, key: &str, default: i64) -> Result<i64, ApiError> 
                 format!("{key} must be an integer, got `{raw}`"),
             )
         }),
-    }
-}
-
-/// Extracts a required non-negative whole number from a JSON body.
-fn require_whole(body: &Value, key: &str) -> Result<u64, ApiError> {
-    match body.get(key) {
-        None => Err(ApiError::bad_request(
-            "missing-parameter",
-            format!("{key} is required"),
-        )),
-        Some(value) => whole(value, key),
-    }
-}
-
-/// Extracts an optional non-negative whole number with a default.
-fn optional_whole(body: &Value, key: &str, default: u64) -> Result<u64, ApiError> {
-    match body.get(key) {
-        None => Ok(default),
-        Some(value) => whole(value, key),
-    }
-}
-
-fn whole(value: &Value, key: &str) -> Result<u64, ApiError> {
-    match value {
-        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => Ok(*n as u64),
-        _ => Err(ApiError::bad_request(
-            "bad-parameter",
-            format!("{key} must be a non-negative whole number"),
-        )),
     }
 }
 
