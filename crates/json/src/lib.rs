@@ -7,8 +7,9 @@
 //! with escaping and compact and pretty rendering; the CI
 //! emissions-regression gate also reads reports back through
 //! [`parse()`]. Hot paths skip the tree: [`Reader`] pulls a document's
-//! values one at a time without allocating, and [`write_number`] and
-//! [`write_string`] append the exact text a [`Value`] renders.
+//! values one at a time without allocating, and [`SeqWriter`],
+//! [`write_number`] and [`write_string`] append the exact text a
+//! [`Value`] renders.
 //!
 //! # Examples
 //!
@@ -101,54 +102,106 @@ impl Value {
             Value::Number(n) => write_number(out, *n),
             Value::String(s) => write_string(out, s),
             Value::Array(items) => {
-                render_seq(out, indent, '[', ']', items.len(), |out, i, inner| {
-                    items[i].render(out, inner);
-                })
+                let mut seq = SeqWriter::array(out, indent);
+                for item in items {
+                    let inner = seq.item(out);
+                    item.render(out, inner);
+                }
+                seq.end(out);
             }
             Value::Object(pairs) => {
-                render_seq(out, indent, '{', '}', pairs.len(), |out, i, inner| {
-                    let (key, value) = &pairs[i];
-                    write_string(out, key);
-                    out.push(':');
-                    if inner.is_some() {
-                        out.push(' ');
-                    }
+                let mut seq = SeqWriter::object(out, indent);
+                for (key, value) in pairs {
+                    let inner = seq.key(out, key);
                     value.render(out, inner);
-                })
+                }
+                seq.end(out);
             }
         }
     }
 }
 
-/// Shared array/object rendering: compact when `indent` is `None`,
-/// otherwise one element per line at `indent + 1` levels.
-fn render_seq(
-    out: &mut String,
+/// An array or object written element by element straight into a
+/// buffer, in the layout [`Value`] renders: compact when `indent` is
+/// `None`, otherwise one element per line at `indent + 1` levels of two
+/// spaces and `": "` after each key. [`Value`] rendering is built on
+/// it, so a writer that skips the tree prints the same bytes.
+///
+/// ```
+/// use decarb_json::{write_number, SeqWriter, Value};
+///
+/// let mut out = String::new();
+/// let mut obj = SeqWriter::object(&mut out, Some(0));
+/// let inner = obj.key(&mut out, "rows");
+/// let mut rows = SeqWriter::array(&mut out, inner);
+/// rows.item(&mut out);
+/// write_number(&mut out, 1.5);
+/// rows.end(&mut out);
+/// obj.end(&mut out);
+/// let tree = Value::object([("rows", Value::array([Value::from(1.5)]))]);
+/// assert_eq!(out, tree.pretty());
+/// ```
+#[derive(Debug)]
+#[must_use = "a sequence must be closed with `end`"]
+pub struct SeqWriter {
     indent: Option<usize>,
-    open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+}
+
+impl SeqWriter {
+    /// Opens an array whose own line sits at `indent`.
+    pub fn array(out: &mut String, indent: Option<usize>) -> Self {
+        Self::open(out, indent, '[', ']')
     }
-    let inner = indent.map(|d| d + 1);
-    for i in 0..len {
-        if i > 0 {
+
+    /// Opens an object whose own line sits at `indent`.
+    pub fn object(out: &mut String, indent: Option<usize>) -> Self {
+        Self::open(out, indent, '{', '}')
+    }
+
+    fn open(out: &mut String, indent: Option<usize>, open: char, close: char) -> Self {
+        out.push(open);
+        Self {
+            indent,
+            close,
+            len: 0,
+        }
+    }
+
+    /// Starts the next element: the comma before every element but the
+    /// first, then its new line. Returns the indent to write a nested
+    /// array or object at.
+    pub fn item(&mut self, out: &mut String) -> Option<usize> {
+        if self.len > 0 {
             out.push(',');
         }
+        self.len += 1;
+        let inner = self.indent.map(|depth| depth + 1);
         if let Some(depth) = inner {
             push_indent(out, depth);
         }
-        item(out, i, inner);
+        inner
     }
-    if let Some(depth) = indent {
-        push_indent(out, depth);
+
+    /// Starts the next object member: [`SeqWriter::item`], then the
+    /// quoted key and its separator. The caller writes the value.
+    pub fn key(&mut self, out: &mut String, key: &str) -> Option<usize> {
+        let inner = self.item(out);
+        write_string(out, key);
+        out.push_str(if inner.is_some() { ": " } else { ":" });
+        inner
     }
-    out.push(close);
+
+    /// Closes the sequence, on its own line when pretty and not empty.
+    pub fn end(self, out: &mut String) {
+        if self.len > 0 {
+            if let Some(depth) = self.indent {
+                push_indent(out, depth);
+            }
+        }
+        out.push(self.close);
+    }
 }
 
 /// Starts a new line indented `depth` levels, writing straight into
@@ -399,6 +452,40 @@ mod tests {
     fn pretty_rendering_indents() {
         let v = Value::object([("a", Value::array([Value::from(1i64)]))]);
         assert_eq!(v.pretty(), "{\n  \"a\": [\n    1\n  ]\n}");
+    }
+
+    #[test]
+    fn seq_writer_prints_what_the_tree_renders() {
+        let tree = Value::object([
+            ("empty", Value::array([])),
+            ("none", Value::object::<&str>([])),
+            (
+                "rows",
+                Value::array([Value::from(1i64), Value::object([("k\"", Value::Null)])]),
+            ),
+        ]);
+        for indent in [None, Some(0), Some(3)] {
+            let mut out = String::new();
+            let mut obj = SeqWriter::object(&mut out, indent);
+            let inner = obj.key(&mut out, "empty");
+            SeqWriter::array(&mut out, inner).end(&mut out);
+            let inner = obj.key(&mut out, "none");
+            SeqWriter::object(&mut out, inner).end(&mut out);
+            let inner = obj.key(&mut out, "rows");
+            let mut rows = SeqWriter::array(&mut out, inner);
+            rows.item(&mut out);
+            write_number(&mut out, 1.0);
+            let inner = rows.item(&mut out);
+            let mut row = SeqWriter::object(&mut out, inner);
+            row.key(&mut out, "k\"");
+            out.push_str("null");
+            row.end(&mut out);
+            rows.end(&mut out);
+            obj.end(&mut out);
+            let mut expected = String::new();
+            tree.render(&mut expected, indent);
+            assert_eq!(out, expected, "{indent:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use decarb_forecast::{visible_history, Forecaster, Persistence, SeasonalNaive, HISTORY_HOURS};
-use decarb_json::{write_number, write_string, JsonParseError, JsonStr, Reader, Token, Value};
+use decarb_json::{
+    write_number, write_string, JsonParseError, JsonStr, Reader, SeqWriter, Token, Value,
+};
 use decarb_sim::{PlaceDecision, PlaceError, PlaceRequest, Snapshot};
 use decarb_traces::time::{EPOCH_YEAR, LAST_YEAR};
 use decarb_traces::{Hour, TraceSet};
@@ -60,20 +62,18 @@ impl ApiError {
         Self::new(400, code, message)
     }
 
-    /// Writes the documented error envelope, pretty-printed as the
-    /// object at `depth` (0 for a whole response body).
-    pub fn write_body(&self, out: &mut String, depth: usize) {
-        out.push('{');
-        field(out, depth + 1, "\"error\": {");
-        field(out, depth + 2, "\"code\": ");
+    /// Writes the documented error envelope as the object at `indent`
+    /// (`Some(0)` for a whole pretty response body).
+    pub fn write_body(&self, out: &mut String, indent: Option<usize>) {
+        let mut body = SeqWriter::object(out, indent);
+        let inner = body.key(out, "error");
+        let mut error = SeqWriter::object(out, inner);
+        error.key(out, "code");
         write_string(out, self.code);
-        out.push(',');
-        field(out, depth + 2, "\"message\": ");
+        error.key(out, "message");
         write_string(out, &self.message);
-        newline(out, depth + 1);
-        out.push('}');
-        newline(out, depth);
-        out.push('}');
+        error.end(out);
+        body.end(out);
     }
 
     fn bad_json(e: JsonParseError) -> Self {
@@ -193,7 +193,7 @@ impl PlacementService {
             Ok(()) => 200,
             Err(e) => {
                 out.clear();
-                e.write_body(out, 0);
+                e.write_body(out, Some(0));
                 e.status
             }
         };
@@ -219,7 +219,7 @@ impl PlacementService {
         let api: ApiError = e.into();
         self.metrics.record(Endpoint::Other, api.status);
         let mut body = String::new();
-        api.write_body(&mut body, 0);
+        api.write_body(&mut body, Some(0));
         (api.status, body)
     }
 
@@ -433,7 +433,7 @@ impl PlacementService {
             .map_err(ApiError::bad_json)?;
         let (query, origin) = job_request(&snap, job)?;
         let decision = snap.place(&query)?;
-        write_decision(out, 0, &snap, &origin, &query, &decision);
+        write_decision(out, Some(0), &snap, &origin, &query, &decision);
         Ok(())
     }
 
@@ -469,17 +469,14 @@ impl PlacementService {
             ));
         }
         self.metrics.record_batch(jobs as u64);
-        out.push('{');
-        field(out, 1, "\"count\": ");
+        let mut envelope = SeqWriter::object(out, Some(0));
+        envelope.key(out, "count");
         write_number(out, jobs as f64);
-        out.push(',');
-        field(out, 1, "\"results\": [");
+        let inner = envelope.key(out, "results");
+        let mut results = SeqWriter::array(out, inner);
         let (mut ok, mut failed, mut total_saved_g) = (0u64, 0u64, 0.0);
         while second.item().map_err(ApiError::bad_json)? {
-            if ok + failed > 0 {
-                out.push(',');
-            }
-            newline(out, 2);
+            let slot = results.item(out);
             let job = second
                 .value()
                 .and_then(|token| decode_job(&mut second, token))
@@ -492,32 +489,28 @@ impl PlacementService {
                 Ok((query, origin, decision)) => {
                     ok += 1;
                     total_saved_g += decision.saved_g;
-                    write_decision(out, 2, snap, &origin, &query, &decision);
+                    write_decision(out, slot, snap, &origin, &query, &decision);
                 }
                 Err(e) => {
                     failed += 1;
-                    e.write_body(out, 2);
+                    e.write_body(out, slot);
                 }
             }
         }
-        newline(out, 1);
-        out.push_str("],");
-        field(out, 1, "\"summary\": {");
-        field(out, 2, "\"ok\": ");
-        write_number(out, ok as f64);
+        results.end(out);
+        let inner = envelope.key(out, "summary");
+        let mut summary = SeqWriter::object(out, inner);
         for (key, n) in [
-            ("\"failed\": ", failed as f64),
-            ("\"total_saved_g\": ", total_saved_g),
-            ("\"generation\": ", snap.generation() as f64),
+            ("ok", ok as f64),
+            ("failed", failed as f64),
+            ("total_saved_g", total_saved_g),
+            ("generation", snap.generation() as f64),
         ] {
-            out.push(',');
-            field(out, 2, key);
+            summary.key(out, key);
             write_number(out, n);
         }
-        newline(out, 1);
-        out.push('}');
-        newline(out, 0);
-        out.push('}');
+        summary.end(out);
+        envelope.end(out);
         Ok(())
     }
 }
@@ -691,31 +684,14 @@ fn whole(value: Field<'_>, key: &str) -> Result<u64, ApiError> {
     }
 }
 
-/// A newline and enough indentation for the deepest pretty-printed
-/// field the service writes (a batch slot's error envelope, depth 4).
-const INDENT: &str = "\n          ";
-
-/// Starts a new line indented `depth` levels.
-fn newline(out: &mut String, depth: usize) {
-    out.push_str(INDENT.get(..1 + 2 * depth).unwrap_or(INDENT));
-}
-
-/// Starts a pretty object member at `depth`: a new line, then `key`, a
-/// static fragment holding the quoted key and its `": "` (the caller
-/// writes any comma before it).
-fn field(out: &mut String, depth: usize, key: &str) {
-    newline(out, depth);
-    out.push_str(key);
-}
-
 /// Writes one placement decision as the documented response object at
-/// `depth`, byte for byte what the pretty [`Value`] renderer printed:
-/// the same shape whether it answers a single call or fills one batch
+/// `indent`, byte for byte what the [`Value`] renderer printed: the
+/// same shape whether it answers a single call or fills one batch
 /// result slot.
 // decarb-analyze: hot-path
 fn write_decision(
     out: &mut String,
-    depth: usize,
+    indent: Option<usize>,
     snap: &Snapshot,
     origin_code: &str,
     query: &PlaceRequest,
@@ -726,42 +702,34 @@ fn write_decision(
     } else {
         0.0
     };
-    let inner = depth + 1;
-    out.push('{');
-    field(out, inner, "\"origin\": ");
+    let mut obj = SeqWriter::object(out, indent);
+    obj.key(out, "origin");
     write_string(out, origin_code);
     for (key, n) in [
-        ("\"arrival_hour\": ", f64::from(query.arrival.0)),
-        ("\"duration_hours\": ", query.duration_hours as f64),
-        ("\"slack_hours\": ", query.slack_hours as f64),
-        ("\"slo_ms\": ", query.slo_ms),
+        ("arrival_hour", f64::from(query.arrival.0)),
+        ("duration_hours", query.duration_hours as f64),
+        ("slack_hours", query.slack_hours as f64),
+        ("slo_ms", query.slo_ms),
     ] {
-        out.push(',');
-        field(out, inner, key);
+        obj.key(out, key);
         write_number(out, n);
     }
-    out.push(',');
-    field(out, inner, "\"region\": ");
+    obj.key(out, "region");
     write_string(out, snap.traces().code(decision.region));
     for (key, n) in [
-        ("\"start_hour\": ", f64::from(decision.start.0)),
-        (
-            "\"wait_hours\": ",
-            f64::from(decision.start.0 - query.arrival.0),
-        ),
-        ("\"cost_g\": ", decision.cost_g),
-        ("\"naive_g\": ", decision.naive_g),
-        ("\"saved_g\": ", decision.saved_g),
-        ("\"saved_pct\": ", saved_pct),
-        ("\"rtt_ms\": ", decision.rtt_ms),
-        ("\"generation\": ", snap.generation() as f64),
+        ("start_hour", f64::from(decision.start.0)),
+        ("wait_hours", f64::from(decision.start.0 - query.arrival.0)),
+        ("cost_g", decision.cost_g),
+        ("naive_g", decision.naive_g),
+        ("saved_g", decision.saved_g),
+        ("saved_pct", saved_pct),
+        ("rtt_ms", decision.rtt_ms),
+        ("generation", snap.generation() as f64),
     ] {
-        out.push(',');
-        field(out, inner, key);
+        obj.key(out, key);
         write_number(out, n);
     }
-    newline(out, depth);
-    out.push('}');
+    obj.end(out);
 }
 
 /// Parses an integer query parameter with a default.
