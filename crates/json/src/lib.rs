@@ -151,15 +151,18 @@ pub struct SeqWriter {
 
 impl SeqWriter {
     /// Opens an array whose own line sits at `indent`.
+    #[inline]
     pub fn array(out: &mut String, indent: Option<usize>) -> Self {
         Self::open(out, indent, '[', ']')
     }
 
     /// Opens an object whose own line sits at `indent`.
+    #[inline]
     pub fn object(out: &mut String, indent: Option<usize>) -> Self {
         Self::open(out, indent, '{', '}')
     }
 
+    #[inline]
     fn open(out: &mut String, indent: Option<usize>, open: char, close: char) -> Self {
         out.push(open);
         Self {
@@ -172,6 +175,7 @@ impl SeqWriter {
     /// Starts the next element: the comma before every element but the
     /// first, then its new line. Returns the indent to write a nested
     /// array or object at.
+    #[inline]
     pub fn item(&mut self, out: &mut String) -> Option<usize> {
         if self.len > 0 {
             out.push(',');
@@ -186,6 +190,7 @@ impl SeqWriter {
 
     /// Starts the next object member: [`SeqWriter::item`], then the
     /// quoted key and its separator. The caller writes the value.
+    #[inline]
     pub fn key(&mut self, out: &mut String, key: &str) -> Option<usize> {
         let inner = self.item(out);
         write_string(out, key);
@@ -194,6 +199,7 @@ impl SeqWriter {
     }
 
     /// Closes the sequence, on its own line when pretty and not empty.
+    #[inline]
     pub fn end(self, out: &mut String) {
         if self.len > 0 {
             if let Some(depth) = self.indent {
@@ -205,10 +211,13 @@ impl SeqWriter {
 }
 
 /// Starts a new line indented `depth` levels, writing straight into
-/// `out` rather than building the indentation first.
+/// `out` rather than building the indentation first: the first eight
+/// levels in one copy, any deeper ones two spaces at a time.
 fn push_indent(out: &mut String, depth: usize) {
-    out.push('\n');
-    for _ in 0..depth {
+    const LINE: &str = "\n                ";
+    let head = depth.min((LINE.len() - 1) / 2);
+    out.push_str(&LINE[..1 + 2 * head]);
+    for _ in head..depth {
         out.push_str("  ");
     }
 }
@@ -244,27 +253,28 @@ pub fn write_number(out: &mut String, n: f64) {
 
 /// Appends `s` as a quoted JSON string, escaping `"`, `\` and control
 /// characters; runs that need no escape are copied whole.
+#[inline]
 pub fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
     let mut run = 0;
-    for (at, byte) in s.bytes().enumerate() {
-        let escape = match byte {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
+    while let Some(skip) = s.as_bytes()[run..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let at = run + skip;
         // `at` indexes an ASCII byte, so both slices end on a char
         // boundary.
         out.push_str(&s[run..at]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{:04x}", byte);
-        } else {
-            out.push_str(escape);
+        match s.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            byte => {
+                let _ = write!(out, "\\u{:04x}", byte);
+            }
         }
         run = at + 1;
     }
@@ -430,6 +440,34 @@ mod tests {
         out.clear();
         write_string(&mut out, "");
         assert_eq!(out, "\"\"");
+        // Every ASCII character, alone and between multi-byte ones,
+        // against the character-at-a-time escaping it replaced.
+        let reference = |s: &str| {
+            use fmt::Write as _;
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        for c in (0u8..0x80).map(char::from) {
+            for s in [c.to_string(), format!("é{c}{c}ö"), format!("{c}x😀")] {
+                out.clear();
+                write_string(&mut out, &s);
+                assert_eq!(out, reference(&s), "{s:?}");
+            }
+        }
     }
 
     #[test]
