@@ -414,7 +414,7 @@ impl PlacementService {
 
     /// Answers `POST /v1/place` straight into `out`: the body is read
     /// with a pull reader into borrowed fields and the answer written
-    /// with static key fragments, so a well-formed request allocates
+    /// with `decarb_json`'s writers, so a well-formed request allocates
     /// nothing. The whole body must be valid JSON before any field is
     /// judged, so a syntax error anywhere answers `bad-json`.
     fn place_into(&self, req: &Request, out: &mut String) -> Result<(), ApiError> {
